@@ -25,7 +25,7 @@ from .pde import Grid, pde_initial_from_micro, solve
 from .scenarios import (
     TABLE_PARAMS,
     case_scenario,
-    ring_initial_speeds,
+    ring_scenario,
     run_case,
     run_empirical,
     run_ring_validation,
@@ -39,18 +39,22 @@ _CONFIG_FLAG_KEYS = (
 )
 
 
-def _merged_config(args: argparse.Namespace) -> ScenarioConfig:
+# Values for the config keys that neither the config file nor a flag sets.
+_UNSET_DEFAULTS = {"dt": 0.01, "origin_spacing": 1.0}
+_EMPIRICAL_DEFAULTS = {"dt": 0.05, "origin_spacing": 2.0}
+
+
+def _merged_config(args: argparse.Namespace, unset_defaults=_UNSET_DEFAULTS) -> ScenarioConfig:
     cfg = load_config(args.config) if args.config else ScenarioConfig()
-    overrides = {}
+    d = cfg.to_dict()
     for key in _CONFIG_FLAG_KEYS:
         val = getattr(args, key, None)
         if val is not None and val is not False:
-            overrides[key] = val
-    if overrides:
-        d = cfg.to_dict()
-        d.update(overrides)
-        cfg = dataio.config_from_dict(d)
-    return cfg
+            d[key] = val
+    for key, val in unset_defaults.items():
+        if d[key] is None:
+            d[key] = val
+    return dataio.config_from_dict(d)
 
 
 def _out_dir(cfg: ScenarioConfig) -> str:
@@ -104,12 +108,7 @@ def _cmd_wave(args: argparse.Namespace) -> int:
 
 def _cmd_pde(args: argparse.Namespace) -> int:
     cfg = _merged_config(args)
-    speeds = ring_initial_speeds(args.case, cfg.ring_vehicles)
-    sc = Scenario(
-        params=TABLE_PARAMS, n_followers=cfg.ring_vehicles, leader=None,
-        duration=cfg.duration, dt=cfg.dt, topology="ring", initial_speeds=speeds,
-    )
-    res = simulate_platoon(sc)
+    res = simulate_platoon(ring_scenario(args.case, cfg.ring_vehicles, cfg.duration, cfg.dt))
     n_cells = cfg.n_cells if args.dx is None else max(4, int(round(res.ring_length / args.dx)))
     grid = Grid(res.ring_length, n_cells)
     rho0, v0 = pde_initial_from_micro(res.trajectories, res.ring_length, grid)
@@ -211,15 +210,14 @@ def _cmd_case(args: argparse.Namespace) -> int:
 
 
 def _cmd_empirical(args: argparse.Namespace) -> int:
-    cfg = _merged_config(args)
+    cfg = _merged_config(args, _EMPIRICAL_DEFAULTS)
     draws_file = args.draws or cfg.draws_file
     leader_file = args.leader or cfg.leader_file
     if not draws_file or not leader_file:
         raise ValueError("empirical needs --draws and --leader (or config keys)")
     draws = dataio.sample_params(dataio.load_draws(draws_file), cfg.n_draws, cfg.seed)
     leader = dataio.ingest_trajectories(leader_file)[0]
-    r = run_empirical(leader, draws, dt=cfg.dt if cfg.dt != 0.01 else 0.05,
-                      origin_spacing=cfg.origin_spacing if cfg.origin_spacing != 1.0 else 2.0,
+    r = run_empirical(leader, draws, dt=cfg.dt, origin_spacing=cfg.origin_spacing,
                       baseline_speed=cfg.baseline_speed)
     out = _out_dir(cfg)
     dataio.write_stats(

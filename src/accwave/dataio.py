@@ -9,6 +9,7 @@ with the path origin marked by vehicle_id = -1.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass, asdict
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -51,8 +52,8 @@ class ParamSample:
     k_v: float
 
     def __post_init__(self) -> None:
-        if min(self.tau, self.L, self.k_s, self.k_v) <= 0:
-            raise ValueError(f"draw fields must be positive, got {self}")
+        if not all(math.isfinite(f) and f > 0 for f in (self.tau, self.L, self.k_s, self.k_v)):
+            raise ValueError(f"draw fields must be positive and finite, got {self}")
 
 
 def fmt(x: float, full_precision: bool = False) -> str:
@@ -114,11 +115,16 @@ def ingest_trajectories(path: str, dt_jitter: float = 1e-6) -> List[Trajectory]:
             by_vehicle.setdefault(vid, []).append((t, x, v, a, row_no))
 
     out: List[Trajectory] = []
+    n_cols = 4 if has_a else 3
     for vid in sorted(by_vehicle):
         recs = sorted(by_vehicle[vid], key=lambda r: r[0])
-        t = np.array([r[0] for r in recs])
-        if len(t) < 2:
+        if len(recs) < 2:
             raise ValueError(f"{path}: vehicle {vid} has fewer than two samples")
+        cols = np.array([[r[i] for r in recs] for i in range(n_cols)])   # rows t, x, v[, a]
+        bad = np.nonzero(~np.isfinite(cols).all(axis=0))[0]
+        if bad.size:
+            raise ValueError(f"{path}: non-finite value in data row {recs[int(bad[0])][4]}")
+        t, x, v = cols[:3]
         steps = np.diff(t)
         dt = float(np.median(steps))
         bad = np.nonzero(np.abs(steps - dt) > dt_jitter)[0]
@@ -128,12 +134,7 @@ def ingest_trajectories(path: str, dt_jitter: float = 1e-6) -> List[Trajectory]:
                 f"{path}: vehicle {vid} not uniformly sampled near data row "
                 f"{recs[k + 1][4]} (step {steps[k]:.6g} vs dt {dt:.6g})"
             )
-        x = np.array([r[1] for r in recs])
-        v = np.array([r[2] for r in recs])
-        if any(r[3] is None for r in recs):
-            a = np.gradient(v, dt)
-        else:
-            a = np.array([r[3] for r in recs])
+        a = cols[3] if has_a else np.gradient(v, dt)
         out.append(Trajectory(vehicle_id=vid, t=t, x=x, v=v, a=a, dt=dt))
     return out
 
@@ -252,9 +253,11 @@ class ScenarioConfig:
     """Everything a CLI run needs; YAML-serializable and strict on keys."""
 
     case: int = 1
-    dt: float = 0.01
+    # dt and origin_spacing left unset (None) take the CLI subcommand's
+    # default (see configs/example.yaml)
+    dt: Optional[float] = None
     duration: float = 60.0
-    origin_spacing: float = 1.0
+    origin_spacing: Optional[float] = None
     baseline_speed: Optional[float] = None
     # controller (used by simulate/wave/metrics when not running a case)
     tau: float = 1.2

@@ -24,11 +24,10 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .model import ControlParams
+from .model import ControlParams, acc_acceleration
 
 __all__ = [
     "OscillationSpec",
-    "VehicleSample",
     "Trajectory",
     "CutIn",
     "Cruise",
@@ -45,6 +44,8 @@ __all__ = [
     "simulate_platoon",
     "pair_state_analytic",
     "spacing_analytic",
+    "first_down_crossing",
+    "sampled_gap",
     "detect_engagement",
     "ring_setup",
 ]
@@ -68,13 +69,6 @@ class OscillationSpec:
                 raise ValueError("mode amplitude must be non-negative")
             if om <= 0:
                 raise ValueError("mode frequency must be positive")
-
-
-class VehicleSample(NamedTuple):
-    t: float
-    x: float
-    v: float
-    a: float
 
 
 @dataclass(frozen=True)
@@ -111,9 +105,6 @@ class Trajectory:
 
     def speed_at(self, t) -> np.ndarray:
         return np.interp(t, self.t, self.v)
-
-    def sample(self, i: int) -> VehicleSample:
-        return VehicleSample(float(self.t[i]), float(self.x[i]), float(self.v[i]), float(self.a[i]))
 
 
 @dataclass(frozen=True)
@@ -348,18 +339,6 @@ def simulate_platoon(scenario: Scenario) -> PlatoonResult:
     return _simulate_open(scenario)
 
 
-def _follower_accels(
-    gaps: np.ndarray,
-    v: np.ndarray,
-    lead_v: np.ndarray,
-    p: ControlParams,
-    eps_v: float,
-) -> np.ndarray:
-    engaged = (gaps <= p.s_c) | (np.abs(v - p.v_f) > eps_v)
-    raw = p.k_s * (gaps - (p.tau * v + p.L)) + p.k_v * (lead_v - v)
-    return np.where(engaged, raw, 0.0)
-
-
 def _simulate_open(sc: Scenario) -> PlatoonResult:
     p = sc.params
     n_steps = int(round(sc.duration / sc.dt))
@@ -413,10 +392,10 @@ def _simulate_open(sc: Scenario) -> PlatoonResult:
         lead_pos[1:] = active_x[:-1]
         lead_spd[1:] = active_v[:-1]
         gaps = lead_pos - active_x
-        if np.any(gaps <= 0):
-            bad = int(np.argmax(gaps <= 0))
-            raise CollisionError(times[k], bad)
-        acc = _follower_accels(gaps, active_v, lead_spd, p, sc.eps_v)
+        try:
+            acc = acc_acceleration(gaps, active_v, lead_spd, p, sc.eps_v)
+        except ValueError:  # raised for a non-positive spacing
+            raise CollisionError(times[k], int(np.argmax(gaps <= 0))) from None
         A[k, order] = acc
         if k == n_steps:
             break
@@ -481,10 +460,10 @@ def _simulate_ring(sc: Scenario) -> PlatoonResult:
         lead_pos[0] = x[-1] + L_x
         lead_spd[0] = v[-1]
         gaps = lead_pos - x
-        if np.any(gaps <= 0):
-            bad = int(np.argmax(gaps <= 0))
-            raise CollisionError(times[k], bad)
-        acc = _follower_accels(gaps, v, lead_spd, p, sc.eps_v)
+        try:
+            acc = acc_acceleration(gaps, v, lead_spd, p, sc.eps_v)
+        except ValueError:  # raised for a non-positive spacing
+            raise CollisionError(times[k], int(np.argmax(gaps <= 0))) from None
         A[k] = acc
         if k == n_steps:
             break
@@ -706,44 +685,43 @@ def spacing_analytic(
 # Engagement detection
 # ---------------------------------------------------------------------------
 
+def first_down_crossing(t, y, level: float) -> Optional[float]:
+    """First time a sampled series, linear between samples, comes down to `level`.
+
+    Finds the first sample k with y[k] <= level and returns the exact
+    root of the linear piece on [t[k-1], t[k]] (where y[k-1] > level).
+    None when the series starts at or below `level` or never reaches it.
+    """
+    hit = np.nonzero(np.asarray(y) <= level)[0]
+    if hit.size == 0 or hit[0] == 0:
+        return None
+    k = int(hit[0])
+    y0, y1 = float(y[k - 1]), float(y[k])
+    return float(t[k - 1] + (y0 - level) / (y0 - y1) * (t[k] - t[k - 1]))
+
+
+def sampled_gap(lead: Trajectory, fol: Trajectory) -> Tuple[np.ndarray, np.ndarray]:
+    """Gap series of one pair, sampled at the follower's step over their common window."""
+    t_lo = max(lead.t0, fol.t0)
+    n = int(math.floor((min(lead.t_end, fol.t_end) - t_lo) / fol.dt)) + 1
+    tt = t_lo + np.arange(n) * fol.dt
+    return tt, lead.position_at(tt) - fol.position_at(tt)
+
+
 def detect_engagement(
     trajectories: Sequence[Trajectory],
     params: ControlParams,
-    tol: float = 1e-6,
 ) -> List[EngagementEvent]:
     """First time each follower's gap reaches the critical spacing s_c.
 
-    Works on the sampled gap series of each consecutive pair: brackets
-    the first down-crossing of s_c, then bisects the linearly
-    interpolated gap to `tol` seconds.  Vehicles whose gap never crosses
-    (or that start already at or below s_c) produce no event.
+    Takes the exact first down-crossing of s_c by the sampled gap series
+    of each consecutive pair, linear between samples.  Vehicles whose gap
+    never crosses (or that start already at or below s_c) produce no
+    event.
     """
     events: List[EngagementEvent] = []
-    s_c = params.s_c
     for lead, fol in zip(trajectories, trajectories[1:]):
-        t_lo = max(lead.t0, fol.t0)
-        t_hi = min(lead.t_end, fol.t_end)
-        n = int(math.floor((t_hi - t_lo) / fol.dt)) + 1
-        tt = t_lo + np.arange(n) * fol.dt
-        gap = lead.position_at(tt) - fol.position_at(tt)
-        above = gap > s_c
-        if not above[0]:
-            continue
-        crossings = np.nonzero(above[:-1] & ~above[1:])[0]
-        if crossings.size == 0:
-            continue
-        k = int(crossings[0])
-        lo, hi = float(tt[k]), float(tt[k + 1])
-
-        def gap_at(time: float) -> float:
-            return float(lead.position_at(time) - fol.position_at(time))
-
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if gap_at(mid) > s_c:
-                lo = mid
-            else:
-                hi = mid
-        t_star = 0.5 * (lo + hi)
-        events.append(EngagementEvent(fol.vehicle_id, t_star, float(fol.position_at(t_star))))
+        t_star = first_down_crossing(*sampled_gap(lead, fol), params.s_c)
+        if t_star is not None:
+            events.append(EngagementEvent(fol.vehicle_id, t_star, float(fol.position_at(t_star))))
     return events

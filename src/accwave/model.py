@@ -33,6 +33,7 @@ __all__ = [
     "Regime",
     "EigenStructure",
     "DEFAULT_PARAMS",
+    "engaged",
     "regime_of",
     "effective_gains",
     "acc_acceleration",
@@ -64,6 +65,8 @@ class ControlParams:
     v_f: float = 15.0
 
     def __post_init__(self) -> None:
+        if not all(np.isfinite((self.tau, self.L, self.k_s, self.k_v, self.v_f))):
+            raise ValueError(f"parameters must be finite, got {self}")
         if self.tau <= 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.L <= 0:
@@ -141,14 +144,23 @@ class EigenStructure:
     r2: Tuple[ArrayLike, ArrayLike]
 
 
+def engaged(s: ArrayLike, v: ArrayLike, params: ControlParams, eps_v: float = 1e-9) -> ArrayLike:
+    """ACC switching rule, elementwise: is the controller engaged?
+
+    The controller is engaged when the spacing is at or below the
+    critical spacing s_c, or the speed is off the cruise band
+    |v - v_f| <= eps_v; it cruises (zero command) otherwise.  The
+    boundary s = s_c counts as engaged, which keeps engagement times
+    well defined.  This is the only place the rule is written.
+    """
+    return (s <= params.s_c) | (np.abs(v - params.v_f) > eps_v)
+
+
 def regime_of(state: TrafficState, params: ControlParams, eps_v: float = 1e-9) -> Regime:
     """Classify a state as FreeFlow or Congested.
 
-    FreeFlow requires both low density (rho below rho_c, i.e. spacing
-    above the critical spacing) and cruising speed (|v - v_f| <= eps_v).
-    The boundary rho = rho_c with v = v_f counts as Congested: the
-    controller is considered engaged exactly at the critical spacing,
-    which keeps engagement times well defined.
+    FreeFlow requires both low density (spacing 1/rho above the critical
+    spacing) and cruising speed (|v - v_f| <= eps_v); see `engaged`.
 
     Args:
         state: traffic state to classify.
@@ -158,11 +170,9 @@ def regime_of(state: TrafficState, params: ControlParams, eps_v: float = 1e-9) -
     """
     if eps_v < 0:
         raise ValueError("eps_v must be non-negative")
-    rho = float(np.asarray(state.rho))
+    s = float(np.asarray(state.s))
     v = float(np.asarray(state.v))
-    if rho < params.rho_c and abs(v - params.v_f) <= eps_v:
-        return Regime.FREE_FLOW
-    return Regime.CONGESTED
+    return Regime.CONGESTED if engaged(s, v, params, eps_v) else Regime.FREE_FLOW
 
 
 def effective_gains(regime: Regime, params: ControlParams) -> Tuple[float, float]:
@@ -173,22 +183,22 @@ def effective_gains(regime: Regime, params: ControlParams) -> Tuple[float, float
 
 
 def acc_acceleration(
-    s: float,
-    v: float,
-    v_lead: float,
+    s: ArrayLike,
+    v: ArrayLike,
+    v_lead: ArrayLike,
     params: ControlParams,
     eps_v: float = 1e-9,
-) -> float:
-    """Commanded acceleration of the ACC law for one vehicle pair.
+) -> ArrayLike:
+    """Commanded acceleration of the ACC law, elementwise over vehicle pairs.
 
-    Returns k_s*(s - s*) + k_v*(v_lead - v) with s* = tau*v + L when the
-    follower's local state (rho = 1/s) is congested, and 0 in cruise mode.
+    Returns k_s*(s - s*) + k_v*(v_lead - v) with s* = tau*v + L where the
+    follower is engaged (see `engaged`), and 0 in cruise mode.
     """
-    if s <= 0:
+    if np.any(np.asarray(s) <= 0):
         raise ValueError(f"spacing must be positive, got {s}")
-    regime = regime_of(TrafficState(rho=1.0 / s, v=v), params, eps_v=eps_v)
-    k_s, k_v = effective_gains(regime, params)
-    return k_s * (s - params.desired_spacing(v)) + k_v * (v_lead - v)
+    raw = params.k_s * (s - params.desired_spacing(v)) + params.k_v * (v_lead - v)
+    acc = np.where(engaged(s, v, params, eps_v), raw, 0.0)
+    return float(acc) if acc.ndim == 0 else acc
 
 
 def eigenstructure(state: TrafficState, k_v_eff: ArrayLike) -> EigenStructure:

@@ -100,30 +100,28 @@ class PositivityError(RuntimeError):
 # Local building blocks
 # ---------------------------------------------------------------------------
 
-def _char_bound(rho, v, k_v: float):
+def _char_bound(state: TrafficState, params: ControlParams):
     """max(|lambda1|, |lambda2|) per state = max(|v|, |v - k_v/rho|)."""
-    return np.maximum(np.abs(v), np.abs(v - k_v / rho))
+    return np.maximum(np.abs(state.v), np.abs(advection_speed(state, params)))
 
 
-def local_wave_bound(left: TrafficState, right: TrafficState, params: ControlParams) -> float:
-    """Largest characteristic speed magnitude over the two interface states."""
-    return float(
-        max(
-            _char_bound(left.rho, left.v, params.k_v),
-            _char_bound(right.rho, right.v, params.k_v),
-        )
-    )
+def local_wave_bound(left: TrafficState, right: TrafficState, params: ControlParams):
+    """Largest characteristic speed magnitude over the two interface states.
+
+    Elementwise over states that hold arrays (one interface per element).
+    """
+    return np.maximum(_char_bound(left, params), _char_bound(right, params))
 
 
-def rusanov_flux(left: TrafficState, right: TrafficState, params: ControlParams) -> float:
+def rusanov_flux(left: TrafficState, right: TrafficState, params: ControlParams):
     """Rusanov mass flux: central average minus local-wave-bound dissipation."""
     alpha = local_wave_bound(left, right, params)
-    return 0.5 * (left.rho * left.v + right.rho * right.v) - 0.5 * alpha * (right.rho - left.rho)
+    return 0.5 * (left.q + right.q) - 0.5 * alpha * (right.rho - left.rho)
 
 
-def advection_speed(state: TrafficState, params: ControlParams) -> float:
-    """Convective speed of the v-equation, a = v - k_v/rho (= lambda2)."""
-    return float(state.v - params.k_v / state.rho)
+def advection_speed(state: TrafficState, params: ControlParams):
+    """Convective speed of the v-equation, a = v - k_v/rho (= lambda2), elementwise."""
+    return state.v - params.k_v / state.rho
 
 
 # ---------------------------------------------------------------------------
@@ -152,17 +150,15 @@ def step(
     """
     if not 0.0 < cfl < 1.0:
         raise ValueError("cfl must lie in (0, 1)")
-    k_v, k_s, tau, L = params.k_v, params.k_s, params.tau, params.L
     dx = grid.dx
+    cells = TrafficState(rho, v)
+    right = TrafficState(np.roll(rho, -1), np.roll(v, -1))   # interface i+1/2
 
-    bound = float(np.max(_char_bound(rho, v, k_v)))
-    dt_cfl = cfl * dx / bound
+    # the max over cells equals the max of the interface bounds
+    dt_cfl = cfl * dx / float(np.max(_char_bound(cells, params)))
     h = dt_cfl if dt is None else min(dt, dt_cfl)
 
-    rho_r = np.roll(rho, -1)
-    v_r = np.roll(v, -1)
-    alpha = np.maximum(_char_bound(rho, v, k_v), _char_bound(rho_r, v_r, k_v))
-    flux = 0.5 * (rho * v + rho_r * v_r) - 0.5 * alpha * (rho_r - rho)
+    flux = rusanov_flux(cells, right, params)
     rho_new = rho - (h / dx) * (flux - np.roll(flux, 1))
     if mass_source is not None:
         rho_new = rho_new + h * mass_source(grid.centers, t)
@@ -170,10 +166,10 @@ def step(
         cell = int(np.argmin(rho_new))
         raise PositivityError(t + h, cell, float(rho_new[cell]))
 
-    a = v - k_v / rho
+    a = advection_speed(cells, params)
     a_if = 0.5 * (a + np.roll(a, -1))          # interface i+1/2
     dv_up = v - np.roll(v, 1)                  # v_i - v_{i-1}
-    dv_dn = np.roll(v, -1) - v                 # v_{i+1} - v_i
+    dv_dn = right.v - v                        # v_{i+1} - v_i
     a_left = np.roll(a_if, 1)                  # interface i-1/2
     v_star = v - (h / dx) * (
         np.maximum(a_left, 0.0) * dv_up + np.minimum(a_if, 0.0) * dv_dn
@@ -181,7 +177,7 @@ def step(
     if momentum_source is not None:
         v_star = v_star + h * momentum_source(grid.centers, t)
 
-    v_new = v_star + h * k_s * (1.0 / rho_new - tau * v_star - L)
+    v_new = v_star + h * params.k_s * (1.0 / rho_new - params.tau * v_star - params.L)
     return rho_new, v_new, h
 
 
@@ -275,7 +271,7 @@ def micro_to_eulerian(
     trajectories: Sequence[Trajectory],
     ring_length: float,
     grid: Grid,
-    t: float,
+    t,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Piecewise-constant (rho, v) at time t from ring trajectories.
 
@@ -283,32 +279,37 @@ def micro_to_eulerian(
     (wrap-around); every cell whose center falls in that stretch takes
     rho = 1/s_i(t) and v = v_i(t).  Trajectories are in platoon order:
     vehicle i follows i-1, vehicle 0 follows the last one across the
-    seam.
+    seam.  A scalar t gives (n_x,) arrays; an array of n_t times gives
+    (n_t, n_x) arrays, one row per time.
     """
     n = len(trajectories)
     if n < 2:
         raise ValueError("need at least two vehicles")
     if abs(ring_length - grid.L_x) > 1e-9:
         raise ValueError("grid length must match the ring length")
-    x = np.array([float(tr.position_at(t)) for tr in trajectories])
-    v = np.array([float(tr.speed_at(t)) for tr in trajectories])
-    lead_x = np.empty(n)
-    lead_x[1:] = x[:-1]
-    lead_x[0] = x[-1] + ring_length
+    times = np.asarray(t, dtype=float)
+    flat = times.ravel()
+    # (n_t, n): one interpolation per vehicle over all requested times
+    x = np.stack([tr.position_at(flat) for tr in trajectories], axis=1)
+    v = np.stack([tr.speed_at(flat) for tr in trajectories], axis=1)
+    lead_x = np.roll(x, 1, axis=1)
+    lead_x[:, 0] += ring_length
     gaps = lead_x - x
     if np.any(gaps <= 0):
         raise ValueError("non-positive spacing on the ring")
 
     pos = np.mod(x, ring_length)
-    order = np.argsort(pos)
-    sorted_pos = pos[order]
+    order = np.argsort(pos, axis=1)
+    sorted_pos = np.take_along_axis(pos, order, axis=1)
     centers = grid.centers
     # owner of a center = vehicle with the largest wrapped position <= center,
     # wrapping to the topmost vehicle below the first one
-    idx = np.searchsorted(sorted_pos, centers, side="right") - 1
+    idx = np.array([np.searchsorted(row, centers, side="right") for row in sorted_pos]) - 1
     idx[idx < 0] = n - 1
-    owners = order[idx]
-    return 1.0 / gaps[owners], v[owners]
+    owners = np.take_along_axis(order, idx, axis=1)
+    shape = times.shape + (grid.n_x,)
+    rho = 1.0 / np.take_along_axis(gaps, owners, axis=1)
+    return rho.reshape(shape), np.take_along_axis(v, owners, axis=1).reshape(shape)
 
 
 def pde_initial_from_micro(

@@ -58,6 +58,7 @@ __all__ = [
     "case_scenario",
     "run_case",
     "ring_initial_speeds",
+    "ring_scenario",
     "run_ring_validation",
     "run_empirical",
 ]
@@ -217,6 +218,16 @@ def ring_initial_speeds(case: int, n: int = RING_N) -> np.ndarray:
     raise ValueError(f"no ring profile for case {case}")
 
 
+def ring_scenario(
+    case: int, n_vehicles: int = RING_N, duration: float = 60.0, dt: float = 0.01
+) -> Scenario:
+    """Ring platoon for one validation case, started from its speed profile."""
+    return Scenario(
+        params=TABLE_PARAMS, n_followers=n_vehicles, leader=None, duration=duration, dt=dt,
+        topology="ring", initial_speeds=ring_initial_speeds(case, n_vehicles),
+    )
+
+
 @dataclass(frozen=True)
 class RingValidation:
     case: int
@@ -243,12 +254,7 @@ def run_ring_validation(
     sampled on the same output times (the solver's nearest completed
     steps) before computing space-time RMSEs.
     """
-    speeds = ring_initial_speeds(case, n_vehicles)
-    sc = Scenario(
-        params=TABLE_PARAMS, n_followers=n_vehicles, leader=None,
-        duration=duration, dt=dt, topology="ring", initial_speeds=speeds,
-    )
-    res = simulate_platoon(sc)
+    res = simulate_platoon(ring_scenario(case, n_vehicles, duration, dt))
     trajs = res.trajectories
     L_x = res.ring_length
     grid = Grid(L_x, n_cells)
@@ -256,14 +262,8 @@ def run_ring_validation(
     wanted = np.arange(0.0, duration + 1e-9, sample_every)
     pde_field = solve(rho0, v0, grid, TABLE_PARAMS, duration, cfl=cfl, output_times=wanted)
 
-    rhos, vs = [], []
-    for t_k in pde_field.times:
-        r_k, v_k = micro_to_eulerian(trajs, L_x, grid, float(t_k))
-        rhos.append(r_k)
-        vs.append(v_k)
-    micro_field = EulerianField(
-        grid=grid, times=pde_field.times.copy(), rho=np.vstack(rhos), v=np.vstack(vs)
-    )
+    rho_m, v_m = micro_to_eulerian(trajs, L_x, grid, pde_field.times)
+    micro_field = EulerianField(grid=grid, times=pde_field.times.copy(), rho=rho_m, v=v_m)
     return RingValidation(
         case=case,
         rmse_v=field_rmse(micro_field, pde_field, "v"),

@@ -22,8 +22,14 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import ControlParams, TrafficState
-from .microsim import EngagementEvent, Trajectory, detect_engagement
+from .model import ControlParams, TrafficState, engaged
+from .microsim import (
+    EngagementEvent,
+    Trajectory,
+    detect_engagement,
+    first_down_crossing,
+    sampled_gap,
+)
 
 __all__ = [
     "PathKind",
@@ -127,44 +133,20 @@ def pair_wave_speed(t, leader: Trajectory, follower: Trajectory, params: Control
                     eps_v: float = 1e-9):
     """Wave speed W(t) = v_lead - k_v*(x_lead - x_follower) of one pair.
 
-    The gain is gated by the follower's local regime (density 1/s and
-    speed v against the switching rule), so a free-flow follower yields
-    the degenerate W = v_lead.  Accepts scalar or array t.
+    The gain is gated by the follower's local regime (spacing s and
+    speed against the switching rule `engaged`), so a free-flow follower
+    yields the degenerate W = v_lead.  Accepts scalar or array t.
     """
     t_arr = np.asarray(t, dtype=float)
-    x_l = leader.position_at(t_arr)
-    x_f = follower.position_at(t_arr)
-    v_l = leader.speed_at(t_arr)
-    v_f = follower.speed_at(t_arr)
-    s = x_l - x_f
-    congested = (1.0 / s >= params.rho_c) | (np.abs(v_f - params.v_f) > eps_v)
-    w = v_l - np.where(congested, params.k_v, 0.0) * s
+    s = leader.position_at(t_arr) - follower.position_at(t_arr)
+    gated = engaged(s, follower.speed_at(t_arr), params, eps_v)
+    w = leader.speed_at(t_arr) - np.where(gated, params.k_v, 0.0) * s
     return float(w) if np.isscalar(t) or t_arr.ndim == 0 else w
 
 
 # ---------------------------------------------------------------------------
 # Path tracing
 # ---------------------------------------------------------------------------
-
-def _bisect_crossing(
-    t0: float, x0: float, t1: float, x1: float, traj: Trajectory, tol: float = 1e-9
-) -> Tuple[float, float]:
-    """Root of x_path(t) - x_traj(t) on [t0, t1], both linear in t."""
-
-    def f(t: float) -> float:
-        xp = x0 + (x1 - x0) * (t - t0) / (t1 - t0)
-        return xp - float(traj.position_at(t))
-
-    lo, hi = t0, t1
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    t_c = 0.5 * (lo + hi)
-    return t_c, float(traj.position_at(t_c))
-
 
 SpeedRule = Callable[[float, Trajectory, Trajectory], float]
 
@@ -179,20 +161,24 @@ def _trace(
     kind: PathKind,
     terminator: Optional[Callable[[float, float], bool]] = None,
 ) -> WavePath:
-    """Shared Euler tracer: march at trajectory dt, bisect each crossing.
+    """Shared Euler tracer: march at trajectory dt, root each crossing exactly.
 
     Between crossings the propagation speed comes from `speed_rule`
     applied to the bracketing pair (last crossed vehicle, next vehicle).
-    `terminator(t, x)` ends the path early (flagged truncated).
+    Within a step the path is linear and the target trajectory is linear
+    between its samples, so the gap path - target is sampled at the step
+    ends and at the one target sample inside the step; its first
+    down-crossing of zero is the crossing.  `terminator(t, x)` ends the
+    path early (flagged truncated).
     """
     crossings: List[Crossing] = []
     t, x = origin_t, origin_x
     idx = first_target
     truncated = False
+    f0 = None   # path - target at (t, x); the previous step's f1 when it is known
     while idx < len(trajectories):
         fol = trajectories[idx]
         lead = trajectories[idx - 1]
-        dt = fol.dt
         t_end = min(lead.t_end, fol.t_end)
         if t >= t_end:
             truncated = True
@@ -201,17 +187,27 @@ def _trace(
             truncated = True
             break
         w = speed_rule(t, lead, fol)
-        t1 = min(t + dt, t_end)
+        t1 = min(t + fol.dt, t_end)
         x1 = x + w * (t1 - t)
-        f0 = x - float(fol.position_at(t))
+        if f0 is None:
+            f0 = x - float(fol.position_at(t))
         f1 = x1 - float(fol.position_at(t1))
-        if f0 > 0.0 and f1 <= 0.0:
-            t_c, x_c = _bisect_crossing(t, x, t1, x1, fol)
+        ts, fs = [t], [f0]
+        j = int(np.searchsorted(fol.t, t, side="right"))   # first target sample after t
+        if j < len(fol.t) and fol.t[j] < t1:
+            t_j = float(fol.t[j])
+            ts.append(t_j)
+            fs.append(x + w * (t_j - t) - float(fol.x[j]))
+        ts.append(t1)
+        fs.append(f1)
+        t_c = first_down_crossing(ts, fs, 0.0) if min(fs) <= 0.0 else None
+        if t_c is not None:
+            x_c = float(fol.position_at(t_c))
             crossings.append(Crossing(fol.vehicle_id, t_c, x_c, float(fol.speed_at(t_c))))
-            t, x = t_c, x_c
+            t, x, f0 = t_c, x_c, None
             idx += 1
             continue
-        t, x = t1, x1
+        t, x, f0 = t1, x1, f1
     return WavePath(kind, origin_t, origin_x, origin_v, tuple(crossings), truncated)
 
 
@@ -327,21 +323,8 @@ class PhaseTransition:
 
 
 def _first_spacing_reach(lead: Trajectory, fol: Trajectory, target: float) -> Optional[float]:
-    t_lo = max(lead.t0, fol.t0)
-    t_hi = min(lead.t_end, fol.t_end)
-    n = int(math.floor((t_hi - t_lo) / fol.dt)) + 1
-    tt = t_lo + np.arange(n) * fol.dt
-    gap = lead.position_at(tt) - fol.position_at(tt)
-    hit = np.nonzero(gap <= target)[0]
-    if hit.size == 0:
-        return None
-    k = int(hit[0])
-    if k == 0:
-        return float(tt[0])
-    # linear interpolation of the crossing inside the bracketing step
-    g0, g1 = float(gap[k - 1]), float(gap[k])
-    frac = (g0 - target) / (g0 - g1)
-    return float(tt[k - 1] + frac * fol.dt)
+    tt, gap = sampled_gap(lead, fol)
+    return float(tt[0]) if gap[0] <= target else first_down_crossing(tt, gap, target)
 
 
 def trace_phase_transition(

@@ -84,6 +84,15 @@ def test_ingest_reports_nonuniform_sampling_row(tmp_path):
         ingest_trajectories(str(path))
 
 
+@pytest.mark.parametrize("row", ["0.1,0,1.0,nan,0.0", "0.1,0,inf,10.0,0.0",
+                                 "nan,0,1.0,10.0,0.0", "0.1,0,1.0,10.0,nan"])
+def test_ingest_names_file_and_row_of_non_finite_value(tmp_path, row):
+    path = tmp_path / "nan.csv"
+    path.write_text(f"t,vehicle_id,x,v,a\n0.0,0,0.0,10.0,0.0\n{row}\n0.2,0,2.0,10.0,0.0\n")
+    with pytest.raises(ValueError, match=r"nan\.csv: non-finite value in data row 3"):
+        ingest_trajectories(str(path))
+
+
 def test_ingest_reconstructs_missing_accel_column(tmp_path):
     path = tmp_path / "noa.csv"
     path.write_text(
@@ -125,6 +134,23 @@ def test_sampling_from_single_draw_repeats_it(tmp_path):
     path.write_text("tau,L,k_s,k_v\n1.0,9.0,0.3,0.5\n")
     draws = load_draws(str(path))
     assert sample_params(draws, 5, seed=0) == [draws[0]] * 5
+
+
+@pytest.mark.parametrize("field", ["tau", "L", "k_s", "k_v"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_draw_rejects_non_finite(field, value):
+    fields = dict(tau=1.0, L=9.0, k_s=0.3, k_v=0.5)
+    fields[field] = value
+    with pytest.raises(ValueError, match="finite"):
+        ParamSample(**fields)
+
+
+@pytest.mark.parametrize("row", ["1.0,nan,0.5,0.5", "inf,9.0,0.3,0.5", "1.0,9.0,0.3,-inf"])
+def test_load_draws_names_file_and_row_of_non_finite_draw(tmp_path, row):
+    path = tmp_path / "d.csv"
+    path.write_text(f"tau,L,k_s,k_v\n1.0,9.0,0.3,0.5\n{row}\n")
+    with pytest.raises(ValueError, match=rf"d\.csv: .* row 3"):
+        load_draws(str(path))
 
 
 def test_draw_validation(tmp_path):
@@ -263,6 +289,50 @@ def test_cli_empirical_smoke(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "3 draws" in out
     assert (tmp_path / "empirical_stats.csv").exists()
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("argv, config, expected", [
+    ([], "", (0.05, 2.0)),
+    (["--dt", "0.01"], "", (0.01, 2.0)),
+    ([], "origin_spacing: 1.0\n", (0.05, 1.0)),
+    (["--dt", "0.02"], "dt: 0.01\norigin_spacing: 3.0\n", (0.02, 3.0)),
+])
+def test_cli_empirical_runs_explicit_dt_and_spacing_as_given(tmp_path, monkeypatch, argv, config, expected):
+    from accwave import cli
+
+    seen = []
+
+    def spy(leader, draws, **kwargs):
+        seen.append((kwargs["dt"], kwargs["origin_spacing"]))
+        raise _Stop
+
+    monkeypatch.setattr(cli, "run_empirical", spy)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(config)
+    with pytest.raises(_Stop):
+        main(["empirical", "--config", str(cfg), "--draws", str(DATA_DIR / "calibrated_draws.csv"),
+              "--leader", str(DATA_DIR / "leader_dip.csv"), "--n-draws", "1",
+              "--out-dir", str(tmp_path)] + argv)
+    assert seen == [expected]
+
+
+def test_cli_other_subcommands_default_to_fine_dt_and_spacing(tmp_path, monkeypatch):
+    from accwave import cli
+
+    seen = []
+
+    def spy(case, **kwargs):
+        seen.append((kwargs["dt"], kwargs["origin_spacing"]))
+        raise _Stop
+
+    monkeypatch.setattr(cli, "run_case", spy)
+    with pytest.raises(_Stop):
+        main(["case", "1", "--out-dir", str(tmp_path)])
+    assert seen == [(0.01, 1.0)]
 
 
 def test_cli_bad_config_key_exits_nonzero(tmp_path, capsys):

@@ -18,6 +18,7 @@ from accwave.microsim import (
     Scenario,
     Trajectory,
     detect_engagement,
+    first_down_crossing,
     leader_motion,
     pair_state_analytic,
     ring_setup,
@@ -254,7 +255,38 @@ def test_engagement_time_matches_analytic_root():
     events = detect_engagement(res.trajectories, P)
     assert len(events) == 1
     t_star = events[0].t_star
-    assert t_star == pytest.approx(math.sqrt(21.2), abs=1e-4)
+    # the root is exact for the gap interpolated linearly between samples;
+    # the chord of the concave gap errs by at most dt^2/(8 t*) = 2.7e-6 s
+    assert t_star == pytest.approx(math.sqrt(21.2), abs=3e-6)
+
+
+def _bisection_root(t, y, level, tol=1e-15):
+    """Oracle: bisect the piecewise-linear interpolant over its whole span."""
+    lo, hi = t[0], t[-1]
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if np.interp(mid, t, y) > level:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("t, y, level", [
+    ([0.0, 0.3, 1.0], [2.0, 1.2, -0.5], 0.0),      # root after the kink
+    ([0.0, 0.3, 1.0], [1.0, -0.2, -3.0], 0.0),     # root before the kink
+    ([2.0, 2.7, 3.1, 4.0], [30.0, 27.5, 26.9, 20.0], 27.0),
+])
+def test_first_down_crossing_matches_bisection(t, y, level):
+    root = first_down_crossing(np.array(t), np.array(y), level)
+    assert root == pytest.approx(_bisection_root(t, y, level), abs=1e-12)
+
+
+def test_first_down_crossing_needs_a_crossing_from_above():
+    t = np.array([0.0, 1.0, 2.0])
+    assert first_down_crossing(t, np.array([3.0, 2.0, 1.5]), 1.0) is None
+    assert first_down_crossing(t, np.array([0.5, 2.0, 0.0]), 1.0) is None
+    assert first_down_crossing(t, np.array([3.0, 1.0, 0.0]), 1.0) == 1.0
 
 
 def test_engagement_skips_pairs_already_engaged():

@@ -15,6 +15,7 @@ from accwave.model import (
     density_gain,
     effective_gains,
     eigenstructure,
+    engaged,
     linear_degeneracy_indicator,
     momentum_residual,
     ptm_equivalent_kv,
@@ -46,6 +47,13 @@ def test_params_positivity_validated():
         ControlParams(k_s=-0.1)
 
 
+@pytest.mark.parametrize("field", ["tau", "L", "k_s", "k_v", "v_f"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_params_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        ControlParams(**{field: value})
+
+
 def test_state_requires_positive_density():
     with pytest.raises(ValueError):
         TrafficState(rho=0.0, v=5.0)
@@ -74,6 +82,48 @@ def test_regime_eps_v_widens_the_cruise_band():
     assert regime_of(state, P, eps_v=0.1) is Regime.FREE_FLOW
     with pytest.raises(ValueError):
         regime_of(state, P, eps_v=-1.0)
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_switching_rule_agrees_at_the_critical_spacing(above):
+    """Every caller of the switching rule classifies the same pair alike.
+
+    The follower runs at v_f behind a leader at v_f - 1 with spacing s_c
+    (engaged) or one ulp above it (cruising).  A density state cannot
+    hold that spacing (1/(1/s) rounds back to s_c), so regime_of is given
+    the nearest density on the same side of the threshold.
+    """
+    from accwave.microsim import OscillationSpec, Scenario, simulate_platoon
+    from accwave.tracker import pair_wave_speed
+
+    P8 = ControlParams(tau=0.8, L=3.0, v_f=30.0)
+    assert P8.s_c == 27.0
+    s = np.nextafter(P8.s_c, np.inf) if above else P8.s_c
+    rho = np.nextafter(1.0 / s, 0.0) if above else 1.0 / s
+    v, v_lead = P8.v_f, P8.v_f - 1.0
+    gain = 0.0 if above else 1.0
+    expected_acc = gain * (P8.k_s * (s - P8.desired_spacing(v)) + P8.k_v * (v_lead - v))
+
+    sc = Scenario(params=P8, n_followers=1, leader=OscillationSpec(v_e=v_lead),
+                  duration=1.0, dt=0.1, initial_speeds=v, initial_gaps=s)
+    lead, fol = simulate_platoon(sc).trajectories
+    assert bool(engaged(s, v, P8)) is not above
+    assert bool(1.0 / rho > P8.s_c) is above
+    assert regime_of(TrafficState(rho=rho, v=v), P8) is (
+        Regime.FREE_FLOW if above else Regime.CONGESTED)
+    assert acc_acceleration(s, v, v_lead, P8) == pytest.approx(expected_acc, abs=1e-12)
+    assert fol.a[0] == pytest.approx(expected_acc, abs=1e-12)
+    assert pair_wave_speed(0.0, lead, fol, P8) == pytest.approx(
+        v_lead - gain * P8.k_v * s, abs=1e-12)
+
+
+def test_acc_acceleration_is_elementwise():
+    s = np.array([P.s_c - 4.0, P.s_c + 1.0, P.s_c + 1.0])
+    v = np.array([10.0, P.v_f, P.v_f - 1.0])
+    v_lead = np.array([11.0, P.v_f - 3.0, P.v_f])
+    acc = acc_acceleration(s, v, v_lead, P)
+    assert acc.shape == (3,)
+    assert np.array_equal(acc, [acc_acceleration(*args, P) for args in zip(s, v, v_lead)])
 
 
 def test_effective_gains_vanish_in_free_flow():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from accwave.microsim import Trajectory
+from accwave.microsim import Trajectory, simulate_platoon
 from accwave.model import ControlParams, TrafficState
 from accwave.pde import (
     EulerianField,
@@ -50,6 +50,17 @@ def test_wave_bound_and_flux_hand_values():
     assert local_wave_bound(left, right, P) == pytest.approx(16.0, rel=1e-12)
     # 0.5*(0.6 + 0.48) - 0.5*16*(0.08 - 0.05) = 0.54 - 0.24 = 0.30
     assert rusanov_flux(left, right, P) == pytest.approx(0.30, rel=1e-12)
+
+
+def test_building_blocks_are_elementwise():
+    left = TrafficState(np.array([0.05, 0.08, 0.1]), np.array([12.0, 6.0, 10.0]))
+    right = TrafficState(np.array([0.08, 0.05, 0.1]), np.array([6.0, 12.0, 9.0]))
+    for fn in (local_wave_bound, rusanov_flux):
+        got = fn(left, right, P)
+        want = [fn(TrafficState(lr, lv), TrafficState(rr, rv), P)
+                for lr, lv, rr, rv in zip(left.rho, left.v, right.rho, right.v)]
+        assert np.array_equal(got, want)
+    assert np.array_equal(advection_speed(left, P), left.v - P.k_v / left.rho)
 
 
 def test_advection_speed_is_second_characteristic():
@@ -190,6 +201,35 @@ def test_micro_to_eulerian_validation():
         micro_to_eulerian(trajs[:1], 100.0, g, 0.0)
     with pytest.raises(ValueError):
         micro_to_eulerian(trajs, 120.0, g, 0.0)
+
+
+def _micro_to_eulerian_at(trajectories, ring_length, grid, t):
+    """Reference: the per-snapshot mapping with scalar interpolation."""
+    x = np.array([float(tr.position_at(t)) for tr in trajectories])
+    v = np.array([float(tr.speed_at(t)) for tr in trajectories])
+    lead_x = np.empty(len(x))
+    lead_x[1:] = x[:-1]
+    lead_x[0] = x[-1] + ring_length
+    pos = np.mod(x, ring_length)
+    order = np.argsort(pos)
+    idx = np.searchsorted(pos[order], grid.centers, side="right") - 1
+    idx[idx < 0] = len(x) - 1
+    owners = order[idx]
+    return 1.0 / (lead_x - x)[owners], v[owners]
+
+
+def test_micro_to_eulerian_over_many_times_matches_each_time():
+    from accwave.scenarios import ring_scenario
+
+    res = simulate_platoon(ring_scenario(3, n_vehicles=12, duration=6.0))
+    g = Grid(L_x=res.ring_length, n_x=50)
+    times = np.array([0.0, 0.37, 1.0, 2.505, 6.0])
+    rho, v = micro_to_eulerian(res.trajectories, res.ring_length, g, times)
+    assert rho.shape == v.shape == (len(times), g.n_x)
+    for k, t_k in enumerate(times):
+        rho_k, v_k = _micro_to_eulerian_at(res.trajectories, res.ring_length, g, float(t_k))
+        assert np.array_equal(rho[k], rho_k)
+        assert np.array_equal(v[k], v_k)
 
 
 def test_pde_initial_from_micro_uses_first_common_time():

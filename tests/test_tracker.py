@@ -117,6 +117,21 @@ def test_constant_speed_crossing_interval_is_headway_time():
     assert np.allclose(np.diff(times), P.tau, atol=1e-6)
 
 
+def test_crossing_inside_a_step_at_a_target_sample_is_found():
+    # the path steps from t = 0.5 to 1.5; the follower passes it at its own
+    # sample t = 1 and drops back behind it by t = 1.5, so the crossing shows
+    # only at that sample: path - follower = 4.5, -1, 3.5 at t = 0.5, 1, 1.5
+    t = np.arange(5.0)
+    lead = Trajectory(0, t, 50.0 + 10.0 * t, np.full(5, 10.0), np.zeros(5), 1.0)
+    x_fol = np.array([40.0, 61.0, 62.0, 63.0, 64.0])
+    fol = Trajectory(1, t, x_fol, np.gradient(x_fol), np.zeros(5), 1.0)
+    path = constant_speed_path(0.5, [lead, fol], 10.0)
+    (crossing,) = path.crossings
+    # 4.5 - 11 (t - 0.5) = 0 on the piece before the sample
+    assert crossing.t == pytest.approx(0.5 + 4.5 / 11.0, abs=1e-12)
+    assert not path.truncated
+
+
 def test_origin_outside_lead_trajectory_raises():
     trajs = _cruise_platoon(duration=10.0)
     with pytest.raises(ValueError):
