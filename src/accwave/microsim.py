@@ -64,7 +64,11 @@ class OscillationSpec:
     modes: Tuple[Tuple[float, float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        for A, om, _phi in self.modes:
+        if not math.isfinite(self.v_e):
+            raise ValueError(f"v_e must be finite, got {self.v_e}")
+        for A, om, phi in self.modes:
+            if not all(math.isfinite(f) for f in (A, om, phi)):
+                raise ValueError(f"mode fields must be finite, got {(A, om, phi)}")
             if A < 0:
                 raise ValueError("mode amplitude must be non-negative")
             if om <= 0:
@@ -193,6 +197,11 @@ class Scenario:
             raise ValueError(f"unknown topology {self.topology!r}")
         if self.duration <= 0 or self.dt <= 0:
             raise ValueError("duration and dt must be positive")
+        n_steps = round(self.duration / self.dt)
+        if n_steps < 1 or abs(self.duration / self.dt - n_steps) > 1e-9 * n_steps:
+            raise ValueError(
+                f"duration {self.duration} is not an integer multiple of dt {self.dt}"
+            )
         n_total = self.n_followers + (1 if self.topology == "open" else 0)
         if n_total < 2:
             raise ValueError("a platoon needs at least two vehicles")

@@ -35,7 +35,6 @@ __all__ = [
     "DEFAULT_PARAMS",
     "engaged",
     "regime_of",
-    "effective_gains",
     "acc_acceleration",
     "eigenstructure",
     "momentum_residual",
@@ -173,13 +172,6 @@ def regime_of(state: TrafficState, params: ControlParams, eps_v: float = 1e-9) -
     s = float(np.asarray(state.s))
     v = float(np.asarray(state.v))
     return Regime.CONGESTED if engaged(s, v, params, eps_v) else Regime.FREE_FLOW
-
-
-def effective_gains(regime: Regime, params: ControlParams) -> Tuple[float, float]:
-    """Gains active in a regime: (0, 0) while cruising, (k_s, k_v) engaged."""
-    if regime is Regime.FREE_FLOW:
-        return (0.0, 0.0)
-    return (params.k_s, params.k_v)
 
 
 def acc_acceleration(

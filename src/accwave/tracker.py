@@ -11,6 +11,15 @@ Four kinds of propagation path are traced in the (t, x) plane:
 All tracing is read-only over immutable trajectories; paths record every
 trajectory crossing as (vehicle, t, x, v) tuples for the deviation
 metric downstream.
+
+Paths are traced pair by pair.  The speed of a path inside a pair
+depends on t only, so it is evaluated on the follower's own samples in
+one array call and integrated by cumulative trapezoid; the crossing is
+the first root of path minus follower, linear between samples.  With
+sample spacing h this is second order, O(h^2), where the speed is
+smooth, first order over a sample interval in which the switching rule
+flips, and exact to round-off for straight (constant-speed) paths.  No
+time step is chosen by the tracer, so `Trajectory.dt` is not read.
 """
 
 from __future__ import annotations
@@ -148,7 +157,57 @@ def pair_wave_speed(t, leader: Trajectory, follower: Trajectory, params: Control
 # Path tracing
 # ---------------------------------------------------------------------------
 
-SpeedRule = Callable[[float, Trajectory, Trajectory], float]
+SpeedRule = Callable[[np.ndarray, Trajectory, Trajectory], np.ndarray]
+Terminator = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+_FIRST_WINDOW = 32   # follower samples in a pair's first search window; doubles per window
+
+
+def _pair_crossing(
+    t_c: float,
+    x_c: float,
+    lead: Trajectory,
+    fol: Trajectory,
+    speed_rule: SpeedRule,
+    terminator: Optional[Terminator],
+) -> Optional[float]:
+    """Time at which a path entering the pair (lead, fol) at (t_c, x_c) meets
+    the follower, or None when it reaches the end of the pair's common time
+    window or the terminator first (or enters outside that window).
+
+    The knots are t_c, the follower's own samples after t_c and the window
+    end.  The speed is evaluated on the knots in one call and integrated by
+    cumulative trapezoid; the knot values are exact when the speed is linear
+    between knots.  The path is taken as the chord between knots, so path
+    minus follower is linear there and its first down-crossing of zero is a
+    closed-form root.  Knots are taken in windows of `_FIRST_WINDOW` samples,
+    doubling, so a pair costs a few array calls and no more memory than its
+    own samples.
+    """
+    t_end = min(lead.t_end, fol.t_end)
+    if not max(lead.t0, fol.t0) <= t_c < t_end:
+        return None
+    j = int(np.searchsorted(fol.t, t_c, side="right"))      # first sample after t_c
+    j_end = int(np.searchsorted(fol.t, t_end, side="left"))  # samples before t_end
+    n = _FIRST_WINDOW
+    while True:
+        k = min(j + n, j_end)
+        last = [t_end] if k == j_end else []
+        tn = np.concatenate(([t_c], fol.t[j:k], last))
+        w = speed_rule(tn, lead, fol)
+        xn = x_c + np.concatenate(([0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(tn))))
+        gap = xn - fol.position_at(tn)
+        # a path behind the follower (overlapping vehicles in recorded data)
+        # has not crossed it yet: search from the first knot ahead of it
+        above = np.flatnonzero(gap > 0.0)
+        t_x = first_down_crossing(tn[above[0]:], gap[above[0]:], 0.0) if above.size else None
+        if terminator is not None:
+            stopped = terminator(tn, xn)
+            if np.any(stopped if t_x is None else stopped[tn < t_x]):
+                return None
+        if t_x is not None or k == j_end:
+            return t_x
+        t_c, x_c, j, n = float(tn[-1]), float(xn[-1]), k, 2 * n
 
 
 def _trace(
@@ -159,56 +218,31 @@ def _trace(
     first_target: int,
     speed_rule: SpeedRule,
     kind: PathKind,
-    terminator: Optional[Callable[[float, float], bool]] = None,
+    terminator: Optional[Terminator] = None,
 ) -> WavePath:
-    """Shared Euler tracer: march at trajectory dt, root each crossing exactly.
+    """Shared tracer: trapezoid on the follower's samples, closed-form crossings.
 
-    Between crossings the propagation speed comes from `speed_rule`
-    applied to the bracketing pair (last crossed vehicle, next vehicle).
-    Within a step the path is linear and the target trajectory is linear
-    between its samples, so the gap path - target is sampled at the step
-    ends and at the one target sample inside the step; its first
-    down-crossing of zero is the crossing.  `terminator(t, x)` ends the
-    path early (flagged truncated).
+    Pair by pair from `first_target` rearward, the path integrates the
+    speed from `speed_rule` (array-valued in t) for the bracketing pair
+    (last crossed vehicle, next vehicle) and re-anchors on the follower at
+    the crossing; see `_pair_crossing`.  Crossings are O(h^2) in the
+    sample spacing h where the speed is smooth and O(h) across an interval
+    in which the switching rule flips; straight paths are exact to
+    round-off.  `Trajectory.dt` is not read.  `terminator(t, x)`
+    (array-valued) is tested on the knots before each crossing and ends the
+    path early (flagged truncated), as does the end of a pair's common time
+    window.
     """
     crossings: List[Crossing] = []
     t, x = origin_t, origin_x
-    idx = first_target
-    truncated = False
-    f0 = None   # path - target at (t, x); the previous step's f1 when it is known
-    while idx < len(trajectories):
-        fol = trajectories[idx]
-        lead = trajectories[idx - 1]
-        t_end = min(lead.t_end, fol.t_end)
-        if t >= t_end:
-            truncated = True
-            break
-        if terminator is not None and terminator(t, x):
-            truncated = True
-            break
-        w = speed_rule(t, lead, fol)
-        t1 = min(t + fol.dt, t_end)
-        x1 = x + w * (t1 - t)
-        if f0 is None:
-            f0 = x - float(fol.position_at(t))
-        f1 = x1 - float(fol.position_at(t1))
-        ts, fs = [t], [f0]
-        j = int(np.searchsorted(fol.t, t, side="right"))   # first target sample after t
-        if j < len(fol.t) and fol.t[j] < t1:
-            t_j = float(fol.t[j])
-            ts.append(t_j)
-            fs.append(x + w * (t_j - t) - float(fol.x[j]))
-        ts.append(t1)
-        fs.append(f1)
-        t_c = first_down_crossing(ts, fs, 0.0) if min(fs) <= 0.0 else None
-        if t_c is not None:
-            x_c = float(fol.position_at(t_c))
-            crossings.append(Crossing(fol.vehicle_id, t_c, x_c, float(fol.speed_at(t_c))))
-            t, x, f0 = t_c, x_c, None
-            idx += 1
-            continue
-        t, x, f0 = t1, x1, f1
-    return WavePath(kind, origin_t, origin_x, origin_v, tuple(crossings), truncated)
+    for idx in range(first_target, len(trajectories)):
+        lead, fol = trajectories[idx - 1], trajectories[idx]
+        t_x = _pair_crossing(t, x, lead, fol, speed_rule, terminator)
+        if t_x is None:
+            return WavePath(kind, origin_t, origin_x, origin_v, tuple(crossings), True)
+        t, x = t_x, float(fol.position_at(t_x))
+        crossings.append(Crossing(fol.vehicle_id, t, x, float(fol.speed_at(t))))
+    return WavePath(kind, origin_t, origin_x, origin_v, tuple(crossings))
 
 
 def trace_characteristic_path(
@@ -230,7 +264,7 @@ def trace_characteristic_path(
     origin_x = float(lead.position_at(origin_t))
     origin_v = float(lead.speed_at(origin_t))
 
-    def rule(t: float, lead_traj: Trajectory, fol_traj: Trajectory) -> float:
+    def rule(t: np.ndarray, lead_traj: Trajectory, fol_traj: Trajectory) -> np.ndarray:
         return pair_wave_speed(t, lead_traj, fol_traj, params, eps_v)
 
     return _trace(origin_t, origin_x, origin_v, trajectories, 1, rule, PathKind.CHARACTERISTIC)
@@ -249,7 +283,7 @@ def constant_speed_path(
     origin_v = float(lead.speed_at(origin_t))
     return _trace(
         origin_t, origin_x, origin_v, trajectories, 1,
-        lambda t, le, fo: w_const, PathKind.CONSTANT_SPEED,
+        lambda t, le, fo: np.full_like(t, w_const), PathKind.CONSTANT_SPEED,
     )
 
 
@@ -367,7 +401,7 @@ def trace_phase_transition(
     origin_v_sh = float(by_id[events[0].vehicle_id].speed_at(t_sh))
     shock_path = _trace(
         t_sh, x_sh, origin_v_sh, trajectories, first_idx + 1,
-        lambda t, le, fo: c_sh, PathKind.SHOCK,
+        lambda t, le, fo: np.full_like(t, c_sh), PathKind.SHOCK,
     ) if first_idx + 1 < len(trajectories) else None
 
     # transition completes once every pair's spacing has reached s_e
@@ -382,7 +416,7 @@ def trace_phase_transition(
 
     chars: List[WavePath] = []
     if t_complete is not None:
-        def overtaken(t: float, x: float) -> bool:
+        def overtaken(t: np.ndarray, x: np.ndarray) -> np.ndarray:
             return x <= x_sh + c_sh * (t - t_sh)
 
         lead = trajectories[0]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accwave.microsim import (
     CollisionError,
@@ -46,6 +48,41 @@ def test_mode_validation():
         OscillationSpec(v_e=10.0, modes=((-1.0, 1.0, 0.0),))
     with pytest.raises(ValueError):
         OscillationSpec(v_e=10.0, modes=((1.0, 0.0, 0.0),))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    field=st.sampled_from(["v_e", "A", "omega", "phi"]),
+)
+def test_oscillation_spec_rejects_non_finite_fields(bad, field):
+    mode = {"A": 2.0, "omega": OMEGA_1, "phi": 0.5}
+    v_e = 10.0
+    if field == "v_e":
+        v_e = bad
+    else:
+        mode[field] = bad
+    with pytest.raises(ValueError):
+        OscillationSpec(v_e=v_e, modes=((mode["A"], mode["omega"], mode["phi"]),))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_steps=st.integers(min_value=1, max_value=200_000),
+    dt=st.sampled_from([0.001, 0.01, 0.02, 0.05, 0.1, 0.25]),
+    frac=st.floats(min_value=1e-3, max_value=1.0 - 1e-3),
+)
+def test_scenario_duration_must_be_a_whole_number_of_steps(n_steps, dt, frac):
+    spec = OscillationSpec(v_e=10.0)
+    sc = Scenario(params=P, n_followers=1, leader=spec, duration=n_steps * dt, dt=dt)
+    assert round(sc.duration / sc.dt) == n_steps
+    with pytest.raises(ValueError, match="integer multiple"):
+        Scenario(params=P, n_followers=1, leader=spec, duration=(n_steps + frac) * dt, dt=dt)
+
+
+@pytest.mark.parametrize("duration,dt", [(599.9, 0.1), (599.9, 0.05), (599.9, 0.01), (60.0, 0.01)])
+def test_scenario_accepts_recorded_and_case_windows(duration, dt):
+    Scenario(params=P, n_followers=1, leader=OscillationSpec(v_e=10.0), duration=duration, dt=dt)
 
 
 def test_scenario_validation():

@@ -13,7 +13,6 @@ from accwave.model import (
     acc_acceleration,
     constant_gain,
     density_gain,
-    effective_gains,
     eigenstructure,
     engaged,
     linear_degeneracy_indicator,
@@ -124,11 +123,6 @@ def test_acc_acceleration_is_elementwise():
     acc = acc_acceleration(s, v, v_lead, P)
     assert acc.shape == (3,)
     assert np.array_equal(acc, [acc_acceleration(*args, P) for args in zip(s, v, v_lead)])
-
-
-def test_effective_gains_vanish_in_free_flow():
-    assert effective_gains(Regime.FREE_FLOW, P) == (0.0, 0.0)
-    assert effective_gains(Regime.CONGESTED, P) == (P.k_s, P.k_v)
 
 
 def test_acc_acceleration_zero_at_equilibrium():

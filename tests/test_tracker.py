@@ -1,7 +1,9 @@
 """Tests for disturbance-path tracing: characteristic, baseline, shock,
 and engagement-front paths over platoon trajectories."""
 
+import dataclasses
 import math
+from typing import List
 
 import numpy as np
 import pytest
@@ -11,20 +13,26 @@ from hypothesis import strategies as st
 from accwave.microsim import (
     ConstAccel,
     Cruise,
+    CutIn,
     EngagementEvent,
     LeaderProfile,
     Oscillate,
     Scenario,
     Trajectory,
     detect_engagement,
+    first_down_crossing,
     simulate_platoon,
 )
 from accwave.model import ControlParams, TrafficState
+from accwave.scenarios import case_scenario, run_case
 from accwave.tracker import (
     LWR_BASELINE_SPEED,
+    Crossing,
     DegenerateJumpError,
     PathKind,
     ShockSegment,
+    WavePath,
+    _trace,
     constant_speed_path,
     engagement_front,
     engagement_path,
@@ -272,3 +280,237 @@ def test_phase_transition_without_engagement_is_empty():
     assert pt.front is None and pt.engagement is None and pt.shock is None
     assert pt.characteristics == () and pt.t_complete is None
     assert pt.paths() == []
+
+
+def test_path_reaching_a_vehicle_before_its_first_sample_is_truncated():
+    # the follower exists only from t = 5 (a cut-in), 90 m behind the lead:
+    # a path that reaches the pair earlier is outside the pair's common window
+    t = np.arange(0.0, 20.01, 0.5)
+    lead = Trajectory(0, t, 100.0 + 10.0 * t, np.full(t.size, 10.0), np.zeros(t.size), 0.5)
+    late = t[10:]
+    fol = Trajectory(1, late, 60.0 + 10.0 * (late - 5.0), np.full(late.size, 10.0),
+                     np.zeros(late.size), 0.5)
+    early = constant_speed_path(1.0, [lead, fol], -5.0)
+    assert early.truncated and early.crossings == ()
+    (crossing,) = constant_speed_path(6.0, [lead, fol], -5.0).crossings
+    # 90 m gap closed at 10 - (-5) = 15 m/s
+    assert crossing.t == pytest.approx(12.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the per-step Euler tracer the production tracer replaced, kept as its oracle
+# ---------------------------------------------------------------------------
+
+
+def _euler_trace(origin_t, origin_x, origin_v, trajectories, first_target, speed_rule, kind,
+                 terminator=None) -> WavePath:
+    """March at trajectory dt with a scalar speed rule, root each crossing exactly.
+
+    Within a step the path is linear and the target trajectory is linear
+    between its samples, so the gap path - target is sampled at the step
+    ends and at the one target sample inside the step; its first
+    down-crossing of zero is the crossing.  Left-Riemann in the speed, so
+    the path carries an O(dt) error wherever the speed varies.
+    """
+    crossings: List[Crossing] = []
+    t, x = origin_t, origin_x
+    idx = first_target
+    truncated = False
+    f0 = None   # path - target at (t, x); the previous step's f1 when it is known
+    while idx < len(trajectories):
+        fol = trajectories[idx]
+        lead = trajectories[idx - 1]
+        t_end = min(lead.t_end, fol.t_end)
+        if t >= t_end:
+            truncated = True
+            break
+        if terminator is not None and terminator(t, x):
+            truncated = True
+            break
+        w = speed_rule(t, lead, fol)
+        t1 = min(t + fol.dt, t_end)
+        x1 = x + w * (t1 - t)
+        if f0 is None:
+            f0 = x - float(fol.position_at(t))
+        f1 = x1 - float(fol.position_at(t1))
+        ts, fs = [t], [f0]
+        j = int(np.searchsorted(fol.t, t, side="right"))   # first target sample after t
+        if j < len(fol.t) and fol.t[j] < t1:
+            t_j = float(fol.t[j])
+            ts.append(t_j)
+            fs.append(x + w * (t_j - t) - float(fol.x[j]))
+        ts.append(t1)
+        fs.append(f1)
+        t_c = first_down_crossing(ts, fs, 0.0) if min(fs) <= 0.0 else None
+        if t_c is not None:
+            x_c = float(fol.position_at(t_c))
+            crossings.append(Crossing(fol.vehicle_id, t_c, x_c, float(fol.speed_at(t_c))))
+            t, x, f0 = t_c, x_c, None
+            idx += 1
+            continue
+        t, x, f0 = t1, x1, f1
+    return WavePath(kind, origin_t, origin_x, origin_v, tuple(crossings), truncated)
+
+
+def _oracle_paths(trajs, params, paths, w_base, transition=None):
+    """Re-trace each path with the Euler oracle, using the same rule, start
+    and terminator as the production call that made it."""
+    def characteristic(t, le, fo):
+        return pair_wave_speed(t, le, fo, params)
+
+    overtaken = None
+    if transition is not None:
+        c_sh, first = transition.shock_speed, transition.events[0]
+
+        def overtaken(t, x):
+            return x <= first.x_star + c_sh * (t - first.t_star)
+
+    out = []
+    for path in paths:
+        first_target, term = 1, None
+        if path.kind is PathKind.CONSTANT_SPEED:
+            rule = lambda t, le, fo: w_base
+        elif path.kind is PathKind.SHOCK:
+            rule = lambda t, le, fo: c_sh
+            ids = [tr.vehicle_id for tr in trajs]
+            first_target = ids.index(first.vehicle_id) + 1
+        else:
+            rule, term = characteristic, overtaken
+        out.append(_euler_trace(path.origin_t, path.origin_x, path.origin_v, trajs,
+                                first_target, rule, path.kind, term))
+    return out
+
+
+def _crossing_differences(paths, oracle):
+    """Largest |dt|, |dx|, |dv| over matching crossings; the paths must cross
+    the same vehicles and agree on truncation."""
+    worst = np.zeros(3)
+    for path, ref in zip(paths, oracle):
+        assert path.truncated == ref.truncated, path.origin_t
+        assert [c.vehicle_id for c in path.crossings] == [c.vehicle_id for c in ref.crossings]
+        for c, r in zip(path.crossings, ref.crossings):
+            worst = np.maximum(worst, np.abs(np.subtract((c.t, c.x, c.v), (r.t, r.x, r.v))))
+    return worst
+
+
+def _cut_in_run():
+    """Case-1 platoon with a cut-in ahead of follower 3 at t = 20 s; paths
+    launched after it reach the merged vehicle inside its shorter window."""
+    sc = dataclasses.replace(case_scenario(1), cut_ins=(CutIn(time=20.0, gap=8.0, ahead_of=3),))
+    trajs = simulate_platoon(sc).trajectories
+    assert trajs[3].t0 == pytest.approx(20.0)
+    origins = np.arange(19.0, 50.0, 1.0)
+    w_base = lwr_baseline_speed(sc.params)
+    proposed = [trace_characteristic_path(t_o, trajs, sc.params) for t_o in origins]
+    baseline = [constant_speed_path(t_o, trajs, w_base) for t_o in origins]
+    return trajs, sc.params, proposed, baseline, w_base, None
+
+
+def _case_run(case):
+    if case == "cut-in":
+        return _cut_in_run()
+    run = run_case(case)
+    params = case_scenario(case).params
+    return (run.trajectories, params, run.proposed, run.baseline,
+            lwr_baseline_speed(params), run.transition)
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, 4, "cut-in"])
+def test_tracer_against_euler_oracle(case):
+    trajs, params, proposed, baseline, w_base, transition = _case_run(case)
+    dt = trajs[0].dt
+    traced = [p for p in proposed + baseline if p.kind is not PathKind.ENGAGEMENT]
+    oracle = _oracle_paths(trajs, params, traced, w_base, transition)
+    straight = [(p, o) for p, o in zip(traced, oracle) if p.kind is not PathKind.CHARACTERISTIC]
+    curved = [(p, o) for p, o in zip(traced, oracle) if p.kind is PathKind.CHARACTERISTIC]
+    assert straight and curved
+    # constant-speed and shock paths are straight lines, exact in both tracers
+    assert np.all(_crossing_differences(*zip(*straight)) <= 1e-9)
+    # characteristics differ by the oracle's left-Riemann O(dt) error; the
+    # bounds are 1.5x the largest difference over these five runs at
+    # dt = 0.01 (case 3: 2.6 dt s, 14 dt m and 9.8 dt m/s)
+    d_t, d_x, d_v = _crossing_differences(*zip(*curved))
+    assert d_t <= 4.0 * dt and d_x <= 21.0 * dt and d_v <= 15.0 * dt
+
+
+def test_terminator_against_euler_oracle():
+    # a shock-like line at -L/tau through follower 2 at t = 20 s stops
+    # characteristics after 0, 1, 2 or 3 crossings depending on the origin.
+    # Both tracers test the line on their own knots, so a path meeting it
+    # within one step of a crossing can differ by that crossing; with this
+    # line no origin does.
+    trajs, params, *_ = _case_run(1)
+    c, t_l = lwr_baseline_speed(params), 20.0
+    x_l = float(trajs[2].position_at(t_l))
+
+    def overtaken(t, x):
+        return x <= x_l + c * (t - t_l)
+
+    def rule(t, le, fo):
+        return pair_wave_speed(t, le, fo, params)
+
+    lead = trajs[0]
+    paths, oracle = [], []
+    for t_o in np.arange(14.0, 24.0, 0.1):
+        start = (t_o, float(lead.position_at(t_o)), float(lead.speed_at(t_o)), trajs, 1, rule,
+                 PathKind.CHARACTERISTIC, overtaken)
+        paths.append(_trace(*start))
+        oracle.append(_euler_trace(*start))
+    assert {len(p.crossings) for p in paths if p.truncated} == {0, 1, 2, 3}
+    d_t, d_x, d_v = _crossing_differences(paths, oracle)
+    assert d_t <= 4.0 * trajs[0].dt
+
+
+def test_euler_oracle_converges_to_tracer_as_its_step_shrinks():
+    # same trajectories, oracle marching at dt/4: the difference to the
+    # production tracer shrinks about fourfold, so it is the oracle's error
+    trajs, params, proposed, _, w_base, _ = _case_run(3)
+    coarse = _crossing_differences(proposed, _oracle_paths(trajs, params, proposed, w_base))
+    fine_trajs = [dataclasses.replace(tr, dt=tr.dt / 4) for tr in trajs]
+    fine = _crossing_differences(proposed, _oracle_paths(fine_trajs, params, proposed, w_base))
+    assert np.all(fine <= coarse / 3.0)
+
+
+def _smooth_platoon(h, t_end=12.0, n_followers=3):
+    """Closed-form motions sampled every h: a leader oscillating about
+    10 m/s and followers whose spacing oscillates between 15 and 19 m, so
+    every pair stays engaged (s < s_c = 23 m) and W is smooth."""
+    t = np.linspace(0.0, t_end, int(round(t_end / h)) + 1)
+    om = 0.16 * math.pi
+    x = 10.0 * t + 8.0 * np.sin(om * t)
+    v = 10.0 + 8.0 * om * np.cos(om * t)
+    trajs = [Trajectory(0, t, x, v, np.zeros_like(t), h)]
+    for i in range(1, n_followers + 1):
+        x = x - (17.0 + 2.0 * np.sin(2.0 * om * t + i))
+        v = v - 4.0 * om * np.cos(2.0 * om * t + i)
+        trajs.append(Trajectory(i, t, x, v, np.zeros_like(t), h))
+    return trajs
+
+
+def test_characteristic_crossings_converge_at_second_order():
+    # smooth motions sampled at h, h/2, h/4 against a reference at h/64:
+    # the RMS crossing-time error falls by about 4 per halving (trapezoid
+    # on the samples plus linear interpolation, both O(h^2)); the Euler
+    # oracle's falls by about 2.  Origins are spread off the sample grid so
+    # the interpolation error is averaged over the position within a step.
+    origins = 1.0 + 0.0777 * np.arange(64)
+
+    def crossing_times(h, tracer):
+        trajs = _smooth_platoon(h)
+        return np.array([[c.t for c in tracer(t_o, trajs).crossings] for t_o in origins])
+
+    def production(t_o, trajs):
+        return trace_characteristic_path(t_o, trajs, P)
+
+    def oracle(t_o, trajs):
+        lead = trajs[0]
+        return _euler_trace(t_o, float(lead.position_at(t_o)), float(lead.speed_at(t_o)), trajs, 1,
+                            lambda t, le, fo: pair_wave_speed(t, le, fo, P),
+                            PathKind.CHARACTERISTIC)
+
+    ref = crossing_times(0.1 / 64, production)
+    assert ref.shape == (origins.size, 3)
+    for tracer, order in ((production, 4.0), (oracle, 2.0)):
+        err = [np.sqrt(np.mean((crossing_times(h, tracer) - ref) ** 2)) for h in (0.1, 0.05, 0.025)]
+        ratios = np.array(err[:-1]) / np.array(err[1:])
+        assert np.all(np.abs(ratios - order) < 0.1 * order), (tracer.__name__, ratios)
