@@ -18,7 +18,7 @@ import numpy as np
 import yaml
 
 from .metrics import DeviationStats, Histogram
-from .microsim import Trajectory
+from .microsim import DT_JITTER, Trajectory
 from .model import ControlParams
 from .pde import EulerianField
 from .tracker import WavePath
@@ -83,11 +83,11 @@ def write_trajectories(
                         fmt(v, full_precision), fmt(a, full_precision)])
 
 
-def ingest_trajectories(path: str, dt_jitter: float = 1e-6) -> List[Trajectory]:
+def ingest_trajectories(path: str) -> List[Trajectory]:
     """Read a trajectory CSV into per-vehicle Trajectory objects.
 
     Rows may appear in any order.  Each vehicle must be uniformly
-    sampled (time jitter above `dt_jitter` or a skipped sample raises,
+    sampled (time jitter above `DT_JITTER` or a skipped sample raises,
     naming the offending data row).  A missing `a` column is
     reconstructed by central differences of v.
     """
@@ -127,7 +127,7 @@ def ingest_trajectories(path: str, dt_jitter: float = 1e-6) -> List[Trajectory]:
         t, x, v = cols[:3]
         steps = np.diff(t)
         dt = float(np.median(steps))
-        bad = np.nonzero(np.abs(steps - dt) > dt_jitter)[0]
+        bad = np.nonzero(np.abs(steps - dt) > DT_JITTER)[0]
         if bad.size:
             k = int(bad[0])
             raise ValueError(

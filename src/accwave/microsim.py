@@ -7,6 +7,19 @@ Euler (speed first, then position).  Keeping the leader formula-driven
 means engagement-time tests are not polluted by integrator error, and
 cruising followers (zero acceleration) are integrated exactly as well.
 
+One stepping loop serves every scenario.  Its state is a (run, column)
+array of x and of v, recorded each step into (run, column, step)
+histories of x, v and a, so every trajectory is a contiguous row.  The
+controller parameters are per-run column vectors (`ControlParams.
+columns`), so a batch of runs that differ only in their parameters
+advances in one array call per operation, and every run is
+bit-identical to simulating it alone.  Column 0 leads column 1: the
+open road's leader, or on a ring the last vehicle one ring length
+ahead.  A cut-in is a column allocated up front, NaN until it merges.
+The histories take 3 * 8 bytes per column and step of each run
+(`Scenario.history_bytes`); `scenarios.run_empirical` sizes its
+batches to keep a batch under about 2 MiB.
+
 The module also carries the exact solution of the vehicle-pair error
 dynamics
 
@@ -38,6 +51,7 @@ __all__ = [
     "PlatoonResult",
     "EngagementEvent",
     "CollisionError",
+    "DT_JITTER",
     "PiecewiseConstantAccel",
     "PairErrorState",
     "leader_motion",
@@ -75,9 +89,13 @@ class OscillationSpec:
                 raise ValueError("mode frequency must be positive")
 
 
+# Largest difference between a trajectory's sample steps and its dt [s].
+DT_JITTER = 1e-6
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled motion of one vehicle."""
+    """Uniformly sampled motion of one vehicle: every step of t is dt within DT_JITTER."""
 
     vehicle_id: int
     t: np.ndarray
@@ -92,6 +110,10 @@ class Trajectory:
         steps = np.diff(self.t)
         if np.any(steps <= 0):
             raise ValueError("sample times must be strictly increasing")
+        off = np.abs(steps - self.dt)
+        if np.any(off > DT_JITTER):
+            k = int(np.argmax(off))
+            raise ValueError(f"dt {self.dt} does not match sample step {k} ({steps[k]!r})")
 
     @property
     def t0(self) -> float:
@@ -179,9 +201,12 @@ class Scenario:
     overrides (free-flow approach scenarios use gaps above s_c).  For
     ring topology there is no external leader: `initial_speeds` lists
     every vehicle and `leader` is ignored.
+
+    `params` may be a tuple of parameter sets: the open-road platoon is
+    then simulated once per set, as one batch.
     """
 
-    params: ControlParams
+    params: Union[ControlParams, Tuple[ControlParams, ...]]
     n_followers: int
     leader: Optional[LeaderSpec]
     duration: float
@@ -209,14 +234,38 @@ class Scenario:
             raise ValueError("open-road scenarios need a leader spec")
         if self.topology == "ring" and self.initial_speeds is None:
             raise ValueError("ring scenarios need explicit initial speeds")
+        if not self.run_params:
+            raise ValueError("a batch needs at least one parameter set")
+        if self.topology == "ring" and (self.cut_ins or len(self.run_params) > 1):
+            raise ValueError("a ring takes one parameter set and no cut-ins")
+
+    @property
+    def run_params(self) -> Tuple[ControlParams, ...]:
+        """The parameter set of each run, in batch order."""
+        return self.params if isinstance(self.params, tuple) else (self.params,)
+
+    @property
+    def history_bytes(self) -> int:
+        """Bytes of the x, v and a histories `simulate_platoon` keeps per run."""
+        if self.topology == "ring":
+            n_cols = len(self.initial_speeds) + 1
+        else:
+            n_cols = self.n_followers + len(self.cut_ins) + 1
+        return 3 * 8 * n_cols * (round(self.duration / self.dt) + 1)
 
 
 @dataclass(frozen=True)
 class PlatoonResult:
-    """Trajectories in platoon order (front to rear) plus ring metadata."""
+    """Trajectories in platoon order (front to rear), run after run, plus ring metadata."""
 
     trajectories: List[Trajectory]
     ring_length: Optional[float] = None
+    runs: int = 1
+
+    def run(self, r: int) -> List[Trajectory]:
+        """Trajectories of run r of the batch, in platoon order."""
+        n = len(self.trajectories) // self.runs
+        return self.trajectories[r * n:(r + 1) * n]
 
 
 class EngagementEvent(NamedTuple):
@@ -226,10 +275,15 @@ class EngagementEvent(NamedTuple):
 
 
 class CollisionError(RuntimeError):
-    def __init__(self, t: float, follower_index: int):
-        super().__init__(f"vehicle collision (spacing <= 0) at t={t:.3f} s, follower {follower_index}")
+    """A spacing reached zero: time, follower index in platoon order, and run of the batch."""
+
+    def __init__(self, t: float, follower_index: int, run: int = 0):
+        where = f", run {run}" if run else ""
+        super().__init__(
+            f"vehicle collision (spacing <= 0) at t={t:.3f} s, follower {follower_index}{where}")
         self.t = t
         self.follower_index = follower_index
+        self.run = run
 
 
 # ---------------------------------------------------------------------------
@@ -341,150 +395,146 @@ def simulate_platoon(scenario: Scenario) -> PlatoonResult:
     every vehicle follows its predecessor with wrap-around gaps on a
     ring of length sum(tau*v_i(0) + L).
 
+    A scenario with a tuple of parameter sets runs them as one batch;
+    the result lists each run's trajectories in turn (`PlatoonResult.run`).
+
     Raises CollisionError if any spacing reaches zero.
     """
-    if scenario.topology == "ring":
-        return _simulate_ring(scenario)
-    return _simulate_open(scenario)
-
-
-def _simulate_open(sc: Scenario) -> PlatoonResult:
-    p = sc.params
+    sc = scenario
+    runs = sc.run_params
+    # one run keeps scalar parameters, which the ACC law evaluates faster
+    P = runs[0] if len(runs) == 1 else ControlParams.columns(runs)
     n_steps = int(round(sc.duration / sc.dt))
     times = np.arange(n_steps + 1) * sc.dt
+    if sc.topology == "ring":
+        init_v = np.asarray(sc.initial_speeds, dtype=float)
+        n = len(init_v)
+        L_x, x0 = ring_setup(n, runs[0], init_v)
+        X, V, A = (np.empty((1, n + 1, n_steps + 1)) for _ in range(3))
+        X[0, 1:, 0], V[0, 1:, 0] = x0, init_v
+        _integrate(sc, P, times, X, V, A, ring_length=L_x)
+        trajs = [
+            Trajectory(vehicle_id=i, t=times, x=X[0, i + 1], v=V[0, i + 1], a=A[0, i + 1], dt=sc.dt)
+            for i in range(n)
+        ]
+        return PlatoonResult(trajectories=trajs, ring_length=L_x)
+
     lx, lv, la = _leader_arrays(sc.leader, times)
-
     n_f = sc.n_followers
-    v0_lead = _leader_initial_speed(sc.leader)
     if sc.initial_speeds is None:
-        init_v = np.full(n_f, v0_lead)
+        init_v = np.full(n_f, _leader_initial_speed(sc.leader))
     else:
-        init_v = np.broadcast_to(np.asarray(sc.initial_speeds, dtype=float), (n_f,)).copy()
-    if sc.initial_gaps is None:
-        init_gaps = p.tau * init_v + p.L
-    else:
-        init_gaps = np.broadcast_to(np.asarray(sc.initial_gaps, dtype=float), (n_f,)).copy()
+        init_v = np.broadcast_to(np.asarray(sc.initial_speeds, dtype=float), (n_f,))
+    gaps = P.tau * init_v + P.L if sc.initial_gaps is None else np.asarray(sc.initial_gaps, dtype=float)
+    init_gaps = np.broadcast_to(gaps, (len(runs), n_f))
 
-    # Column layout: original followers 0..n_f-1, cut-in vehicles appended.
+    # Vehicle i < n_f is follower i; vehicle n_f + j is cut-in j in time
+    # order.  Columns hold the leader, then every vehicle in its final
+    # platoon order; a cut-in's column is NaN until it merges.
     cut_ins = sorted(sc.cut_ins, key=lambda c: c.time)
     cut_steps = [int(round(c.time / sc.dt)) for c in cut_ins]
-    for c, k in zip(cut_ins, cut_steps):
+    order = list(range(n_f))
+    for j, (c, k) in enumerate(zip(cut_ins, cut_steps)):
         if not (0 < k < n_steps):
             raise ValueError(f"cut-in time {c.time} outside the scenario window")
         if not (1 <= c.ahead_of <= n_f):
             raise ValueError(f"cut-in ahead_of must name a follower 1..{n_f}")
+        order.insert(c.ahead_of - 1, n_f + j)
+    column = np.argsort(order) + 1
+    born = [0] * n_f + cut_steps
 
-    n_cols = n_f + len(cut_ins)
-    X = np.full((n_steps + 1, n_cols), np.nan)
-    V = np.full((n_steps + 1, n_cols), np.nan)
-    A = np.full((n_steps + 1, n_cols), np.nan)
+    X, V, A = (np.empty((len(runs), len(order) + 1, n_steps + 1)) for _ in range(3))
+    X[:, 1:, 0] = V[:, 1:, 0] = np.nan
+    x = lx[0] - init_gaps[:, 0]
+    for i in range(n_f):
+        if i:
+            x = x - init_gaps[:, i]
+        X[:, column[i], 0], V[:, column[i], 0] = x, init_v[i]
+    merges = [(k, column[n_f + j], c.gap) for j, (c, k) in enumerate(zip(cut_ins, cut_steps))]
+    _integrate(sc, P, times, X, V, A, leader=(lx, lv), cut_ins=merges)
 
-    x = np.empty(n_f)
-    x[0] = lx[0] - init_gaps[0]
-    for i in range(1, n_f):
-        x[i] = x[i - 1] - init_gaps[i]
-    v = init_v.copy()
+    trajs: List[Trajectory] = []
+    for r in range(len(runs)):
+        trajs.append(Trajectory(vehicle_id=0, t=times, x=lx, v=lv, a=la, dt=sc.dt))
+        for vid in order:
+            b, c = born[vid], column[vid]
+            trajs.append(Trajectory(
+                vehicle_id=vid + 1, t=times[b:],
+                x=X[r, c, b:], v=V[r, c, b:], a=A[r, c, b:], dt=sc.dt,
+            ))
+    return PlatoonResult(trajectories=trajs, runs=len(runs))
 
-    # order maps platoon position (front to rear, followers only) -> column
-    order: List[int] = list(range(n_f))
-    born = [0] * n_f
-    X[0, :n_f], V[0, :n_f] = x, v
 
-    active_x = x
-    active_v = v
-    pending = list(zip(cut_ins, cut_steps, range(n_f, n_cols)))
+def _integrate(
+    sc: Scenario,
+    P: ControlParams,
+    times: np.ndarray,
+    X: np.ndarray,
+    V: np.ndarray,
+    A: np.ndarray,
+    leader: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ring_length: Optional[float] = None,
+    cut_ins: Sequence[Tuple[int, int, float]] = (),
+) -> None:
+    """The one stepping loop: fill the (run, column, step) histories.
 
+    The state is a (run, column) array of x and of v, started from the
+    histories' step 0.  Columns 1.. are driven by the ACC law, in platoon
+    order; each follows the nearest merged column ahead of it.  Column 0
+    leads column 1: the open road's `leader` (x, v at each step), or on a
+    ring the last column one ring length ahead (the lead wraps around
+    with an offset of +L_x).  `cut_ins` lists (step, column, gap) in
+    merge order: the column holds NaN until that step, which makes its
+    spacing NaN, so it cruises (zero command), stays NaN and trips no
+    collision.  At its step it is placed `gap` behind the column ahead,
+    at the speed of the column behind.
+    """
+    dt, eps_v = sc.dt, sc.eps_v
+    merged = np.ones(X.shape[1], dtype=bool)
+    merged[[c for _, c, _ in cut_ins]] = False
+    lead = _lead_columns(merged)
+    pending = list(cut_ins)
+    x, v = X[:, :, 0].copy(), V[:, :, 0].copy()
+    x_drv, v_drv = x[:, 1:], v[:, 1:]
+
+    def set_lead_column(k: int) -> None:
+        if leader is not None:
+            x[:, 0], v[:, 0] = leader[0][k], leader[1][k]
+        else:
+            x[:, 0], v[:, 0] = x[:, -1] + ring_length, v[:, -1]
+
+    set_lead_column(0)
+    n_steps = len(times) - 1
     for k in range(n_steps + 1):
-        lead_pos = np.empty(len(order))
-        lead_spd = np.empty(len(order))
-        lead_pos[0], lead_spd[0] = lx[k], lv[k]
-        lead_pos[1:] = active_x[:-1]
-        lead_spd[1:] = active_v[:-1]
-        gaps = lead_pos - active_x
+        X[:, :, k], V[:, :, k] = x, v
+        gaps = x[:, lead] - x_drv
         try:
-            acc = acc_acceleration(gaps, active_v, lead_spd, p, sc.eps_v)
+            acc = acc_acceleration(gaps, v_drv, v[:, lead], P, eps_v)
         except ValueError:  # raised for a non-positive spacing
-            raise CollisionError(times[k], int(np.argmax(gaps <= 0))) from None
-        A[k, order] = acc
+            r, j = divmod(int(np.argmax(gaps <= 0)), gaps.shape[1])
+            raise CollisionError(times[k], int(np.count_nonzero(merged[1:j + 1])), r) from None
+        A[:, 1:, k] = acc
         if k == n_steps:
             break
-        active_v = active_v + sc.dt * acc
-        active_x = active_x + sc.dt * active_v
-        X[k + 1, order] = active_x
-        V[k + 1, order] = active_v
-
-        while pending and pending[0][1] == k + 1:
-            cut, _, col = pending.pop(0)
-            pos_in_order = cut.ahead_of - 1  # insert ahead of this follower
-            new_leader_pos = lx[k + 1] if pos_in_order == 0 else active_x[pos_in_order - 1]
-            new_x = new_leader_pos - cut.gap
-            new_v = active_v[pos_in_order]
-            active_x = np.insert(active_x, pos_in_order, new_x)
-            active_v = np.insert(active_v, pos_in_order, new_v)
-            order.insert(pos_in_order, col)
-            born.append(k + 1)
-            X[k + 1, col] = new_x
-            V[k + 1, col] = new_v
-
-    trajs: List[Trajectory] = [
-        Trajectory(vehicle_id=0, t=times, x=lx, v=lv, a=la, dt=sc.dt)
-    ]
-    for pos, col in enumerate(order):
-        b = born[col]
-        trajs.append(
-            Trajectory(
-                vehicle_id=col + 1,
-                t=times[b:],
-                x=X[b:, col],
-                v=V[b:, col],
-                a=A[b:, col],
-                dt=sc.dt,
-            )
-        )
-    return PlatoonResult(trajectories=trajs, ring_length=None)
+        v_drv += dt * acc
+        x_drv += dt * v_drv
+        set_lead_column(k + 1)
+        while pending and pending[0][0] == k + 1:
+            _, c, gap = pending.pop(0)
+            behind = c + 1 + int(np.argmax(merged[c + 1:]))
+            x[:, c], v[:, c] = x[:, lead[c - 1]] - gap, v[:, behind]
+            merged[c] = True
+            lead = _lead_columns(merged)
 
 
-def _simulate_ring(sc: Scenario) -> PlatoonResult:
-    p = sc.params
-    init_v = np.asarray(sc.initial_speeds, dtype=float)
-    n = len(init_v)
-    if n < 2:
-        raise ValueError("ring needs at least two vehicles")
-    L_x, x0 = ring_setup(n, p, init_v)
-    n_steps = int(round(sc.duration / sc.dt))
-    times = np.arange(n_steps + 1) * sc.dt
+def _lead_columns(merged: np.ndarray):
+    """Column ahead of each driven column: the nearest merged one.
 
-    X = np.empty((n_steps + 1, n))
-    V = np.empty((n_steps + 1, n))
-    A = np.empty((n_steps + 1, n))
-    x = x0.copy()
-    v = init_v.copy()
-    X[0], V[0] = x, v
-
-    for k in range(n_steps + 1):
-        lead_pos = np.empty(n)
-        lead_spd = np.empty(n)
-        lead_pos[1:] = x[:-1]
-        lead_spd[1:] = v[:-1]
-        lead_pos[0] = x[-1] + L_x
-        lead_spd[0] = v[-1]
-        gaps = lead_pos - x
-        try:
-            acc = acc_acceleration(gaps, v, lead_spd, p, sc.eps_v)
-        except ValueError:  # raised for a non-positive spacing
-            raise CollisionError(times[k], int(np.argmax(gaps <= 0))) from None
-        A[k] = acc
-        if k == n_steps:
-            break
-        v = v + sc.dt * acc
-        x = x + sc.dt * v
-        X[k + 1], V[k + 1] = x, v
-
-    trajs = [
-        Trajectory(vehicle_id=i, t=times, x=X[:, i], v=V[:, i], a=A[:, i], dt=sc.dt)
-        for i in range(n)
-    ]
-    return PlatoonResult(trajectories=trajs, ring_length=L_x)
+    A slice once every column has merged (a view, cheaper than a gather).
+    """
+    if merged.all():
+        return slice(0, merged.size - 1)
+    return np.maximum.accumulate(np.where(merged, np.arange(merged.size), 0))[:-1]
 
 
 def ring_setup(
@@ -640,8 +690,8 @@ def _trapezoid_convolution(A: np.ndarray, ts: np.ndarray, vals: np.ndarray, t0: 
     tt = ts[mask]
     aa = vals[mask]
     if tt.size == 0 or tt[0] > t0:
-        tt = np.insert(tt, 0, t0)
-        aa = np.insert(aa, 0, np.interp(t0, ts, vals))
+        tt = np.concatenate(([t0], tt))
+        aa = np.concatenate(([np.interp(t0, ts, vals)], aa))
     if tt[-1] < t:
         tt = np.append(tt, t)
         aa = np.append(aa, np.interp(t, ts, vals))

@@ -16,6 +16,7 @@ and report micro-vs-PDE RMSEs.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -286,6 +287,12 @@ class EmpiricalRun:
     n_deviations: int
 
 
+# Histories (x, v, a of every vehicle at every step) of the draws simulated
+# in one batch stay under this many bytes, so a sweep of any size holds one
+# small batch at a time.
+_BATCH_BYTES = 2 * 1024 * 1024
+
+
 def run_empirical(
     leader: Trajectory,
     draws: Sequence,
@@ -302,32 +309,38 @@ def run_empirical(
     recorded leader, traces characteristic and constant-speed paths from
     the same origins, and pools the deviations across draws.  The
     free-flow speed is pushed above the recorded profile so the platoon
-    stays congested, matching the characteristic-only treatment.
+    stays congested, matching the characteristic-only treatment.  Draws
+    are simulated in batches whose histories fit in `_BATCH_BYTES`; each
+    batch is traced run by run and released before the next one.
     """
     duration = leader.t_end - leader.t0
     if leader.t0 != 0.0:
         raise ValueError("recorded leader must start at t = 0")
     v_free = float(np.max(leader.v)) + 5.0
-    prop_paths: List[WavePath] = []
-    base_paths: List[WavePath] = []
+    params = [ControlParams(tau=d.tau, L=d.L, k_s=d.k_s, k_v=d.k_v, v_f=v_free) for d in draws]
+    if not params:
+        raise ValueError("no parameter draws to simulate")
     origins = np.arange(warmup, duration - end_margin + 1e-9, origin_spacing)
     if origins.size == 0:
         raise ValueError("empirical window too short for any path origin")
-    for d in draws:
-        p = ControlParams(tau=d.tau, L=d.L, k_s=d.k_s, k_v=d.k_v, v_f=v_free)
-        sc = Scenario(
-            params=p, n_followers=n_followers, leader=leader,
-            duration=duration, dt=dt,
-        )
-        trajs = simulate_platoon(sc).trajectories
-        w_base = lwr_baseline_speed(p) if baseline_speed is None else baseline_speed
-        for t_o in origins:
-            prop_paths.append(trace_characteristic_path(float(t_o), trajs, p))
-            base_paths.append(constant_speed_path(float(t_o), trajs, w_base))
+    one = Scenario(params=params[0], n_followers=n_followers, leader=leader, duration=duration, dt=dt)
+    batch = max(1, _BATCH_BYTES // one.history_bytes)
+    prop_paths: List[WavePath] = []
+    base_paths: List[WavePath] = []
+    for i in range(0, len(params), batch):
+        runs = params[i:i + batch]
+        res = simulate_platoon(dataclasses.replace(one, params=tuple(runs)))
+        for r, p in enumerate(runs):
+            trajs = res.run(r)
+            w_base = lwr_baseline_speed(p) if baseline_speed is None else baseline_speed
+            for t_o in origins:
+                prop_paths.append(trace_characteristic_path(float(t_o), trajs, p))
+                base_paths.append(constant_speed_path(float(t_o), trajs, w_base))
+        del res, trajs
     prop_devs = deviation_set(prop_paths)
     return EmpiricalRun(
         proposed_stats=summary_stats(prop_devs),
         baseline_stats=summary_stats(deviation_set(base_paths)),
-        n_draws=len(list(draws)),
+        n_draws=len(params),
         n_deviations=len(prop_devs),
     )

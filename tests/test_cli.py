@@ -1,10 +1,14 @@
 """Tests for CSV import/export, configs, draws, and the CLI front end."""
 
 import os
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accwave import dataio
 from accwave.cli import main
@@ -19,6 +23,7 @@ from accwave.dataio import (
     save_config,
     write_trajectories,
 )
+from accwave import scenarios
 from accwave.microsim import Cruise, LeaderProfile, Scenario, simulate_platoon
 from accwave.model import ControlParams
 
@@ -91,6 +96,41 @@ def test_ingest_names_file_and_row_of_non_finite_value(tmp_path, row):
     path.write_text(f"t,vehicle_id,x,v,a\n0.0,0,0.0,10.0,0.0\n{row}\n0.2,0,2.0,10.0,0.0\n")
     with pytest.raises(ValueError, match=r"nan\.csv: non-finite value in data row 3"):
         ingest_trajectories(str(path))
+
+
+def _ingest_bad_row(kind: str, data) -> None:
+    """Write a valid two-vehicle file with one row spoiled; ingest must name it."""
+    rows = [[repr(k * 0.1), str(vid), repr(30.0 - 20.0 * vid + k), "10.0", "0.0"]
+            for k in range(8) for vid in (0, 1)]
+    rows = data.draw(st.permutations(rows), label="rows")
+    if kind == "non_uniform":   # a sample after a vehicle's first one, moved off its grid
+        i = data.draw(st.sampled_from([i for i, r in enumerate(rows) if r[0] != "0.0"]), label="row")
+        shift = data.draw(st.floats(2 * 1e-6, 0.04) | st.floats(-0.04, -2 * 1e-6), label="shift")
+        rows[i][0] = repr(float(rows[i][0]) + shift)
+    else:
+        i = data.draw(st.integers(0, len(rows) - 1), label="row")
+        if kind == "non_finite":
+            field = data.draw(st.sampled_from([0, 2, 3, 4]), label="field")
+            rows[i][field] = data.draw(st.sampled_from(["nan", "inf", "-inf", "NaN"]), label="value")
+        elif data.draw(st.booleans(), label="truncate"):
+            rows[i] = rows[i][:data.draw(st.integers(1, 4), label="fields")]
+        else:
+            field = data.draw(st.integers(0, 4), label="field")
+            bad = ["", "ten", "1..5", "--1"] + (["1.5", "nan"] if field == 1 else [])
+            rows[i][field] = data.draw(st.sampled_from(bad), label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rec.csv")
+        with open(path, "w") as fh:
+            fh.write("t,vehicle_id,x,v,a\n" + "".join(",".join(r) + "\n" for r in rows))
+        # data row i is line i + 2 of the file, after the header
+        with pytest.raises(ValueError, match=rf"^{re.escape(path)}: .*\brow {i + 2}\b"):
+            ingest_trajectories(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["malformed", "non_finite", "non_uniform"]), data=st.data())
+def test_ingest_names_file_and_data_row_of_a_bad_row(kind, data):
+    _ingest_bad_row(kind, data)
 
 
 def test_ingest_reconstructs_missing_accel_column(tmp_path):
@@ -289,6 +329,38 @@ def test_cli_empirical_smoke(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "3 draws" in out
     assert (tmp_path / "empirical_stats.csv").exists()
+
+
+def _sweep_inputs(n_draws):
+    leader = ingest_trajectories(str(DATA_DIR / "leader_dip.csv"))[0]
+    return leader, sample_params(load_draws(str(DATA_DIR / "calibrated_draws.csv")), n_draws, seed=3)
+
+
+def test_empirical_batches_give_the_per_draw_result(monkeypatch):
+    leader, draws = _sweep_inputs(5)
+    calls = []
+
+    def counting(sc):
+        calls.append(len(sc.run_params))
+        return simulate_platoon(sc)
+
+    monkeypatch.setattr(scenarios, "simulate_platoon", counting)
+    per_run = 5 * (round(leader.t_end / 0.05) + 1) * 3 * 8  # leader + 4 followers
+    results = []
+    for budget, batches in ((1, [1] * 5), (2 * per_run, [2, 2, 1]), (scenarios._BATCH_BYTES, [5])):
+        monkeypatch.setattr(scenarios, "_BATCH_BYTES", budget)
+        calls.clear()
+        results.append(scenarios.run_empirical(leader, draws))
+        assert calls == batches
+    assert results[0] == results[1] == results[2]
+    assert results[0].n_draws == 5
+
+
+def test_empirical_counts_draws_from_an_iterator_and_rejects_none():
+    leader, draws = _sweep_inputs(2)
+    assert scenarios.run_empirical(leader, iter(draws)).n_draws == 2
+    with pytest.raises(ValueError, match="no parameter draws"):
+        scenarios.run_empirical(leader, iter([]))
 
 
 class _Stop(Exception):

@@ -1,6 +1,8 @@
 """Platoon simulation engine: leaders, followers, cut-ins, rings, engagement."""
 
+import dataclasses
 import math
+from typing import List
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accwave.microsim import (
+    DT_JITTER,
     CollisionError,
     ConstAccel,
     Cruise,
@@ -17,6 +20,7 @@ from accwave.microsim import (
     OscillationSpec,
     PairErrorState,
     PiecewiseConstantAccel,
+    PlatoonResult,
     Scenario,
     Trajectory,
     detect_engagement,
@@ -27,7 +31,9 @@ from accwave.microsim import (
     simulate_platoon,
     spacing_analytic,
 )
-from accwave.model import ControlParams
+from accwave.microsim import _leader_arrays, _leader_initial_speed
+from accwave.model import ControlParams, acc_acceleration
+from accwave.scenarios import case_scenario, ring_scenario
 from accwave.waves import follower_motion_closed_form
 
 P = ControlParams()
@@ -341,3 +347,244 @@ def test_trajectory_interpolation_round_trip():
     assert tr.covers(0.9) and not tr.covers(1.5)
     with pytest.raises(ValueError):
         Trajectory(vehicle_id=0, t=t[:1], x=t[:1], v=t[:1], a=t[:1], dt=0.1)
+
+
+def test_trajectory_dt_must_match_sample_steps():
+    t = np.arange(11) * 0.1
+    z = np.zeros_like(t)
+    Trajectory(vehicle_id=0, t=t, x=z, v=z, a=z, dt=0.1 + 0.5 * DT_JITTER)
+    for dt in (0.05, 0.1 + 2 * DT_JITTER, 0.2):
+        with pytest.raises(ValueError, match="does not match sample step"):
+            Trajectory(vehicle_id=0, t=t, x=z, v=z, a=z, dt=dt)
+    jittered = t + np.r_[0.0, 3 * DT_JITTER, np.zeros(9)]
+    with pytest.raises(ValueError, match="sample step 0"):
+        Trajectory(vehicle_id=0, t=jittered, x=z, v=z, a=z, dt=0.1)
+
+
+# ---------------------------------------------------------------------------
+# The batched kernel against the per-run loops it replaced
+# ---------------------------------------------------------------------------
+
+# Oracles: the open-road and ring loops as they were before the single
+# batched kernel, kept verbatim (names aside).  One run, one parameter set.
+
+def _oracle_open(sc: Scenario) -> PlatoonResult:
+    p = sc.params
+    n_steps = int(round(sc.duration / sc.dt))
+    times = np.arange(n_steps + 1) * sc.dt
+    lx, lv, la = _leader_arrays(sc.leader, times)
+
+    n_f = sc.n_followers
+    v0_lead = _leader_initial_speed(sc.leader)
+    if sc.initial_speeds is None:
+        init_v = np.full(n_f, v0_lead)
+    else:
+        init_v = np.broadcast_to(np.asarray(sc.initial_speeds, dtype=float), (n_f,)).copy()
+    if sc.initial_gaps is None:
+        init_gaps = p.tau * init_v + p.L
+    else:
+        init_gaps = np.broadcast_to(np.asarray(sc.initial_gaps, dtype=float), (n_f,)).copy()
+
+    # Column layout: original followers 0..n_f-1, cut-in vehicles appended.
+    cut_ins = sorted(sc.cut_ins, key=lambda c: c.time)
+    cut_steps = [int(round(c.time / sc.dt)) for c in cut_ins]
+    for c, k in zip(cut_ins, cut_steps):
+        if not (0 < k < n_steps):
+            raise ValueError(f"cut-in time {c.time} outside the scenario window")
+        if not (1 <= c.ahead_of <= n_f):
+            raise ValueError(f"cut-in ahead_of must name a follower 1..{n_f}")
+
+    n_cols = n_f + len(cut_ins)
+    X = np.full((n_steps + 1, n_cols), np.nan)
+    V = np.full((n_steps + 1, n_cols), np.nan)
+    A = np.full((n_steps + 1, n_cols), np.nan)
+
+    x = np.empty(n_f)
+    x[0] = lx[0] - init_gaps[0]
+    for i in range(1, n_f):
+        x[i] = x[i - 1] - init_gaps[i]
+    v = init_v.copy()
+
+    # order maps platoon position (front to rear, followers only) -> column
+    order: List[int] = list(range(n_f))
+    born = [0] * n_f
+    X[0, :n_f], V[0, :n_f] = x, v
+
+    active_x = x
+    active_v = v
+    pending = list(zip(cut_ins, cut_steps, range(n_f, n_cols)))
+
+    for k in range(n_steps + 1):
+        lead_pos = np.empty(len(order))
+        lead_spd = np.empty(len(order))
+        lead_pos[0], lead_spd[0] = lx[k], lv[k]
+        lead_pos[1:] = active_x[:-1]
+        lead_spd[1:] = active_v[:-1]
+        gaps = lead_pos - active_x
+        try:
+            acc = acc_acceleration(gaps, active_v, lead_spd, p, sc.eps_v)
+        except ValueError:  # raised for a non-positive spacing
+            raise CollisionError(times[k], int(np.argmax(gaps <= 0))) from None
+        A[k, order] = acc
+        if k == n_steps:
+            break
+        active_v = active_v + sc.dt * acc
+        active_x = active_x + sc.dt * active_v
+        X[k + 1, order] = active_x
+        V[k + 1, order] = active_v
+
+        while pending and pending[0][1] == k + 1:
+            cut, _, col = pending.pop(0)
+            pos_in_order = cut.ahead_of - 1  # insert ahead of this follower
+            new_leader_pos = lx[k + 1] if pos_in_order == 0 else active_x[pos_in_order - 1]
+            new_x = new_leader_pos - cut.gap
+            new_v = active_v[pos_in_order]
+            active_x = np.insert(active_x, pos_in_order, new_x)
+            active_v = np.insert(active_v, pos_in_order, new_v)
+            order.insert(pos_in_order, col)
+            born.append(k + 1)
+            X[k + 1, col] = new_x
+            V[k + 1, col] = new_v
+
+    trajs: List[Trajectory] = [
+        Trajectory(vehicle_id=0, t=times, x=lx, v=lv, a=la, dt=sc.dt)
+    ]
+    for pos, col in enumerate(order):
+        b = born[col]
+        trajs.append(
+            Trajectory(
+                vehicle_id=col + 1,
+                t=times[b:],
+                x=X[b:, col],
+                v=V[b:, col],
+                a=A[b:, col],
+                dt=sc.dt,
+            )
+        )
+    return PlatoonResult(trajectories=trajs, ring_length=None)
+
+
+def _oracle_ring(sc: Scenario) -> PlatoonResult:
+    p = sc.params
+    init_v = np.asarray(sc.initial_speeds, dtype=float)
+    n = len(init_v)
+    if n < 2:
+        raise ValueError("ring needs at least two vehicles")
+    L_x, x0 = ring_setup(n, p, init_v)
+    n_steps = int(round(sc.duration / sc.dt))
+    times = np.arange(n_steps + 1) * sc.dt
+
+    X = np.empty((n_steps + 1, n))
+    V = np.empty((n_steps + 1, n))
+    A = np.empty((n_steps + 1, n))
+    x = x0.copy()
+    v = init_v.copy()
+    X[0], V[0] = x, v
+
+    for k in range(n_steps + 1):
+        lead_pos = np.empty(n)
+        lead_spd = np.empty(n)
+        lead_pos[1:] = x[:-1]
+        lead_spd[1:] = v[:-1]
+        lead_pos[0] = x[-1] + L_x
+        lead_spd[0] = v[-1]
+        gaps = lead_pos - x
+        try:
+            acc = acc_acceleration(gaps, v, lead_spd, p, sc.eps_v)
+        except ValueError:  # raised for a non-positive spacing
+            raise CollisionError(times[k], int(np.argmax(gaps <= 0))) from None
+        A[k] = acc
+        if k == n_steps:
+            break
+        v = v + sc.dt * acc
+        x = x + sc.dt * v
+        X[k + 1], V[k + 1] = x, v
+
+    trajs = [
+        Trajectory(vehicle_id=i, t=times, x=X[:, i], v=V[:, i], a=A[:, i], dt=sc.dt)
+        for i in range(n)
+    ]
+    return PlatoonResult(trajectories=trajs, ring_length=L_x)
+
+
+def _assert_bit_identical(got: List[Trajectory], want: List[Trajectory]) -> None:
+    assert [tr.vehicle_id for tr in got] == [tr.vehicle_id for tr in want]
+    for g, w in zip(got, want):
+        for field in ("t", "x", "v", "a"):
+            a, b = getattr(g, field), getattr(w, field)
+            assert a.shape == b.shape and np.array_equal(a, b), (g.vehicle_id, field)
+
+
+BATCH = (
+    ControlParams(),
+    ControlParams(tau=0.9, L=4.0, k_s=0.5, k_v=1.1, v_f=14.0),
+    ControlParams(tau=1.6, L=6.5, k_s=1.2, k_v=0.6, v_f=20.0),
+    ControlParams(tau=1.1, L=5.5, k_s=0.3, k_v=2.0),
+)
+
+
+def _batch_matches_oracle(sc: Scenario, oracle) -> None:
+    res = simulate_platoon(dataclasses.replace(sc, params=BATCH))
+    assert res.runs == len(BATCH)
+    for r, p in enumerate(BATCH):
+        _assert_bit_identical(res.run(r), oracle(dataclasses.replace(sc, params=p)).trajectories)
+
+
+def test_batch_of_parameter_sets_matches_per_run_loop():
+    spec = OscillationSpec(v_e=10.0, modes=((4.0, OMEGA_1, 0.3),))
+    _batch_matches_oracle(Scenario(params=P, n_followers=4, leader=spec, duration=30.0), _oracle_open)
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, 4])
+def test_case_matches_per_run_loop(case):
+    sc = case_scenario(case)
+    _assert_bit_identical(simulate_platoon(sc).trajectories, _oracle_open(sc).trajectories)
+
+
+def test_several_cut_ins_match_per_run_loop():
+    # two merges in one step (the second lands ahead of the first), one
+    # at 8 s that lands between those two (so at 5 s an unmerged column
+    # sits directly behind a merging one), and one at the front
+    cuts = (CutIn(time=12.0, gap=9.0, ahead_of=1), CutIn(time=5.0, gap=11.0, ahead_of=3),
+            CutIn(time=5.0, gap=10.0, ahead_of=3), CutIn(time=8.0, gap=4.0, ahead_of=4))
+    spec = OscillationSpec(v_e=10.0, modes=((2.0, OMEGA_1, 0.0),))
+    sc = Scenario(params=P, n_followers=4, leader=spec, duration=25.0, cut_ins=cuts)
+    res = simulate_platoon(sc)
+    assert [tr.vehicle_id for tr in res.trajectories] == [0, 8, 1, 2, 6, 7, 5, 3, 4]
+    _assert_bit_identical(res.trajectories, _oracle_open(sc).trajectories)
+    _batch_matches_oracle(sc, _oracle_open)
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_ring_matches_per_run_loop(case):
+    sc = ring_scenario(case)
+    got, want = simulate_platoon(sc), _oracle_ring(sc)
+    assert got.ring_length == want.ring_length
+    _assert_bit_identical(got.trajectories, want.trajectories)
+
+
+def test_collision_in_one_run_of_a_batch_is_reported_as_in_the_loop():
+    # the last follower starts fast and close; with weak gains it hits the
+    # car ahead of it, then the fourth vehicle behind the leader, while a
+    # later cut-in at the front has not merged yet
+    sc = Scenario(params=P, n_followers=3, leader=OscillationSpec(10.0), duration=20.0,
+                  initial_speeds=(10.0, 10.0, 16.0), initial_gaps=(17.0, 17.0, 12.0),
+                  cut_ins=(CutIn(time=0.5, gap=12.0, ahead_of=2),
+                           CutIn(time=15.0, gap=10.0, ahead_of=1)))
+    weak = ControlParams(tau=1.2, L=5.0, k_s=0.05, k_v=0.05)
+    with pytest.raises(CollisionError) as want:
+        _oracle_open(dataclasses.replace(sc, params=weak))
+    _oracle_open(sc)  # the default gains brake in time
+    with pytest.raises(CollisionError) as got:
+        simulate_platoon(dataclasses.replace(sc, params=(P, weak, P)))
+    assert want.value.follower_index == 3
+    assert (got.value.t, got.value.follower_index, got.value.run) == (
+        want.value.t, want.value.follower_index, 1)
+
+
+def test_batches_need_an_open_road_and_a_parameter_set():
+    with pytest.raises(ValueError, match="at least one parameter set"):
+        Scenario(params=(), n_followers=2, leader=OscillationSpec(10.0), duration=5.0)
+    with pytest.raises(ValueError, match="one parameter set and no cut-ins"):
+        Scenario(params=(P, P), n_followers=3, leader=None, duration=5.0, topology="ring",
+                 initial_speeds=[10.0, 10.0, 10.0])
