@@ -12,7 +12,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass, asdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import yaml
@@ -56,31 +56,49 @@ class ParamSample:
             raise ValueError(f"draw fields must be positive and finite, got {self}")
 
 
+# printf spec of an exported real: 6 significant digits, or repr()
+_REAL_SPEC = {False: "%.6g", True: "%r"}
+
+
 def fmt(x: float, full_precision: bool = False) -> str:
-    if full_precision:
-        return repr(float(x))
-    return f"{x:.6g}"
+    return _REAL_SPEC[full_precision] % float(x)
+
+
+def _write_blocks(
+    path: str, header: str, specs: Sequence[str], blocks: Iterable[np.ndarray]
+) -> None:
+    """CSV file of `header`, then each row of every 2-D block with column j
+    formatted by printf spec `specs[j]`, with csv's line ending.
+
+    One block is formatted and written at a time, so the text held in
+    memory is one block's, not the file's.
+    """
+    row = ",".join(specs) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\r\n")
+        for block in blocks:
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
 # Trajectories
 # ---------------------------------------------------------------------------
 
+# rows of a trajectory export formatted and written at a time
+_BLOCK_ROWS = 4096
+
+
 def write_trajectories(
     path: str, trajectories: Sequence[Trajectory], full_precision: bool = False
 ) -> None:
     """Flat trajectory export sorted by (t, vehicle_id)."""
-    rows = []
-    for tr in trajectories:
-        for k in range(len(tr.t)):
-            rows.append((float(tr.t[k]), tr.vehicle_id, float(tr.x[k]), float(tr.v[k]), float(tr.a[k])))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "vehicle_id", "x", "v", "a"])
-        for t, vid, x, v, a in rows:
-            w.writerow([fmt(t, full_precision), vid, fmt(x, full_precision),
-                        fmt(v, full_precision), fmt(a, full_precision)])
+    cols = np.hstack([np.empty((5, 0))] + [
+        np.vstack((tr.t, np.full(len(tr.t), tr.vehicle_id), tr.x, tr.v, tr.a))
+        for tr in trajectories])                       # rows t, vehicle_id, x, v, a
+    order = np.lexsort((cols[1], cols[0]))
+    blocks = (cols[:, order[i:i + _BLOCK_ROWS]].T for i in range(0, order.size, _BLOCK_ROWS))
+    real = _REAL_SPEC[full_precision]
+    _write_blocks(path, "t,vehicle_id,x,v,a", (real, "%d", real, real, real), blocks)
 
 
 def ingest_trajectories(path: str) -> List[Trajectory]:
@@ -181,14 +199,9 @@ def write_histogram(path: str, hist: Histogram, full_precision: bool = False) ->
 def write_field(path: str, fld: EulerianField, full_precision: bool = False) -> None:
     """Heatmap-ready field export: one row per (time, cell center)."""
     centers = fld.grid.centers
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "x", "rho", "v"])
-        for k, t in enumerate(fld.times):
-            for m, x in enumerate(centers):
-                w.writerow([fmt(float(t), full_precision), fmt(float(x), full_precision),
-                            fmt(float(fld.rho[k, m]), full_precision),
-                            fmt(float(fld.v[k, m]), full_precision)])
+    blocks = (np.column_stack((np.full(centers.size, t), centers, rho, v))
+              for t, rho, v in zip(fld.times, fld.rho, fld.v))
+    _write_blocks(path, "t,x,rho,v", [_REAL_SPEC[full_precision]] * 4, blocks)
 
 
 def write_bode(

@@ -7,6 +7,14 @@ followed by an explicit relaxation source toward the time-headway
 manifold, evaluated with the already-updated density.  Time steps obey
 a CFL condition on the largest characteristic speed.
 
+Each step copies (rho, v) into one ghost-cell array of n_x + 2 columns,
+with the last cell wrapped in front of the first and the first after the
+last.  The per-cell terms (flow, a and the wave bound max(|v|, |a|)) are
+computed once on it, and every interface term is a pair of shifted
+slices of those columns, so the periodic wrap costs two column copies
+and no rolled copies.  The Rusanov flux, the wave bound and a are each
+written once, on arrays; the public per-state helpers call the same code.
+
 Also provides the piecewise-constant mapping from ring trajectories to
 Eulerian (rho, v) fields: each vehicle owns the stretch of road from its
 own position up to its leader's, carrying rho = 1/spacing and its own
@@ -15,6 +23,8 @@ speed.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -48,8 +58,10 @@ class Grid:
     periodic: bool = True
 
     def __post_init__(self) -> None:
-        if self.L_x <= 0:
-            raise ValueError("ring length must be positive")
+        if not (math.isfinite(self.L_x) and self.L_x > 0):
+            raise ValueError(f"ring length must be positive and finite, got {self.L_x}")
+        if not isinstance(self.n_x, numbers.Integral):
+            raise ValueError(f"cell count must be an integer, got {self.n_x!r}")
         if self.n_x < 4:
             raise ValueError("need at least 4 cells")
         if not self.periodic:
@@ -99,9 +111,31 @@ class PositivityError(RuntimeError):
 # Local building blocks
 # ---------------------------------------------------------------------------
 
-def _char_bound(state: TrafficState, params: ControlParams):
-    """max(|lambda1|, |lambda2|) per state = max(|v|, |v - k_v/rho|)."""
-    return np.maximum(np.abs(state.v), np.abs(advection_speed(state, params)))
+def _advection(rho, v, params: ControlParams):
+    """a = v - k_v/rho (= lambda2), elementwise."""
+    return v - params.k_v / rho
+
+
+def _cell_bound(v, a):
+    """max(|lambda1|, |lambda2|) per cell = max(|v|, |a|)."""
+    return np.maximum(np.abs(v), np.abs(a))
+
+
+def _rusanov(rho_l, q_l, bound_l, rho_r, q_r, bound_r):
+    """(alpha, flux) at interfaces between left and right cell values.
+
+    alpha = max(bound_l, bound_r) is the local wave bound; the Rusanov
+    mass flux is the central average of q = rho*v minus alpha-scaled
+    dissipation on the density jump.
+    """
+    alpha = np.maximum(bound_l, bound_r)
+    return alpha, 0.5 * (q_l + q_r) - 0.5 * alpha * (rho_r - rho_l)
+
+
+def _state_terms(state: TrafficState, params: ControlParams):
+    """(rho, q, bound) of a state, as `_rusanov` takes one side."""
+    bound = _cell_bound(state.v, _advection(state.rho, state.v, params))
+    return state.rho, state.q, bound
 
 
 def local_wave_bound(left: TrafficState, right: TrafficState, params: ControlParams):
@@ -109,18 +143,17 @@ def local_wave_bound(left: TrafficState, right: TrafficState, params: ControlPar
 
     Elementwise over states that hold arrays (one interface per element).
     """
-    return np.maximum(_char_bound(left, params), _char_bound(right, params))
+    return _rusanov(*_state_terms(left, params), *_state_terms(right, params))[0]
 
 
 def rusanov_flux(left: TrafficState, right: TrafficState, params: ControlParams):
     """Rusanov mass flux: central average minus local-wave-bound dissipation."""
-    alpha = local_wave_bound(left, right, params)
-    return 0.5 * (left.q + right.q) - 0.5 * alpha * (right.rho - left.rho)
+    return _rusanov(*_state_terms(left, params), *_state_terms(right, params))[1]
 
 
 def advection_speed(state: TrafficState, params: ControlParams):
     """Convective speed of the v-equation, a = v - k_v/rho (= lambda2), elementwise."""
-    return state.v - params.k_v / state.rho
+    return _advection(state.rho, state.v, params)
 
 
 # ---------------------------------------------------------------------------
@@ -146,32 +179,45 @@ def step(
     a_{i+1})/2 and donor cell chosen by its sign; relaxation source
     using the updated density.  Optional source callbacks (x, t) ->
     per-cell rates support manufactured-solution testing.
+
+    Layout: (rho, v) are copied into one (2, n_x + 2) ghost-cell array
+    whose column 0 holds the last cell and column n_x + 1 the first, so
+    the periodic wrap is two column copies.  The per-cell terms q, a and
+    the wave bound are computed once on that array; its n_x + 1
+    interfaces pair column j with column j + 1, so cell i's left and
+    right interfaces are entries i and i + 1 of every interface array.
     """
     if not 0.0 < cfl < 1.0:
         raise ValueError("cfl must lie in (0, 1)")
-    dx = grid.dx
-    cells = TrafficState(rho, v)
-    right = TrafficState(np.roll(rho, -1), np.roll(v, -1))   # interface i+1/2
+    n, dx = grid.n_x, grid.dx
+    cells = np.empty((2, n + 2))
+    cells[0, 1:-1] = rho
+    cells[1, 1:-1] = v
+    cells[:, 0] = cells[:, n]
+    cells[:, -1] = cells[:, 1]
+    r, u = cells
+    if (r <= 0).any():
+        raise ValueError("density must be positive (non-vacuum)")
+    a = _advection(r, u, params)
+    bound = _cell_bound(u, a)
 
     # the max over cells equals the max of the interface bounds
-    dt_cfl = cfl * dx / float(np.max(_char_bound(cells, params)))
+    dt_cfl = cfl * dx / float(bound.max())
     h = dt_cfl if dt is None else min(dt, dt_cfl)
 
-    flux = rusanov_flux(cells, right, params)
-    rho_new = rho - (h / dx) * (flux - np.roll(flux, 1))
+    q = r * u
+    _, flux = _rusanov(r[:-1], q[:-1], bound[:-1], r[1:], q[1:], bound[1:])
+    rho_new = rho - (h / dx) * (flux[1:] - flux[:-1])
     if mass_source is not None:
         rho_new = rho_new + h * mass_source(grid.centers, t)
-    if np.any(rho_new <= 0):
+    if (rho_new <= 0).any():
         cell = int(np.argmin(rho_new))
         raise PositivityError(t + h, cell, float(rho_new[cell]))
 
-    a = advection_speed(cells, params)
-    a_if = 0.5 * (a + np.roll(a, -1))          # interface i+1/2
-    dv_up = v - np.roll(v, 1)                  # v_i - v_{i-1}
-    dv_dn = right.v - v                        # v_{i+1} - v_i
-    a_left = np.roll(a_if, 1)                  # interface i-1/2
+    a_if = 0.5 * (a[:-1] + a[1:])             # interface i-1/2 at entry i
+    dv = u[1:] - u[:-1]                        # v_i - v_{i-1} at entry i
     v_star = v - (h / dx) * (
-        np.maximum(a_left, 0.0) * dv_up + np.minimum(a_if, 0.0) * dv_dn
+        np.maximum(a_if[:-1], 0.0) * dv[:-1] + np.minimum(a_if[1:], 0.0) * dv[1:]
     )
     if momentum_source is not None:
         v_star = v_star + h * momentum_source(grid.centers, t)
@@ -202,10 +248,12 @@ def solve(
     v = np.asarray(v0, dtype=float).copy()
     if rho.shape != (grid.n_x,) or v.shape != rho.shape:
         raise ValueError("initial arrays must match the grid")
+    if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(v))):
+        raise ValueError("initial density and speed must be finite")
     if np.any(rho <= 0):
         raise ValueError("initial density must be positive")
-    if t_end < 0:
-        raise ValueError("t_end must be non-negative")
+    if not (math.isfinite(t_end) and t_end >= 0):
+        raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
 
     requests = None if output_times is None else sorted(float(x) for x in output_times)
     rec_t: List[float] = []

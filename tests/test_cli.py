@@ -1,5 +1,6 @@
 """Tests for CSV import/export, configs, draws, and the CLI front end."""
 
+import csv
 import os
 import re
 import tempfile
@@ -26,6 +27,7 @@ from accwave.dataio import (
 from accwave import scenarios
 from accwave.microsim import Cruise, LeaderProfile, Scenario, simulate_platoon
 from accwave.model import ControlParams
+from accwave.pde import EulerianField, Grid
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -150,6 +152,82 @@ def test_ingest_rejects_wrong_header(tmp_path):
     path.write_text("time,id,pos,speed\n0,0,0,1\n")
     with pytest.raises(ValueError, match="expected header"):
         ingest_trajectories(str(path))
+
+
+# ---------------------------------------------------------------------------
+# block writers against the csv.writer loops they replace
+# ---------------------------------------------------------------------------
+
+
+def _oracle_fmt(x, full_precision):
+    return repr(float(x)) if full_precision else f"{x:.6g}"
+
+
+def _oracle_write_field(path, fld, full_precision):
+    """Reference: one csv.writer row and four fmt calls per (time, cell)."""
+    centers = fld.grid.centers
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "x", "rho", "v"])
+        for k, t in enumerate(fld.times):
+            for m, x in enumerate(centers):
+                w.writerow([_oracle_fmt(float(t), full_precision),
+                            _oracle_fmt(float(x), full_precision),
+                            _oracle_fmt(float(fld.rho[k, m]), full_precision),
+                            _oracle_fmt(float(fld.v[k, m]), full_precision)])
+
+
+def _oracle_write_trajectories(path, trajectories, full_precision):
+    """Reference: every row as a tuple, sorted by (t, vehicle_id), then csv.writer."""
+    rows = []
+    for tr in trajectories:
+        for k in range(len(tr.t)):
+            rows.append((float(tr.t[k]), tr.vehicle_id, float(tr.x[k]), float(tr.v[k]), float(tr.a[k])))
+    rows.sort(key=lambda r: (r[0], r[1]))
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "vehicle_id", "x", "v", "a"])
+        for t, vid, x, v, a in rows:
+            w.writerow([_oracle_fmt(t, full_precision), vid, _oracle_fmt(x, full_precision),
+                        _oracle_fmt(v, full_precision), _oracle_fmt(a, full_precision)])
+
+
+# signed zero, extremes, a subnormal and integral floats, which %g and repr
+# print in their own ways
+_AWKWARD = np.array([-0.0, 1e-300, 1e300, -1e300, 5e-324, 3.0, 100.0, -7.0,
+                     123456789.0, 1e16, 0.1 + 0.2, 1.0 / 3.0])
+
+
+@pytest.mark.parametrize("full_precision", [False, True])
+def test_write_field_bytes_match_csv_writer_loop(tmp_path, full_precision):
+    rng = np.random.default_rng(3)
+    g = Grid(L_x=7.0, n_x=len(_AWKWARD))
+    times = np.array([-0.0, 0.5, 1.0, 2.0, 1e300, 0.1 + 0.2])
+    rho = rng.permuted(np.tile(np.abs(_AWKWARD) + 1e-300, (len(times), 1)), axis=1)
+    v = rng.permuted(np.tile(_AWKWARD, (len(times), 1)), axis=1)
+    fld = EulerianField(g, times, rho, v)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    dataio.write_field(str(got), fld, full_precision)
+    _oracle_write_field(str(want), fld, full_precision)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("full_precision", [False, True])
+def test_write_trajectories_bytes_match_csv_writer_loop(tmp_path, full_precision):
+    from accwave.microsim import Trajectory
+
+    rng = np.random.default_rng(4)
+    trajs = []
+    # ids out of order, later starts, and times such as 3*0.1 that differ
+    # from 0.3 in the last bit; more rows than one written block
+    for vid, t0, n in [(7, 0.0, 2500), (0, 0.3, 2200), (3, 0.1 * 3, 2000)]:
+        t = t0 + 0.1 * np.arange(n)
+        x, v, a = (rng.permuted(np.resize(_AWKWARD, n)) for _ in range(3))
+        trajs.append(Trajectory(vid, t, x, v, a, 0.1))
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_trajectories(str(got), trajs, full_precision)
+    _oracle_write_trajectories(str(want), trajs, full_precision)
+    assert got.read_bytes() == want.read_bytes()
 
 
 # ---------------------------------------------------------------------------

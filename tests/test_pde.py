@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accwave.microsim import Trajectory, simulate_platoon
 from accwave.model import ControlParams, TrafficState
@@ -41,6 +43,28 @@ def test_grid_validation():
         Grid(L_x=100.0, n_x=3)
     with pytest.raises(ValueError):
         Grid(L_x=100.0, n_x=10, periodic=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(L_x=st.floats().filter(lambda x: not (math.isfinite(x) and x > 0)),
+       n_x=st.integers(4, 10_000))
+def test_grid_rejects_non_finite_or_non_positive_length(L_x, n_x):
+    # Grid(nan, 10) used to be accepted
+    with pytest.raises(ValueError, match="ring length"):
+        Grid(L_x=L_x, n_x=n_x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(L_x=st.floats(1.0, 1e5), n_x=st.floats(4.0, 1e5) | st.sampled_from([math.nan, math.inf]))
+def test_grid_rejects_a_non_integer_cell_count(L_x, n_x):
+    # a float cell count, integral or not, is refused: 10.5 used to give
+    # 11 centers with dx = L_x/10.5
+    with pytest.raises(ValueError, match="cell count"):
+        Grid(L_x=L_x, n_x=n_x)
+
+
+def test_grid_accepts_numpy_integer_cell_count():
+    assert Grid(L_x=100.0, n_x=np.int64(10)).dx == 10.0
 
 
 def test_wave_bound_and_flux_hand_values():
@@ -146,6 +170,31 @@ def test_solve_validation():
         solve(rho, v, g, P, t_end=-1.0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    field=st.sampled_from(["rho", "v"]),
+    cell=st.integers(0, 199),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_solve_rejects_non_finite_initial_data(field, cell, bad):
+    # a NaN speed used to make the CFL step NaN, so min(dt, NaN) took one
+    # step of h = t_end and returned a NaN field
+    g, rho, v = _equilibrium_grid()
+    data = {"rho": rho.copy(), "v": v.copy()}
+    data[field][cell] = bad
+    with pytest.raises(ValueError, match="finite"):
+        solve(data["rho"], data["v"], g, P, t_end=1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(t_end=st.floats().filter(lambda x: not (math.isfinite(x) and x >= 0)))
+def test_solve_rejects_non_finite_or_negative_end_time(t_end):
+    # a NaN t_end used to return the t = 0 snapshot alone; inf never ends
+    g, rho, v = _equilibrium_grid()
+    with pytest.raises(ValueError, match="t_end"):
+        solve(rho, v, g, P, t_end=t_end)
+
+
 def test_solve_records_requested_times():
     g, rho, v = _equilibrium_grid()
     field = solve(rho, v, g, P, t_end=2.0, output_times=[0.0, 1.0, 2.0])
@@ -165,6 +214,105 @@ def test_field_validation():
         EulerianField(g, times, np.full((2, 10), 0.05), np.full((2, 10), 10.0))
     with pytest.raises(ValueError):
         EulerianField(g, times, 0.0 * good, np.full((1, 10), 10.0))
+
+
+def _oracle_step(rho, v, grid, params, cfl=0.5, t=0.0, dt=None,
+                 mass_source=None, momentum_source=None):
+    """Reference: the roll-based step, with every interface term rebuilt by np.roll."""
+    dx = grid.dx
+    rho_r, v_r = np.roll(rho, -1), np.roll(v, -1)              # cell i+1
+    a = v - params.k_v / rho
+    a_r = v_r - params.k_v / rho_r
+    bound = np.maximum(np.abs(v), np.abs(a))
+    bound_r = np.maximum(np.abs(v_r), np.abs(a_r))
+    dt_cfl = cfl * dx / float(np.max(bound))
+    h = dt_cfl if dt is None else min(dt, dt_cfl)
+
+    alpha = np.maximum(bound, bound_r)                          # interface i+1/2
+    flux = 0.5 * (rho * v + rho_r * v_r) - 0.5 * alpha * (rho_r - rho)
+    rho_new = rho - (h / dx) * (flux - np.roll(flux, 1))
+    if mass_source is not None:
+        rho_new = rho_new + h * mass_source(grid.centers, t)
+    if np.any(rho_new <= 0):
+        cell = int(np.argmin(rho_new))
+        raise PositivityError(t + h, cell, float(rho_new[cell]))
+
+    a_if = 0.5 * (a + np.roll(a, -1))
+    dv_up = v - np.roll(v, 1)
+    dv_dn = v_r - v
+    a_left = np.roll(a_if, 1)
+    v_star = v - (h / dx) * (
+        np.maximum(a_left, 0.0) * dv_up + np.minimum(a_if, 0.0) * dv_dn
+    )
+    if momentum_source is not None:
+        v_star = v_star + h * momentum_source(grid.centers, t)
+    v_new = v_star + h * params.k_s * (1.0 / rho_new - params.tau * v_star - params.L)
+    return rho_new, v_new, h
+
+
+def _ring_initial_field(case, n_cells):
+    from accwave.scenarios import TABLE_PARAMS, ring_scenario
+
+    res = simulate_platoon(ring_scenario(case, duration=0.1))
+    g = Grid(res.ring_length, n_cells)
+    rho, v = pde_initial_from_micro(res.trajectories, res.ring_length, g)
+    return g, rho, v, TABLE_PARAMS
+
+
+def _wavy_sources(grid):
+    k = 2.0 * math.pi / grid.L_x
+    return (lambda x, t: 2e-4 * np.sin(k * x + t),
+            lambda x, t: 0.05 * np.cos(2.0 * k * x - 0.3 * t))
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+@pytest.mark.parametrize("capped", [False, True])
+@pytest.mark.parametrize("sources", [False, True])
+def test_step_matches_roll_oracle_bit_for_bit(case, capped, sources):
+    g, rho0, v0, params = _ring_initial_field(case, 200)
+    mass, mom = _wavy_sources(g) if sources else (None, None)
+    got = (rho0, v0)
+    want = (rho0, v0)
+    t = 0.0
+    for k in range(200):
+        # a cap below the CFL step (~0.11 s here) on odd steps, above it on even ones
+        dt = (0.05 if k % 2 else 1.0) if capped else None
+        r, w, h = step(*got, g, params, 0.5, t, dt, mass, mom)
+        r_o, w_o, h_o = _oracle_step(*want, g, params, 0.5, t, dt, mass, mom)
+        assert h == h_o
+        assert (h == 0.05) == (capped and k % 2 == 1)
+        assert np.array_equal(r, r_o)
+        assert np.array_equal(w, w_o)
+        got, want, t = (r, w), (r_o, w_o), t + h
+
+
+def test_step_positivity_error_matches_roll_oracle():
+    g, rho0, v0, params = _ring_initial_field(2, 200)
+    # a sink strongest near one point drains the cells there first; the
+    # CFL step shrinks with rho as k_v/rho grows, so a steady sink only
+    # decays rho geometrically: a weak one for 0.5 s, then a strong one
+    sink = lambda x, t: -(0.01 if t < 0.5 else 0.4) * (
+        1.0 + np.exp(-((x - 0.3 * g.L_x) / 10.0) ** 2))
+
+    def run(fn):
+        rho, v, t = rho0, v0, 0.0
+        with pytest.raises(PositivityError) as info:
+            for n_steps in range(100):
+                rho, v, h = fn(rho, v, g, params, 0.5, t, None, sink, None)
+                t += h
+        return info.value, n_steps
+
+    got, want = run(step), run(_oracle_step)
+    assert got[1] == want[1] > 1
+    assert (got[0].cell, got[0].t, got[0].rho) == (want[0].cell, want[0].t, want[0].rho)
+
+
+def test_step_rejects_non_positive_density():
+    g, rho, v = _equilibrium_grid()
+    rho = rho.copy()
+    rho[7] = 0.0
+    with pytest.raises(ValueError, match="density must be positive"):
+        step(rho, v, g, P)
 
 
 # ---------------------------------------------------------------------------
