@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -320,6 +321,18 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     unknown = set(data) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    # numeric fields are checked by their annotation, naming the key
+    for f in fields(ScenarioConfig):
+        val = data.get(f.name)
+        if f.name not in data or (val is None and f.type == "Optional[float]"):
+            continue
+        if f.type == "int" and (isinstance(val, bool) or not isinstance(val, numbers.Integral)):
+            raise ValueError(f"{f.name} must be an integer, got {val!r}")
+        if f.type in ("float", "Optional[float]"):
+            if isinstance(val, bool) or not isinstance(val, numbers.Real):
+                raise ValueError(f"{f.name} must be a number, got {val!r}")
+            if not math.isfinite(val):
+                raise ValueError(f"{f.name} must be finite, got {val!r}")
     if "modes" in data and data["modes"] is not None:
         data = dict(data)
         data["modes"] = _coerce_modes(data["modes"])

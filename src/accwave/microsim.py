@@ -1,24 +1,44 @@
-"""Microscopic ACC platoon simulation on open road and ring.
+"""Microscopic ACC platoon simulation on open road and ring, without time-stepping.
 
 The lead vehicle follows exact closed-form kinematics (cruise segments,
 constant-acceleration segments, sinusoidal oscillation, or a recorded
-trajectory); followers integrate the linear ACC law with semi-implicit
-Euler (speed first, then position).  Keeping the leader formula-driven
-means engagement-time tests are not polluted by integrator error, and
-cruising followers (zero acceleration) are integrated exactly as well.
+trajectory).  An engaged follower is a 2-state LTI system driven by the
+vehicle ahead of it,
 
-One stepping loop serves every scenario.  Its state is a (run, column)
-array of x and of v, recorded each step into (run, column, step)
-histories of x, v and a, so every trajectory is a contiguous row.  The
-controller parameters are per-run column vectors (`ControlParams.
-columns`), so a batch of runs that differ only in their parameters
-advances in one array call per operation, and every run is
-bit-identical to simulating it alone.  Column 0 leads column 1: the
-open road's leader, or on a ring the last vehicle one ring length
-ahead.  A cut-in is a column allocated up front, NaN until it merges.
-The histories take 3 * 8 bytes per column and step of each run
-(`Scenario.history_bytes`); `scenarios.run_empirical` sizes its
-batches to keep a batch under about 2 MiB.
+    z' = A z + e2 f(t),   A = [[0, 1], [-k_s, -(k_s*tau + k_v)]],
+    f = k_s*x_lead + k_v*v_lead - k_s*L,
+
+and is propagated exactly rather than time-stepped:
+
+- **Open road: a cascade, front to rear.**  On each step x_lead is the
+  cubic Hermite of the lead's (x, v) samples, so f is a cubic and the
+  step map z_{k+1} = Phi z_k + sum_m Psi_m c_{m,k} is exact for that
+  input (`_step_maps`: one Van Loan block exponential, numpy only).  The
+  recurrence is solved for a block of steps at once by a Hillis-Steele
+  doubling scan (`_doubling_scan`), so Python loops over runs, columns
+  and stretches, never over steps.  The error is that of the Hermite
+  input, fourth order in dt.
+- **Regimes, decided by `model.engaged` on the samples.**  A cruise is
+  closed form (x0 + v0 t, a = 0); it switches to engaged at the sub-step
+  root of gap = s_c and takes a partial step map to the next sample.
+  An engaged stretch whose samples stop being engaged cruises from there.
+- **Cut-ins** split the run into segments between merge steps; within a
+  segment each column follows a fixed lead.
+- **Ring: no time loop.**  About the uniform equilibrium the engaged
+  ring is circulant; a DFT over vehicles splits it into independent
+  complex 2x2 modes whose one-step maps are raised to every power by
+  doubling, block by block in time.
+
+The state is kept as (run, column, step) histories of x, v and a, so
+every trajectory is a contiguous row; the recorded a is the ACC command
+(`model.acc_acceleration`) on the sampled states.  A batch of runs that
+differ only in their parameters shares one call, and every run is
+bit-identical to simulating it alone.  Column 0 leads column 1: the open
+road's leader, or on a ring the last vehicle one ring length ahead.  A
+cut-in is a column allocated up front, NaN until it merges.  The
+histories take 3 * 8 bytes per column and step of each run
+(`Scenario.history_bytes`); `scenarios.run_empirical` sizes its batches
+to keep a batch under about 2 MiB.
 
 The module also carries the exact solution of the vehicle-pair error
 dynamics
@@ -26,7 +46,7 @@ dynamics
     z' = A_d z + D_d a_lead,   A_d = [[-tau*k_s, 1 - tau*k_v],
                                       [-k_s,     -k_v       ]],
 
-used as an independent oracle against the time-stepped simulation.
+built on the same step maps, as an independent check on the platoon.
 """
 
 from __future__ import annotations
@@ -37,7 +57,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .model import ControlParams, acc_acceleration
+from .model import ControlParams, acc_acceleration, engaged
 
 __all__ = [
     "OscillationSpec",
@@ -383,17 +403,161 @@ def _leader_initial_speed(leader: LeaderSpec) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Platoon integration
+# Exact step maps
+# ---------------------------------------------------------------------------
+
+# Taylor degree of the block exponential, and the norm its argument is
+# scaled below before squaring: 0.5^15 / 15! < 3e-17, under round-off.
+_TAYLOR_DEGREE = 14
+_TAYLOR_NORM = 0.5
+
+# Time blocks, in samples, that keep every temporary small: one doubling
+# scan of an open-road follower covers at most _STEPS steps, and the
+# ring's modes and the acceleration record (all columns at once) go
+# _BLOCK samples at a time.
+_STEPS = 1024
+_BLOCK = 256
+
+
+def _step_maps(A, h, n_inputs: int = 4) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact step maps of z' = A z + e2 u(t) for a polynomial input u.
+
+    Returns Phi = e^{A h}, shaped (..., 2, 2), and Psi, shaped
+    (..., n_inputs, 2), with Psi[..., m, :] = int_0^h e^{A (h - s)} e2 s^m ds.
+    For an input u(t0 + s) = sum_m c_m s^m of degree below n_inputs,
+
+        z(t0 + h) = Phi z(t0) + sum_m c_m Psi[..., m, :]
+
+    exactly.  Both come from one Van Loan block exponential (IEEE TAC
+    1978) of [[A, e2 0], [0, N]] h, N the nilpotent shift on the input's
+    derivatives, evaluated by a Taylor series with scaling and squaring.
+    A may be real or complex and is batched over its leading axes, h
+    broadcasting against them.  Every h >= 0 and every A are valid: a
+    singular A (k_s = 0), a defective one and complex ring modes need no
+    special case.  Each batch element is scaled and squared on its own.
+    """
+    A = np.asarray(A)
+    h = np.asarray(h, dtype=float)
+    n = 2 + n_inputs
+    M = np.zeros(np.broadcast_shapes(A.shape[:-2], h.shape) + (n, n), dtype=np.result_type(A, h))
+    M[..., :2, :2] = A * h[..., None, None]
+    M[..., np.arange(1, n - 1), np.arange(2, n)] = h[..., None]
+    norm = np.abs(M).sum(axis=-2).max(axis=-1)
+    squarings = np.ceil(np.log2(np.maximum(norm / _TAYLOR_NORM, 1.0))).astype(int)
+    M = M / (2.0 ** squarings)[..., None, None]
+    eye = np.eye(n)
+    E = eye + M / _TAYLOR_DEGREE
+    for j in range(_TAYLOR_DEGREE - 1, 0, -1):
+        E = eye + _matmul(M, E) / j
+    for i in range(int(squarings.max(initial=0))):
+        E = np.where((squarings > i)[..., None, None], _matmul(E, E), E)
+    # column 2 + m of the exponential holds Psi_m / m!
+    factorials = np.cumprod(np.r_[1.0, np.arange(1.0, n_inputs)])[:n_inputs]
+    return E[..., :2, :2], np.swapaxes(E[..., :2, 2:], -1, -2) * factorials[:, None]
+
+
+def _mul2(a, b) -> np.ndarray:
+    """2x2 matrix a times a 2x2 matrix or a 2-vector b, elementwise over
+    the axes their entries carry (a stack of modes, a block of steps)."""
+    return np.array([a[0][0] * b[0] + a[0][1] * b[1], a[1][0] * b[0] + a[1][1] * b[1]])
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked matrix product in numpy's own loops: these matrices are tiny,
+    and the first BLAS call would cost more memory than all of them."""
+    return np.einsum("...ij,...jk->...ik", a, b)
+
+
+def _follower_matrix(p: ControlParams) -> np.ndarray:
+    """Engaged follower dynamics: x' = v, v' = -k_s x - (k_s tau + k_v) v + input."""
+    return np.array([[0.0, 1.0], [-p.k_s, -(p.k_s * p.tau + p.k_v)]])
+
+
+def _doubling_scan(Phi, x: np.ndarray, v: np.ndarray) -> None:
+    """Solve z_k = Phi z_{k-1} + u_k for every k at once, in place.
+
+    On entry (x, v)[0] is z_0 and (x, v)[k] is u_k; on exit (x, v)[k] is
+    z_k = sum_{j <= k} Phi^(k-j) u_j.  Hillis-Steele doubling: pass d adds
+    Phi^d times the entries d back, then squares Phi^d, so ceil(log2 n)
+    passes cover n samples.
+    """
+    (p00, p01), (p10, p11) = Phi  # Python floats: far cheaper per pass than numpy scalars
+    d = 1
+    while d < len(x):
+        dx = p00 * x[:-d] + p01 * v[:-d]
+        dv = p10 * x[:-d] + p11 * v[:-d]
+        x[d:] += dx
+        v[d:] += dv
+        p00, p01, p10, p11 = (p00 * p00 + p01 * p10, p00 * p01 + p01 * p11,
+                              p10 * p00 + p11 * p10, p10 * p01 + p11 * p11)
+        d *= 2
+
+
+def _hermite(xl: np.ndarray, vl: np.ndarray, h: float):
+    """Cubic Hermite of the lead's (x, v) samples on each step.
+
+    x_lead(t_k + s) = x_k + v_k s + c2_k s^2 + c3_k s^3 for s in [0, h];
+    returns (x_k, v_k, c2_k, c3_k) for the len(xl) - 1 steps.
+    """
+    x0, v0, v1 = xl[:-1], vl[:-1], vl[1:]
+    slope = (xl[1:] - x0) / h
+    return x0, v0, (3.0 * slope - 2.0 * v0 - v1) / h, (v0 + v1 - 2.0 * slope) / (h * h)
+
+
+def _input(herm, p: ControlParams):
+    """Cubic coefficients of the engaged input k_s (x_lead - L) + k_v v_lead on each step."""
+    x0, v0, c2, c3 = herm
+    return (p.k_s * (x0 - p.L) + p.k_v * v0, p.k_s * v0 + 2.0 * p.k_v * c2,
+            p.k_s * c2 + 3.0 * p.k_v * c3, p.k_s * c3)
+
+
+def _first_root(q: Sequence[float], h: float) -> float:
+    """First s in (0, h] where q0 + q1 s + q2 s^2 + q3 s^3 comes down to 0 (q0 > 0).
+
+    The cubic's critical points split [0, h] into monotone pieces; the
+    first piece ending at or below 0 holds the root, found by bisection.
+    """
+    def val(s):
+        return q[0] + s * (q[1] + s * (q[2] + s * q[3]))
+
+    # critical points: the roots r/a and c/r of a s^2 + b s + c, in the
+    # form that keeps both accurate (and a linear or constant derivative)
+    a, b, c = 3.0 * q[3], 2.0 * q[2], q[1]
+    disc = b * b - 4.0 * a * c
+    crit = []
+    if disc >= 0.0:
+        r = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        crit = [x / y for x, y in ((r, a), (c, r)) if y]
+    lo = 0.0
+    for hi in sorted(s for s in crit if 0.0 < s < h) + [h]:
+        if val(hi) <= 0.0:
+            break
+        lo = hi
+    else:  # round-off left the end sample's gap just above the root level
+        return h
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if val(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+# ---------------------------------------------------------------------------
+# Platoon propagation
 # ---------------------------------------------------------------------------
 
 def simulate_platoon(scenario: Scenario) -> PlatoonResult:
-    """Integrate a platoon scenario and return per-vehicle trajectories.
+    """Propagate a platoon scenario exactly and return per-vehicle trajectories.
 
     Open topology: vehicle 0 is the formula-driven leader; followers run
     the ACC law whenever their local state is congested (spacing at or
     below s_c, or speed off v_f) and cruise otherwise.  Ring topology:
     every vehicle follows its predecessor with wrap-around gaps on a
-    ring of length sum(tau*v_i(0) + L).
+    ring of length sum(tau*v_i(0) + L); the ring must stay engaged
+    (ValueError otherwise).
 
     A scenario with a tuple of parameter sets runs them as one batch;
     the result lists each run's trajectories in turn (`PlatoonResult.run`).
@@ -402,8 +566,6 @@ def simulate_platoon(scenario: Scenario) -> PlatoonResult:
     """
     sc = scenario
     runs = sc.run_params
-    # one run keeps scalar parameters, which the ACC law evaluates faster
-    P = runs[0] if len(runs) == 1 else ControlParams.columns(runs)
     n_steps = int(round(sc.duration / sc.dt))
     times = np.arange(n_steps + 1) * sc.dt
     if sc.topology == "ring":
@@ -412,7 +574,8 @@ def simulate_platoon(scenario: Scenario) -> PlatoonResult:
         L_x, x0 = ring_setup(n, runs[0], init_v)
         X, V, A = (np.empty((1, n + 1, n_steps + 1)) for _ in range(3))
         X[0, 1:, 0], V[0, 1:, 0] = x0, init_v
-        _integrate(sc, P, times, X, V, A, ring_length=L_x)
+        _propagate_ring(runs[0], sc.dt, times, X, V, L_x)
+        _record_accelerations(sc, times, X, V, A, np.zeros(n + 1, dtype=int), ring=True)
         trajs = [
             Trajectory(vehicle_id=i, t=times, x=X[0, i + 1], v=V[0, i + 1], a=A[0, i + 1], dt=sc.dt)
             for i in range(n)
@@ -425,8 +588,10 @@ def simulate_platoon(scenario: Scenario) -> PlatoonResult:
         init_v = np.full(n_f, _leader_initial_speed(sc.leader))
     else:
         init_v = np.broadcast_to(np.asarray(sc.initial_speeds, dtype=float), (n_f,))
-    gaps = P.tau * init_v + P.L if sc.initial_gaps is None else np.asarray(sc.initial_gaps, dtype=float)
-    init_gaps = np.broadcast_to(gaps, (len(runs), n_f))
+    if sc.initial_gaps is None:
+        init_gaps = np.array([p.tau * init_v + p.L for p in runs])
+    else:
+        init_gaps = np.broadcast_to(np.asarray(sc.initial_gaps, dtype=float), (len(runs), n_f))
 
     # Vehicle i < n_f is follower i; vehicle n_f + j is cut-in j in time
     # order.  Columns hold the leader, then every vehicle in its final
@@ -442,16 +607,21 @@ def simulate_platoon(scenario: Scenario) -> PlatoonResult:
         order.insert(c.ahead_of - 1, n_f + j)
     column = np.argsort(order) + 1
     born = [0] * n_f + cut_steps
+    born_col = np.zeros(len(order) + 1, dtype=int)
+    born_col[column] = born
 
     X, V, A = (np.empty((len(runs), len(order) + 1, n_steps + 1)) for _ in range(3))
-    X[:, 1:, 0] = V[:, 1:, 0] = np.nan
+    X[:, 0], V[:, 0] = lx, lv
+    for c, b in zip(column[n_f:], cut_steps):
+        X[:, c, :b] = V[:, c, :b] = np.nan
     x = lx[0] - init_gaps[:, 0]
     for i in range(n_f):
         if i:
             x = x - init_gaps[:, i]
         X[:, column[i], 0], V[:, column[i], 0] = x, init_v[i]
     merges = [(k, column[n_f + j], c.gap) for j, (c, k) in enumerate(zip(cut_ins, cut_steps))]
-    _integrate(sc, P, times, X, V, A, leader=(lx, lv), cut_ins=merges)
+    _propagate_open(sc, times, X, V, merges)
+    _record_accelerations(sc, times, X, V, A, born_col)
 
     trajs: List[Trajectory] = []
     for r in range(len(runs)):
@@ -465,75 +635,199 @@ def simulate_platoon(scenario: Scenario) -> PlatoonResult:
     return PlatoonResult(trajectories=trajs, runs=len(runs))
 
 
-def _integrate(
+def _propagate_open(
     sc: Scenario,
-    P: ControlParams,
+    times: np.ndarray,
+    X: np.ndarray,
+    V: np.ndarray,
+    merges: Sequence[Tuple[int, int, float]],
+) -> None:
+    """Fill the open road's (run, column, step) x and v histories from step 0.
+
+    Column 0 holds the leader.  Between merge steps every merged column
+    follows a fixed lead, the nearest merged column ahead of it, so the
+    columns are propagated front to rear, each against its lead's
+    finished samples.  `merges` lists (step, column, gap) in merge order:
+    at its step the column is placed `gap` behind the column ahead, at the
+    speed of the column behind, and joins the next segment.
+    """
+    n_steps = len(times) - 1
+    laws = [_Law.of(p, sc.dt, sc.eps_v) for p in sc.run_params]
+    merged = np.ones(X.shape[1], dtype=bool)
+    merged[[c for _, c, _ in merges]] = False
+    pending = list(merges)
+    k_a = 0
+    while k_a < n_steps:
+        while pending and pending[0][0] == k_a:
+            _, c, gap = pending.pop(0)
+            behind = c + 1 + int(np.argmax(merged[c + 1:]))
+            X[:, c, k_a] = X[:, _lead_columns(merged)[c - 1], k_a] - gap
+            V[:, c, k_a] = V[:, behind, k_a]
+            merged[c] = True
+        k_b = pending[0][0] if pending else n_steps
+        lead = _lead_columns(merged)
+        for r, law in enumerate(laws):
+            for c in np.flatnonzero(merged[1:]) + 1:
+                _follow(X[r, c], V[r, c], X[r, lead[c - 1]], V[r, lead[c - 1]], k_a, k_b, law)
+        k_a = k_b
+
+
+class _Law(NamedTuple):
+    """One run's follower law: parameters, step, cruise band and exact step maps."""
+
+    p: ControlParams
+    h: float
+    eps_v: float
+    Phi: list
+    Psi: list
+
+    @classmethod
+    def of(cls, p: ControlParams, h: float, eps_v: float) -> "_Law":
+        Phi, Psi = _step_maps(_follower_matrix(p), h)
+        return cls(p, h, eps_v, Phi.tolist(), Psi.tolist())
+
+
+def _follow(x, v, xl, vl, k: int, k_end: int, law: _Law) -> None:
+    """Propagate one follower from sample k to k_end behind the lead samples (xl, vl).
+
+    Stretches alternate as `model.engaged` decides on the samples.  An
+    engaged stretch takes the exact step map under the lead's cubic
+    Hermite, a block of steps per doubling scan, and ends at the first
+    sample that is no longer engaged: the follower cruises from there.
+    A cruise keeps its speed; it ends at the first sample the rule
+    engages, and the follower switches at the root of gap = s_c inside
+    the step before it (`_enter`).
+    """
+    while k < k_end:
+        if not engaged(xl[k] - x[k], v[k], law.p, law.eps_v):
+            k = _cruise(x, v, xl, vl, k, k_end, law)
+            continue
+        stop = min(k + _STEPS, k_end)
+        f = _input(_hermite(xl[k:stop + 1], vl[k:stop + 1], law.h), law.p)
+        x[k + 1:stop + 1] = sum(psi[0] * fm for psi, fm in zip(law.Psi, f))
+        v[k + 1:stop + 1] = sum(psi[1] * fm for psi, fm in zip(law.Psi, f))
+        _doubling_scan(law.Phi, x[k:stop + 1], v[k:stop + 1])
+        off = np.flatnonzero(~engaged(xl[k + 1:stop] - x[k + 1:stop], v[k + 1:stop], law.p, law.eps_v))
+        k = k + 1 + int(off[0]) if off.size else stop
+
+
+def _cruise(x, v, xl, vl, k: int, k_end: int, law: _Law) -> int:
+    """Cruise from sample k: x = x_k + v_k (t - t_k), a = 0.
+
+    Stops at the first sample the rule engages, entering the engaged
+    regime inside the step before it; returns that sample (k_end if the
+    follower cruises to the end).
+    """
+    x0, v0 = float(x[k]), float(v[k])
+    for j in range(k + 1, k_end + 1, _STEPS):
+        stop = min(j + _STEPS, k_end + 1)
+        xs = x0 + v0 * (np.arange(j - k, stop - k) * law.h)
+        on = np.flatnonzero(engaged(xl[j:stop] - xs, v0, law.p, law.eps_v))
+        m = j + int(on[0]) if on.size else stop
+        x[j:m], v[j:m] = xs[:m - j], v0
+        if on.size:
+            _enter(x, v, xl, vl, m, law.h, law.p)
+            return m
+    return k_end
+
+
+def _enter(x, v, xl, vl, m: int, h: float, p: ControlParams) -> None:
+    """Switch from cruise to engaged inside step m-1 -> m and set sample m.
+
+    The switch is the first root s* of gap = s_c, with the lead's cubic
+    Hermite against the follower's linear cruise; from there the exact
+    partial step map over h - s* takes the follower to sample m.
+    """
+    x0, v0 = float(x[m - 1]), float(v[m - 1])
+    herm = [float(c[0]) for c in _hermite(xl[m - 1:m + 1], vl[m - 1:m + 1], h)]
+    s = _first_root((herm[0] - x0 - p.s_c, herm[1] - v0, herm[2], herm[3]), h)
+    f0, f1, f2, f3 = _input(herm, p)
+    # the input cubic re-expanded about s*
+    shifted = (f0 + s * (f1 + s * (f2 + s * f3)), f1 + s * (2.0 * f2 + 3.0 * f3 * s), f2 + 3.0 * f3 * s, f3)
+    Phi, Psi = _step_maps(_follower_matrix(p), h - s)
+    x[m], v[m] = Phi[:, 0] * (x0 + v0 * s) + Phi[:, 1] * v0 + sum(c * psi for c, psi in zip(shifted, Psi))
+
+
+def _propagate_ring(p: ControlParams, h: float, times: np.ndarray, X: np.ndarray, V: np.ndarray,
+                    L_x: float) -> None:
+    """Fill a ring's histories from its step 0, with no loop over steps.
+
+    About the uniform equilibrium (spacing L_x/n, speed (L_x/n - L)/tau)
+    the engaged ring is linear and circulant, so a DFT over vehicles
+    splits it into independent complex 2x2 modes z_m' = M_m z_m.  Their
+    one-step maps are raised to every power in a block by doubling, and
+    each time block is transformed back straight into the histories.
+    Column 0 is the lead of column 1: the last vehicle one ring length
+    ahead.
+    """
+    n = X.shape[1] - 1
+    s_bar = L_x / n
+    v_bar = p.equilibrium_speed(s_bar)
+    x_ref = -s_bar * np.arange(n)
+    z = np.fft.rfft([X[0, 1:, 0] - x_ref, V[0, 1:, 0] - v_bar])  # (x, v) of modes 0..n/2
+    shift = np.exp(-2j * np.pi * np.arange(z.shape[1]) / n) - 1.0  # the vehicle ahead, per mode
+    M = np.zeros((z.shape[1], 2, 2), dtype=complex)
+    M[:, 0, 1] = 1.0
+    M[:, 1, 0] = p.k_s * shift
+    M[:, 1, 1] = p.k_v * shift - p.k_s * p.tau
+    powers = np.empty((2, 2, z.shape[1], _BLOCK), dtype=complex)  # [..., j] = Phi^(j+1)
+    powers[..., 0] = np.moveaxis(_step_maps(M, h, 0)[0], 0, -1)
+    d = 1
+    while d < _BLOCK:
+        e = min(2 * d, _BLOCK)
+        powers[..., d:e] = _mul2(powers[..., d - 1:d], powers[..., :e - d])
+        d *= 2
+    for k0 in range(1, len(times), _BLOCK):
+        k1 = min(k0 + _BLOCK, len(times))
+        zb = _mul2(powers[..., :k1 - k0], z[:, :, None])
+        X[0, 1:, k0:k1] = np.fft.irfft(zb[0], n, axis=0) + x_ref[:, None] + v_bar * times[k0:k1]
+        V[0, 1:, k0:k1] = np.fft.irfft(zb[1], n, axis=0) + v_bar
+        z = zb[..., -1]
+    X[0, 0], V[0, 0] = X[0, n] + L_x, V[0, n]
+
+
+def _record_accelerations(
+    sc: Scenario,
     times: np.ndarray,
     X: np.ndarray,
     V: np.ndarray,
     A: np.ndarray,
-    leader: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    ring_length: Optional[float] = None,
-    cut_ins: Sequence[Tuple[int, int, float]] = (),
+    born: np.ndarray,
+    ring: bool = False,
 ) -> None:
-    """The one stepping loop: fill the (run, column, step) histories.
+    """Fill A with the ACC command on the sampled states, block by block in time.
 
-    The state is a (run, column) array of x and of v, started from the
-    histories' step 0.  Columns 1.. are driven by the ACC law, in platoon
-    order; each follows the nearest merged column ahead of it.  Column 0
-    leads column 1: the open road's `leader` (x, v at each step), or on a
-    ring the last column one ring length ahead (the lead wraps around
-    with an offset of +L_x).  `cut_ins` lists (step, column, gap) in
-    merge order: the column holds NaN until that step, which makes its
-    spacing NaN, so it cruises (zero command), stays NaN and trips no
-    collision.  At its step it is placed `gap` behind the column ahead,
-    at the speed of the column behind.
+    Column c is merged from step born[c] on and follows the nearest
+    merged column ahead.  Raises CollisionError at the first sample with
+    a spacing <= 0, naming the first run with one there and its first
+    follower; on a ring, a sample outside the engaged set raises
+    ValueError, as the ring's modes hold only while it is engaged.
     """
-    dt, eps_v = sc.dt, sc.eps_v
-    merged = np.ones(X.shape[1], dtype=bool)
-    merged[[c for _, c, _ in cut_ins]] = False
-    lead = _lead_columns(merged)
-    pending = list(cut_ins)
-    x, v = X[:, :, 0].copy(), V[:, :, 0].copy()
-    x_drv, v_drv = x[:, 1:], v[:, 1:]
-
-    def set_lead_column(k: int) -> None:
-        if leader is not None:
-            x[:, 0], v[:, 0] = leader[0][k], leader[1][k]
-        else:
-            x[:, 0], v[:, 0] = x[:, -1] + ring_length, v[:, -1]
-
-    set_lead_column(0)
-    n_steps = len(times) - 1
-    for k in range(n_steps + 1):
-        X[:, :, k], V[:, :, k] = x, v
-        gaps = x[:, lead] - x_drv
-        try:
-            acc = acc_acceleration(gaps, v_drv, v[:, lead], P, eps_v)
-        except ValueError:  # raised for a non-positive spacing
-            r, j = divmod(int(np.argmax(gaps <= 0)), gaps.shape[1])
-            raise CollisionError(times[k], int(np.count_nonzero(merged[1:j + 1])), r) from None
-        A[:, 1:, k] = acc
-        if k == n_steps:
-            break
-        v_drv += dt * acc
-        x_drv += dt * v_drv
-        set_lead_column(k + 1)
-        while pending and pending[0][0] == k + 1:
-            _, c, gap = pending.pop(0)
-            behind = c + 1 + int(np.argmax(merged[c + 1:]))
-            x[:, c], v[:, c] = x[:, lead[c - 1]] - gap, v[:, behind]
-            merged[c] = True
-            lead = _lead_columns(merged)
+    bounds = sorted(set(born[born > 0].tolist()) | {0, len(times)})
+    for k_a, k_e in zip(bounds, bounds[1:]):
+        merged = born <= k_a
+        lead = _lead_columns(merged)
+        for k0 in range(k_a, k_e, _BLOCK):
+            k1 = min(k0 + _BLOCK, k_e)
+            x, v = X[:, :, k0:k1], V[:, :, k0:k1]
+            gaps = x[:, lead] - x[:, 1:]
+            bad = gaps <= 0
+            if ring:
+                bad |= ~engaged(gaps, v[:, 1:], sc.run_params[0], sc.eps_v)
+            if bad.any():
+                k = int(np.argmax(bad.any(axis=(0, 1))))
+                r, j = divmod(int(np.argmax(bad[:, :, k])), bad.shape[1])
+                if gaps[r, j, k] > 0:
+                    raise ValueError(
+                        f"ring vehicle {j} leaves the engaged set at t={times[k0 + k]:.3f} s; "
+                        "the exact ring propagator needs every vehicle engaged")
+                raise CollisionError(times[k0 + k], int(np.count_nonzero(merged[1:j + 1])), r)
+            for r, p in enumerate(sc.run_params):
+                A[r, 1:, k0:k1] = acc_acceleration(gaps[r], v[r, 1:], v[r, lead], p, sc.eps_v)
 
 
-def _lead_columns(merged: np.ndarray):
-    """Column ahead of each driven column: the nearest merged one.
-
-    A slice once every column has merged (a view, cheaper than a gather).
-    """
-    if merged.all():
-        return slice(0, merged.size - 1)
+def _lead_columns(merged: np.ndarray) -> np.ndarray:
+    """Column ahead of each driven column: the nearest merged one."""
     return np.maximum.accumulate(np.where(merged, np.arange(merged.size), 0))[:-1]
 
 
@@ -594,23 +888,6 @@ class PiecewiseConstantAccel:
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ValueError("breakpoints must be strictly increasing")
 
-    def integral(self, t0: float, t1: float) -> float:
-        """Integral of a(t) over [t0, t1]."""
-        if t1 < t0:
-            raise ValueError("t1 must be >= t0")
-        total = 0.0
-        for (a, b), val in self._segments():
-            lo, hi = max(a, t0), min(b, t1)
-            if hi > lo:
-                total += val * (hi - lo)
-        return total
-
-    def _segments(self):
-        for j, val in enumerate(self.values):
-            a = self.times[j]
-            b = self.times[j + 1] if j + 1 < len(self.times) else math.inf
-            yield (a, b), val
-
 
 AccelProfile = Union[None, PiecewiseConstantAccel, Tuple[np.ndarray, np.ndarray]]
 
@@ -623,29 +900,21 @@ def pair_dynamics_matrix(params: ControlParams) -> np.ndarray:
     )
 
 
-def _expm2(A: np.ndarray, t: float) -> np.ndarray:
-    """exp(A t) for a real 2x2 matrix, in closed form.
+def _linear_pieces(a_lead: AccelProfile, t0: float, t: float):
+    """The leader acceleration on [t0, t] as linear pieces (lo, hi, a(lo), slope).
 
-    Split A = mu*I + B with B traceless; then B^2 = Delta^2 * I with
-    Delta^2 = mu^2 - det(A), and exp(At) = e^{mu t}(cosh(Delta t) I +
-    sinh(Delta t)/Delta * B), with the sinh/Delta factor continued as
-    (sin/|Delta|) for complex Delta and as t at the defective point.
+    A piecewise-constant profile gives flat pieces; a sampled (times,
+    values) profile is linear between its samples, clipped to [t0, t].
     """
-    mu = 0.5 * (A[0, 0] + A[1, 1])
-    B = A - mu * np.eye(2)
-    disc = mu * mu - (A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
-    if abs(disc) < 1e-20:
-        ch, sh_over = 1.0, t
-    elif disc > 0:
-        d = math.sqrt(disc)
-        ch, sh_over = math.cosh(d * t), math.sinh(d * t) / d
-    else:
-        d = math.sqrt(-disc)
-        ch, sh_over = math.cos(d * t), (math.sin(d * t) / d if d > 0 else t)
-    return math.exp(mu * t) * (ch * np.eye(2) + sh_over * B)
-
-
-_D_VEC = np.array([0.0, 1.0])
+    if isinstance(a_lead, PiecewiseConstantAccel):
+        knots = np.array(a_lead.times + (math.inf,))
+        lo, hi = np.maximum(knots[:-1], t0), np.minimum(knots[1:], t)
+        keep = hi > lo
+        return lo[keep], hi[keep], np.array(a_lead.values)[keep], np.zeros(np.count_nonzero(keep))
+    ts, vals = (np.asarray(arr, dtype=float) for arr in a_lead)
+    knots = np.concatenate(([t0], ts[(ts > t0) & (ts < t)], [t]))
+    a = np.interp(knots, ts, vals)
+    return knots[:-1], knots[1:], a[:-1], np.diff(a) / np.diff(knots)
 
 
 def pair_state_analytic(
@@ -655,61 +924,24 @@ def pair_state_analytic(
     t: float,
     params: ControlParams,
 ) -> PairErrorState:
-    """Exact pair error state z(t) = e^{A(t-t0)} z0 + convolution term.
+    """Exact pair error state z(t) = e^{A(t-t0)} z0 + forcing term.
 
-    The forcing convolution is evaluated segment-analytically for
-    piecewise-constant leader acceleration (using A^{-1}(e^{A dt_a} -
-    e^{A dt_b}) D per segment) and by trapezoidal quadrature for sampled
-    (t_array, a_array) profiles.  a_lead=None means zero forcing.
+    The leader acceleration is piecewise constant, or for a sampled
+    (t_array, a_array) profile linear between samples; each piece [lo, hi]
+    contributes e^{A (t - hi)} (Psi_0 a(lo) + Psi_1 slope), exactly, from
+    `_step_maps`.  a_lead=None means zero forcing.
     """
     if t < t0:
         raise ValueError("t must be >= t0")
     A = pair_dynamics_matrix(params)
-    z = _expm2(A, t - t0) @ z0.as_array()
-    if a_lead is None or t == t0:
-        return PairErrorState(*(z.tolist()))
-    if isinstance(a_lead, PiecewiseConstantAccel):
-        det = params.k_s
-        if det < 1e-12:
-            z = z + _convolve_sampled(A, a_lead, t0, t)
-        else:
-            Ainv = np.linalg.inv(A)
-            for (a, b), val in a_lead._segments():
-                lo, hi = max(a, t0), min(b, t)
-                if hi > lo and val != 0.0:
-                    inc = Ainv @ (_expm2(A, t - lo) - _expm2(A, t - hi)) @ _D_VEC
-                    z = z + val * inc
-    else:
-        ts, vals = a_lead
-        z = z + _trapezoid_convolution(A, np.asarray(ts, float), np.asarray(vals, float), t0, t)
+    z = _step_maps(A, t - t0, 0)[0] @ z0.as_array()
+    if a_lead is not None and t > t0:
+        lo, hi, a, slope = _linear_pieces(a_lead, t0, t)
+        tail, _ = _step_maps(A, t - hi, 0)
+        _, Psi = _step_maps(A, hi - lo, 2)
+        inc = Psi[:, 0] * a[:, None] + Psi[:, 1] * slope[:, None]
+        z = z + np.einsum("nij,nj->i", tail, inc)
     return PairErrorState(*(z.tolist()))
-
-
-def _trapezoid_convolution(A: np.ndarray, ts: np.ndarray, vals: np.ndarray, t0: float, t: float) -> np.ndarray:
-    mask = (ts >= t0) & (ts <= t)
-    tt = ts[mask]
-    aa = vals[mask]
-    if tt.size == 0 or tt[0] > t0:
-        tt = np.concatenate(([t0], tt))
-        aa = np.concatenate(([np.interp(t0, ts, vals)], aa))
-    if tt[-1] < t:
-        tt = np.append(tt, t)
-        aa = np.append(aa, np.interp(t, ts, vals))
-    integrand = np.empty((tt.size, 2))
-    for i, phi in enumerate(tt):
-        integrand[i] = _expm2(A, t - phi) @ _D_VEC * aa[i]
-    return np.array(
-        [np.trapezoid(integrand[:, 0], tt), np.trapezoid(integrand[:, 1], tt)]
-    )
-
-
-def _convolve_sampled(A: np.ndarray, prof: PiecewiseConstantAccel, t0: float, t: float, n: int = 2000) -> np.ndarray:
-    tt = np.linspace(t0, t, n + 1)
-    vals = np.empty_like(tt)
-    for i, phi in enumerate(tt):
-        j = np.searchsorted(prof.times, phi, side="right") - 1
-        vals[i] = prof.values[max(j, 0)] if phi >= prof.times[0] else 0.0
-    return _trapezoid_convolution(A, tt, vals, t0, t)
 
 
 def spacing_analytic(
@@ -727,15 +959,10 @@ def spacing_analytic(
     history.
     """
     z = pair_state_analytic(z0, a_lead, t0, t, params)
-    if a_lead is None:
-        inc = 0.0
-    elif isinstance(a_lead, PiecewiseConstantAccel):
-        inc = a_lead.integral(t0, t)
-    else:
-        ts, vals = a_lead
-        tt = np.asarray(ts, float)
-        mask = (tt >= t0) & (tt <= t)
-        inc = float(np.trapezoid(np.asarray(vals, float)[mask], tt[mask])) if mask.sum() >= 2 else 0.0
+    inc = 0.0
+    if a_lead is not None and t > t0:
+        lo, hi, a, slope = _linear_pieces(a_lead, t0, t)
+        inc = float(np.sum((hi - lo) * (a + 0.5 * slope * (hi - lo))))
     v_lead = v_lead0 + inc
     return z.e_s - params.tau * z.e_v + params.tau * v_lead + params.L
 

@@ -19,9 +19,9 @@ elementwise (broadcasting follows numpy rules).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence, Tuple, Union
+from typing import Callable, Tuple, Union
 
 import numpy as np
 
@@ -55,11 +55,6 @@ class ControlParams:
         k_s: spacing gain [1/s^2].
         k_v: speed-difference gain [1/s].
         v_f: free-flow (cruise) speed [m/s].
-
-    The fields are floats.  `columns` stacks several parameter sets into
-    one instance whose fields are (n_runs, 1) arrays, which the functions
-    below broadcast against (n_runs, n_vehicles) state; such an instance
-    is neither hashable nor comparable with ==.
     """
 
     tau: float = 1.2
@@ -71,19 +66,14 @@ class ControlParams:
     def __post_init__(self) -> None:
         if not np.all(np.isfinite((self.tau, self.L, self.k_s, self.k_v, self.v_f))):
             raise ValueError(f"parameters must be finite, got {self}")
-        if np.any(np.asarray(self.tau) <= 0):
+        if self.tau <= 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
-        if np.any(np.asarray(self.L) <= 0):
+        if self.L <= 0:
             raise ValueError(f"L must be positive, got {self.L}")
-        if np.any(np.asarray(self.v_f) <= 0):
+        if self.v_f <= 0:
             raise ValueError(f"v_f must be positive, got {self.v_f}")
-        if np.any(np.asarray(self.k_s) < 0) or np.any(np.asarray(self.k_v) < 0):
+        if self.k_s < 0 or self.k_v < 0:
             raise ValueError("gains k_s, k_v must be non-negative")
-
-    @classmethod
-    def columns(cls, runs: Sequence["ControlParams"]) -> "ControlParams":
-        """One instance whose fields are (len(runs), 1) column vectors, one row per run."""
-        return cls(*(np.array([getattr(p, f.name) for p in runs])[:, None] for f in fields(cls)))
 
     @property
     def s_c(self) -> float:

@@ -13,7 +13,7 @@ last.  The per-cell terms (flow, a and the wave bound max(|v|, |a|)) are
 computed once on it, and every interface term is a pair of shifted
 slices of those columns, so the periodic wrap costs two column copies
 and no rolled copies.  The Rusanov flux, the wave bound and a are each
-written once, on arrays; the public per-state helpers call the same code.
+written once, on arrays.
 
 Also provides the piecewise-constant mapping from ring trajectories to
 Eulerian (rho, v) fields: each vehicle owns the stretch of road from its
@@ -30,16 +30,13 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import ControlParams, TrafficState
+from .model import ControlParams
 from .microsim import Trajectory
 
 __all__ = [
     "Grid",
     "EulerianField",
     "PositivityError",
-    "local_wave_bound",
-    "rusanov_flux",
-    "advection_speed",
     "step",
     "solve",
     "micro_to_eulerian",
@@ -55,7 +52,6 @@ class Grid:
 
     L_x: float
     n_x: int
-    periodic: bool = True
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.L_x) and self.L_x > 0):
@@ -64,8 +60,6 @@ class Grid:
             raise ValueError(f"cell count must be an integer, got {self.n_x!r}")
         if self.n_x < 4:
             raise ValueError("need at least 4 cells")
-        if not self.periodic:
-            raise ValueError("only periodic domains are supported")
 
     @property
     def dx(self) -> float:
@@ -132,30 +126,6 @@ def _rusanov(rho_l, q_l, bound_l, rho_r, q_r, bound_r):
     return alpha, 0.5 * (q_l + q_r) - 0.5 * alpha * (rho_r - rho_l)
 
 
-def _state_terms(state: TrafficState, params: ControlParams):
-    """(rho, q, bound) of a state, as `_rusanov` takes one side."""
-    bound = _cell_bound(state.v, _advection(state.rho, state.v, params))
-    return state.rho, state.q, bound
-
-
-def local_wave_bound(left: TrafficState, right: TrafficState, params: ControlParams):
-    """Largest characteristic speed magnitude over the two interface states.
-
-    Elementwise over states that hold arrays (one interface per element).
-    """
-    return _rusanov(*_state_terms(left, params), *_state_terms(right, params))[0]
-
-
-def rusanov_flux(left: TrafficState, right: TrafficState, params: ControlParams):
-    """Rusanov mass flux: central average minus local-wave-bound dissipation."""
-    return _rusanov(*_state_terms(left, params), *_state_terms(right, params))[1]
-
-
-def advection_speed(state: TrafficState, params: ControlParams):
-    """Convective speed of the v-equation, a = v - k_v/rho (= lambda2), elementwise."""
-    return _advection(state.rho, state.v, params)
-
-
 # ---------------------------------------------------------------------------
 # Time stepping
 # ---------------------------------------------------------------------------
@@ -173,8 +143,8 @@ def step(
 ) -> Tuple[np.ndarray, np.ndarray, float]:
     """One finite-volume step; returns (rho_new, v_new, dt_used).
 
-    Stages: CFL time step from the global wave bound (unless `dt` caps
-    it); conservative Rusanov mass update with periodic wrap; upwind
+    Stages: CFL time step from the global wave bound (unless `dt`, which
+    must be positive, caps it); conservative Rusanov mass update with periodic wrap; upwind
     convective update of v with interface speed a_{i+1/2} = (a_i +
     a_{i+1})/2 and donor cell chosen by its sign; relaxation source
     using the updated density.  Optional source callbacks (x, t) ->
@@ -189,6 +159,8 @@ def step(
     """
     if not 0.0 < cfl < 1.0:
         raise ValueError("cfl must lie in (0, 1)")
+    if dt is not None and not dt > 0:  # also refuses NaN
+        raise ValueError(f"dt cap must be positive, got {dt}")
     n, dx = grid.n_x, grid.dx
     cells = np.empty((2, n + 2))
     cells[0, 1:-1] = rho

@@ -55,7 +55,6 @@ __all__ = [
     "engagement_front",
     "engagement_path",
     "trace_phase_transition",
-    "LWR_BASELINE_SPEED",
 ]
 
 
@@ -129,9 +128,6 @@ class DegenerateJumpError(ValueError):
 def lwr_baseline_speed(params: ControlParams) -> float:
     """Slope dq/drho of the congested branch q = (1 - rho*L)/tau: -L/tau."""
     return -params.L / params.tau
-
-
-LWR_BASELINE_SPEED = lwr_baseline_speed(ControlParams())
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for CSV import/export, configs, draws, and the CLI front end."""
 
 import csv
+import math
 import os
 import re
 import tempfile
@@ -300,6 +301,41 @@ def test_config_round_trip(tmp_path):
 def test_unknown_config_key_rejected():
     with pytest.raises(ValueError, match="unknown config keys.*n_folowers"):
         config_from_dict({"n_folowers": 3})
+
+
+_INT_KEYS = ("case", "n_followers", "n_cells", "ring_vehicles", "fft_modes", "n_draws", "seed")
+_REAL_KEYS = ("dt", "duration", "origin_spacing", "baseline_speed", "tau", "L", "k_s", "k_v",
+              "v_f", "v_e", "cfl", "sample_every")
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=st.sampled_from(_INT_KEYS),
+       val=st.floats(allow_nan=True) | st.booleans() | st.text(max_size=3) | st.none())
+def test_config_refuses_a_non_integer_count_and_names_the_key(key, val):
+    with pytest.raises(ValueError, match=f"^{key} must be an integer, got "):
+        config_from_dict({key: val})
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=st.sampled_from(_REAL_KEYS), val=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_config_refuses_a_non_finite_real_and_names_the_key(key, val):
+    with pytest.raises(ValueError, match=f"^{key} must be finite, got "):
+        config_from_dict({key: val})
+
+
+def test_config_takes_integers_for_reals_and_none_where_optional():
+    cfg = config_from_dict({"duration": 30, "dt": None, "baseline_speed": None, "n_cells": 100})
+    assert (cfg.duration, cfg.dt, cfg.n_cells) == (30, None, 100)
+    with pytest.raises(ValueError, match="duration must be a number, got None"):
+        config_from_dict({"duration": None})
+
+
+def test_yaml_float_cell_count_fails_at_load_with_the_key(tmp_path):
+    path = tmp_path / "c.yaml"
+    path.write_text("n_cells: 200.0\n")
+    with pytest.raises(ValueError) as exc:
+        load_config(str(path))
+    assert str(exc.value) == f"{path}: n_cells must be an integer, got 200.0"
 
 
 def test_malformed_mode_rejected():

@@ -31,7 +31,7 @@ from accwave.microsim import (
     simulate_platoon,
     spacing_analytic,
 )
-from accwave.microsim import _leader_arrays, _leader_initial_speed
+from accwave.microsim import _leader_arrays, _leader_initial_speed, _step_maps
 from accwave.model import ControlParams, acc_acceleration
 from accwave.scenarios import case_scenario, ring_scenario
 from accwave.waves import follower_motion_closed_form
@@ -113,15 +113,17 @@ def test_equilibrium_platoon_is_a_fixed_point():
 
 
 def test_follower_converges_to_closed_form_steady_state():
+    # exact to the Hermite input: even at dt = 0.05 the samples past the
+    # transient match the closed form to 1e-5 m/s (the Euler loop: 5.5e-2)
     spec = OscillationSpec(v_e=10.0, modes=((20.0, OMEGA_1, 0.0),))
-    sc = Scenario(params=P, n_followers=4, leader=spec, duration=60.0, dt=0.002)
+    sc = Scenario(params=P, n_followers=4, leader=spec, duration=60.0, dt=0.05)
     res = simulate_platoon(sc)
-    t = np.arange(45.0, 57.5, 0.01)  # one period, past the transient
     for n in (1, 2, 3, 4):
-        _, v_exact = follower_motion_closed_form(n, spec, P, t)
-        v_sim = res.trajectories[n].speed_at(t)
-        rms = math.sqrt(float(np.mean((v_sim - v_exact) ** 2)))
-        assert rms < 0.01, f"follower {n} deviates rms={rms}"
+        tr = res.trajectories[n]
+        sel = (tr.t >= 45.0) & (tr.t <= 57.5)  # one period, past the transient
+        _, v_exact = follower_motion_closed_form(n, spec, P, tr.t[sel])
+        err = float(np.max(np.abs(tr.v[sel] - v_exact)))
+        assert err < 1e-5, f"follower {n} deviates by {err}"
 
 
 def test_trajectories_in_platoon_order_with_correct_ids():
@@ -295,12 +297,19 @@ def test_engagement_time_matches_analytic_root():
     sc = Scenario(params=P, n_followers=1, leader=prof, duration=12.0, dt=0.01,
                   initial_speeds=P.v_f, initial_gaps=g0)
     res = simulate_platoon(sc)
+    fol = res.trajectories[1]
+    t_star = math.sqrt(21.2)
+    # the follower cruises exactly up to the root and brakes from the step holding it
+    before = fol.t < t_star
+    assert np.array_equal(fol.a[before], np.zeros(np.count_nonzero(before)))
+    assert np.allclose(fol.x[before], fol.x[0] + P.v_f * fol.t[before], rtol=0, atol=1e-12)
+    assert np.all(fol.a[~before] < 0)
     events = detect_engagement(res.trajectories, P)
     assert len(events) == 1
-    t_star = events[0].t_star
-    # the root is exact for the gap interpolated linearly between samples;
-    # the chord of the concave gap errs by at most dt^2/(8 t*) = 2.7e-6 s
-    assert t_star == pytest.approx(math.sqrt(21.2), abs=3e-6)
+    # the detected root is exact for the gap interpolated linearly between
+    # samples; the gap's curvature is -b before t* and k_v*b*t* - b = 5.45
+    # m/s^2 after it, so the chord errs by at most 5.45 dt^2 / (8 b t*) = 1.5e-5 s
+    assert events[0].t_star == pytest.approx(t_star, abs=1.5e-5)
 
 
 def _bisection_root(t, y, level, tol=1e-15):
@@ -362,11 +371,12 @@ def test_trajectory_dt_must_match_sample_steps():
 
 
 # ---------------------------------------------------------------------------
-# The batched kernel against the per-run loops it replaced
+# The exact propagator against the Euler loops it replaced
 # ---------------------------------------------------------------------------
 
-# Oracles: the open-road and ring loops as they were before the single
-# batched kernel, kept verbatim (names aside).  One run, one parameter set.
+# Oracles: the semi-implicit Euler open-road and ring loops, kept verbatim
+# (names aside).  One run, one parameter set.  The exact propagator
+# converges to them at first order in dt, the loops' own error.
 
 def _oracle_open(sc: Scenario) -> PlatoonResult:
     p = sc.params
@@ -507,12 +517,28 @@ def _oracle_ring(sc: Scenario) -> PlatoonResult:
     return PlatoonResult(trajectories=trajs, ring_length=L_x)
 
 
-def _assert_bit_identical(got: List[Trajectory], want: List[Trajectory]) -> None:
+def _assert_same_vehicles(got: List[Trajectory], want: List[Trajectory]) -> None:
+    """Same vehicle order and ids, and the same sample times (so the same cut-in birth steps)."""
     assert [tr.vehicle_id for tr in got] == [tr.vehicle_id for tr in want]
     for g, w in zip(got, want):
-        for field in ("t", "x", "v", "a"):
-            a, b = getattr(g, field), getattr(w, field)
-            assert a.shape == b.shape and np.array_equal(a, b), (g.vehicle_id, field)
+        assert np.array_equal(g.t, w.t), g.vehicle_id
+
+
+def _max_dv(got: List[Trajectory], want: List[Trajectory], t_from: float = 0.0, step: int = 1) -> float:
+    """Largest speed difference on shared samples from t_from on; `want` may sample `step` times finer."""
+    return max(float(np.max(np.abs(g.v - w.v[::step])[g.t >= t_from])) for g, w in zip(got, want))
+
+
+def _loop_error_halves_with_dt(make, dts, t_from: float = 0.0) -> None:
+    """The Euler loop minus the exact propagator: first order, 1.8-2.2x smaller per halving of dt."""
+    errs = []
+    for dt in dts:
+        sc = make(dt)
+        got, want = simulate_platoon(sc).trajectories, _oracle_open(sc).trajectories
+        _assert_same_vehicles(got, want)
+        errs.append(_max_dv(got, want, t_from))
+    ratios = [e0 / e1 for e0, e1 in zip(errs, errs[1:])]
+    assert all(1.8 <= r <= 2.2 for r in ratios), (errs, ratios)
 
 
 BATCH = (
@@ -523,22 +549,47 @@ BATCH = (
 )
 
 
-def _batch_matches_oracle(sc: Scenario, oracle) -> None:
+def _batch_matches_single_runs(sc: Scenario) -> None:
+    """Each run of a batch is bit-identical to simulating that run alone."""
     res = simulate_platoon(dataclasses.replace(sc, params=BATCH))
     assert res.runs == len(BATCH)
     for r, p in enumerate(BATCH):
-        _assert_bit_identical(res.run(r), oracle(dataclasses.replace(sc, params=p)).trajectories)
+        alone = simulate_platoon(dataclasses.replace(sc, params=p)).trajectories
+        _assert_same_vehicles(res.run(r), alone)
+        for g, w in zip(res.run(r), alone):
+            for field in ("x", "v", "a"):
+                assert np.array_equal(getattr(g, field), getattr(w, field)), (r, g.vehicle_id, field)
 
 
 def test_batch_of_parameter_sets_matches_per_run_loop():
     spec = OscillationSpec(v_e=10.0, modes=((4.0, OMEGA_1, 0.3),))
-    _batch_matches_oracle(Scenario(params=P, n_followers=4, leader=spec, duration=30.0), _oracle_open)
+    sc = Scenario(params=P, n_followers=4, leader=spec, duration=30.0)
+    _batch_matches_single_runs(sc)
+    res = simulate_platoon(dataclasses.replace(sc, params=BATCH))
+    for r, p in enumerate(BATCH):
+        loop = _oracle_open(dataclasses.replace(sc, params=p)).trajectories
+        assert _max_dv(res.run(r), loop) < 0.1
+    # regime switches too: case 4's free-flow approach, in every run
+    _batch_matches_single_runs(case_scenario(4, duration=20.0))
 
 
 @pytest.mark.parametrize("case", [1, 2, 3, 4])
 def test_case_matches_per_run_loop(case):
-    sc = case_scenario(case)
-    _assert_bit_identical(simulate_platoon(sc).trajectories, _oracle_open(sc).trajectories)
+    # case 4 is compared once its four engagement transients have decayed:
+    # the loop engages at the first sample past the root, a delay whose
+    # share of dt varies from one dt to the next
+    _loop_error_halves_with_dt(lambda dt: case_scenario(case, dt=dt), (0.02, 0.01, 0.005),
+                               t_from=30.0 if case == 4 else 0.0)
+
+
+def test_exact_propagator_is_fourth_order():
+    # case 1 against a dt/16 self-reference: the error of the Hermite
+    # input falls about 16x per halving of dt (the Euler loop's: 2x)
+    ref = simulate_platoon(case_scenario(1, dt=0.0025)).trajectories
+    errs = [_max_dv(simulate_platoon(case_scenario(1, dt=dt)).trajectories, ref, step=round(dt / 0.0025))
+            for dt in (0.04, 0.02, 0.01)]
+    assert errs[0] < 1e-6
+    assert all(e0 / e1 >= 12.0 for e0, e1 in zip(errs, errs[1:])), errs
 
 
 def test_several_cut_ins_match_per_run_loop():
@@ -551,8 +602,8 @@ def test_several_cut_ins_match_per_run_loop():
     sc = Scenario(params=P, n_followers=4, leader=spec, duration=25.0, cut_ins=cuts)
     res = simulate_platoon(sc)
     assert [tr.vehicle_id for tr in res.trajectories] == [0, 8, 1, 2, 6, 7, 5, 3, 4]
-    _assert_bit_identical(res.trajectories, _oracle_open(sc).trajectories)
-    _batch_matches_oracle(sc, _oracle_open)
+    _loop_error_halves_with_dt(lambda dt: dataclasses.replace(sc, dt=dt), (0.02, 0.01, 0.005))
+    _batch_matches_single_runs(sc)
 
 
 @pytest.mark.parametrize("case", [1, 2, 3])
@@ -560,7 +611,128 @@ def test_ring_matches_per_run_loop(case):
     sc = ring_scenario(case)
     got, want = simulate_platoon(sc), _oracle_ring(sc)
     assert got.ring_length == want.ring_length
-    _assert_bit_identical(got.trajectories, want.trajectories)
+    _assert_same_vehicles(got.trajectories, want.trajectories)
+    assert _max_dv(got.trajectories, want.trajectories) < 1e-2  # the loop's O(dt) error
+    # no time loop and no step error: dt and dt/8 agree at the shared samples
+    fine = simulate_platoon(ring_scenario(case, dt=sc.dt / 8)).trajectories
+    for g, w in zip(got.trajectories, fine):
+        assert np.max(np.abs(g.x - w.x[::8])) < 1e-10
+        assert np.max(np.abs(g.v - w.v[::8])) < 1e-10
+
+
+def test_ring_that_leaves_the_engaged_set_is_refused():
+    # cruising just above v_f with gaps above s_c: the ring's modes do not apply
+    sc = Scenario(params=P, n_followers=6, leader=None, duration=5.0, topology="ring",
+                  initial_speeds=np.full(6, P.v_f + 0.1), eps_v=0.5)
+    with pytest.raises(ValueError, match="leaves the engaged set"):
+        simulate_platoon(sc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    tau=st.floats(0.8, 1.6), k_s=st.floats(0.4, 1.5), k_v=st.floats(0.6, 2.0),
+    brake=st.floats(0.5, 1.5), cruise=st.floats(0.0, 4.0),
+    margins=st.lists(st.floats(0.5, 10.0), min_size=3, max_size=3),
+)
+def test_engagement_inside_a_step_is_exact(tau, k_s, k_v, brake, cruise, margins):
+    # cruisers behind a braking leader engage between samples; the switch at
+    # the sub-step root keeps the fourth order, so dt and dt/2 agree closely
+    # (gains and braking within the calibrated range, where nobody collides)
+    p = ControlParams(tau=tau, L=5.0, k_s=k_s, k_v=k_v, v_f=15.0)
+    prof = LeaderProfile(v0=p.v_f, phases=(Cruise(cruise), ConstAccel(4.0, -brake), Cruise(None)))
+    gaps = tuple(p.s_c + m for m in margins)
+    sc = Scenario(params=p, n_followers=3, leader=prof, duration=20.0, dt=0.02,
+                  initial_speeds=p.v_f, initial_gaps=gaps)
+    coarse = simulate_platoon(sc).trajectories
+    fine = simulate_platoon(dataclasses.replace(sc, dt=0.01)).trajectories
+    assert np.any(coarse[1].a < 0)  # the leader's braking engages at least follower 1
+    assert _max_dv(coarse, fine, step=2) < 1e-6
+
+
+def test_follower_returns_to_cruise_as_the_loop_does():
+    # followers start engaged below v_f, settle into the cruise band (eps_v)
+    # with gaps above s_c and cruise; the leader's braking at 20 s re-engages them
+    prof = LeaderProfile(v0=P.v_f, phases=(Cruise(20.0), ConstAccel(4.0, -0.5), Cruise(None)))
+    sc = Scenario(params=P, n_followers=2, leader=prof, duration=40.0, initial_speeds=14.8,
+                  initial_gaps=(23.5, 24.0), eps_v=0.05)
+    got, want = simulate_platoon(sc).trajectories, _oracle_open(sc).trajectories
+    for g, w in zip(got[1:], want[1:]):
+        switches = [tr.t[np.flatnonzero(np.diff(tr.a == 0)) + 1] for tr in (g, w)]
+        assert len(switches[0]) == len(switches[1]) == 2  # engaged -> cruise -> engaged
+        assert np.max(np.abs(switches[0] - switches[1])) < 0.05
+        cruise = g.a == 0
+        assert np.ptp(g.v[cruise]) == 0.0 and abs(g.v[cruise][0] - P.v_f) <= sc.eps_v
+
+
+def _rk4(A, z0, u, h, steps=2000):
+    """Reference: RK4 on z' = A z + e2 u(s) over [0, h]."""
+    e2 = np.array([0.0, 1.0])
+    z, dt = np.array(z0, dtype=A.dtype), h / steps
+    for i in range(steps):
+        s = i * dt
+        k1 = A @ z + e2 * u(s)
+        k2 = A @ (z + dt / 2 * k1) + e2 * u(s + dt / 2)
+        k3 = A @ (z + dt / 2 * k2) + e2 * u(s + dt / 2)
+        k4 = A @ (z + dt * k3) + e2 * u(s + dt)
+        z = z + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return z
+
+
+@pytest.mark.parametrize("k_s, k_v", [(0.8, 1.4), (0.0, 1.4), (1.0, 0.8)], ids=["table", "k_s=0", "defective"])
+def test_step_maps_match_rk4(k_s, k_v):
+    # (1.0, 0.8) with tau = 1.2 is the defective point (k_s*tau + k_v)^2 = 4 k_s
+    tau = 1.2
+    A = np.array([[0.0, 1.0], [-k_s, -(k_s * tau + k_v)]])
+    c = np.array([0.7, -1.3, 0.4, 0.25])
+    z0 = np.array([3.0, -2.0])
+    for h in (1.0, 0.01):
+        Phi, Psi = _step_maps(A, h)
+        got = Phi @ z0 + c @ Psi
+        want = _rk4(A, z0, lambda s: c @ s ** np.arange(4), h)
+        assert np.allclose(got, want, rtol=0, atol=1e-12), (h, got - want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k_s=st.sampled_from([0.0]) | st.floats(0.0, 3.0),
+    k_v=st.floats(0.0, 3.0),
+    h1=st.floats(1e-3, 3.0),
+    h2=st.floats(1e-3, 3.0),
+    c=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+)
+def test_two_steps_of_the_maps_make_one(k_s, k_v, h1, h2, c):
+    # exactness for a cubic input: stepping h1 then h2 (the input re-expanded
+    # about h1) lands where one step of h1 + h2 does
+    A = np.array([[0.0, 1.0], [-k_s, -(k_s * 1.2 + k_v)]])
+    z0 = np.array([1.0, -0.5])
+    c0, c1, c2, c3 = c
+    shifted = np.array([c0 + h1 * (c1 + h1 * (c2 + h1 * c3)), c1 + h1 * (2 * c2 + 3 * c3 * h1),
+                        c2 + 3 * c3 * h1, c3])
+    Phi1, Psi1 = _step_maps(A, h1)
+    Phi2, Psi2 = _step_maps(A, h2)
+    Phi, Psi = _step_maps(A, h1 + h2)
+    two = Phi2 @ (Phi1 @ z0 + np.array(c) @ Psi1) + shifted @ Psi2
+    one = Phi @ z0 + np.array(c) @ Psi
+    assert np.allclose(two, one, rtol=1e-11, atol=1e-11 * (1.0 + np.abs(one).max()))
+
+
+def test_step_maps_of_a_complex_ring_mode_match_rk4():
+    shift = np.exp(-2j * np.pi * 3 / 40) - 1.0
+    A = np.array([[0.0, 1.0], [P.k_s * shift, P.k_v * shift - P.k_s * P.tau]])
+    z0 = np.array([1.0 + 2.0j, -0.5j])
+    Phi, _ = _step_maps(A, 1.0, 0)
+    assert np.allclose(Phi @ z0, _rk4(A, z0, lambda s: 0.0, 1.0), rtol=0, atol=1e-12)
+
+
+def test_pair_state_with_a_sampled_profile_is_exact_for_linear_pieces():
+    ts = np.array([0.0, 1.0, 2.5, 4.0])
+    vals = np.array([0.0, -1.0, 0.5, 0.5])
+    z0 = PairErrorState(e_s=1.0, e_v=-0.5)
+    A = np.array([[-P.tau * P.k_s, 1 - P.tau * P.k_v], [-P.k_s, -P.k_v]])
+    # RK4 from 0.5 to 3.2, both off the samples
+    want = _rk4(A, z0.as_array(), lambda s: np.interp(0.5 + s, ts, vals), 2.7, steps=2700)
+    got = pair_state_analytic(z0, (ts, vals), 0.5, 3.2, P)
+    assert np.allclose([got.e_s, got.e_v], want, rtol=0, atol=1e-9)
 
 
 def test_collision_in_one_run_of_a_batch_is_reported_as_in_the_loop():
@@ -575,11 +747,13 @@ def test_collision_in_one_run_of_a_batch_is_reported_as_in_the_loop():
     with pytest.raises(CollisionError) as want:
         _oracle_open(dataclasses.replace(sc, params=weak))
     _oracle_open(sc)  # the default gains brake in time
+    simulate_platoon(sc)
     with pytest.raises(CollisionError) as got:
         simulate_platoon(dataclasses.replace(sc, params=(P, weak, P)))
     assert want.value.follower_index == 3
-    assert (got.value.t, got.value.follower_index, got.value.run) == (
-        want.value.t, want.value.follower_index, 1)
+    assert (got.value.follower_index, got.value.run) == (want.value.follower_index, 1)
+    # the first sample with a non-positive gap, within the loop's O(dt) error
+    assert abs(got.value.t - want.value.t) < 0.1
 
 
 def test_batches_need_an_open_road_and_a_parameter_set():

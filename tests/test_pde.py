@@ -8,19 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accwave.microsim import Trajectory, simulate_platoon
-from accwave.model import ControlParams, TrafficState
+from accwave.model import ControlParams
 from accwave.pde import (
     EulerianField,
     Grid,
     PositivityError,
-    advection_speed,
-    local_wave_bound,
     micro_to_eulerian,
     pde_initial_from_micro,
-    rusanov_flux,
     solve,
     step,
 )
+from accwave.pde import _advection, _cell_bound, _rusanov
 
 P = ControlParams()  # tau=1.2, L=5, k_s=0.8, k_v=1.4
 
@@ -41,7 +39,7 @@ def test_grid_validation():
         Grid(L_x=-1.0, n_x=10)
     with pytest.raises(ValueError):
         Grid(L_x=100.0, n_x=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # the grid is always a ring
         Grid(L_x=100.0, n_x=10, periodic=False)
 
 
@@ -67,29 +65,33 @@ def test_grid_accepts_numpy_integer_cell_count():
     assert Grid(L_x=100.0, n_x=np.int64(10)).dx == 10.0
 
 
+def _side(rho, v):
+    """(rho, q, bound) of one interface side, as `_rusanov` takes it."""
+    return rho, rho * v, _cell_bound(v, _advection(rho, v, P))
+
+
 def test_wave_bound_and_flux_hand_values():
     # left: max(12, |12 - 1.4/0.05|) = 16; right: max(6, |6 - 1.4/0.08|) = 11.5
-    left = TrafficState(0.05, 12.0)
-    right = TrafficState(0.08, 6.0)
-    assert local_wave_bound(left, right, P) == pytest.approx(16.0, rel=1e-12)
+    alpha, flux = _rusanov(*_side(0.05, 12.0), *_side(0.08, 6.0))
+    assert alpha == pytest.approx(16.0, rel=1e-12)
     # 0.5*(0.6 + 0.48) - 0.5*16*(0.08 - 0.05) = 0.54 - 0.24 = 0.30
-    assert rusanov_flux(left, right, P) == pytest.approx(0.30, rel=1e-12)
+    assert flux == pytest.approx(0.30, rel=1e-12)
 
 
 def test_building_blocks_are_elementwise():
-    left = TrafficState(np.array([0.05, 0.08, 0.1]), np.array([12.0, 6.0, 10.0]))
-    right = TrafficState(np.array([0.08, 0.05, 0.1]), np.array([6.0, 12.0, 9.0]))
-    for fn in (local_wave_bound, rusanov_flux):
-        got = fn(left, right, P)
-        want = [fn(TrafficState(lr, lv), TrafficState(rr, rv), P)
-                for lr, lv, rr, rv in zip(left.rho, left.v, right.rho, right.v)]
-        assert np.array_equal(got, want)
-    assert np.array_equal(advection_speed(left, P), left.v - P.k_v / left.rho)
+    l_rho, l_v = np.array([0.05, 0.08, 0.1]), np.array([12.0, 6.0, 10.0])
+    r_rho, r_v = np.array([0.08, 0.05, 0.1]), np.array([6.0, 12.0, 9.0])
+    got = _rusanov(*_side(l_rho, l_v), *_side(r_rho, r_v))
+    want = [_rusanov(*_side(*left), *_side(*right))
+            for left, right in zip(zip(l_rho, l_v), zip(r_rho, r_v))]
+    for k in (0, 1):
+        assert np.array_equal(got[k], [w[k] for w in want])
+    assert np.array_equal(_advection(l_rho, l_v, P), l_v - P.k_v / l_rho)
 
 
 def test_advection_speed_is_second_characteristic():
     # v - k_v/rho = 10 - 1.4/0.1 = -4
-    assert advection_speed(TrafficState(0.1, 10.0), P) == pytest.approx(-4.0, rel=1e-14)
+    assert _advection(0.1, 10.0, P) == pytest.approx(-4.0, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +117,15 @@ def test_dt_argument_caps_the_step():
     g, rho, v = _equilibrium_grid()
     _, _, h = step(rho, v, g, P, cfl=0.5, dt=0.01)
     assert h == 0.01
+
+
+@settings(max_examples=100, deadline=None)
+@given(bad=st.floats(max_value=0.0) | st.just(math.nan))
+def test_step_refuses_a_nan_zero_or_negative_dt_cap(bad):
+    # dt=nan used to return an all-NaN field, and dt <= 0 a zero or backward step
+    g, rho, v = _equilibrium_grid()
+    with pytest.raises(ValueError, match="dt cap"):
+        step(rho, v, g, P, dt=bad)
 
 
 def test_cfl_validation():

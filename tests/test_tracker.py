@@ -26,7 +26,6 @@ from accwave.microsim import (
 from accwave.model import ControlParams, TrafficState
 from accwave.scenarios import case_scenario, run_case
 from accwave.tracker import (
-    LWR_BASELINE_SPEED,
     Crossing,
     DegenerateJumpError,
     PathKind,
@@ -71,7 +70,6 @@ def _cruise_platoon(v_e=10.0, n_followers=3, duration=30.0):
 def test_lwr_baseline_speed_hand_value():
     # -L/tau = -5/1.2 = -25/6
     assert lwr_baseline_speed(P) == pytest.approx(-25.0 / 6.0, rel=1e-15)
-    assert LWR_BASELINE_SPEED == lwr_baseline_speed(ControlParams())
 
 
 def test_pair_wave_speed_congested_hand_value():
