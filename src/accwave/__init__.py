@@ -3,56 +3,9 @@
 Microscopic platoon simulation, closed-form characteristic waves,
 shock/engagement-front tracking, a finite-volume solver for the
 congested-regime balance law, the vehicle-pair speed-deviation metric,
-and Fourier tools for leader oscillation decomposition.
+and Fourier tools for leader oscillation decomposition.  Each lives
+in its own module (`accwave.microsim`, `accwave.tracker`, ...), which is
+where callers import it from.
 """
-
-from .model import (
-    ControlParams,
-    DEFAULT_PARAMS,
-    EigenStructure,
-    Regime,
-    TrafficState,
-    acc_acceleration,
-    eigenstructure,
-    linear_degeneracy_indicator,
-    ptm_equivalent_kv,
-    regime_of,
-)
-from .microsim import (
-    CollisionError,
-    CutIn,
-    LeaderProfile,
-    OscillationSpec,
-    PairErrorState,
-    Scenario,
-    Trajectory,
-    detect_engagement,
-    pair_state_analytic,
-    ring_setup,
-    simulate_platoon,
-    spacing_analytic,
-)
-from .waves import (
-    StabilityClass,
-    follower_motion_closed_form,
-    string_stability_class,
-    transfer_function,
-    wave_oscillation_period,
-    wave_speed_closed_form,
-)
-from .tracker import (
-    EngagementFront,
-    PathKind,
-    WavePath,
-    constant_speed_path,
-    engagement_front,
-    pair_wave_speed,
-    shock_speed,
-    trace_characteristic_path,
-    trace_phase_transition,
-)
-from .metrics import deviation_set, field_rmse, histogram, summary_stats
-from .pde import Grid, EulerianField, micro_to_eulerian, solve, step
-from .fourier import fourier_decompose, periodic_reconstruct
 
 __version__ = "0.1.0"

@@ -12,6 +12,7 @@ import csv
 import math
 import numbers
 import os
+import warnings
 from dataclasses import dataclass, asdict, fields
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -102,6 +103,31 @@ def write_trajectories(
     _write_blocks(path, "t,vehicle_id,x,v,a", (real, "%d", real, real, real), blocks)
 
 
+# fields of a trajectory CSV row; the last, `a`, is optional
+_ROW_DTYPE = [("t", "f8"), ("vehicle_id", "i8"), ("x", "f8"), ("v", "f8"), ("a", "f8")]
+# file name endings np.loadtxt takes for compressed input
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _trajectory_header(path: str, reader) -> bool:
+    """Check the header row of a trajectory CSV; True when it has the `a` column."""
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}: empty file")
+    cols = [c.strip() for c in header]
+    if cols[:4] != ["t", "vehicle_id", "x", "v"] or (len(cols) > 4 and cols[4] != "a"):
+        raise ValueError(f"{path}: expected header t,vehicle_id,x,v[,a], got {header}")
+    return len(cols) > 4
+
+
+def _sampling(t: np.ndarray) -> Tuple[np.ndarray, float, np.ndarray]:
+    """Steps of sample times t, their median dt and the indices of the
+    steps off dt by more than DT_JITTER."""
+    steps = np.diff(t)
+    dt = float(np.median(steps))
+    return steps, dt, np.flatnonzero(np.abs(steps - dt) > DT_JITTER)
+
+
 def ingest_trajectories(path: str) -> List[Trajectory]:
     """Read a trajectory CSV into per-vehicle Trajectory objects.
 
@@ -109,17 +135,67 @@ def ingest_trajectories(path: str) -> List[Trajectory]:
     sampled (time jitter above `DT_JITTER` or a skipped sample raises,
     naming the offending data row).  A missing `a` column is
     reconstructed by central differences of v.
+
+    The data rows are parsed in one pass (`np.loadtxt`) and grouped by
+    one stable sort on (vehicle_id, t).  A file that pass does not take
+    as it stands (a parse error, quoted fields, a row of another length,
+    a failed check) is read again by the row parser `_ingest_rows`, so
+    the result, and the message naming the file and data row of a
+    refused file, are the row parser's.
+    """
+    out = _ingest_block(path)
+    return _ingest_rows(path) if out is None else out
+
+
+def _ingest_block(path: str) -> Optional[List[Trajectory]]:
+    """`ingest_trajectories` by one loadtxt parse and one lexsort; None
+    where the row parser must decide (anything refused or not parsed as
+    it would parse it)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        has_a = _trajectory_header(path, reader)
+    # loadtxt is given the path, not the open file: it reads a path in
+    # blocks and a file line by line, at half the speed.  But it opens a
+    # path with a compression suffix as compressed, which this file is not.
+    if path.endswith(_COMPRESSED_SUFFIXES):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # e.g. loadtxt's "input contained no data"
+            rows = np.loadtxt(path, dtype=_ROW_DTYPE[:4 + has_a], delimiter=",", comments=None,
+                              skiprows=reader.line_num, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    order = np.lexsort((rows["t"], rows["vehicle_id"]))
+    vid = rows["vehicle_id"][order]
+    cols = np.array([rows[n][order] for n in rows.dtype.names if n != "vehicle_id"])  # t, x, v[, a]
+    if not np.isfinite(cols).all():
+        return None
+    bounds = np.r_[0, np.flatnonzero(vid[1:] != vid[:-1]) + 1, vid.size]
+    out: List[Trajectory] = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi - lo < 2:
+            return None
+        t, x, v = cols[:3, lo:hi]
+        _, dt, off = _sampling(t)
+        if off.size:
+            return None
+        a = cols[3, lo:hi] if has_a else np.gradient(v, dt)
+        out.append(Trajectory(vehicle_id=int(vid[lo]), t=t, x=x, v=v, a=a, dt=dt))
+    return out
+
+
+def _ingest_rows(path: str) -> List[Trajectory]:
+    """`ingest_trajectories` by a csv.reader loop, one row at a time.
+
+    Refuses a malformed row, a non-finite value, a vehicle with fewer
+    than two samples or one not uniformly sampled, naming the file and
+    the data row.
     """
     by_vehicle: Dict[int, List[Tuple[float, float, float, Optional[float], int]]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        cols = [c.strip() for c in header]
-        if cols[:4] != ["t", "vehicle_id", "x", "v"] or (len(cols) > 4 and cols[4] != "a"):
-            raise ValueError(f"{path}: expected header t,vehicle_id,x,v[,a], got {header}")
-        has_a = len(cols) > 4
+        has_a = _trajectory_header(path, reader)
         for row_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -144,9 +220,7 @@ def ingest_trajectories(path: str) -> List[Trajectory]:
         if bad.size:
             raise ValueError(f"{path}: non-finite value in data row {recs[int(bad[0])][4]}")
         t, x, v = cols[:3]
-        steps = np.diff(t)
-        dt = float(np.median(steps))
-        bad = np.nonzero(np.abs(steps - dt) > DT_JITTER)[0]
+        steps, dt, bad = _sampling(t)
         if bad.size:
             k = int(bad[0])
             raise ValueError(

@@ -386,8 +386,13 @@ def _leader_arrays(leader: LeaderSpec, times: np.ndarray) -> Tuple[np.ndarray, n
     if isinstance(leader, Trajectory):
         if times[0] < leader.t[0] - 1e-12 or times[-1] > leader.t[-1] + 1e-12:
             raise ValueError("recorded leader trajectory does not cover the scenario window")
+        # x on the cubic Hermite of the recorded (x, v) on each sample
+        # step, as the followers see the lead; v and a linear
+        k = np.clip(np.searchsorted(leader.t, times, side="right") - 1, 0, len(leader.t) - 2)
+        x0, v0, c2, c3 = (c[k] for c in _hermite(leader.x, leader.v, np.diff(leader.t)))
+        s = times - leader.t[k]
         return (
-            np.interp(times, leader.t, leader.x),
+            x0 + s * (v0 + s * (c2 + s * c3)),
             np.interp(times, leader.t, leader.v),
             np.interp(times, leader.t, leader.a),
         )
@@ -493,11 +498,12 @@ def _doubling_scan(Phi, x: np.ndarray, v: np.ndarray) -> None:
         d *= 2
 
 
-def _hermite(xl: np.ndarray, vl: np.ndarray, h: float):
+def _hermite(xl: np.ndarray, vl: np.ndarray, h: Union[float, np.ndarray]):
     """Cubic Hermite of the lead's (x, v) samples on each step.
 
     x_lead(t_k + s) = x_k + v_k s + c2_k s^2 + c3_k s^3 for s in [0, h];
-    returns (x_k, v_k, c2_k, c3_k) for the len(xl) - 1 steps.
+    returns (x_k, v_k, c2_k, c3_k) for the len(xl) - 1 steps.  h is the
+    step, or an array of each step's own length.
     """
     x0, v0, v1 = xl[:-1], vl[:-1], vl[1:]
     slope = (xl[1:] - x0) / h
@@ -1000,14 +1006,25 @@ def detect_engagement(
 ) -> List[EngagementEvent]:
     """First time each follower's gap reaches the critical spacing s_c.
 
-    Takes the exact first down-crossing of s_c by the sampled gap series
-    of each consecutive pair, linear between samples.  Vehicles whose gap
+    The gap of each consecutive pair is sampled at the follower's step
+    over their common window.  On the first step whose end sample is at
+    or below s_c, the time is the first root of gap = s_c of the gap's
+    cubic Hermite on that step (slopes v_lead - v_fol), found as
+    `simulate_platoon` finds its switch (`_enter`).  Vehicles whose gap
     never crosses (or that start already at or below s_c) produce no
     event.
     """
     events: List[EngagementEvent] = []
     for lead, fol in zip(trajectories, trajectories[1:]):
-        t_star = first_down_crossing(*sampled_gap(lead, fol), params.s_c)
-        if t_star is not None:
-            events.append(EngagementEvent(fol.vehicle_id, t_star, float(fol.position_at(t_star))))
+        tt, gap = sampled_gap(lead, fol)
+        hit = np.flatnonzero(gap <= params.s_c)
+        if hit.size == 0 or hit[0] == 0:
+            continue
+        k = int(hit[0])
+        ends = tt[k - 1:k + 1]
+        h = float(ends[1] - ends[0])
+        g0, g1, c2, c3 = (float(c[0]) for c in _hermite(
+            gap[k - 1:k + 1], lead.speed_at(ends) - fol.speed_at(ends), h))
+        t_star = float(ends[0]) + _first_root((g0 - params.s_c, g1, c2, c3), h)
+        events.append(EngagementEvent(fol.vehicle_id, t_star, float(fol.position_at(t_star))))
     return events

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,100 @@ def _ingest_bad_row(kind: str, data) -> None:
 @given(kind=st.sampled_from(["malformed", "non_finite", "non_uniform"]), data=st.data())
 def test_ingest_names_file_and_data_row_of_a_bad_row(kind, data):
     _ingest_bad_row(kind, data)
+
+
+def _same_trajectories(got, want) -> bool:
+    """Bit-for-bit equality of two ingest results: ids, dt and every array."""
+    return len(got) == len(want) and all(
+        type(g.vehicle_id) is int and g.vehicle_id == w.vehicle_id and g.dt == w.dt
+        and all(getattr(g, f).tobytes() == getattr(w, f).tobytes() for f in "txva")
+        for g, w in zip(got, want))
+
+
+@st.composite
+def _valid_trajectory_file(draw):
+    """Text of a valid trajectory CSV: shuffled rows, with or without `a`,
+    LF or CRLF, blank lines, and ids written as `1`, `+1` or ` 1 `."""
+    has_a = draw(st.booleans(), label="has_a")
+    newline = draw(st.sampled_from(["\n", "\r\n"]), label="newline")
+    ids = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=3, unique=True),
+               label="ids")
+    # |value| <= 1e9: near the float range, reconstructing a by differences
+    # overflows (with a RuntimeWarning) in both parsers alike
+    reals = st.floats(-1e9, 1e9)
+    rows = []
+    for vid in ids:
+        t0 = draw(st.floats(-1e3, 1e3), label="t0")
+        dt = draw(st.sampled_from([0.01, 0.05, 0.1, 0.25, 1 / 3]), label="dt")
+        for k in range(draw(st.integers(2, 8), label="samples")):
+            forms = ["{}", " {} "] + ["+{}"] * (vid >= 0)
+            id_text = draw(st.sampled_from(forms), label="id form").format(vid)
+            fields = [repr(t0 + k * dt), id_text] + [repr(draw(reals)) for _ in range(2 + has_a)]
+            rows.append(",".join(fields))
+    rows = draw(st.permutations(rows), label="rows")
+    for _ in range(draw(st.integers(0, 2), label="blank lines")):
+        rows.insert(draw(st.integers(0, len(rows)), label="at"), "")
+    header = "t,vehicle_id,x,v" + (",a" if has_a else "")
+    return newline.join([header] + rows) + newline
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_valid_trajectory_file())
+def test_block_ingest_matches_the_row_parser_bit_for_bit(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rec.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        fast, want = dataio._ingest_block(path), dataio._ingest_rows(path)
+        assert fast is not None   # the file is valid, so the block parse takes it
+        assert _same_trajectories(fast, want)
+        assert _same_trajectories(ingest_trajectories(path), want)
+
+
+_TWO_SAMPLES = "t,vehicle_id,x,v,a\n0.0,0,0.0,10.0,0.0\n0.1,0,1.0,10.0,0.0\n"
+
+
+@pytest.mark.parametrize("vid", ["1.0", "1e0"])
+def test_ingest_refuses_a_real_vehicle_id(tmp_path, vid):
+    path = tmp_path / "id.csv"
+    path.write_text(_TWO_SAMPLES + f"0.0,{vid},5.0,10.0,0.0\n")
+    msg = f"{path}: malformed row 4: ['0.0', '{vid}', '5.0', '10.0', '0.0']"
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        ingest_trajectories(str(path))
+
+
+def test_ingest_refuses_a_comment_row(tmp_path):
+    path = tmp_path / "hash.csv"
+    path.write_text(_TWO_SAMPLES + "# a note\n0.2,0,2.0,10.0,0.0\n")
+    msg = f"{path}: malformed row 4: ['# a note']"
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        ingest_trajectories(str(path))
+
+
+def test_ingest_accepts_quoted_fields(tmp_path):
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    plain.write_text(_TWO_SAMPLES)
+    quoted.write_text('"t",vehicle_id,x,v,a\n"0.0","0",0.0,10.0,0.0\n0.1,0,"1.0",10.0,0.0\n')
+    assert dataio._ingest_block(str(quoted)) is None   # left to the row parser
+    assert _same_trajectories(ingest_trajectories(str(quoted)), ingest_trajectories(str(plain)))
+
+
+@pytest.mark.parametrize("text", ["t,vehicle_id,x,v,a\n", "t,vehicle_id,x,v", "t,vehicle_id,x,v\r\n\r\n"])
+def test_ingest_of_a_header_only_file_is_empty_and_silent(tmp_path, text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert ingest_trajectories(str(path)) == []
+    assert caught == []
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_ingest_reads_a_plain_file_named_as_compressed(tmp_path, suffix):
+    plain, named = tmp_path / "plain.csv", tmp_path / f"rec.csv{suffix}"
+    plain.write_text(_TWO_SAMPLES)
+    named.write_text(_TWO_SAMPLES)
+    assert _same_trajectories(ingest_trajectories(str(named)), ingest_trajectories(str(plain)))
 
 
 def test_ingest_reconstructs_missing_accel_column(tmp_path):

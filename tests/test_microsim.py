@@ -306,10 +306,13 @@ def test_engagement_time_matches_analytic_root():
     assert np.all(fol.a[~before] < 0)
     events = detect_engagement(res.trajectories, P)
     assert len(events) == 1
-    # the detected root is exact for the gap interpolated linearly between
-    # samples; the gap's curvature is -b before t* and k_v*b*t* - b = 5.45
-    # m/s^2 after it, so the chord errs by at most 5.45 dt^2 / (8 b t*) = 1.5e-5 s
-    assert events[0].t_star == pytest.approx(t_star, abs=1.5e-5)
+    # the detected root is that of the gap's cubic Hermite on the step
+    # holding t*.  The gap's curvature jumps there from -b to k_v*b*t* - b
+    # = 5.45 m/s^2, by J = k_v*b*t* = 6.45, as the follower brakes; with the
+    # root at u dt into the step, the Hermite errs at it by J dt^2 u^2
+    # (1 - u)^2 |1/2 - u| <= 0.0089 J dt^2, so t* by at most
+    # 0.0089 J dt^2 / (b t*) = 1.3e-6 s (5.6e-7 s at this root, u = 0.43)
+    assert events[0].t_star == pytest.approx(t_star, abs=1.3e-6)
 
 
 def _bisection_root(t, y, level, tol=1e-15):
@@ -346,6 +349,23 @@ def test_engagement_skips_pairs_already_engaged():
     sc = Scenario(params=P, n_followers=2, leader=spec, duration=5.0)
     res = simulate_platoon(sc)  # equilibrium spacing 17 < s_c: engaged from t=0
     assert detect_engagement(res.trajectories, P) == []
+
+
+def test_recorded_leader_position_is_exact_between_samples():
+    """A leader whose speed is linear between its samples moves on a
+    quadratic over each step, which the cubic Hermite of the recorded
+    (x, v) reproduces: resampled at dt/2, x is exact to round-off."""
+    prof = LeaderProfile(v0=12.0, phases=(ConstAccel(2.0, -1.5), Cruise(1.0),
+                                          ConstAccel(3.0, 0.8), Cruise(None)))
+    dt = 0.25
+    t = np.arange(33) * dt
+    rec = Trajectory(0, t, *_leader_arrays(prof, t), dt=dt)
+    fine = np.arange(65) * (dt / 2)
+    x, v, _ = _leader_arrays(rec, fine)
+    x_true, v_true, _ = _leader_arrays(prof, fine)
+    assert np.max(np.abs(x - x_true)) < 1e-12
+    assert np.max(np.abs(v - v_true)) < 1e-12
+    assert np.array_equal(x[:-1:2], rec.x[:-1])   # the samples themselves, bit for bit
 
 
 def test_trajectory_interpolation_round_trip():
