@@ -19,18 +19,18 @@ import numpy as np
 from . import dataio
 from .dataio import ScenarioConfig, default_out_dir, load_config
 from .fourier import fourier_decompose, periodic_reconstruct
-from .metrics import deviation_set, histogram, summary_stats
+from .metrics import histogram
 from .microsim import OscillationSpec, Scenario, simulate_platoon
-from .pde import Grid, pde_initial_from_micro, solve
 from .scenarios import (
-    TABLE_PARAMS,
+    Comparison,
     case_scenario,
-    ring_scenario,
+    origin_grid,
     run_case,
     run_empirical,
     run_ring_validation,
+    solve_ring,
+    trace_methods,
 )
-from .tracker import constant_speed_path, lwr_baseline_speed, trace_characteristic_path
 from .waves import string_stability_class, wave_speed_closed_form
 
 _CONFIG_FLAG_KEYS = (
@@ -106,17 +106,39 @@ def _cmd_wave(args: argparse.Namespace) -> int:
     return 0
 
 
+def _ring_kwargs(cfg: ScenarioConfig) -> dict:
+    return dict(n_vehicles=cfg.ring_vehicles, duration=cfg.duration, dt=cfg.dt,
+                n_cells=cfg.n_cells, cfl=cfg.cfl, sample_every=cfg.sample_every)
+
+
+def _write_stats(cfg: ScenarioConfig, name: str, label: str, r) -> str:
+    """Stats CSV of both methods of a comparison or sweep `r`; `label` fills
+    the case column.  Returns the file's path."""
+    path = os.path.join(_out_dir(cfg), name)
+    rows = [(label, "proposed", r.proposed_stats), (label, "baseline", r.baseline_stats)]
+    dataio.write_stats(path, rows, cfg.full_precision)
+    return path
+
+
+def _write_comparison(cfg: ScenarioConfig, c: Comparison, prefix: str, label: str) -> str:
+    """Paths, stats and histogram CSVs of both methods, named `prefix` + file;
+    `label` fills the stats file's case column.  Returns the output directory."""
+    out = _out_dir(cfg)
+    fp = cfg.full_precision
+    for method, paths, devs in (("proposed", c.proposed, c.proposed_devs),
+                                ("baseline", c.baseline, c.baseline_devs)):
+        dataio.write_wave_paths(os.path.join(out, f"{prefix}paths_{method}.csv"), paths, fp)
+        dataio.write_histogram(os.path.join(out, f"{prefix}hist_{method}.csv"), histogram(devs), fp)
+    _write_stats(cfg, f"{prefix}stats.csv", label, c)
+    return out
+
+
 def _cmd_pde(args: argparse.Namespace) -> int:
     cfg = _merged_config(args)
-    res = simulate_platoon(ring_scenario(args.case, cfg.ring_vehicles, cfg.duration, cfg.dt))
-    n_cells = cfg.n_cells if args.dx is None else max(4, int(round(res.ring_length / args.dx)))
-    grid = Grid(res.ring_length, n_cells)
-    rho0, v0 = pde_initial_from_micro(res.trajectories, res.ring_length, grid)
-    wanted = np.arange(0.0, cfg.duration + 1e-9, cfg.sample_every)
-    fld = solve(rho0, v0, grid, TABLE_PARAMS, cfg.duration, cfl=cfg.cfl, output_times=wanted)
+    _, fld = solve_ring(args.case, dx=args.dx, **_ring_kwargs(cfg))
     out = os.path.join(_out_dir(cfg), f"field_case{args.case}.csv")
     dataio.write_field(out, fld, cfg.full_precision)
-    print(f"wrote {out} ({len(fld.times)} snapshots x {grid.n_x} cells)")
+    print(f"wrote {out} ({len(fld.times)} snapshots x {fld.grid.n_x} cells)")
     return 0
 
 
@@ -125,26 +147,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     trajs = dataio.ingest_trajectories(args.input)
     if len(trajs) < 2:
         raise ValueError("need at least two vehicles to trace waves")
-    p = cfg.params()
-    t0 = trajs[0].t0 + args.warmup
-    t1 = trajs[0].t_end - args.end_margin
-    if t1 <= t0:
-        raise ValueError("empty origin window; lower --warmup/--end-margin")
-    origins = np.arange(t0, t1 + 1e-9, cfg.origin_spacing)
-    w_base = cfg.baseline_speed if cfg.baseline_speed is not None else lwr_baseline_speed(p)
-    proposed = [trace_characteristic_path(float(t), trajs, p) for t in origins]
-    baseline = [constant_speed_path(float(t), trajs, w_base) for t in origins]
-    out = _out_dir(cfg)
-    dev_p, dev_b = deviation_set(proposed), deviation_set(baseline)
-    dataio.write_wave_paths(os.path.join(out, "paths_proposed.csv"), proposed, cfg.full_precision)
-    dataio.write_wave_paths(os.path.join(out, "paths_baseline.csv"), baseline, cfg.full_precision)
-    dataio.write_stats(
-        os.path.join(out, "stats.csv"),
-        [("custom", "proposed", summary_stats(dev_p)), ("custom", "baseline", summary_stats(dev_b))],
-        cfg.full_precision,
-    )
-    dataio.write_histogram(os.path.join(out, "hist_proposed.csv"), histogram(dev_p), cfg.full_precision)
-    dataio.write_histogram(os.path.join(out, "hist_baseline.csv"), histogram(dev_b), cfg.full_precision)
+    origins = origin_grid(trajs[0], args.warmup, args.end_margin, cfg.origin_spacing)
+    c = Comparison.pool(*trace_methods(origins, trajs, cfg.params(), cfg.baseline_speed))
+    out = _write_comparison(cfg, c, "", "custom")
     print(f"wrote stats and paths for {len(origins)} origins to {out}")
     return 0
 
@@ -171,10 +176,7 @@ def _cmd_fft(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     cfg = _merged_config(args)
-    r = run_ring_validation(
-        args.case, n_vehicles=cfg.ring_vehicles, duration=cfg.duration, dt=cfg.dt,
-        n_cells=cfg.n_cells, cfl=cfg.cfl, sample_every=cfg.sample_every,
-    )
+    r = run_ring_validation(args.case, **_ring_kwargs(cfg))
     out = _out_dir(cfg)
     dataio.write_field(os.path.join(out, f"validate_case{args.case}_micro.csv"), r.micro, cfg.full_precision)
     dataio.write_field(os.path.join(out, f"validate_case{args.case}_pde.csv"), r.pde, cfg.full_precision)
@@ -186,23 +188,10 @@ def _cmd_case(args: argparse.Namespace) -> int:
     cfg = _merged_config(args)
     run = run_case(args.case, dt=cfg.dt, duration=cfg.duration,
                    origin_spacing=cfg.origin_spacing, baseline_speed=cfg.baseline_speed)
-    out = _out_dir(cfg)
     tag = f"case{args.case}"
-    dataio.write_trajectories(os.path.join(out, f"{tag}_trajectories.csv"),
+    dataio.write_trajectories(os.path.join(_out_dir(cfg), f"{tag}_trajectories.csv"),
                               run.trajectories, cfg.full_precision)
-    dataio.write_wave_paths(os.path.join(out, f"{tag}_paths_proposed.csv"),
-                            run.proposed, cfg.full_precision)
-    dataio.write_wave_paths(os.path.join(out, f"{tag}_paths_baseline.csv"),
-                            run.baseline, cfg.full_precision)
-    dataio.write_stats(
-        os.path.join(out, f"{tag}_stats.csv"),
-        [(tag, "proposed", run.proposed_stats), (tag, "baseline", run.baseline_stats)],
-        cfg.full_precision,
-    )
-    dataio.write_histogram(os.path.join(out, f"{tag}_hist_proposed.csv"),
-                           histogram(deviation_set(run.proposed)), cfg.full_precision)
-    dataio.write_histogram(os.path.join(out, f"{tag}_hist_baseline.csv"),
-                           histogram(deviation_set(run.baseline)), cfg.full_precision)
+    out = _write_comparison(cfg, run, f"{tag}_", tag)
     ps, bs = run.proposed_stats, run.baseline_stats
     print(f"{tag}: proposed mean |dev| = {ps.mean:.3f} m/s, baseline = {bs.mean:.3f} m/s")
     print(f"wrote 6 CSVs to {out}")
@@ -219,17 +208,12 @@ def _cmd_empirical(args: argparse.Namespace) -> int:
     leader = dataio.ingest_trajectories(leader_file)[0]
     r = run_empirical(leader, draws, dt=cfg.dt, origin_spacing=cfg.origin_spacing,
                       baseline_speed=cfg.baseline_speed)
-    out = _out_dir(cfg)
-    dataio.write_stats(
-        os.path.join(out, "empirical_stats.csv"),
-        [("empirical", "proposed", r.proposed_stats), ("empirical", "baseline", r.baseline_stats)],
-        cfg.full_precision,
-    )
+    path = _write_stats(cfg, "empirical_stats.csv", "empirical", r)
     ps, bs = r.proposed_stats, r.baseline_stats
     print(f"{r.n_draws} draws, {r.n_deviations} deviations")
     print(f"proposed:  mean={ps.mean:.3f} median={ps.median:.3f} q1={ps.q1:.3f} q3={ps.q3:.3f}")
     print(f"baseline:  mean={bs.mean:.3f} median={bs.median:.3f} q1={bs.q1:.3f} q3={bs.q3:.3f}")
-    print(f"wrote {os.path.join(out, 'empirical_stats.csv')}")
+    print(f"wrote {path}")
     return 0
 
 
@@ -237,14 +221,16 @@ def _cmd_empirical(args: argparse.Namespace) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
+def _add_common(sp: argparse.ArgumentParser, *run_flags: str) -> None:
+    """Flags of every subcommand, plus "dt" and "duration" where in `run_flags`."""
     sp.add_argument("--config", help="YAML config file")
     sp.add_argument("--out-dir", dest="out_dir", help="output directory")
     sp.add_argument("--full-precision", dest="full_precision", action="store_true",
                     default=None, help="write full-precision floats")
-    sp.add_argument("--dt", type=float, default=None, help="simulation time step [s]")
-    sp.add_argument("--duration", type=float, default=None, help="scenario length [s]")
-    sp.add_argument("--seed", type=int, default=None, help="random seed")
+    if "dt" in run_flags:
+        sp.add_argument("--dt", type=float, default=None, help="simulation time step [s]")
+    if "duration" in run_flags:
+        sp.add_argument("--duration", type=float, default=None, help="scenario length [s]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("simulate", help="run a platoon scenario, write trajectories")
-    _add_common(sp)
+    _add_common(sp, "dt", "duration")
     sp.add_argument("--case", type=int, choices=(1, 2, 3, 4), default=None,
                     help="preset case (omit to use config scenario)")
     sp.set_defaults(func=_cmd_simulate)
@@ -265,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_wave)
 
     sp = sub.add_parser("pde", help="solve the ring balance law, write the field")
-    _add_common(sp)
+    _add_common(sp, "dt", "duration")
     sp.add_argument("--case", type=int, choices=(1, 2, 3), default=1)
     sp.add_argument("--dx", type=float, default=None, help="target cell size [m]")
     sp.add_argument("--cfl", type=float, default=None)
@@ -288,23 +274,24 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_fft)
 
     sp = sub.add_parser("validate", help="micro-vs-PDE ring comparison")
-    _add_common(sp)
+    _add_common(sp, "dt", "duration")
     sp.add_argument("--case", type=int, choices=(1, 2, 3), default=1)
     sp.add_argument("--cfl", type=float, default=None)
     sp.set_defaults(func=_cmd_validate)
 
     sp = sub.add_parser("case", help="full pipeline for one preset case")
-    _add_common(sp)
+    _add_common(sp, "dt", "duration")
     sp.add_argument("case", type=int, choices=(1, 2, 3, 4))
     sp.add_argument("--origin-spacing", dest="origin_spacing", type=float, default=None)
     sp.add_argument("--baseline-speed", dest="baseline_speed", type=float, default=None)
     sp.set_defaults(func=_cmd_case)
 
     sp = sub.add_parser("empirical", help="calibrated-draw sweep over a recorded leader")
-    _add_common(sp)
+    _add_common(sp, "dt")
     sp.add_argument("--draws", help="draws CSV (tau,L,k_s,k_v)")
     sp.add_argument("--leader", help="recorded leader trajectory CSV")
     sp.add_argument("--n-draws", dest="n_draws", type=int, default=None)
+    sp.add_argument("--seed", type=int, default=None, help="resampling seed")
     sp.set_defaults(func=_cmd_empirical)
 
     return parser

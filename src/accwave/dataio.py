@@ -180,7 +180,10 @@ def _ingest_block(path: str) -> Optional[List[Trajectory]]:
         _, dt, off = _sampling(t)
         if off.size:
             return None
-        a = cols[3, lo:hi] if has_a else np.gradient(v, dt)
+        with np.errstate(over="ignore", invalid="ignore"):   # finite speeds can overflow
+            a = cols[3, lo:hi] if has_a else np.gradient(v, dt)
+        if not np.isfinite(a).all():
+            return None
         out.append(Trajectory(vehicle_id=int(vid[lo]), t=t, x=x, v=v, a=a, dt=dt))
     return out
 
@@ -190,7 +193,7 @@ def _ingest_rows(path: str) -> List[Trajectory]:
 
     Refuses a malformed row, a non-finite value, a vehicle with fewer
     than two samples or one not uniformly sampled, naming the file and
-    the data row.
+    the data row (the vehicle, for a non-finite reconstructed acceleration).
     """
     by_vehicle: Dict[int, List[Tuple[float, float, float, Optional[float], int]]] = {}
     with open(path, newline="") as fh:
@@ -227,7 +230,10 @@ def _ingest_rows(path: str) -> List[Trajectory]:
                 f"{path}: vehicle {vid} not uniformly sampled near data row "
                 f"{recs[k + 1][4]} (step {steps[k]:.6g} vs dt {dt:.6g})"
             )
-        a = cols[3] if has_a else np.gradient(v, dt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = cols[3] if has_a else np.gradient(v, dt)
+        if not np.isfinite(a).all():
+            raise ValueError(f"{path}: vehicle {vid} speeds give a non-finite acceleration")
         out.append(Trajectory(vehicle_id=vid, t=t, x=x, v=v, a=a, dt=dt))
     return out
 
@@ -340,7 +346,6 @@ def sample_params(draws: Sequence[ParamSample], count: int, seed: int) -> List[P
 class ScenarioConfig:
     """Everything a CLI run needs; YAML-serializable and strict on keys."""
 
-    case: int = 1
     # dt and origin_spacing left unset (None) take the CLI subcommand's
     # default (see configs/example.yaml)
     dt: Optional[float] = None

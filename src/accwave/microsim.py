@@ -79,7 +79,7 @@ __all__ = [
     "pair_state_analytic",
     "spacing_analytic",
     "first_down_crossing",
-    "sampled_gap",
+    "gap_reach",
     "detect_engagement",
     "ring_setup",
 ]
@@ -992,39 +992,40 @@ def first_down_crossing(t, y, level: float) -> Optional[float]:
     return float(t[k - 1] + (y0 - level) / (y0 - y1) * (t[k] - t[k - 1]))
 
 
-def sampled_gap(lead: Trajectory, fol: Trajectory) -> Tuple[np.ndarray, np.ndarray]:
-    """Gap series of one pair, sampled at the follower's step over their common window."""
+def gap_reach(lead: Trajectory, fol: Trajectory, level: float) -> Optional[float]:
+    """First time the gap of the pair (lead, fol) comes down to `level`.
+
+    The gap is sampled at the follower's step over the pair's common
+    window.  On the first step whose end sample is at or below `level`,
+    the time is the first root of gap = level of the gap's cubic Hermite on
+    that step (slopes v_lead - v_fol), found as `simulate_platoon` finds
+    its switch (`_enter`).  None when the gap starts at or below `level`
+    or never comes down to it.
+    """
     t_lo = max(lead.t0, fol.t0)
     n = int(math.floor((min(lead.t_end, fol.t_end) - t_lo) / fol.dt)) + 1
     tt = t_lo + np.arange(n) * fol.dt
-    return tt, lead.position_at(tt) - fol.position_at(tt)
+    gap = lead.position_at(tt) - fol.position_at(tt)
+    hit = np.flatnonzero(gap <= level)
+    if hit.size == 0 or hit[0] == 0:
+        return None
+    k = int(hit[0])
+    ends = tt[k - 1:k + 1]
+    h = float(ends[1] - ends[0])
+    g0, g1, c2, c3 = (float(c[0]) for c in _hermite(
+        gap[k - 1:k + 1], lead.speed_at(ends) - fol.speed_at(ends), h))
+    return float(ends[0]) + _first_root((g0 - level, g1, c2, c3), h)
 
 
 def detect_engagement(
     trajectories: Sequence[Trajectory],
     params: ControlParams,
 ) -> List[EngagementEvent]:
-    """First time each follower's gap reaches the critical spacing s_c.
-
-    The gap of each consecutive pair is sampled at the follower's step
-    over their common window.  On the first step whose end sample is at
-    or below s_c, the time is the first root of gap = s_c of the gap's
-    cubic Hermite on that step (slopes v_lead - v_fol), found as
-    `simulate_platoon` finds its switch (`_enter`).  Vehicles whose gap
-    never crosses (or that start already at or below s_c) produce no
-    event.
-    """
+    """First time each follower's gap reaches s_c (`gap_reach`); a pair that
+    never gets there, or starts at or below it, gives no event."""
     events: List[EngagementEvent] = []
     for lead, fol in zip(trajectories, trajectories[1:]):
-        tt, gap = sampled_gap(lead, fol)
-        hit = np.flatnonzero(gap <= params.s_c)
-        if hit.size == 0 or hit[0] == 0:
-            continue
-        k = int(hit[0])
-        ends = tt[k - 1:k + 1]
-        h = float(ends[1] - ends[0])
-        g0, g1, c2, c3 = (float(c[0]) for c in _hermite(
-            gap[k - 1:k + 1], lead.speed_at(ends) - fol.speed_at(ends), h))
-        t_star = float(ends[0]) + _first_root((g0 - params.s_c, g1, c2, c3), h)
-        events.append(EngagementEvent(fol.vehicle_id, t_star, float(fol.position_at(t_star))))
+        t_star = gap_reach(lead, fol, params.s_c)
+        if t_star is not None:
+            events.append(EngagementEvent(fol.vehicle_id, t_star, float(fol.position_at(t_star))))
     return events

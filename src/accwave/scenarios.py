@@ -8,10 +8,10 @@ Case 3  compound (two-mode) oscillation;
 Case 4  free-flow approach with leader deceleration into a congested
         oscillation (engagement front + shock + characteristics).
 
-Each run traces the proposed wave paths and a constant-speed baseline
-over the same trajectories and reduces both to deviation statistics.
-Ring runs feed the same platoon dynamics into the finite-volume solver
-and report micro-vs-PDE RMSEs.
+Each run traces the proposed wave paths and a constant-speed baseline from
+the same origins (`trace_methods`) and reduces both to deviation statistics
+(`Comparison`), as `metrics` does on recorded trajectories.  Ring runs feed
+the platoon into the finite-volume solver (`solve_ring`) for micro-vs-PDE RMSEs.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .metrics import DeviationStats, deviation_set, summary_stats
+from .metrics import DeviationSet, DeviationStats, deviation_set, field_rmse, summary_stats
 from .microsim import (
     ConstAccel,
     Cruise,
@@ -31,13 +31,13 @@ from .microsim import (
     LeaderProfile,
     Oscillate,
     OscillationSpec,
+    PlatoonResult,
     Scenario,
     Trajectory,
     simulate_platoon,
 )
 from .model import ControlParams
 from .pde import Grid, EulerianField, micro_to_eulerian, pde_initial_from_micro, solve
-from .metrics import field_rmse
 from .tracker import (
     PhaseTransition,
     WavePath,
@@ -53,13 +53,17 @@ __all__ = [
     "TABLE_PARAMS",
     "CASE4_PARAMS",
     "CASE4_V_E",
+    "Comparison",
     "CaseRun",
     "RingValidation",
     "EmpiricalRun",
     "case_scenario",
+    "origin_grid",
+    "trace_methods",
     "run_case",
     "ring_initial_speeds",
     "ring_scenario",
+    "solve_ring",
     "run_ring_validation",
     "run_empirical",
 ]
@@ -91,21 +95,11 @@ _CUT_IN_SETTLE = 2.0
 
 def case_scenario(case: int, dt: float = 0.01, duration: float = 60.0) -> Scenario:
     """Scenario object for one of the four studied cases."""
-    if case == 1:
+    if case in (1, 2, 3):
         return Scenario(
             params=TABLE_PARAMS, n_followers=N_FOLLOWERS, duration=duration, dt=dt,
-            leader=OscillationSpec(v_e=V_E, modes=SINGLE_MODES),
-        )
-    if case == 2:
-        return Scenario(
-            params=TABLE_PARAMS, n_followers=N_FOLLOWERS, duration=duration, dt=dt,
-            leader=OscillationSpec(v_e=V_E, modes=SINGLE_MODES),
-            cut_ins=(CutIn(time=_CUT_IN_TIME, gap=10.0, ahead_of=2),),
-        )
-    if case == 3:
-        return Scenario(
-            params=TABLE_PARAMS, n_followers=N_FOLLOWERS, duration=duration, dt=dt,
-            leader=OscillationSpec(v_e=V_E, modes=COMPOUND_MODES),
+            leader=OscillationSpec(v_e=V_E, modes=COMPOUND_MODES if case == 3 else SINGLE_MODES),
+            cut_ins=(CutIn(time=_CUT_IN_TIME, gap=10.0, ahead_of=2),) if case == 2 else (),
         )
     if case == 4:
         profile = LeaderProfile(
@@ -123,28 +117,60 @@ def case_scenario(case: int, dt: float = 0.01, duration: float = 60.0) -> Scenar
     raise ValueError(f"unknown case {case}")
 
 
-def _origin_window(case: int, duration: float) -> Tuple[float, float]:
-    """Window of leader-trajectory times for launching paths.
+# Warmup and end margin of the origin grid of cases 1-3: cases 1/3 wait out
+# the transient (three periods), case 2 the cut-in; the margins leave room
+# for a path to cross the whole platoon before the window ends.
+_ORIGIN_WINDOW = {1: (_WARMUP, 5.0), 2: (_CUT_IN_TIME + _CUT_IN_SETTLE, 6.0), 3: (_WARMUP, 5.0)}
 
-    Cases 1/3 wait out the transient (three periods); Case 2 starts once
-    the cut-in is complete; margins leave room for a path to cross the
-    whole platoon before the window ends.
-    """
-    if case in (1, 3):
-        return _WARMUP, duration - 5.0
-    if case == 2:
-        return _CUT_IN_TIME + _CUT_IN_SETTLE, duration - 6.0
-    raise ValueError(f"no origin window for case {case}")
+def origin_grid(lead: Trajectory, warmup: float, end_margin: float, spacing: float) -> np.ndarray:
+    """Path origin times on the lead trajectory: every `spacing` seconds from
+    `warmup` after its start up to `end_margin` before its end."""
+    t0, t1 = lead.t0 + warmup, lead.t_end - end_margin
+    if t1 <= t0:
+        raise ValueError("empty origin window; lower the warmup or the end margin")
+    return np.arange(t0, t1 + 1e-9, spacing)
+
+
+def _baseline_paths(origins, trajectories, params: ControlParams, speed: Optional[float]):
+    """Constant-speed paths from `origins`; the speed defaults to the
+    congested kinematic-wave slope -L/tau of `params`."""
+    w = lwr_baseline_speed(params) if speed is None else speed
+    return [constant_speed_path(float(t), trajectories, w) for t in origins]
+
+
+def trace_methods(origins, trajectories: Sequence[Trajectory], params: ControlParams,
+                  baseline_speed: Optional[float] = None) -> Tuple[List[WavePath], List[WavePath]]:
+    """Characteristic (proposed) and constant-speed (baseline) paths from the
+    same origins on the lead trajectory."""
+    proposed = [trace_characteristic_path(float(t), trajectories, params) for t in origins]
+    return proposed, _baseline_paths(origins, trajectories, params, baseline_speed)
 
 
 @dataclass(frozen=True)
-class CaseRun:
-    case: int
-    trajectories: List[Trajectory]
+class Comparison:
+    """Proposed and baseline path sets, the deviations each pools and their
+    statistics."""
+
     proposed: List[WavePath]
     baseline: List[WavePath]
+    proposed_devs: DeviationSet
+    baseline_devs: DeviationSet
     proposed_stats: DeviationStats
     baseline_stats: DeviationStats
+
+    @classmethod
+    def pool(cls, proposed: List[WavePath], baseline: List[WavePath], **fields):
+        """Pool each path set's deviations once; `fields` fill a subclass's own."""
+        prop, base = deviation_set(proposed), deviation_set(baseline)
+        return cls(proposed, baseline, prop, base, summary_stats(prop), summary_stats(base),
+                   **fields)
+
+
+@dataclass(frozen=True)
+class CaseRun(Comparison):
+    """One case's comparison, its trajectories and (case 4) its phase transition."""
+
+    trajectories: List[Trajectory]
     transition: Optional[PhaseTransition] = None
 
 
@@ -158,36 +184,22 @@ def run_case(
     """Simulate one case and trace proposed + constant-speed path sets.
 
     The baseline speed defaults to the congested kinematic-wave slope
-    -L/tau of the active parameter set.
+    -L/tau of the active parameter set.  Case 4 proposes its phase
+    transition composite, with the baseline from its characteristics' origins.
     """
     sc = case_scenario(case, dt=dt, duration=duration)
-    res = simulate_platoon(sc)
-    trajs = res.trajectories
+    trajs = simulate_platoon(sc).trajectories
     p = sc.params
-    w_base = lwr_baseline_speed(p) if baseline_speed is None else baseline_speed
-
     transition: Optional[PhaseTransition] = None
     if case == 4:
-        transition = trace_phase_transition(
-            trajs, p, CASE4_V_E, origin_spacing=origin_spacing
-        )
+        transition = trace_phase_transition(trajs, p, CASE4_V_E, origin_spacing=origin_spacing)
+        origins = [path.origin_t for path in transition.characteristics]
         proposed = transition.paths()
-        base_origins = [path.origin_t for path in transition.characteristics]
+        baseline = _baseline_paths(origins, trajs, p, baseline_speed)
     else:
-        t0, t1 = _origin_window(case, duration)
-        base_origins = list(np.arange(t0, t1 + 1e-9, origin_spacing))
-        proposed = [trace_characteristic_path(t_o, trajs, p) for t_o in base_origins]
-
-    baseline = [constant_speed_path(t_o, trajs, w_base) for t_o in base_origins]
-    return CaseRun(
-        case=case,
-        trajectories=trajs,
-        proposed=proposed,
-        baseline=baseline,
-        proposed_stats=summary_stats(deviation_set(proposed)),
-        baseline_stats=summary_stats(deviation_set(baseline)),
-        transition=transition,
-    )
+        origins = origin_grid(trajs[0], *_ORIGIN_WINDOW[case], origin_spacing)
+        proposed, baseline = trace_methods(origins, trajs, p, baseline_speed)
+    return CaseRun.pool(proposed, baseline, trajectories=trajs, transition=transition)
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +243,25 @@ def ring_scenario(
 
 @dataclass(frozen=True)
 class RingValidation:
-    case: int
     rmse_v: float
     rmse_rho: float
     micro: EulerianField
     pde: EulerianField
-    ring_length: float
+
+
+def solve_ring(case: int, n_vehicles: int, duration: float, dt: float, n_cells: int, cfl: float,
+               sample_every: float, dx: Optional[float] = None) -> Tuple[PlatoonResult, EulerianField]:
+    """Ring platoon on a ring sized by the time-headway manifold, and the PDE
+    field solved from its micro field at t = 0 on `n_cells` cells (about `dx`
+    metres each, at least 4, when `dx` is given), recorded at the solver's
+    nearest completed steps to every `sample_every` seconds."""
+    res = simulate_platoon(ring_scenario(case, n_vehicles, duration, dt))
+    if dx is not None:
+        n_cells = max(4, int(round(res.ring_length / dx)))
+    grid = Grid(res.ring_length, n_cells)
+    rho0, v0 = pde_initial_from_micro(res.trajectories, res.ring_length, grid)
+    wanted = np.arange(0.0, duration + 1e-9, sample_every)
+    return res, solve(rho0, v0, grid, TABLE_PARAMS, duration, cfl=cfl, output_times=wanted)
 
 
 def run_ring_validation(
@@ -248,30 +273,20 @@ def run_ring_validation(
     cfl: float = 0.5,
     sample_every: float = 0.5,
 ) -> RingValidation:
-    """Micro-vs-PDE comparison for one ring case.
+    """Micro-vs-PDE comparison for one ring case (`solve_ring`).
 
-    The platoon runs on a ring sized by the time-headway manifold; the
-    solver starts from the micro-derived field at t = 0 and both are
-    sampled on the same output times (the solver's nearest completed
-    steps) before computing space-time RMSEs.
+    The micro field is sampled on the solver's output times before
+    computing space-time RMSEs.
     """
-    res = simulate_platoon(ring_scenario(case, n_vehicles, duration, dt))
-    trajs = res.trajectories
-    L_x = res.ring_length
-    grid = Grid(L_x, n_cells)
-    rho0, v0 = pde_initial_from_micro(trajs, L_x, grid)
-    wanted = np.arange(0.0, duration + 1e-9, sample_every)
-    pde_field = solve(rho0, v0, grid, TABLE_PARAMS, duration, cfl=cfl, output_times=wanted)
-
-    rho_m, v_m = micro_to_eulerian(trajs, L_x, grid, pde_field.times)
+    res, pde_field = solve_ring(case, n_vehicles, duration, dt, n_cells, cfl, sample_every)
+    grid = pde_field.grid
+    rho_m, v_m = micro_to_eulerian(res.trajectories, res.ring_length, grid, pde_field.times)
     micro_field = EulerianField(grid=grid, times=pde_field.times.copy(), rho=rho_m, v=v_m)
     return RingValidation(
-        case=case,
         rmse_v=field_rmse(micro_field, pde_field, "v"),
         rmse_rho=field_rmse(micro_field, pde_field, "rho"),
         micro=micro_field,
         pde=pde_field,
-        ring_length=L_x,
     )
 
 
@@ -313,34 +328,30 @@ def run_empirical(
     are simulated in batches whose histories fit in `_BATCH_BYTES`; each
     batch is traced run by run and released before the next one.
     """
-    duration = leader.t_end - leader.t0
     if leader.t0 != 0.0:
         raise ValueError("recorded leader must start at t = 0")
     v_free = float(np.max(leader.v)) + 5.0
     params = [ControlParams(tau=d.tau, L=d.L, k_s=d.k_s, k_v=d.k_v, v_f=v_free) for d in draws]
     if not params:
         raise ValueError("no parameter draws to simulate")
-    origins = np.arange(warmup, duration - end_margin + 1e-9, origin_spacing)
-    if origins.size == 0:
-        raise ValueError("empirical window too short for any path origin")
-    one = Scenario(params=params[0], n_followers=n_followers, leader=leader, duration=duration, dt=dt)
+    origins = origin_grid(leader, warmup, end_margin, origin_spacing)
+    one = Scenario(params=params[0], n_followers=n_followers, leader=leader, duration=leader.t_end,
+                   dt=dt)
     batch = max(1, _BATCH_BYTES // one.history_bytes)
-    prop_paths: List[WavePath] = []
-    base_paths: List[WavePath] = []
+    proposed: List[WavePath] = []
+    baseline: List[WavePath] = []
     for i in range(0, len(params), batch):
         runs = params[i:i + batch]
         res = simulate_platoon(dataclasses.replace(one, params=tuple(runs)))
         for r, p in enumerate(runs):
-            trajs = res.run(r)
-            w_base = lwr_baseline_speed(p) if baseline_speed is None else baseline_speed
-            for t_o in origins:
-                prop_paths.append(trace_characteristic_path(float(t_o), trajs, p))
-                base_paths.append(constant_speed_path(float(t_o), trajs, w_base))
-        del res, trajs
-    prop_devs = deviation_set(prop_paths)
+            prop, base = trace_methods(origins, res.run(r), p, baseline_speed)
+            proposed += prop
+            baseline += base
+        del res
+    c = Comparison.pool(proposed, baseline)
     return EmpiricalRun(
-        proposed_stats=summary_stats(prop_devs),
-        baseline_stats=summary_stats(deviation_set(base_paths)),
+        proposed_stats=c.proposed_stats,
+        baseline_stats=c.baseline_stats,
         n_draws=len(params),
-        n_deviations=len(prop_devs),
+        n_deviations=len(c.proposed_devs),
     )

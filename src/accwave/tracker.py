@@ -37,7 +37,7 @@ from .microsim import (
     Trajectory,
     detect_engagement,
     first_down_crossing,
-    sampled_gap,
+    gap_reach,
 )
 
 __all__ = [
@@ -241,6 +241,27 @@ def _trace(
     return WavePath(kind, origin_t, origin_x, origin_v, tuple(crossings))
 
 
+def _characteristic(params: ControlParams, eps_v: float) -> SpeedRule:
+    """Speed rule of a characteristic path: the pair wave speed W."""
+    return lambda t, lead, fol: pair_wave_speed(t, lead, fol, params, eps_v)
+
+
+def _constant(w: float) -> SpeedRule:
+    """Speed rule of a straight path of slope w."""
+    return lambda t, lead, fol: np.full_like(t, w)
+
+
+def _trace_from_lead(origin_t: float, trajectories: Sequence[Trajectory], speed_rule: SpeedRule,
+                     kind: PathKind, terminator: Optional[Terminator] = None) -> WavePath:
+    """`_trace` from the point (origin_t, x_0, v_0) of the lead trajectory."""
+    lead = trajectories[0]
+    if not lead.covers(origin_t):
+        raise ValueError("origin time outside the lead trajectory")
+    origin_x = float(lead.position_at(origin_t))
+    origin_v = float(lead.speed_at(origin_t))
+    return _trace(origin_t, origin_x, origin_v, trajectories, 1, speed_rule, kind, terminator)
+
+
 def trace_characteristic_path(
     origin_t: float,
     trajectories: Sequence[Trajectory],
@@ -254,16 +275,8 @@ def trace_characteristic_path(
     each crossed trajectory.  Tracing stops at the last vehicle or the
     end of the common time window (then flagged truncated).
     """
-    lead = trajectories[0]
-    if not lead.covers(origin_t):
-        raise ValueError("origin time outside the lead trajectory")
-    origin_x = float(lead.position_at(origin_t))
-    origin_v = float(lead.speed_at(origin_t))
-
-    def rule(t: np.ndarray, lead_traj: Trajectory, fol_traj: Trajectory) -> np.ndarray:
-        return pair_wave_speed(t, lead_traj, fol_traj, params, eps_v)
-
-    return _trace(origin_t, origin_x, origin_v, trajectories, 1, rule, PathKind.CHARACTERISTIC)
+    return _trace_from_lead(
+        origin_t, trajectories, _characteristic(params, eps_v), PathKind.CHARACTERISTIC)
 
 
 def constant_speed_path(
@@ -272,15 +285,7 @@ def constant_speed_path(
     w_const: float,
 ) -> WavePath:
     """Straight-line path of slope w_const from a point on the lead trajectory."""
-    lead = trajectories[0]
-    if not lead.covers(origin_t):
-        raise ValueError("origin time outside the lead trajectory")
-    origin_x = float(lead.position_at(origin_t))
-    origin_v = float(lead.speed_at(origin_t))
-    return _trace(
-        origin_t, origin_x, origin_v, trajectories, 1,
-        lambda t, le, fo: np.full_like(t, w_const), PathKind.CONSTANT_SPEED,
-    )
+    return _trace_from_lead(origin_t, trajectories, _constant(w_const), PathKind.CONSTANT_SPEED)
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +358,12 @@ class PhaseTransition:
 
 
 def _first_spacing_reach(lead: Trajectory, fol: Trajectory, target: float) -> Optional[float]:
-    tt, gap = sampled_gap(lead, fol)
-    return float(tt[0]) if gap[0] <= target else first_down_crossing(tt, gap, target)
+    """`gap_reach`, except that a pair already at or below `target` at the
+    start of its common window reaches it there."""
+    t_lo = max(lead.t0, fol.t0)
+    if lead.position_at(t_lo) - fol.position_at(t_lo) <= target:
+        return t_lo
+    return gap_reach(lead, fol, target)
 
 
 def trace_phase_transition(
@@ -393,40 +402,25 @@ def trace_phase_transition(
     first_idx = next(
         i for i, tr in enumerate(trajectories) if tr.vehicle_id == events[0].vehicle_id
     )
-    by_id = {tr.vehicle_id: tr for tr in trajectories}
-    origin_v_sh = float(by_id[events[0].vehicle_id].speed_at(t_sh))
+    origin_v_sh = float(trajectories[first_idx].speed_at(t_sh))
     shock_path = _trace(
-        t_sh, x_sh, origin_v_sh, trajectories, first_idx + 1,
-        lambda t, le, fo: np.full_like(t, c_sh), PathKind.SHOCK,
+        t_sh, x_sh, origin_v_sh, trajectories, first_idx + 1, _constant(c_sh), PathKind.SHOCK,
     ) if first_idx + 1 < len(trajectories) else None
 
     # transition completes once every pair's spacing has reached s_e
-    reach_times = []
-    for lead, fol in zip(trajectories, trajectories[1:]):
-        t_r = _first_spacing_reach(lead, fol, s_e)
-        if t_r is None:
-            reach_times = []
-            break
-        reach_times.append(t_r)
-    t_complete = max(reach_times) if reach_times else None
+    reach = [_first_spacing_reach(lead, fol, s_e) for lead, fol in zip(trajectories, trajectories[1:])]
+    t_complete = None if None in reach else max(reach)
 
     chars: List[WavePath] = []
     if t_complete is not None:
         def overtaken(t: np.ndarray, x: np.ndarray) -> np.ndarray:
             return x <= x_sh + c_sh * (t - t_sh)
 
-        lead = trajectories[0]
+        rule = _characteristic(params, eps_v)
         t_o = math.ceil(t_complete / origin_spacing) * origin_spacing
-        while t_o < lead.t_end:
-            origin_x = float(lead.position_at(t_o))
-            origin_v = float(lead.speed_at(t_o))
-            path = _trace(
-                t_o, origin_x, origin_v, trajectories, 1,
-                lambda t, le, fo: pair_wave_speed(t, le, fo, params, eps_v),
-                PathKind.CHARACTERISTIC,
-                terminator=overtaken,
-            )
-            chars.append(path)
+        while t_o < trajectories[0].t_end:
+            chars.append(_trace_from_lead(
+                t_o, trajectories, rule, PathKind.CHARACTERISTIC, terminator=overtaken))
             t_o += origin_spacing
 
     return PhaseTransition(

@@ -1,6 +1,7 @@
 """Tests for CSV import/export, configs, draws, and the CLI front end."""
 
 import csv
+import dataclasses
 import math
 import os
 import re
@@ -10,11 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accwave import dataio
-from accwave.cli import main
+from accwave.cli import build_parser, main
 from accwave.dataio import (
     ParamSample,
     ScenarioConfig,
@@ -243,6 +245,26 @@ def test_ingest_reconstructs_missing_accel_column(tmp_path):
     assert tr.a == pytest.approx([2.0, 2.0, 2.0])
 
 
+# finite speeds whose central differences overflow
+_HUGE_SPEEDS = "t,vehicle_id,x,v\n0.0,0,0.0,1.8e306\n0.1,0,1.0,-1.7e308\n0.2,0,2.0,1.7e308\n"
+
+
+def test_row_ingest_refuses_a_non_finite_reconstructed_accel_naming_file_and_vehicle(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text(_HUGE_SPEEDS)
+    msg = f"{path}: vehicle 0 speeds give a non-finite acceleration"
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        dataio._ingest_rows(str(path))
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        ingest_trajectories(str(path))
+
+
+def test_block_ingest_leaves_a_non_finite_reconstructed_accel_to_the_row_parser(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text(_HUGE_SPEEDS)
+    assert dataio._ingest_block(str(path)) is None
+
+
 def test_ingest_rejects_wrong_header(tmp_path):
     path = tmp_path / "h.csv"
     path.write_text("time,id,pos,speed\n0,0,0,1\n")
@@ -385,7 +407,7 @@ def test_draw_validation(tmp_path):
 
 def test_config_round_trip(tmp_path):
     cfg = ScenarioConfig(
-        case=3, dt=0.02, modes=((20.0, 0.5, 0.0), (10.0, 1.0, 1.5)),
+        dt=0.02, modes=((20.0, 0.5, 0.0), (10.0, 1.0, 1.5)),
         draws_file="data/calibrated_draws.csv", seed=7,
     )
     path = tmp_path / "c.yaml"
@@ -398,7 +420,7 @@ def test_unknown_config_key_rejected():
         config_from_dict({"n_folowers": 3})
 
 
-_INT_KEYS = ("case", "n_followers", "n_cells", "ring_vehicles", "fft_modes", "n_draws", "seed")
+_INT_KEYS = ("n_followers", "n_cells", "ring_vehicles", "fft_modes", "n_draws", "seed")
 _REAL_KEYS = ("dt", "duration", "origin_spacing", "baseline_speed", "tau", "L", "k_s", "k_v",
               "v_f", "v_e", "cfl", "sample_every")
 
@@ -442,6 +464,17 @@ def test_example_config_loads():
     path = Path(__file__).resolve().parent.parent / "configs" / "example.yaml"
     cfg = load_config(str(path))
     assert cfg.n_draws == 200
+
+
+def test_example_config_documents_exactly_the_config_fields():
+    with open(Path(__file__).resolve().parent.parent / "configs" / "example.yaml") as fh:
+        keys = set(yaml.safe_load(fh))
+    assert keys == {f.name for f in dataclasses.fields(ScenarioConfig)}
+
+
+def test_config_refuses_the_removed_case_key():
+    with pytest.raises(ValueError, match=r"unknown config keys: \['case'\]"):
+        config_from_dict({"case": 1})
 
 
 def test_default_out_dir_env(monkeypatch):
@@ -501,6 +534,52 @@ def test_cli_metrics_on_exported_trajectories(tmp_path):
     assert rc == 0
     stats = (tmp_path / "stats.csv").read_text().splitlines()
     assert stats[1].startswith("custom,proposed,")
+
+
+def test_metrics_on_a_case_export_writes_the_case_comparison(tmp_path):
+    """`metrics` over case 1's exported trajectories, on case 1's origin
+    window, traces and pools exactly what `case 1` does."""
+    case_dir, metrics_dir = tmp_path / "case", tmp_path / "metrics"
+    assert main(["case", "1", "--full-precision", "--out-dir", str(case_dir)]) == 0
+    assert main([
+        "metrics", "--input", str(case_dir / "case1_trajectories.csv"),
+        "--warmup", repr(scenarios._WARMUP), "--end-margin", "5", "--full-precision",
+        "--out-dir", str(metrics_dir),
+    ]) == 0
+    for name in ("paths_proposed.csv", "paths_baseline.csv", "hist_proposed.csv",
+                 "hist_baseline.csv"):
+        assert (metrics_dir / name).read_bytes() == (case_dir / f"case1_{name}").read_bytes(), name
+    case_rows = (case_dir / "case1_stats.csv").read_text().splitlines()
+    metrics_rows = (metrics_dir / "stats.csv").read_text().splitlines()
+    assert metrics_rows[0] == case_rows[0]
+    assert [r.split(",", 1)[1] for r in metrics_rows[1:]] == [r.split(",", 1)[1] for r in case_rows[1:]]
+    assert [r.split(",", 1)[0] for r in metrics_rows[1:]] == ["custom", "custom"]
+
+
+_SUBCOMMANDS = {  # subcommand -> its required arguments
+    "simulate": [], "wave": [], "pde": [], "metrics": ["--input", "x.csv"], "fft": ["--input", "x.csv"],
+    "validate": [], "case": ["1"], "empirical": [],
+}
+# flags that set a config key, and the subcommands that read that key
+_FLAG_READERS = {
+    "--dt": {"simulate", "pde", "validate", "case", "empirical"},
+    "--duration": {"simulate", "pde", "validate", "case"},
+    "--seed": {"empirical"},
+}
+
+
+@pytest.mark.parametrize("flag", sorted(_FLAG_READERS))
+def test_cli_takes_a_config_flag_only_where_its_key_is_read(flag, capsys):
+    parser = build_parser()
+    for command, required in _SUBCOMMANDS.items():
+        argv = [command] + required + [flag, "5"]
+        if command in _FLAG_READERS[flag]:
+            assert parser.parse_args(argv).func is not None
+        else:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
 
 
 def test_cli_wave_reports_stability(tmp_path, capsys):

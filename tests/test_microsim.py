@@ -275,6 +275,26 @@ def test_spacing_analytic_equilibrium_is_constant():
     assert s == pytest.approx(P.desired_spacing(10.0), rel=1e-14)
 
 
+def test_pair_state_analytic_matches_the_simulated_first_pair():
+    """The exact pair solution is an independent check on the platoon: a
+    leader of constant-acceleration phases that start and end on samples,
+    followed by engaged followers from equilibrium, gives the first pair's
+    (s - s*, v_lead - v) of `simulate_platoon`."""
+    p = ControlParams(v_f=30.0)
+    prof = LeaderProfile(v0=10.0, phases=(
+        Cruise(2.0), ConstAccel(3.0, 0.8), ConstAccel(4.0, -1.0), Cruise(None)))
+    sc = Scenario(params=p, n_followers=2, leader=prof, duration=20.0, dt=0.01, initial_speeds=10.0)
+    lead, fol = simulate_platoon(sc).trajectories[:2]
+    assert np.all(lead.x - fol.x <= p.s_c)   # engaged throughout
+    accel = PiecewiseConstantAccel(times=(2.0, 5.0, 9.0), values=(0.8, -1.0, 0.0))
+    err = 0.0
+    for k in range(0, len(lead.t), 10):
+        z = pair_state_analytic(PairErrorState(0.0, 0.0), accel, 0.0, float(lead.t[k]), p)
+        sim = (lead.x[k] - fol.x[k] - p.desired_spacing(fol.v[k]), lead.v[k] - fol.v[k])
+        err = max(err, float(np.max(np.abs(np.array(sim) - z.as_array()))))
+    assert err < 1e-10
+
+
 def test_pair_state_rejects_backward_time():
     with pytest.raises(ValueError):
         pair_state_analytic(PairErrorState(0.0, 0.0), None, 5.0, 1.0, P)
