@@ -152,7 +152,7 @@ def engaged(s: ArrayLike, v: ArrayLike, params: ControlParams, eps_v: float = 1e
     boundary s = s_c counts as engaged, which keeps engagement times
     well defined.  This is the only place the rule is written.
     """
-    return (s <= params.s_c) | (np.abs(v - params.v_f) > eps_v)
+    return (s <= params.s_c) | (abs(v - params.v_f) > eps_v)
 
 
 def regime_of(state: TrafficState, params: ControlParams, eps_v: float = 1e-9) -> Regime:

@@ -40,6 +40,7 @@ from .model import ControlParams
 from .pde import Grid, EulerianField, micro_to_eulerian, pde_initial_from_micro, solve
 from .tracker import (
     PhaseTransition,
+    Platoon,
     WavePath,
     constant_speed_path,
     lwr_baseline_speed,
@@ -87,7 +88,7 @@ _CASE4_CRUISE = 5.0
 _CASE4_BRAKE = 4.0          # 12 -> 10 m/s at -0.5 m/s^2
 _CASE4_MODES = ((3.0, 0.16 * math.pi, 0.5 * math.pi),)
 
-_PERIOD = 2.0 * math.pi / (0.16 * math.pi)   # slowest mode: 12.5 s
+_PERIOD = 2.0 / 0.16                         # slowest mode, 2*pi/(0.16*pi): exactly 12.5 s
 _WARMUP = 3.0 * _PERIOD                      # transient decay horizon
 _CUT_IN_TIME = 10.0
 _CUT_IN_SETTLE = 2.0
@@ -135,15 +136,18 @@ def _baseline_paths(origins, trajectories, params: ControlParams, speed: Optiona
     """Constant-speed paths from `origins`; the speed defaults to the
     congested kinematic-wave slope -L/tau of `params`."""
     w = lwr_baseline_speed(params) if speed is None else speed
-    return [constant_speed_path(float(t), trajectories, w) for t in origins]
+    platoon = Platoon.of(trajectories)
+    return [constant_speed_path(float(t), platoon, w) for t in origins]
 
 
 def trace_methods(origins, trajectories: Sequence[Trajectory], params: ControlParams,
                   baseline_speed: Optional[float] = None) -> Tuple[List[WavePath], List[WavePath]]:
     """Characteristic (proposed) and constant-speed (baseline) paths from the
-    same origins on the lead trajectory."""
-    proposed = [trace_characteristic_path(float(t), trajectories, params) for t in origins]
-    return proposed, _baseline_paths(origins, trajectories, params, baseline_speed)
+    same origins on the lead trajectory, over one `Platoon`: each pair's
+    table is built once per method and serves every origin."""
+    platoon = Platoon.of(trajectories)
+    proposed = [trace_characteristic_path(float(t), platoon, params) for t in origins]
+    return proposed, _baseline_paths(origins, platoon, params, baseline_speed)
 
 
 @dataclass(frozen=True)

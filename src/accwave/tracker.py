@@ -13,13 +13,23 @@ trajectory crossing as (vehicle, t, x, v) tuples for the deviation
 metric downstream.
 
 Paths are traced pair by pair.  The speed of a path inside a pair
-depends on t only, so it is evaluated on the follower's own samples in
-one array call and integrated by cumulative trapezoid; the crossing is
-the first root of path minus follower, linear between samples.  With
-sample spacing h this is second order, O(h^2), where the speed is
-smooth, first order over a sample interval in which the switching rule
-flips, and exact to round-off for straight (constant-speed) paths.  No
-time step is chosen by the tracer, so `Trajectory.dt` is not read.
+depends on t only, so every path through that pair integrates the same
+speed: its pair table holds the speed on the follower's own samples
+(one array call) and its cumulative trapezoid, built the first time a
+path reaches the pair and reused by every later path under the same
+speed rule.  A path entering at (t_c, x_c) adds one trapezoid from t_c to
+the next sample and is then the table shifted by a constant; its
+crossing is the first root of path minus follower, linear between
+samples, found by one array compare.  With sample spacing h this is
+second order, O(h^2), where the speed is smooth, first order over a
+sample interval in which the switching rule flips, and exact to
+round-off for straight (constant-speed) paths.  No time step is chosen
+by the tracer, so `Trajectory.dt` is not read.
+
+The tables live on a `Platoon`, the tuple of a platoon's trajectories,
+and go when it goes: a caller tracing many origins wraps its
+trajectories in one `Platoon` and passes it to every call; a plain
+sequence is wrapped for the one call.  There is no module-level cache.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +46,6 @@ from .microsim import (
     EngagementEvent,
     Trajectory,
     detect_engagement,
-    first_down_crossing,
     gap_reach,
 )
 
@@ -48,6 +57,7 @@ __all__ = [
     "EngagementFront",
     "DegenerateJumpError",
     "PhaseTransition",
+    "Platoon",
     "pair_wave_speed",
     "trace_characteristic_path",
     "constant_speed_path",
@@ -134,6 +144,13 @@ def lwr_baseline_speed(params: ControlParams) -> float:
 # Pair-local wave speed
 # ---------------------------------------------------------------------------
 
+def _wave_speed(x_lead, v_lead, x_fol, v_fol, params: ControlParams, eps_v: float):
+    """W = v_lead - k_v*s of a pair in the states (x, v) of its two vehicles,
+    s = x_lead - x_fol, with the gain gated by the follower's regime."""
+    s = x_lead - x_fol
+    return v_lead - params.k_v * s * engaged(s, v_fol, params, eps_v)
+
+
 def pair_wave_speed(t, leader: Trajectory, follower: Trajectory, params: ControlParams,
                     eps_v: float = 1e-9):
     """Wave speed W(t) = v_lead - k_v*(x_lead - x_follower) of one pair.
@@ -143,9 +160,8 @@ def pair_wave_speed(t, leader: Trajectory, follower: Trajectory, params: Control
     yields the degenerate W = v_lead.  Accepts scalar or array t.
     """
     t_arr = np.asarray(t, dtype=float)
-    s = leader.position_at(t_arr) - follower.position_at(t_arr)
-    gated = engaged(s, follower.speed_at(t_arr), params, eps_v)
-    w = leader.speed_at(t_arr) - np.where(gated, params.k_v, 0.0) * s
+    w = _wave_speed(leader.position_at(t_arr), leader.speed_at(t_arr),
+                    follower.position_at(t_arr), follower.speed_at(t_arr), params, eps_v)
     return float(w) if np.isscalar(t) or t_arr.ndim == 0 else w
 
 
@@ -153,57 +169,130 @@ def pair_wave_speed(t, leader: Trajectory, follower: Trajectory, params: Control
 # Path tracing
 # ---------------------------------------------------------------------------
 
-SpeedRule = Callable[[np.ndarray, Trajectory, Trajectory], np.ndarray]
+# (x_lead, v_lead, x_fol, v_fol) of a pair, scalars or arrays -> path speed.
+# Rules are hashable: equal rules share their pair tables.
+SpeedRule = Callable[..., np.ndarray]
 Terminator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-_FIRST_WINDOW = 32   # follower samples in a pair's first search window; doubles per window
+
+@dataclass(frozen=True)
+class _Characteristic:
+    """Speed rule of a characteristic path: the pair wave speed W."""
+
+    params: ControlParams
+    eps_v: float
+
+    def __call__(self, x_lead, v_lead, x_fol, v_fol):
+        return _wave_speed(x_lead, v_lead, x_fol, v_fol, self.params, self.eps_v)
 
 
-def _pair_crossing(
-    t_c: float,
-    x_c: float,
-    lead: Trajectory,
-    fol: Trajectory,
-    speed_rule: SpeedRule,
-    terminator: Optional[Terminator],
-) -> Optional[float]:
-    """Time at which a path entering the pair (lead, fol) at (t_c, x_c) meets
-    the follower, or None when it reaches the end of the pair's common time
-    window or the terminator first (or enters outside that window).
+@dataclass(frozen=True)
+class _Constant:
+    """Speed rule of a straight path of slope w."""
 
-    The knots are t_c, the follower's own samples after t_c and the window
-    end.  The speed is evaluated on the knots in one call and integrated by
-    cumulative trapezoid; the knot values are exact when the speed is linear
-    between knots.  The path is taken as the chord between knots, so path
-    minus follower is linear there and its first down-crossing of zero is a
-    closed-form root.  Knots are taken in windows of `_FIRST_WINDOW` samples,
-    doubling, so a pair costs a few array calls and no more memory than its
-    own samples.
+    w: float
+
+    def __call__(self, x_lead, v_lead, x_fol, v_fol):
+        return np.full(np.shape(x_fol), self.w) if np.ndim(x_fol) else self.w
+
+
+class _PairTable(NamedTuple):
+    """A speed rule integrated once over a pair's common window [t_lo, t_end].
+
+    The knots are the follower's samples in [t_lo, t_end) and t_end; `w`
+    is the rule on the knots (the lead interpolated, the follower at its
+    own samples), `c` its cumulative trapezoid from the first knot and
+    `g = c - x_fol`.  A path entering at (t_c, x_c) is at c + offset on the
+    knots after t_c and minus the follower at g + offset, one `offset`
+    per path (`_pair_crossing`).
     """
-    t_end = min(lead.t_end, fol.t_end)
-    if not max(lead.t0, fol.t0) <= t_c < t_end:
+
+    t_lo: float
+    t_end: float
+    t: np.ndarray
+    w: np.ndarray
+    c: np.ndarray
+    g: np.ndarray
+
+
+def _pair_table(lead: Trajectory, fol: Trajectory, rule: SpeedRule) -> _PairTable:
+    t_lo, t_end = max(lead.t0, fol.t0), min(lead.t_end, fol.t_end)
+    inside = slice(int(np.searchsorted(fol.t, t_lo)), int(np.searchsorted(fol.t, t_end)))
+    t = np.append(fol.t[inside], t_end)
+    x_fol = np.append(fol.x[inside], fol.position_at(t_end))
+    v_fol = np.append(fol.v[inside], fol.speed_at(t_end))
+    w = rule(lead.position_at(t), lead.speed_at(t), x_fol, v_fol)
+    c = np.concatenate(([0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(t))))
+    return _PairTable(t_lo, t_end, t, w, c, c - x_fol)
+
+
+class Platoon(tuple):
+    """The trajectories of one platoon, front to rear, and the pair tables
+    of the paths traced over it.
+
+    A pair's table for a speed rule (`_PairTable`) is built the first time
+    a path reaches that pair under that rule and reused by every later
+    path over the same Platoon, so a caller tracing many origins wraps its
+    trajectories once; the tables go with the Platoon.
+    """
+
+    def __new__(cls, trajectories: Sequence[Trajectory]):
+        platoon = super().__new__(cls, trajectories)
+        platoon._tables = {}
+        return platoon
+
+    @classmethod
+    def of(cls, trajectories: Sequence[Trajectory]) -> "Platoon":
+        """`trajectories` when it is already a Platoon, else a new Platoon of them."""
+        return trajectories if isinstance(trajectories, cls) else cls(trajectories)
+
+    def tables(self, rule: SpeedRule) -> Dict[int, _PairTable]:
+        """The tables of `rule` built so far, by the index of the pair's follower."""
+        return self._tables.setdefault(rule, {})
+
+
+def _pair_crossing(t_c: float, x_c: float, v_c: float, fol: Trajectory, tab: _PairTable,
+                   rule: SpeedRule, terminator: Optional[Terminator]) -> Optional[float]:
+    """Time at which a path entering a pair at (t_c, x_c), on the lead at
+    speed v_c, meets the follower, or None when it reaches the end of the
+    pair's common window or the terminator first (or enters outside that
+    window).
+
+    Between t_c and the first knot after it the path takes the trapezoid of
+    the rule at the entry and at that knot; from there on it follows the
+    table.  The path is the chord between knots, so path minus follower is
+    linear there and its first down-crossing of zero is a closed-form root.
+    """
+    t, g = tab.t, tab.g
+    if not tab.t_lo <= t_c < tab.t_end:
         return None
-    j = int(np.searchsorted(fol.t, t_c, side="right"))      # first sample after t_c
-    j_end = int(np.searchsorted(fol.t, t_end, side="left"))  # samples before t_end
-    n = _FIRST_WINDOW
-    while True:
-        k = min(j + n, j_end)
-        last = [t_end] if k == j_end else []
-        tn = np.concatenate(([t_c], fol.t[j:k], last))
-        w = speed_rule(tn, lead, fol)
-        xn = x_c + np.concatenate(([0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(tn))))
-        gap = xn - fol.position_at(tn)
+    x_f = float(fol.position_at(t_c))
+    w_c = rule(x_c, v_c, x_f, float(fol.speed_at(t_c)))
+    j = int(t.searchsorted(t_c, side="right"))   # first knot after t_c
+    # path minus follower is g + offset on the knots from j on; compared
+    # as g against -offset, which has the same sign in floating point
+    offset = float(x_c + 0.5 * (w_c + tab.w[j]) * (t[j] - t_c) - tab.c[j])
+    k = j
+    if not x_c - x_f > 0.0:
         # a path behind the follower (overlapping vehicles in recorded data)
         # has not crossed it yet: search from the first knot ahead of it
-        above = np.flatnonzero(gap > 0.0)
-        t_x = first_down_crossing(tn[above[0]:], gap[above[0]:], 0.0) if above.size else None
-        if terminator is not None:
-            stopped = terminator(tn, xn)
-            if np.any(stopped if t_x is None else stopped[tn < t_x]):
-                return None
-        if t_x is not None or k == j_end:
-            return t_x
-        t_c, x_c, j, n = float(tn[-1]), float(xn[-1]), k, 2 * n
+        ahead = g[j:] > -offset
+        k += int(ahead.argmax())
+        if not ahead[k - j]:
+            return None
+    below = g[k:] <= -offset
+    n = int(below.argmax())
+    if not below[n]:
+        return None
+    k += n
+    t0, g0 = (t_c, x_c - x_f) if k == j else (t[k - 1], g[k - 1] + offset)
+    t_x = float(t0 + g0 / (g0 - (g[k] + offset)) * (t[k] - t0))
+    if terminator is not None:
+        tn = np.concatenate(([t_c], t[j:k + 1]))
+        xn = np.concatenate(([x_c], tab.c[j:k + 1] + offset))
+        if np.any(terminator(tn, xn)[tn < t_x]):
+            return None
+    return t_x
 
 
 def _trace(
@@ -212,46 +301,40 @@ def _trace(
     origin_v: float,
     trajectories: Sequence[Trajectory],
     first_target: int,
-    speed_rule: SpeedRule,
+    rule: SpeedRule,
     kind: PathKind,
     terminator: Optional[Terminator] = None,
 ) -> WavePath:
-    """Shared tracer: trapezoid on the follower's samples, closed-form crossings.
+    """Shared tracer: pair tables on the follower's samples, closed-form crossings.
 
-    Pair by pair from `first_target` rearward, the path integrates the
-    speed from `speed_rule` (array-valued in t) for the bracketing pair
-    (last crossed vehicle, next vehicle) and re-anchors on the follower at
-    the crossing; see `_pair_crossing`.  Crossings are O(h^2) in the
-    sample spacing h where the speed is smooth and O(h) across an interval
-    in which the switching rule flips; straight paths are exact to
-    round-off.  `Trajectory.dt` is not read.  `terminator(t, x)`
-    (array-valued) is tested on the knots before each crossing and ends the
-    path early (flagged truncated), as does the end of a pair's common time
-    window.
+    Pair by pair from `first_target` rearward, the path follows the table
+    of `rule` on the bracketing pair (last crossed vehicle, next vehicle)
+    and re-anchors on the follower at the crossing; see `_pair_crossing`.
+    Crossings are O(h^2) in the sample spacing h where the speed is smooth
+    and O(h) across an interval in which the switching rule flips;
+    straight paths are exact to round-off.  `Trajectory.dt` is not read.
+    `terminator(t, x)` (array-valued) is tested on the knots before each
+    crossing and ends the path early (flagged truncated), as does the end
+    of a pair's common time window.
     """
+    platoon = Platoon.of(trajectories)
+    tables = platoon.tables(rule)
     crossings: List[Crossing] = []
-    t, x = origin_t, origin_x
-    for idx in range(first_target, len(trajectories)):
-        lead, fol = trajectories[idx - 1], trajectories[idx]
-        t_x = _pair_crossing(t, x, lead, fol, speed_rule, terminator)
+    t, x, v = origin_t, origin_x, origin_v
+    for idx in range(first_target, len(platoon)):
+        fol = platoon[idx]
+        tab = tables.get(idx)
+        if tab is None:
+            tab = tables[idx] = _pair_table(platoon[idx - 1], fol, rule)
+        t_x = _pair_crossing(t, x, v, fol, tab, rule, terminator)
         if t_x is None:
             return WavePath(kind, origin_t, origin_x, origin_v, tuple(crossings), True)
-        t, x = t_x, float(fol.position_at(t_x))
-        crossings.append(Crossing(fol.vehicle_id, t, x, float(fol.speed_at(t))))
+        t, x, v = t_x, float(fol.position_at(t_x)), float(fol.speed_at(t_x))
+        crossings.append(Crossing(fol.vehicle_id, t, x, v))
     return WavePath(kind, origin_t, origin_x, origin_v, tuple(crossings))
 
 
-def _characteristic(params: ControlParams, eps_v: float) -> SpeedRule:
-    """Speed rule of a characteristic path: the pair wave speed W."""
-    return lambda t, lead, fol: pair_wave_speed(t, lead, fol, params, eps_v)
-
-
-def _constant(w: float) -> SpeedRule:
-    """Speed rule of a straight path of slope w."""
-    return lambda t, lead, fol: np.full_like(t, w)
-
-
-def _trace_from_lead(origin_t: float, trajectories: Sequence[Trajectory], speed_rule: SpeedRule,
+def _trace_from_lead(origin_t: float, trajectories: Sequence[Trajectory], rule: SpeedRule,
                      kind: PathKind, terminator: Optional[Terminator] = None) -> WavePath:
     """`_trace` from the point (origin_t, x_0, v_0) of the lead trajectory."""
     lead = trajectories[0]
@@ -259,7 +342,7 @@ def _trace_from_lead(origin_t: float, trajectories: Sequence[Trajectory], speed_
         raise ValueError("origin time outside the lead trajectory")
     origin_x = float(lead.position_at(origin_t))
     origin_v = float(lead.speed_at(origin_t))
-    return _trace(origin_t, origin_x, origin_v, trajectories, 1, speed_rule, kind, terminator)
+    return _trace(origin_t, origin_x, origin_v, trajectories, 1, rule, kind, terminator)
 
 
 def trace_characteristic_path(
@@ -273,10 +356,11 @@ def trace_characteristic_path(
     The path starts at (origin_t, x_0(origin_t)) and integrates
     dx/dt = W of the pair currently being traversed, re-anchoring on
     each crossed trajectory.  Tracing stops at the last vehicle or the
-    end of the common time window (then flagged truncated).
+    end of the common time window (then flagged truncated).  Pass a
+    `Platoon` to share its pair tables with other paths.
     """
     return _trace_from_lead(
-        origin_t, trajectories, _characteristic(params, eps_v), PathKind.CHARACTERISTIC)
+        origin_t, trajectories, _Characteristic(params, eps_v), PathKind.CHARACTERISTIC)
 
 
 def constant_speed_path(
@@ -285,7 +369,7 @@ def constant_speed_path(
     w_const: float,
 ) -> WavePath:
     """Straight-line path of slope w_const from a point on the lead trajectory."""
-    return _trace_from_lead(origin_t, trajectories, _constant(w_const), PathKind.CONSTANT_SPEED)
+    return _trace_from_lead(origin_t, trajectories, _Constant(w_const), PathKind.CONSTANT_SPEED)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +470,7 @@ def trace_phase_transition(
 
     A scenario that never transitions returns an empty composite.
     """
+    trajectories = Platoon.of(trajectories)
     events = detect_engagement(trajectories, params)
     if not events:
         return PhaseTransition((), None, None, None, (), None, None)
@@ -404,7 +489,7 @@ def trace_phase_transition(
     )
     origin_v_sh = float(trajectories[first_idx].speed_at(t_sh))
     shock_path = _trace(
-        t_sh, x_sh, origin_v_sh, trajectories, first_idx + 1, _constant(c_sh), PathKind.SHOCK,
+        t_sh, x_sh, origin_v_sh, trajectories, first_idx + 1, _Constant(c_sh), PathKind.SHOCK,
     ) if first_idx + 1 < len(trajectories) else None
 
     # transition completes once every pair's spacing has reached s_e
@@ -416,7 +501,7 @@ def trace_phase_transition(
         def overtaken(t: np.ndarray, x: np.ndarray) -> np.ndarray:
             return x <= x_sh + c_sh * (t - t_sh)
 
-        rule = _characteristic(params, eps_v)
+        rule = _Characteristic(params, eps_v)
         t_o = math.ceil(t_complete / origin_spacing) * origin_spacing
         while t_o < trajectories[0].t_end:
             chars.append(_trace_from_lead(

@@ -538,12 +538,13 @@ def test_cli_metrics_on_exported_trajectories(tmp_path):
 
 def test_metrics_on_a_case_export_writes_the_case_comparison(tmp_path):
     """`metrics` over case 1's exported trajectories, on case 1's origin
-    window, traces and pools exactly what `case 1` does."""
+    window (README's `--warmup 37.5`), traces and pools exactly what
+    `case 1` does."""
     case_dir, metrics_dir = tmp_path / "case", tmp_path / "metrics"
     assert main(["case", "1", "--full-precision", "--out-dir", str(case_dir)]) == 0
     assert main([
         "metrics", "--input", str(case_dir / "case1_trajectories.csv"),
-        "--warmup", repr(scenarios._WARMUP), "--end-margin", "5", "--full-precision",
+        "--warmup", "37.5", "--end-margin", "5", "--full-precision",
         "--out-dir", str(metrics_dir),
     ]) == 0
     for name in ("paths_proposed.csv", "paths_baseline.csv", "hist_proposed.csv",

@@ -2,6 +2,7 @@
 and engagement-front paths over platoon trajectories."""
 
 import dataclasses
+import functools
 import math
 from typing import List
 
@@ -10,6 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from accwave import tracker
+from accwave.dataio import ingest_trajectories, write_trajectories
 from accwave.microsim import (
     ConstAccel,
     Cruise,
@@ -17,6 +20,7 @@ from accwave.microsim import (
     EngagementEvent,
     LeaderProfile,
     Oscillate,
+    OscillationSpec,
     Scenario,
     Trajectory,
     detect_engagement,
@@ -24,14 +28,18 @@ from accwave.microsim import (
     simulate_platoon,
 )
 from accwave.model import ControlParams, TrafficState
-from accwave.scenarios import case_scenario, run_case
+from accwave.scenarios import case_scenario, run_case, trace_methods
 from accwave.tracker import (
     Crossing,
     DegenerateJumpError,
     PathKind,
+    Platoon,
     ShockSegment,
     WavePath,
+    _Characteristic,
+    _Constant,
     _trace,
+    _trace_from_lead,
     constant_speed_path,
     engagement_front,
     engagement_path,
@@ -360,9 +368,10 @@ def _euler_trace(origin_t, origin_x, origin_v, trajectories, first_target, speed
     return WavePath(kind, origin_t, origin_x, origin_v, tuple(crossings), truncated)
 
 
-def _oracle_paths(trajs, params, paths, w_base, transition=None, substeps=1):
-    """Re-trace each path with the Euler oracle, using the same rule, start
-    and terminator as the production call that made it."""
+def _oracle_paths(trajs, params, paths, w_base, transition=None, tracer=_euler_trace):
+    """Re-trace each path with an oracle tracer (the Euler march unless
+    given), using the same rule, start and terminator as the production
+    call that made it."""
     def characteristic(t, le, fo):
         return pair_wave_speed(t, le, fo, params)
 
@@ -384,8 +393,8 @@ def _oracle_paths(trajs, params, paths, w_base, transition=None, substeps=1):
             first_target = ids.index(first.vehicle_id) + 1
         else:
             rule, term = characteristic, overtaken
-        out.append(_euler_trace(path.origin_t, path.origin_x, path.origin_v, trajs,
-                                first_target, rule, path.kind, term, substeps))
+        out.append(tracer(path.origin_t, path.origin_x, path.origin_v, trajs, first_target, rule,
+                          path.kind, term))
     return out
 
 
@@ -401,22 +410,29 @@ def _crossing_differences(paths, oracle):
     return worst
 
 
-def _cut_in_run():
-    """Case-1 platoon with a cut-in ahead of follower 3 at t = 20 s; paths
-    launched after it reach the merged vehicle inside its shorter window."""
-    sc = dataclasses.replace(case_scenario(1), cut_ins=(CutIn(time=20.0, gap=8.0, ahead_of=3),))
+def _cut_in_run(sc, origins):
+    """Both methods from `origins` over the platoon of `sc`, whose cut-ins
+    make some pairs' common windows shorter than the lead's."""
     trajs = simulate_platoon(sc).trajectories
-    assert trajs[3].t0 == pytest.approx(20.0)
-    origins = np.arange(19.0, 50.0, 1.0)
-    w_base = lwr_baseline_speed(sc.params)
-    proposed = [trace_characteristic_path(t_o, trajs, sc.params) for t_o in origins]
-    baseline = [constant_speed_path(t_o, trajs, w_base) for t_o in origins]
-    return trajs, sc.params, proposed, baseline, w_base, None
+    proposed, baseline = trace_methods(origins, trajs, sc.params)
+    return trajs, sc.params, proposed, baseline, lwr_baseline_speed(sc.params), None
 
 
 def _case_run(case):
     if case == "cut-in":
-        return _cut_in_run()
+        # case 1 with a cut-in ahead of follower 3 at t = 20 s; paths
+        # launched after it reach the merged vehicle inside its shorter window
+        sc = dataclasses.replace(case_scenario(1), cut_ins=(CutIn(time=20.0, gap=8.0, ahead_of=3),))
+        run = _cut_in_run(sc, np.arange(19.0, 50.0, 1.0))
+        assert run[0][3].t0 == pytest.approx(20.0)
+        return run
+    if case == "four cut-ins":
+        # two merges in one step, one landing between those two, one at the front
+        cuts = (CutIn(time=12.0, gap=9.0, ahead_of=1), CutIn(time=5.0, gap=11.0, ahead_of=3),
+                CutIn(time=5.0, gap=10.0, ahead_of=3), CutIn(time=8.0, gap=4.0, ahead_of=4))
+        sc = Scenario(params=P, n_followers=4, duration=25.0, cut_ins=cuts,
+                      leader=OscillationSpec(v_e=10.0, modes=((2.0, 0.16 * math.pi, 0.0),)))
+        return _cut_in_run(sc, np.arange(1.0, 24.0, 0.25))
     run = run_case(case)
     params = case_scenario(case).params
     return (run.trajectories, params, run.proposed, run.baseline,
@@ -457,16 +473,18 @@ def test_terminator_against_euler_oracle():
     def rule(t, le, fo):
         return pair_wave_speed(t, le, fo, params)
 
-    lead = trajs[0]
-    paths, oracle = [], []
+    lead, platoon = trajs[0], Platoon(trajs)
+    paths, oracle, windowed = [], [], []
     for t_o in np.arange(14.0, 24.0, 0.1):
-        start = (t_o, float(lead.position_at(t_o)), float(lead.speed_at(t_o)), trajs, 1, rule,
-                 PathKind.CHARACTERISTIC, overtaken)
-        paths.append(_trace(*start))
-        oracle.append(_euler_trace(*start))
+        start = (t_o, float(lead.position_at(t_o)), float(lead.speed_at(t_o)))
+        paths.append(_trace(*start, platoon, 1, _Characteristic(params, 1e-9),
+                            PathKind.CHARACTERISTIC, overtaken))
+        oracle.append(_euler_trace(*start, trajs, 1, rule, PathKind.CHARACTERISTIC, overtaken))
+        windowed.append(_windowed_trace(*start, trajs, 1, rule, PathKind.CHARACTERISTIC, overtaken))
     assert {len(p.crossings) for p in paths if p.truncated} == {0, 1, 2, 3}
     d_t, d_x, d_v = _crossing_differences(paths, oracle)
     assert d_t <= 4.0 * trajs[0].dt
+    assert np.all(_crossing_differences(paths, windowed) <= 1e-9)
 
 
 def test_euler_oracle_converges_to_tracer_as_its_step_shrinks():
@@ -474,7 +492,9 @@ def test_euler_oracle_converges_to_tracer_as_its_step_shrinks():
     # production tracer shrinks about fourfold, so it is the oracle's error
     trajs, params, proposed, _, w_base, _ = _case_run(3)
     coarse = _crossing_differences(proposed, _oracle_paths(trajs, params, proposed, w_base))
-    fine = _crossing_differences(proposed, _oracle_paths(trajs, params, proposed, w_base, substeps=4))
+    fine = _crossing_differences(
+        proposed, _oracle_paths(trajs, params, proposed, w_base,
+                                tracer=functools.partial(_euler_trace, substeps=4)))
     assert np.all(fine <= coarse / 3.0)
 
 
@@ -521,3 +541,197 @@ def test_characteristic_crossings_converge_at_second_order():
         err = [np.sqrt(np.mean((crossing_times(h, tracer) - ref) ** 2)) for h in (0.1, 0.05, 0.025)]
         ratios = np.array(err[:-1]) / np.array(err[1:])
         assert np.all(np.abs(ratios - order) < 0.1 * order), (tracer.__name__, ratios)
+
+
+# ---------------------------------------------------------------------------
+# the windowed per-path search the pair tables replaced, kept as their oracle
+# ---------------------------------------------------------------------------
+
+_FIRST_WINDOW = 32   # follower samples in a pair's first search window; doubles per window
+
+
+def _windowed_pair_crossing(t_c, x_c, lead, fol, speed_rule, terminator):
+    """Time at which a path entering the pair (lead, fol) at (t_c, x_c) meets
+    the follower, or None when it reaches the end of the pair's common time
+    window or the terminator first (or enters outside that window).
+
+    The knots are t_c, the follower's own samples after t_c and the window
+    end, taken in windows of `_FIRST_WINDOW` samples, doubling.  Each window
+    evaluates `speed_rule(t, lead, fol)` on its knots, integrates it by
+    cumulative trapezoid from the window's entry and roots path minus
+    follower, linear between knots; the follower is interpolated on every
+    knot.
+    """
+    t_end = min(lead.t_end, fol.t_end)
+    if not max(lead.t0, fol.t0) <= t_c < t_end:
+        return None
+    j = int(np.searchsorted(fol.t, t_c, side="right"))      # first sample after t_c
+    j_end = int(np.searchsorted(fol.t, t_end, side="left"))  # samples before t_end
+    n = _FIRST_WINDOW
+    while True:
+        k = min(j + n, j_end)
+        last = [t_end] if k == j_end else []
+        tn = np.concatenate(([t_c], fol.t[j:k], last))
+        w = np.broadcast_to(speed_rule(tn, lead, fol), tn.shape)
+        xn = x_c + np.concatenate(([0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(tn))))
+        gap = xn - fol.position_at(tn)
+        # a path behind the follower (overlapping vehicles in recorded data)
+        # has not crossed it yet: search from the first knot ahead of it
+        above = np.flatnonzero(gap > 0.0)
+        t_x = first_down_crossing(tn[above[0]:], gap[above[0]:], 0.0) if above.size else None
+        if terminator is not None:
+            stopped = terminator(tn, xn)
+            if np.any(stopped if t_x is None else stopped[tn < t_x]):
+                return None
+        if t_x is not None or k == j_end:
+            return t_x
+        t_c, x_c, j, n = float(tn[-1]), float(xn[-1]), k, 2 * n
+
+
+def _windowed_trace(origin_t, origin_x, origin_v, trajectories, first_target, speed_rule, kind,
+                    terminator=None) -> WavePath:
+    """Pair by pair, `_windowed_pair_crossing` and a re-anchor on the follower."""
+    crossings: List[Crossing] = []
+    t, x = origin_t, origin_x
+    for idx in range(first_target, len(trajectories)):
+        lead, fol = trajectories[idx - 1], trajectories[idx]
+        t_x = _windowed_pair_crossing(t, x, lead, fol, speed_rule, terminator)
+        if t_x is None:
+            return WavePath(kind, origin_t, origin_x, origin_v, tuple(crossings), True)
+        t, x = t_x, float(fol.position_at(t_x))
+        crossings.append(Crossing(fol.vehicle_id, t, x, float(fol.speed_at(t))))
+    return WavePath(kind, origin_t, origin_x, origin_v, tuple(crossings))
+
+
+def _windowed_oracle_differences(trajs, params, paths, w_base, transition=None):
+    return _crossing_differences(
+        paths, _oracle_paths(trajs, params, paths, w_base, transition, tracer=_windowed_trace))
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, 4, "four cut-ins"])
+def test_tracer_against_windowed_oracle(case):
+    # the pair tables change only the order of the sums: every crossing
+    # agrees with the windowed search to round-off
+    trajs, params, proposed, baseline, w_base, transition = _case_run(case)
+    traced = [p for p in proposed + baseline if p.kind is not PathKind.ENGAGEMENT]
+    if case == 4:
+        # the shock path, and characteristics the shock stops as well as
+        # characteristics that cross the whole platoon
+        assert transition.shock is not None and transition.shock in traced
+        n_full = [len(c.crossings) == len(trajs) - 1 for c in transition.characteristics]
+        assert any(n_full) and not all(n_full)
+    if case == "four cut-ins":
+        assert any(p.truncated for p in traced) and not all(p.truncated for p in traced)
+    assert np.all(_windowed_oracle_differences(trajs, params, traced, w_base, transition) <= 1e-9)
+
+
+def _overlap_platoon(h=0.1, t_end=40.0):
+    """Recorded-style platoon sampled every h in which follower 2 runs up to
+    3 m ahead of follower 1 around t = 13 s, as overlapping vehicles do in
+    noisy recorded data; every pair is engaged otherwise."""
+    t = np.linspace(0.0, t_end, int(round(t_end / h)) + 1)
+    om = 0.16 * math.pi
+    x = 10.0 * t + 8.0 * np.sin(om * t)
+    v = 10.0 + 8.0 * om * np.cos(om * t)
+    bump = np.exp(-((t - 13.0) / 2.0) ** 2)
+    trajs = [Trajectory(0, t, x, v, np.zeros_like(t), h)]
+    for i in range(1, 4):
+        x = x - (17.0 + 2.0 * np.sin(2.0 * om * t + i)) + (20.0 * bump if i == 2 else 0.0)
+        v = v - 4.0 * om * np.cos(2.0 * om * t + i) + (
+            20.0 * bump * -2.0 * (t - 13.0) / 4.0 if i == 2 else 0.0)
+        trajs.append(Trajectory(i, t, x, v, np.zeros_like(t), h))
+    return trajs
+
+
+def test_tracer_against_windowed_oracle_on_overlapping_recorded_vehicles(tmp_path):
+    path = tmp_path / "overlap.csv"
+    write_trajectories(str(path), _overlap_platoon(), full_precision=True)
+    trajs = ingest_trajectories(str(path))
+    assert np.any(trajs[2].x > trajs[1].x)
+    w_base = lwr_baseline_speed(P)
+    proposed, baseline = trace_methods(np.arange(2.0, 34.0, 0.25), trajs, P, w_base)
+    # some paths cross vehicle 1 behind vehicle 2, so they enter the pair
+    # (1, 2) behind its follower and search from the first knot ahead of it
+    entries = [p.crossings[0] for p in proposed + baseline if p.crossings]
+    assert any(c.x <= trajs[2].position_at(c.t) for c in entries)
+    for paths in (proposed, baseline):
+        assert np.all(_windowed_oracle_differences(trajs, P, paths, w_base) <= 1e-9)
+
+
+@functools.lru_cache(maxsize=None)
+def _property_platoon(name):
+    if name == "overlap":
+        return _overlap_platoon()
+    if name == "coarse":
+        # samples 1 s apart: many paths meet the follower before its first
+        # sample after the entry, on the entry's own partial interval
+        return _smooth_platoon(1.0, t_end=40.0)
+    return simulate_platoon(case_scenario(2)).trajectories
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["case 2", "overlap", "coarse"]),
+    fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6),
+    w=st.floats(min_value=-12.0, max_value=12.0),
+)
+def test_tracer_matches_windowed_oracle_from_any_origin(name, fractions, w):
+    trajs = _property_platoon(name)
+    lead = trajs[0]
+    origins = [lead.t0 + f * (lead.t_end - lead.t0) for f in fractions]
+    platoon = Platoon(trajs)
+    paths = [trace_characteristic_path(t_o, platoon, P) for t_o in origins]
+    paths += [constant_speed_path(t_o, platoon, w) for t_o in origins]
+    assert np.all(_windowed_oracle_differences(trajs, P, paths, w) <= 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# pair tables are shared by every path over one Platoon
+# ---------------------------------------------------------------------------
+
+
+class _SpyRule:
+    """A constant speed rule that records the length of each array it is evaluated on."""
+
+    def __init__(self, w):
+        self.w, self.arrays = w, []
+
+    def __call__(self, x_lead, v_lead, x_fol, v_fol):
+        if np.ndim(x_fol):
+            self.arrays.append(len(x_fol))
+        return np.full(np.shape(x_fol), self.w)
+
+
+def test_each_pair_table_is_built_once_per_platoon():
+    trajs = _cruise_platoon()
+    platoon, spy = Platoon(trajs), _SpyRule(lwr_baseline_speed(P))
+    origins = np.arange(2.0, 20.0, 0.5)
+    paths = [_trace_from_lead(t_o, platoon, spy, PathKind.CONSTANT_SPEED) for t_o in origins]
+    assert all(len(p.crossings) == 3 for p in paths)
+    # one table per pair, on the follower's samples (the last one is the window end)
+    assert spy.arrays == [len(tr.t) for tr in trajs[1:]]
+    # the same paths as the public constant-speed path, which takes its own rule
+    assert paths == [constant_speed_path(t_o, platoon, spy.w) for t_o in origins]
+
+
+def test_characteristic_tables_are_shared_across_origins(monkeypatch):
+    evaluations = []
+
+    def counting(x_lead, v_lead, x_fol, v_fol, params, eps_v):
+        evaluations.append(np.ndim(x_fol))
+        return wave_speed(x_lead, v_lead, x_fol, v_fol, params, eps_v)
+
+    wave_speed = tracker._wave_speed
+    monkeypatch.setattr(tracker, "_wave_speed", counting)
+    trajs = _cruise_platoon()
+    origins = np.arange(2.0, 20.0, 0.5)
+    proposed, _ = trace_methods(origins, trajs, P)
+    # one array evaluation per pair for all origins; one scalar per entry
+    assert evaluations.count(1) == len(trajs) - 1
+    assert evaluations.count(0) == sum(len(p.crossings) for p in proposed)
+    # a bare list is wrapped for one call only, so each call builds its own
+    evaluations.clear()
+    for t_o in origins[:3]:
+        trace_characteristic_path(t_o, trajs, P)
+    assert evaluations.count(1) == 3 * (len(trajs) - 1)
+    assert _Characteristic(P, 1e-9) == _Characteristic(P, 1e-9) != _Constant(-4.0)
