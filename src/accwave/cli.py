@@ -135,7 +135,7 @@ def _write_comparison(cfg: ScenarioConfig, c: Comparison, prefix: str, label: st
 
 def _cmd_pde(args: argparse.Namespace) -> int:
     cfg = _merged_config(args)
-    _, fld = solve_ring(args.case, dx=args.dx, **_ring_kwargs(cfg))
+    fld = solve_ring(args.case, dx=args.dx, **_ring_kwargs(cfg))
     out = os.path.join(_out_dir(cfg), f"field_case{args.case}.csv")
     dataio.write_field(out, fld, cfg.full_precision)
     print(f"wrote {out} ({len(fld.times)} snapshots x {fld.grid.n_x} cells)")

@@ -278,11 +278,22 @@ def write_histogram(path: str, hist: Histogram, full_precision: bool = False) ->
 
 
 def write_field(path: str, fld: EulerianField, full_precision: bool = False) -> None:
-    """Heatmap-ready field export: one row per (time, cell center)."""
-    centers = fld.grid.centers
-    blocks = (np.column_stack((np.full(centers.size, t), centers, rho, v))
-              for t, rho, v in zip(fld.times, fld.rho, fld.v))
-    _write_blocks(path, "t,x,rho,v", [_REAL_SPEC[full_precision]] * 4, blocks)
+    """Heatmap-ready field export: one row per (time, cell center).
+
+    Every snapshot's rows share its time and every snapshot shares the
+    centers, so each time is formatted once per snapshot and the centers
+    once per file; only rho and v go through printf cell by cell.  A
+    snapshot is one string: its time text joined between the per-cell
+    row tails, then formatted with the snapshot's interleaved (rho, v).
+    """
+    real = _REAL_SPEC[full_precision]
+    # what follows the time in each cell's row: ",x,<rho spec>,<v spec>"
+    tails = [f",{real % x},{real},{real}\r\n" for x in fld.grid.centers.tolist()]
+    with open(path, "w", newline="") as fh:
+        fh.write("t,x,rho,v\r\n")
+        for t, rho_v in zip(fld.times.tolist(), np.stack((fld.rho, fld.v), axis=-1)):
+            t_text = real % t
+            fh.write((t_text + t_text.join(tails)) % tuple(rho_v.ravel().tolist()))
 
 
 def write_bode(

@@ -13,7 +13,15 @@ last.  The per-cell terms (flow, a and the wave bound max(|v|, |a|)) are
 computed once on it, and every interface term is a pair of shifted
 slices of those columns, so the periodic wrap costs two column copies
 and no rolled copies.  The Rusanov flux, the wave bound and a are each
-written once, on arrays.
+written once, on arrays, and write into a buffer when given one.
+
+Within `solve` a step allocates nothing: its ghost-cell array, its
+scratch arrays and the states it returns live in a `_StepWork` that
+`solve` allocates once per solve, and every term is computed in place
+with `out=` ufuncs.  The returned states alternate between two buffers, so a
+state stays valid through the next step.  The flux average and the
+interface speed are carried doubled and share one scale 0.5 * (h / dx);
+halving is exact, so the arithmetic is the same to the bit.
 
 Also provides the piecewise-constant mapping from ring trajectories to
 Eulerian (rho, v) fields: each vehicle owns the stretch of road from its
@@ -83,7 +91,7 @@ class EulerianField:
         n_t = len(self.times)
         if self.rho.shape != (n_t, self.grid.n_x) or self.v.shape != self.rho.shape:
             raise ValueError("field arrays must be (n_times, n_cells)")
-        if np.any(self.rho <= 0):
+        if not np.all(self.rho > 0):  # also refuses NaN
             raise ValueError("density must be positive everywhere")
 
     def mass(self, k: int = -1) -> float:
@@ -105,30 +113,79 @@ class PositivityError(RuntimeError):
 # Local building blocks
 # ---------------------------------------------------------------------------
 
-def _advection(rho, v, params: ControlParams):
-    """a = v - k_v/rho (= lambda2), elementwise."""
-    return v - params.k_v / rho
+def _advection(rho, v, params: ControlParams, out=None):
+    """a = v - k_v/rho (= lambda2), elementwise; into `out` when given."""
+    return np.subtract(v, np.divide(params.k_v, rho, out=out), out=out)
 
 
-def _cell_bound(v, a):
-    """max(|lambda1|, |lambda2|) per cell = max(|v|, |a|)."""
-    return np.maximum(np.abs(v), np.abs(a))
+def _cell_bound(v, a, out=None):
+    """max(|lambda1|, |lambda2|) per cell = max(|v|, |a|); into `out` when given.
 
-
-def _rusanov(rho_l, q_l, bound_l, rho_r, q_r, bound_r):
-    """(alpha, flux) at interfaces between left and right cell values.
-
-    alpha = max(bound_l, bound_r) is the local wave bound; the Rusanov
-    mass flux is the central average of q = rho*v minus alpha-scaled
-    dissipation on the density jump.
+    k_v >= 0 and rho > 0 make a = v - k_v/rho <= v, so the bound is
+    max(v, -a), the same value in two passes rather than three.
     """
-    alpha = np.maximum(bound_l, bound_r)
-    return alpha, 0.5 * (q_l + q_r) - 0.5 * alpha * (rho_r - rho_l)
+    return np.maximum(v, np.negative(a, out=out), out=out)
+
+
+def _rusanov(rho_l, q_l, bound_l, rho_r, q_r, bound_r, out=None, scratch=None):
+    """Twice the Rusanov mass flux at interfaces between left and right cell
+    values; into `out` when given, with `scratch` as a second buffer.
+
+    alpha = max(bound_l, bound_r) is the local wave bound; the flux is the
+    central average of q = rho*v minus alpha-scaled dissipation on the
+    density jump, 0.5 (q_l + q_r) - 0.5 alpha (rho_r - rho_l).  It is
+    returned doubled so that the caller's update scale carries the 0.5:
+    halving is exact, so this costs no rounding.
+    """
+    alpha = np.maximum(bound_l, bound_r, out=scratch)
+    dissipation = np.multiply(alpha, np.subtract(rho_r, rho_l, out=out), out=scratch)
+    return np.subtract(np.add(q_l, q_r, out=out), dissipation, out=out)
 
 
 # ---------------------------------------------------------------------------
 # Time stepping
 # ---------------------------------------------------------------------------
+
+class _StepWork:
+    """Buffers of `step` on an n-cell grid, and the views of them it reads.
+
+    The ghost-cell array, the per-column, interface and cell scratch
+    arrays, and two (2, n) state buffers that successive steps write in
+    turn.  Every slice the step takes (interior, wrap columns, left and
+    right interface sides) is made once here: making a view costs a good
+    part of a ufunc call on a grid of a few hundred cells.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        cells = np.empty((2, n + 2))             # rho, v with one ghost column each side
+        self.a = np.empty(n + 2)                 # per column: a = v - k_v/rho,
+        self.bound = np.empty(n + 2)             # the wave bound max(|v|, |a|)
+        self.q = np.empty(n + 2)                 # and the flow rho*v
+        self.flux = np.empty(n + 1)              # per interface: twice the Rusanov flux,
+        self.scratch = np.empty(n + 1)           # its second buffer,
+        self.dv = np.empty(n + 1)                # the jump of v
+        self.donor = np.empty((2, n + 1))        # and the two upwind terms of v
+        self.relax = np.empty(n)                 # per cell: the relaxation term
+        self.tmp = np.empty(n)                   # and its second buffer
+
+        self.r, self.u = cells
+        self.interior = cells[:, 1:-1]
+        self.wrap = ((cells[:, 0], cells[:, n]), (cells[:, -1], cells[:, 1]))   # (ghost, cell)
+        r, u, a, bound, q = self.r, self.u, self.a, self.bound, self.q
+        # interface j pairs column j (left) with column j + 1 (right)
+        self.flux_sides = (r[:-1], q[:-1], bound[:-1], r[1:], q[1:], bound[1:])
+        self.a_l, self.a_r, self.u_l, self.u_r = a[:-1], a[1:], u[:-1], u[1:]
+        self.up, self.dn = self.donor
+        self.flux_l, self.flux_r = self.flux[:-1], self.flux[1:]
+        # cell i takes the positive part at its left interface (entry i)
+        # and the negative part at its right one (entry i + 1)
+        self.up_l, self.dn_r = self.up[:-1], self.dn[1:]
+        # the two state buffers with their rho and v rows; `turn` picks the one
+        # the next step writes
+        self.rows = tuple((state, state[0], state[1]) for state in np.empty((2, 2, n)))
+        self.turn = 0
+
 
 def step(
     rho: np.ndarray,
@@ -140,6 +197,8 @@ def step(
     dt: Optional[float] = None,
     mass_source: SourceFn = None,
     momentum_source: SourceFn = None,
+    *,
+    work: Optional[_StepWork] = None,
 ) -> Tuple[np.ndarray, np.ndarray, float]:
     """One finite-volume step; returns (rho_new, v_new, dt_used).
 
@@ -156,45 +215,78 @@ def step(
     the wave bound are computed once on that array; its n_x + 1
     interfaces pair column j with column j + 1, so cell i's left and
     right interfaces are entries i and i + 1 of every interface array.
+    The flux average and the interface speed are kept doubled and halved
+    once, in the scale 0.5 * (h / dx); halving is exact, so this is the
+    same arithmetic to the bit.  A NaN density is refused like a
+    non-positive one, before and after the update.
+
+    Buffers: every array the step computes lives in `work`, a `_StepWork`
+    for this grid size, and is filled in place; without one the step
+    allocates its own.  The returned arrays are views of one of the two
+    state buffers of `work`, which successive calls write in turn: a
+    result stays valid through the next call with the same `work` and is
+    overwritten by the call after.  The inputs are read only through the
+    ghost-cell copy, so they may be the results of any earlier call.
     """
     if not 0.0 < cfl < 1.0:
         raise ValueError("cfl must lie in (0, 1)")
     if dt is not None and not dt > 0:  # also refuses NaN
         raise ValueError(f"dt cap must be positive, got {dt}")
     n, dx = grid.n_x, grid.dx
-    cells = np.empty((2, n + 2))
-    cells[0, 1:-1] = rho
-    cells[1, 1:-1] = v
-    cells[:, 0] = cells[:, n]
-    cells[:, -1] = cells[:, 1]
-    r, u = cells
-    if (r <= 0).any():
+    w = _StepWork(n) if work is None else work
+    if w.n != n:
+        raise ValueError(f"work buffers are for {w.n} cells, the grid has {n}")
+    w.interior[0] = rho
+    w.interior[1] = v
+    for ghost, cell in w.wrap:
+        ghost[...] = cell
+    r, u = w.r, w.u
+    # argmin and argmax return the first NaN, so these tests also refuse NaN;
+    # each is one pass, and cheaper per call than min() and max()
+    if not r[r.argmin()] > 0:
         raise ValueError("density must be positive (non-vacuum)")
-    a = _advection(r, u, params)
-    bound = _cell_bound(u, a)
+    a = _advection(r, u, params, out=w.a)
+    bound = _cell_bound(u, a, out=w.bound)
 
     # the max over cells equals the max of the interface bounds
-    dt_cfl = cfl * dx / float(bound.max())
+    dt_cfl = cfl * dx / float(bound[bound.argmax()])
     h = dt_cfl if dt is None else min(dt, dt_cfl)
+    scale = 0.5 * (h / dx)                       # the 0.5 of the doubled flux and speeds
 
-    q = r * u
-    _, flux = _rusanov(r[:-1], q[:-1], bound[:-1], r[1:], q[1:], bound[1:])
-    rho_new = rho - (h / dx) * (flux[1:] - flux[:-1])
+    np.multiply(r, u, out=w.q)
+    _rusanov(*w.flux_sides, out=w.flux, scratch=w.scratch)
+    # upwind terms at entry i: twice a_{i-1/2}, its positive part times
+    # v_i - v_{i-1} and its negative part times the same jump
+    up, dn, dv = w.up, w.dn, w.dv
+    np.add(w.a_l, w.a_r, out=up)
+    np.subtract(w.u_r, w.u_l, out=dv)
+    np.minimum(up, 0.0, out=dn)
+    np.maximum(up, 0.0, out=up)
+    np.multiply(w.donor, dv, out=w.donor)
+    # both updates, scaled at once: rho - scale (flux_{i+1/2} - flux_{i-1/2})
+    # and v* = v - scale (a_{i-1/2}^+ dv_{i-1/2} + a_{i+1/2}^- dv_{i+1/2})
+    state, rho_new, v_new = w.rows[w.turn]       # v_new holds v* until the relaxation
+    w.turn ^= 1
+    np.subtract(w.flux_r, w.flux_l, out=rho_new)
+    np.add(w.up_l, w.dn_r, out=v_new)
+    np.multiply(state, scale, out=state)
+    np.subtract(w.interior, state, out=state)
     if mass_source is not None:
-        rho_new = rho_new + h * mass_source(grid.centers, t)
-    if (rho_new <= 0).any():
-        cell = int(np.argmin(rho_new))
+        np.add(rho_new, h * mass_source(grid.centers, t), out=rho_new)
+    cell = int(rho_new.argmin())
+    if not rho_new[cell] > 0:
         raise PositivityError(t + h, cell, float(rho_new[cell]))
-
-    a_if = 0.5 * (a[:-1] + a[1:])             # interface i-1/2 at entry i
-    dv = u[1:] - u[:-1]                        # v_i - v_{i-1} at entry i
-    v_star = v - (h / dx) * (
-        np.maximum(a_if[:-1], 0.0) * dv[:-1] + np.minimum(a_if[1:], 0.0) * dv[1:]
-    )
     if momentum_source is not None:
-        v_star = v_star + h * momentum_source(grid.centers, t)
+        np.add(v_new, h * momentum_source(grid.centers, t), out=v_new)
 
-    v_new = v_star + h * params.k_s * (1.0 / rho_new - params.tau * v_star - params.L)
+    # relaxation toward the manifold: v* + h k_s (1/rho_new - tau v* - L)
+    relax, tmp = w.relax, w.tmp
+    np.divide(1.0, rho_new, out=relax)
+    np.multiply(params.tau, v_new, out=tmp)
+    np.subtract(relax, tmp, out=relax)
+    np.subtract(relax, params.L, out=relax)
+    np.multiply(h * params.k_s, relax, out=relax)
+    np.add(v_new, relax, out=v_new)
     return rho_new, v_new, h
 
 
@@ -215,6 +307,11 @@ def solve(
     actual step time is recorded.  With no request list, only the
     initial and final states are kept.  The final step is clamped to
     land exactly on t_end.
+
+    One `_StepWork` serves every step, so the march allocates nothing
+    per step; its two state buffers alternate, which keeps the previous
+    step's state intact for nearest-step sampling while the next is
+    written.
     """
     rho = np.asarray(rho0, dtype=float).copy()
     v = np.asarray(v0, dtype=float).copy()
@@ -246,12 +343,13 @@ def solve(
             record(t)
             ptr += 1
 
+    work = _StepWork(grid.n_x)
     prev_t = t
     while t < t_end - 1e-12:
         prev_rho, prev_v, prev_t = rho, v, t
         rho, v, h = step(
             rho, v, grid, params, cfl, t=t, dt=t_end - t,
-            mass_source=mass_source, momentum_source=momentum_source,
+            mass_source=mass_source, momentum_source=momentum_source, work=work,
         )
         t += h
         if requests is None:

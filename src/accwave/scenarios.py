@@ -11,7 +11,8 @@ Case 4  free-flow approach with leader deceleration into a congested
 Each run traces the proposed wave paths and a constant-speed baseline from
 the same origins (`trace_methods`) and reduces both to deviation statistics
 (`Comparison`), as `metrics` does on recorded trajectories.  Ring runs feed
-the platoon into the finite-volume solver (`solve_ring`) for micro-vs-PDE RMSEs.
+the platoon's t = 0 state into the finite-volume solver (`solve_ring` for
+the field alone, `run_ring_validation` for micro-vs-PDE RMSEs).
 """
 
 from __future__ import annotations
@@ -253,19 +254,32 @@ class RingValidation:
     pde: EulerianField
 
 
-def solve_ring(case: int, n_vehicles: int, duration: float, dt: float, n_cells: int, cfl: float,
-               sample_every: float, dx: Optional[float] = None) -> Tuple[PlatoonResult, EulerianField]:
-    """Ring platoon on a ring sized by the time-headway manifold, and the PDE
-    field solved from its micro field at t = 0 on `n_cells` cells (about `dx`
-    metres each, at least 4, when `dx` is given), recorded at the solver's
-    nearest completed steps to every `sample_every` seconds."""
-    res = simulate_platoon(ring_scenario(case, n_vehicles, duration, dt))
+def _ring_field(res: PlatoonResult, duration: float, n_cells: int, cfl: float,
+                sample_every: float, dx: Optional[float] = None) -> EulerianField:
+    """PDE field of ring platoon `res` over `duration`, solved from its micro
+    field at t = 0 on `n_cells` cells (about `dx` metres each, at least 4,
+    when `dx` is given), recorded at the solver's nearest completed steps
+    to every `sample_every` seconds."""
     if dx is not None:
         n_cells = max(4, int(round(res.ring_length / dx)))
     grid = Grid(res.ring_length, n_cells)
     rho0, v0 = pde_initial_from_micro(res.trajectories, res.ring_length, grid)
     wanted = np.arange(0.0, duration + 1e-9, sample_every)
-    return res, solve(rho0, v0, grid, TABLE_PARAMS, duration, cfl=cfl, output_times=wanted)
+    return solve(rho0, v0, grid, TABLE_PARAMS, duration, cfl=cfl, output_times=wanted)
+
+
+def solve_ring(case: int, n_vehicles: int, duration: float, dt: float, n_cells: int, cfl: float,
+               sample_every: float, dx: Optional[float] = None) -> EulerianField:
+    """PDE field of one ring case on a ring sized by the time-headway
+    manifold (`_ring_field`).
+
+    The field starts from the platoon's t = 0 state alone, so the platoon
+    is simulated for its first step only; its scenario is still built for
+    the whole `duration`, whose checks therefore still apply.
+    """
+    sc = ring_scenario(case, n_vehicles, duration, dt)
+    res = simulate_platoon(dataclasses.replace(sc, duration=sc.dt))
+    return _ring_field(res, duration, n_cells, cfl, sample_every, dx)
 
 
 def run_ring_validation(
@@ -277,12 +291,14 @@ def run_ring_validation(
     cfl: float = 0.5,
     sample_every: float = 0.5,
 ) -> RingValidation:
-    """Micro-vs-PDE comparison for one ring case (`solve_ring`).
+    """Micro-vs-PDE comparison for one ring case: the platoon over the whole
+    `duration` and the PDE field solved from its t = 0 state (`_ring_field`).
 
     The micro field is sampled on the solver's output times before
     computing space-time RMSEs.
     """
-    res, pde_field = solve_ring(case, n_vehicles, duration, dt, n_cells, cfl, sample_every)
+    res = simulate_platoon(ring_scenario(case, n_vehicles, duration, dt))
+    pde_field = _ring_field(res, duration, n_cells, cfl, sample_every)
     grid = pde_field.grid
     rho_m, v_m = micro_to_eulerian(res.trajectories, res.ring_length, grid, pde_field.times)
     micro_field = EulerianField(grid=grid, times=pde_field.times.copy(), rho=rho_m, v=v_m)

@@ -330,6 +330,31 @@ def test_write_field_bytes_match_csv_writer_loop(tmp_path, full_precision):
     assert got.read_bytes() == want.read_bytes()
 
 
+# (ring length, cells, times): one snapshot; centers that print in exponent
+# form, huge and tiny; times whose texts repeat (1 + 1e-7 prints as 1 at 6
+# digits, and equal times print alike at any precision)
+_FIELD_SHAPES = {
+    "one snapshot": (7.0, 5, [0.25]),
+    "exponent centers": (4e20, 4, [0.0, 3.5]),
+    "tiny centers": (4e-9, 6, [0.0, 1e-300]),
+    "repeated time texts": (50.0, 8, [1.0, 1.0000001, 1.0000001, 2.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("full_precision", [False, True])
+@pytest.mark.parametrize("shape", list(_FIELD_SHAPES))
+def test_write_field_bytes_match_csv_writer_loop_on_edge_shapes(tmp_path, shape, full_precision):
+    L_x, n_x, times = _FIELD_SHAPES[shape]
+    rng = np.random.default_rng(5)
+    rho = rng.uniform(1e-3, 0.2, (len(times), n_x))
+    v = rng.choice(_AWKWARD, (len(times), n_x))
+    fld = EulerianField(Grid(L_x=L_x, n_x=n_x), np.array(times), rho, v)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    dataio.write_field(str(got), fld, full_precision)
+    _oracle_write_field(str(want), fld, full_precision)
+    assert got.read_bytes() == want.read_bytes()
+
+
 @pytest.mark.parametrize("full_precision", [False, True])
 def test_write_trajectories_bytes_match_csv_writer_loop(tmp_path, full_precision):
     from accwave.microsim import Trajectory
@@ -555,6 +580,24 @@ def test_metrics_on_a_case_export_writes_the_case_comparison(tmp_path):
     assert metrics_rows[0] == case_rows[0]
     assert [r.split(",", 1)[1] for r in metrics_rows[1:]] == [r.split(",", 1)[1] for r in case_rows[1:]]
     assert [r.split(",", 1)[0] for r in metrics_rows[1:]] == ["custom", "custom"]
+
+
+def test_pde_simulates_one_platoon_step_and_writes_the_validate_pde_field(tmp_path, monkeypatch):
+    """The PDE starts from the ring platoon's t = 0 state alone, so `pde`
+    simulates only the platoon's first step; its field is still the PDE
+    field of `validate`, which simulates the whole run, byte for byte."""
+    steps = []
+    simulate = scenarios.simulate_platoon
+    monkeypatch.setattr(scenarios, "simulate_platoon",
+                        lambda sc: steps.append(round(sc.duration / sc.dt)) or simulate(sc))
+    assert main(["pde", "--case", "2", "--full-precision", "--out-dir", str(tmp_path)]) == 0
+    assert main(["validate", "--case", "2", "--full-precision", "--out-dir", str(tmp_path)]) == 0
+    assert steps == [1, 6000]
+    assert (tmp_path / "field_case2.csv").read_bytes() == (
+        tmp_path / "validate_case2_pde.csv").read_bytes()
+    # the scenario is still checked over the whole duration
+    with pytest.raises(ValueError, match="integer multiple"):
+        scenarios.solve_ring(2, 40, 60.005, 0.01, 200, 0.5, 0.5)
 
 
 _SUBCOMMANDS = {  # subcommand -> its required arguments

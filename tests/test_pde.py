@@ -18,7 +18,7 @@ from accwave.pde import (
     solve,
     step,
 )
-from accwave.pde import _advection, _cell_bound, _rusanov
+from accwave.pde import _StepWork, _advection, _cell_bound, _rusanov
 
 P = ControlParams()  # tau=1.2, L=5, k_s=0.8, k_v=1.4
 
@@ -72,10 +72,11 @@ def _side(rho, v):
 
 def test_wave_bound_and_flux_hand_values():
     # left: max(12, |12 - 1.4/0.05|) = 16; right: max(6, |6 - 1.4/0.08|) = 11.5
-    alpha, flux = _rusanov(*_side(0.05, 12.0), *_side(0.08, 6.0))
-    assert alpha == pytest.approx(16.0, rel=1e-12)
-    # 0.5*(0.6 + 0.48) - 0.5*16*(0.08 - 0.05) = 0.54 - 0.24 = 0.30
-    assert flux == pytest.approx(0.30, rel=1e-12)
+    left, right = _side(0.05, 12.0), _side(0.08, 6.0)
+    assert (left[2], right[2]) == pytest.approx((16.0, 11.5), rel=1e-12)
+    # alpha = 16: 0.5*(0.6 + 0.48) - 0.5*16*(0.08 - 0.05) = 0.54 - 0.24 = 0.30,
+    # returned doubled
+    assert _rusanov(*left, *right) == pytest.approx(2 * 0.30, rel=1e-12)
 
 
 def test_building_blocks_are_elementwise():
@@ -84,9 +85,10 @@ def test_building_blocks_are_elementwise():
     got = _rusanov(*_side(l_rho, l_v), *_side(r_rho, r_v))
     want = [_rusanov(*_side(*left), *_side(*right))
             for left, right in zip(zip(l_rho, l_v), zip(r_rho, r_v))]
-    for k in (0, 1):
-        assert np.array_equal(got[k], [w[k] for w in want])
-    assert np.array_equal(_advection(l_rho, l_v, P), l_v - P.k_v / l_rho)
+    assert np.array_equal(got, want)
+    a = _advection(l_rho, l_v, P)
+    assert np.array_equal(a, l_v - P.k_v / l_rho)
+    assert np.array_equal(_cell_bound(l_v, a), np.maximum(np.abs(l_v), np.abs(a)))
 
 
 def test_advection_speed_is_second_characteristic():
@@ -227,6 +229,15 @@ def test_field_validation():
         EulerianField(g, times, 0.0 * good, np.full((1, 10), 10.0))
 
 
+def test_field_refuses_a_nan_density():
+    # rho <= 0 is False for NaN, so a NaN density used to pass
+    g = Grid(L_x=100.0, n_x=10)
+    rho = np.full((1, 10), 0.05)
+    rho[0, 3] = math.nan
+    with pytest.raises(ValueError, match="density must be positive"):
+        EulerianField(g, np.array([0.0]), rho, np.full((1, 10), 10.0))
+
+
 def _oracle_step(rho, v, grid, params, cfl=0.5, t=0.0, dt=None,
                  mass_source=None, momentum_source=None):
     """Reference: the roll-based step, with every interface term rebuilt by np.roll."""
@@ -324,6 +335,118 @@ def test_step_rejects_non_positive_density():
     rho[7] = 0.0
     with pytest.raises(ValueError, match="density must be positive"):
         step(rho, v, g, P)
+
+
+def test_step_refuses_a_nan_density_before_and_after_the_update():
+    # both positivity tests used to be (rho <= 0).any(), which NaN passes
+    g, rho, v = _equilibrium_grid()
+    bad = rho.copy()
+    bad[7] = math.nan
+    with pytest.raises(ValueError, match="density must be positive"):
+        step(bad, v, g, P)
+    nan_at_11 = lambda x, t: np.where(np.arange(x.size) == 11, math.nan, 0.0)
+    with pytest.raises(PositivityError) as info:
+        step(rho, v, g, P, mass_source=nan_at_11)
+    assert info.value.cell == 11 and math.isnan(info.value.rho)
+
+
+def test_step_results_survive_the_next_call_with_the_same_work():
+    g, rho0, v0, params = _ring_initial_field(3, 200)
+    w = _StepWork(g.n_x)
+    rho1, v1, _ = step(rho0, v0, g, params, work=w)
+    kept = rho1.copy(), v1.copy()
+    rho2, v2, _ = step(rho1, v1, g, params, work=w)
+    assert np.array_equal(rho1, kept[0]) and np.array_equal(v1, kept[1])
+    assert not np.shares_memory(rho1, rho2) and not np.shares_memory(v1, v2)
+    # both match the oracle, also when the inputs live where the result goes
+    want = _oracle_step(rho1, v1, g, params)
+    assert np.array_equal(rho2, want[0]) and np.array_equal(v2, want[1])
+    rho3, v3, _ = step(rho1, v1, g, params, work=w)   # writes where rho1 lives
+    assert np.array_equal(rho3, want[0]) and np.array_equal(v3, want[1])
+
+
+def test_step_refuses_work_for_another_grid():
+    g, rho, v = _equilibrium_grid()
+    with pytest.raises(ValueError, match="work buffers"):
+        step(rho, v, g, P, work=_StepWork(g.n_x + 1))
+
+
+def _oracle_solve(rho, v, grid, params, t_end, output_times, mass_source=None,
+                  momentum_source=None):
+    """Reference for `solve`: a loop of `_oracle_step` that keeps a copy of
+    every state, then picks the recorded steps by index.  Also returns how
+    many requests took the step before the first one at or past them."""
+    states = [(0.0, rho, v)]
+    t = 0.0
+    while t < t_end - 1e-12:
+        rho, v, h = _oracle_step(rho, v, grid, params, 0.5, t, t_end - t,
+                                 mass_source, momentum_source)
+        t += h
+        states.append((t, rho, v))
+    picks, n_prev, k = [], 0, 0
+    for req in ([0.0, t_end] if output_times is None else sorted(output_times)):
+        while k < len(states) - 1 and states[k][0] < req:
+            k += 1
+        # nearest completed step; the earlier one only if not just recorded
+        if (k > 0 and states[k][0] >= req and picks and picks[-1] != k - 1
+                and abs(req - states[k - 1][0]) < abs(req - states[k][0])):
+            picks.append(k - 1)
+            n_prev += 1
+        elif not picks or picks[-1] != k:
+            picks.append(k)
+    times = np.array([states[k][0] for k in picks])
+    return (times, np.array([states[k][1] for k in picks]),
+            np.array([states[k][2] for k in picks]), n_prev)
+
+
+# (cells or None, dx or None, t_end): the default grid and the refined one
+_RESOLUTIONS = {"200 cells": (200, None, 8.0), "dx 0.25": (None, 0.25, 0.8)}
+
+
+def _ring_resolution(case, name):
+    from accwave.scenarios import ring_scenario
+
+    n_cells, dx, t_end = _RESOLUTIONS[name]
+    if dx is not None:
+        L_x = simulate_platoon(ring_scenario(case, duration=0.1)).ring_length
+        n_cells = int(round(L_x / dx))
+    return _ring_initial_field(case, n_cells) + (t_end,)
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+@pytest.mark.parametrize("resolution", list(_RESOLUTIONS))
+@pytest.mark.parametrize("sources", [False, True])
+def test_solve_matches_a_loop_of_the_oracle_step_bit_for_bit(case, resolution, sources):
+    # solve reuses its buffers from step to step; a state it records from
+    # the step before the current one must not have been overwritten
+    g, rho0, v0, params, t_end = _ring_resolution(case, resolution)
+    mass, mom = _wavy_sources(g) if sources else (None, None)
+    # off the step grid, so some requests take the step before
+    requests = list(np.arange(0.0, t_end, t_end / 17.0) + t_end / 41.0)
+    for wanted in (requests, None):
+        got = solve(rho0, v0, g, params, t_end, output_times=wanted,
+                    mass_source=mass, momentum_source=mom)
+        times, rho, v, n_prev = _oracle_solve(rho0, v0, g, params, t_end, wanted, mass, mom)
+        assert np.array_equal(got.times, times)
+        assert np.array_equal(got.rho, rho)
+        assert np.array_equal(got.v, v)
+        assert n_prev > 0 or wanted is None
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+@pytest.mark.parametrize("resolution", list(_RESOLUTIONS))
+def test_solve_positivity_error_matches_the_oracle_loop(case, resolution):
+    g, rho0, v0, params, _ = _ring_resolution(case, resolution)
+    # as in the step test, but strong enough on any grid: a CFL step takes
+    # cfl*dx*rho/k_v, so a sink above k_v/(cfl*dx) empties a cell in one
+    sink = lambda x, t: -(0.01 if t < 0.5 else 1.5 / g.dx) * (
+        1.0 + np.exp(-((x - 0.3 * g.L_x) / 10.0) ** 2))
+    with pytest.raises(PositivityError) as got:
+        solve(rho0, v0, g, params, 5.0, mass_source=sink)
+    with pytest.raises(PositivityError) as want:
+        _oracle_solve(rho0, v0, g, params, 5.0, None, sink)
+    assert (got.value.cell, got.value.t, got.value.rho) == (
+        want.value.cell, want.value.t, want.value.rho)
 
 
 # ---------------------------------------------------------------------------
