@@ -40,7 +40,6 @@ __all__ = [
     "load_draws",
     "sample_params",
     "load_config",
-    "save_config",
 ]
 
 
@@ -440,11 +439,6 @@ def load_config(path: str) -> ScenarioConfig:
         return config_from_dict(data)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
-
-
-def save_config(cfg: ScenarioConfig, path: str) -> None:
-    with open(path, "w") as fh:
-        yaml.safe_dump(cfg.to_dict(), fh, sort_keys=True)
 
 
 def default_out_dir() -> str:

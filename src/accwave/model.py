@@ -20,7 +20,6 @@ elementwise (broadcasting follows numpy rules).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Tuple, Union
 
 import numpy as np
@@ -30,11 +29,8 @@ ArrayLike = Union[float, np.ndarray]
 __all__ = [
     "ControlParams",
     "TrafficState",
-    "Regime",
     "EigenStructure",
-    "DEFAULT_PARAMS",
     "engaged",
-    "regime_of",
     "acc_acceleration",
     "eigenstructure",
     "momentum_residual",
@@ -99,9 +95,6 @@ class ControlParams:
         return (s - self.L) / self.tau
 
 
-DEFAULT_PARAMS = ControlParams()
-
-
 @dataclass(frozen=True)
 class TrafficState:
     """Macroscopic state (density, speed).
@@ -128,11 +121,6 @@ class TrafficState:
         return self.rho * self.v
 
 
-class Regime(Enum):
-    FREE_FLOW = "FreeFlow"
-    CONGESTED = "Congested"
-
-
 @dataclass(frozen=True)
 class EigenStructure:
     """Eigenvalues/eigenvectors of the congested-regime flux Jacobian."""
@@ -153,25 +141,6 @@ def engaged(s: ArrayLike, v: ArrayLike, params: ControlParams, eps_v: float = 1e
     well defined.  This is the only place the rule is written.
     """
     return (s <= params.s_c) | (abs(v - params.v_f) > eps_v)
-
-
-def regime_of(state: TrafficState, params: ControlParams, eps_v: float = 1e-9) -> Regime:
-    """Classify a state as FreeFlow or Congested.
-
-    FreeFlow requires both low density (spacing 1/rho above the critical
-    spacing) and cruising speed (|v - v_f| <= eps_v); see `engaged`.
-
-    Args:
-        state: traffic state to classify.
-        params: ACC constants.
-        eps_v: tolerance on "v equals v_f"; tighten for exact simulations,
-            loosen (e.g. 0.1 m/s) for noisy empirical data.
-    """
-    if eps_v < 0:
-        raise ValueError("eps_v must be non-negative")
-    s = float(np.asarray(state.s))
-    v = float(np.asarray(state.v))
-    return Regime.CONGESTED if engaged(s, v, params, eps_v) else Regime.FREE_FLOW
 
 
 def acc_acceleration(

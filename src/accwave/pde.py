@@ -303,10 +303,11 @@ def solve(
 ) -> EulerianField:
     """March the scheme to t_end, sampling output at the requested times.
 
-    Each requested time is matched to the nearest completed step and the
-    actual step time is recorded.  With no request list, only the
-    initial and final states are kept.  The final step is clamped to
-    land exactly on t_end.
+    Each requested time is matched to its nearest completed step, the
+    later one on a tie and the final one for a time past t_end; each
+    matched step is recorded once, at its actual time, so the recorded
+    times strictly increase.  With no request list, the initial and final
+    states are kept.  The final step is clamped to land exactly on t_end.
 
     One `_StepWork` serves every step, so the march allocates nothing
     per step; its two state buffers alternate, which keeps the previous
@@ -324,27 +325,24 @@ def solve(
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
 
-    requests = None if output_times is None else sorted(float(x) for x in output_times)
+    requests = [0.0, t_end] if output_times is None else sorted(float(x) for x in output_times)
     rec_t: List[float] = []
     rec_rho: List[np.ndarray] = []
     rec_v: List[np.ndarray] = []
 
-    def record(t_now: float) -> None:
-        rec_t.append(t_now)
-        rec_rho.append(rho.copy())
-        rec_v.append(v.copy())
+    def record(t_step: float, rho_step: np.ndarray, v_step: np.ndarray) -> None:
+        if not rec_t or rec_t[-1] != t_step:  # a step nearest to several requests
+            rec_t.append(t_step)
+            rec_rho.append(rho_step.copy())
+            rec_v.append(v_step.copy())
 
     t = 0.0
     ptr = 0
-    if requests is None:
-        record(t)
-    else:
-        while ptr < len(requests) and requests[ptr] <= 0.0:
-            record(t)
-            ptr += 1
+    while ptr < len(requests) and requests[ptr] <= t:
+        record(t, rho, v)
+        ptr += 1
 
     work = _StepWork(grid.n_x)
-    prev_t = t
     while t < t_end - 1e-12:
         prev_rho, prev_v, prev_t = rho, v, t
         rho, v, h = step(
@@ -352,25 +350,15 @@ def solve(
             mass_source=mass_source, momentum_source=momentum_source, work=work,
         )
         t += h
-        if requests is None:
-            continue
+        # every request left in (prev_t, t] is nearest to one of these two steps
         while ptr < len(requests) and requests[ptr] <= t:
-            # nearest completed step to the requested time
-            if abs(requests[ptr] - prev_t) < abs(requests[ptr] - t) and rec_t and rec_t[-1] != prev_t:
-                rec_t.append(prev_t)
-                rec_rho.append(prev_rho.copy())
-                rec_v.append(prev_v.copy())
-            elif not rec_t or rec_t[-1] != t:
-                record(t)
+            if requests[ptr] - prev_t < t - requests[ptr]:
+                record(prev_t, prev_rho, prev_v)
+            else:
+                record(t, rho, v)
             ptr += 1
-    if requests is None:
-        if rec_t[-1] != t:
-            record(t)
-    else:
-        while ptr < len(requests):
-            if not rec_t or rec_t[-1] != t:
-                record(t)
-            ptr += 1
+    if ptr < len(requests):
+        record(t, rho, v)
 
     return EulerianField(
         grid=grid,

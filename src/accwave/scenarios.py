@@ -127,6 +127,8 @@ _ORIGIN_WINDOW = {1: (_WARMUP, 5.0), 2: (_CUT_IN_TIME + _CUT_IN_SETTLE, 6.0), 3:
 def origin_grid(lead: Trajectory, warmup: float, end_margin: float, spacing: float) -> np.ndarray:
     """Path origin times on the lead trajectory: every `spacing` seconds from
     `warmup` after its start up to `end_margin` before its end."""
+    if not (math.isfinite(spacing) and spacing > 0):
+        raise ValueError(f"origin spacing must be positive and finite, got {spacing}")
     t0, t1 = lead.t0 + warmup, lead.t_end - end_margin
     if t1 <= t0:
         raise ValueError("empty origin window; lower the warmup or the end margin")
@@ -261,6 +263,8 @@ def _ring_field(res: PlatoonResult, duration: float, n_cells: int, cfl: float,
     when `dx` is given), recorded at the solver's nearest completed steps
     to every `sample_every` seconds."""
     if dx is not None:
+        if not (math.isfinite(dx) and dx > 0):
+            raise ValueError(f"cell size dx must be positive and finite, got {dx}")
         n_cells = max(4, int(round(res.ring_length / dx)))
     grid = Grid(res.ring_length, n_cells)
     rho0, v0 = pde_initial_from_micro(res.trajectories, res.ring_length, grid)

@@ -53,7 +53,6 @@ __all__ = [
     "PathKind",
     "Crossing",
     "WavePath",
-    "ShockSegment",
     "EngagementFront",
     "DegenerateJumpError",
     "PhaseTransition",
@@ -102,20 +101,6 @@ class WavePath:
     def speeds(self) -> np.ndarray:
         """Speed sequence V_p along the path: origin speed, then crossings."""
         return np.array([self.origin_v] + [c.v for c in self.crossings])
-
-
-@dataclass(frozen=True)
-class ShockSegment:
-    left: TrafficState
-    right: TrafficState
-    speed: float
-    span: Tuple[float, float]
-
-    def __post_init__(self) -> None:
-        if self.left.rho == self.right.rho:
-            raise DegenerateJumpError("shock segment needs distinct densities")
-        if not math.isfinite(self.speed):
-            raise ValueError("shock speed must be finite")
 
 
 @dataclass(frozen=True)
@@ -470,6 +455,8 @@ def trace_phase_transition(
 
     A scenario that never transitions returns an empty composite.
     """
+    if not (math.isfinite(origin_spacing) and origin_spacing > 0):
+        raise ValueError(f"origin spacing must be positive and finite, got {origin_spacing}")
     trajectories = Platoon.of(trajectories)
     events = detect_engagement(trajectories, params)
     if not events:

@@ -25,7 +25,6 @@ from accwave.dataio import (
     load_config,
     load_draws,
     sample_params,
-    save_config,
     write_trajectories,
 )
 from accwave import scenarios
@@ -436,7 +435,7 @@ def test_config_round_trip(tmp_path):
         draws_file="data/calibrated_draws.csv", seed=7,
     )
     path = tmp_path / "c.yaml"
-    save_config(cfg, str(path))
+    path.write_text(yaml.safe_dump(cfg.to_dict(), sort_keys=True))
     assert load_config(str(path)) == cfg
 
 
@@ -745,3 +744,26 @@ def test_cli_bad_config_key_exits_nonzero(tmp_path, capsys):
     rc = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spacing", ["0", "-1"])
+@pytest.mark.parametrize("command", ["case 1", "case 4", "metrics"])
+def test_cli_refuses_an_origin_spacing_that_is_not_positive(tmp_path, capsys, command, spacing):
+    # 0 used to end in a ZeroDivisionError traceback; -1 in a misleading error
+    argv = command.split()
+    if command == "metrics":
+        path = tmp_path / "t.csv"
+        write_trajectories(str(path), _small_run(duration=20.0))
+        argv += ["--input", str(path), "--end-margin", "1"]
+    rc = main(argv + ["--origin-spacing", spacing, "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "error: origin spacing must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dx", ["0", "-1", "nan", "inf"])
+def test_cli_pde_refuses_a_cell_size_that_is_not_positive_and_finite(tmp_path, capsys, dx):
+    # 0 used to end in a ZeroDivisionError traceback, -1 to solve on 4 cells
+    rc = main(["pde", "--dx", dx, "--duration", "1", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "error: cell size dx must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "field_case1.csv").exists()

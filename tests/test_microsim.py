@@ -18,23 +18,25 @@ from accwave.microsim import (
     LeaderProfile,
     Oscillate,
     OscillationSpec,
-    PairErrorState,
-    PiecewiseConstantAccel,
     PlatoonResult,
     Scenario,
     Trajectory,
     detect_engagement,
-    first_down_crossing,
     leader_motion,
-    pair_state_analytic,
     ring_setup,
     simulate_platoon,
-    spacing_analytic,
 )
 from accwave.microsim import _leader_arrays, _leader_initial_speed, _step_maps
 from accwave.model import ControlParams, acc_acceleration
 from accwave.scenarios import case_scenario, ring_scenario
 from accwave.waves import follower_motion_closed_form
+from oracles import (
+    PairErrorState,
+    PiecewiseConstantAccel,
+    first_down_crossing,
+    pair_state_analytic,
+    spacing_analytic,
+)
 
 P = ControlParams()
 OMEGA_1 = 0.16 * math.pi
@@ -99,6 +101,13 @@ def test_scenario_validation():
                  topology="moebius")
     with pytest.raises(ValueError):
         Scenario(params=P, n_followers=4, leader=None, duration=10.0, topology="ring")
+
+
+@pytest.mark.parametrize("eps_v", [-1e-9, -1.0, math.nan])
+def test_scenario_refuses_a_negative_or_nan_cruise_band(eps_v):
+    with pytest.raises(ValueError, match="eps_v must be non-negative"):
+        Scenario(params=P, n_followers=4, leader=OscillationSpec(10.0), duration=10.0,
+                 eps_v=eps_v)
 
 
 def test_equilibrium_platoon_is_a_fixed_point():

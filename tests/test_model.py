@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from accwave.model import (
     ControlParams,
     EigenStructure,
-    Regime,
     TrafficState,
     acc_acceleration,
     constant_gain,
@@ -18,7 +17,6 @@ from accwave.model import (
     linear_degeneracy_indicator,
     momentum_residual,
     ptm_equivalent_kv,
-    regime_of,
 )
 
 P = ControlParams()
@@ -59,28 +57,22 @@ def test_state_requires_positive_density():
 
 
 def test_regime_free_flow_needs_low_density_and_cruise_speed():
-    sparse = TrafficState(rho=0.5 * P.rho_c, v=P.v_f)
-    assert regime_of(sparse, P) is Regime.FREE_FLOW
-    # same density but off-speed -> controller engaged
-    off_speed = TrafficState(rho=0.5 * P.rho_c, v=P.v_f - 1.0)
-    assert regime_of(off_speed, P) is Regime.CONGESTED
+    # free flow: spacing above s_c (density below rho_c) at cruise speed
+    assert not engaged(2.0 * P.s_c, P.v_f, P)
+    # same spacing but off-speed -> controller engaged
+    assert engaged(2.0 * P.s_c, P.v_f - 1.0, P)
     # dense at cruise speed -> engaged
-    dense = TrafficState(rho=2.0 * P.rho_c, v=P.v_f)
-    assert regime_of(dense, P) is Regime.CONGESTED
+    assert engaged(0.5 * P.s_c, P.v_f, P)
 
 
 def test_regime_boundary_density_is_congested():
-    # the threshold itself belongs to the congested side
-    boundary = TrafficState(rho=P.rho_c, v=P.v_f)
-    assert regime_of(boundary, P) is Regime.CONGESTED
+    # the threshold itself belongs to the engaged side
+    assert engaged(P.s_c, P.v_f, P)
 
 
 def test_regime_eps_v_widens_the_cruise_band():
-    state = TrafficState(rho=0.5 * P.rho_c, v=P.v_f - 0.05)
-    assert regime_of(state, P) is Regime.CONGESTED
-    assert regime_of(state, P, eps_v=0.1) is Regime.FREE_FLOW
-    with pytest.raises(ValueError):
-        regime_of(state, P, eps_v=-1.0)
+    assert engaged(2.0 * P.s_c, P.v_f - 0.05, P)
+    assert not engaged(2.0 * P.s_c, P.v_f - 0.05, P, eps_v=0.1)
 
 
 @pytest.mark.parametrize("above", [False, True])
@@ -89,8 +81,9 @@ def test_switching_rule_agrees_at_the_critical_spacing(above):
 
     The follower runs at v_f behind a leader at v_f - 1 with spacing s_c
     (engaged) or one ulp above it (cruising).  A density state cannot
-    hold that spacing (1/(1/s) rounds back to s_c), so regime_of is given
-    the nearest density on the same side of the threshold.
+    hold that spacing (1/(1/s) rounds back to s_c), so the rule is also
+    given the spacing of the nearest density on the same side of the
+    threshold.
     """
     from accwave.microsim import OscillationSpec, Scenario, simulate_platoon
     from accwave.tracker import pair_wave_speed
@@ -108,8 +101,7 @@ def test_switching_rule_agrees_at_the_critical_spacing(above):
     lead, fol = simulate_platoon(sc).trajectories
     assert bool(engaged(s, v, P8)) is not above
     assert bool(1.0 / rho > P8.s_c) is above
-    assert regime_of(TrafficState(rho=rho, v=v), P8) is (
-        Regime.FREE_FLOW if above else Regime.CONGESTED)
+    assert bool(engaged(TrafficState(rho=rho, v=v).s, v, P8)) is not above
     assert acc_acceleration(s, v, v_lead, P8) == pytest.approx(expected_acc, abs=1e-12)
     assert fol.a[0] == pytest.approx(expected_acc, abs=1e-12)
     assert pair_wave_speed(0.0, lead, fol, P8) == pytest.approx(

@@ -219,6 +219,24 @@ def test_solve_records_requested_times():
     assert field.rho.shape == (3, g.n_x)
 
 
+@pytest.mark.parametrize("requests, want", [
+    ([0.2, 0.21], [0]),                   # both nearest the start
+    ([0.0, 0.0], [0]),
+    ([-1.0, 0.31, 0.3], [0, 1]),          # out of order
+    ("tie", [1]),                         # half a step: the later step
+    ([0.7, 0.9, 5.0], [1, 2]),            # past t_end: the final step
+])
+def test_solve_records_each_nearest_step_once_in_order(requests, want):
+    # at equilibrium on dx = 17 m every step is h = 0.5 * 17 / 13.8 = 0.616 s,
+    # and the last one is clamped to land on t_end = 1
+    g = Grid(L_x=3400.0, n_x=200)
+    rho, v = np.full(g.n_x, 1.0 / 17.0), np.full(g.n_x, 10.0)
+    h = step(rho, v, g, P)[2]
+    field = solve(rho, v, g, P, t_end=1.0, output_times=[0.5 * h] if requests == "tie" else requests)
+    assert field.times.tolist() == [(0.0, h, 1.0)[k] for k in want]
+    assert field.rho.shape == (len(want), g.n_x)
+
+
 def test_field_validation():
     g = Grid(L_x=100.0, n_x=10)
     times = np.array([0.0])
@@ -374,8 +392,9 @@ def test_step_refuses_work_for_another_grid():
 def _oracle_solve(rho, v, grid, params, t_end, output_times, mass_source=None,
                   momentum_source=None):
     """Reference for `solve`: a loop of `_oracle_step` that keeps a copy of
-    every state, then picks the recorded steps by index.  Also returns how
-    many requests took the step before the first one at or past them."""
+    every state, then picks each request's nearest step by index (the
+    later one on a tie), once.  Also returns how many requests took the
+    step before the first one at or past them."""
     states = [(0.0, rho, v)]
     t = 0.0
     while t < t_end - 1e-12:
@@ -387,13 +406,10 @@ def _oracle_solve(rho, v, grid, params, t_end, output_times, mass_source=None,
     for req in ([0.0, t_end] if output_times is None else sorted(output_times)):
         while k < len(states) - 1 and states[k][0] < req:
             k += 1
-        # nearest completed step; the earlier one only if not just recorded
-        if (k > 0 and states[k][0] >= req and picks and picks[-1] != k - 1
-                and abs(req - states[k - 1][0]) < abs(req - states[k][0])):
-            picks.append(k - 1)
-            n_prev += 1
-        elif not picks or picks[-1] != k:
-            picks.append(k)
+        j = k - 1 if k > 0 and req - states[k - 1][0] < states[k][0] - req else k
+        n_prev += j < k
+        if not picks or picks[-1] != j:
+            picks.append(j)
     times = np.array([states[k][0] for k in picks])
     return (times, np.array([states[k][1] for k in picks]),
             np.array([states[k][2] for k in picks]), n_prev)

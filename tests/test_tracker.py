@@ -24,17 +24,15 @@ from accwave.microsim import (
     Scenario,
     Trajectory,
     detect_engagement,
-    first_down_crossing,
     simulate_platoon,
 )
 from accwave.model import ControlParams, TrafficState
-from accwave.scenarios import case_scenario, run_case, trace_methods
+from accwave.scenarios import case_scenario, origin_grid, run_case, trace_methods
 from accwave.tracker import (
     Crossing,
     DegenerateJumpError,
     PathKind,
     Platoon,
-    ShockSegment,
     WavePath,
     _Characteristic,
     _Constant,
@@ -49,6 +47,7 @@ from accwave.tracker import (
     trace_characteristic_path,
     trace_phase_transition,
 )
+from oracles import first_down_crossing
 
 P = ControlParams()  # tau=1.2, L=5, k_s=0.8, k_v=1.4, v_f=15
 
@@ -196,15 +195,6 @@ def test_shock_between_congested_equilibria_moves_at_baseline_speed(s_left, s_ri
     assert shock_speed(left, right) == pytest.approx(-P.L / P.tau, rel=max(1e-12, eps * cond))
 
 
-def test_shock_segment_validation():
-    left = TrafficState(1.0 / 23.0, 15.0)
-    right = TrafficState(1.0 / 17.0, 10.0)
-    seg = ShockSegment(left, right, shock_speed(left, right), (0.0, 10.0))
-    assert seg.speed == pytest.approx(-25.0 / 6.0, rel=1e-12)
-    with pytest.raises(DegenerateJumpError):
-        ShockSegment(left, left, -1.0, (0.0, 10.0))
-
-
 # ---------------------------------------------------------------------------
 # engagement fronts
 # ---------------------------------------------------------------------------
@@ -296,6 +286,16 @@ def test_phase_transition_without_engagement_is_empty():
     assert pt.front is None and pt.engagement is None and pt.shock is None
     assert pt.characteristics == () and pt.t_complete is None
     assert pt.paths() == []
+
+
+@pytest.mark.parametrize("spacing", [0.0, -1.0, math.nan, math.inf])
+def test_origins_refuse_a_spacing_that_is_not_positive_and_finite(spacing):
+    # a zero spacing used to divide by zero, a negative one to trace nothing
+    trajs = _cruise_platoon(duration=5.0)
+    with pytest.raises(ValueError, match="origin spacing must be positive and finite"):
+        trace_phase_transition(trajs, P, v_e=10.0, origin_spacing=spacing)
+    with pytest.raises(ValueError, match="origin spacing must be positive and finite"):
+        origin_grid(trajs[0], 0.0, 1.0, spacing)
 
 
 def test_path_reaching_a_vehicle_before_its_first_sample_is_truncated():
