@@ -15,8 +15,8 @@ and is propagated exactly rather than time-stepped:
   step map z_{k+1} = Phi z_k + sum_m Psi_m c_{m,k} is exact for that
   input (`_step_maps`: one Van Loan block exponential, numpy only).  The
   recurrence is solved for a block of steps at once by a Hillis-Steele
-  doubling scan (`_doubling_scan`), so Python loops over runs, columns
-  and stretches, never over steps.  The error is that of the Hermite
+  doubling scan (`_doubling_scan`), so Python loops over columns and
+  stretches, never over steps.  The error is that of the Hermite
   input, fourth order in dt.
 - **Regimes, decided by `model.engaged` on the samples.**  A cruise is
   closed form (x0 + v0 t, a = 0); it switches to engaged at the sub-step
@@ -29,16 +29,12 @@ and is propagated exactly rather than time-stepped:
   complex 2x2 modes whose one-step maps are raised to every power by
   doubling, block by block in time.
 
-The state is kept as (run, column, step) histories of x, v and a, so
-every trajectory is a contiguous row; the recorded a is the ACC command
-(`model.acc_acceleration`) on the sampled states.  A batch of runs that
-differ only in their parameters shares one call, and every run is
-bit-identical to simulating it alone.  Column 0 leads column 1: the open
-road's leader, or on a ring the last vehicle one ring length ahead.  A
-cut-in is a column allocated up front, NaN until it merges.  The
-histories take 3 * 8 bytes per column and step of each run
-(`Scenario.history_bytes`); `scenarios.run_empirical` sizes its batches
-to keep a batch under about 2 MiB.
+The state is kept as (column, step) histories of x, v and a, so every
+trajectory is a contiguous row; the recorded a is the ACC command
+(`model.acc_acceleration`) on the sampled states.  Column 0 leads
+column 1: the open road's leader, or on a ring the last vehicle one ring
+length ahead.  A cut-in is a column allocated up front, NaN until it
+merges.
 """
 
 from __future__ import annotations
@@ -208,12 +204,9 @@ class Scenario:
     overrides (free-flow approach scenarios use gaps above s_c).  For
     ring topology there is no external leader: `initial_speeds` lists
     every vehicle and `leader` is ignored.
-
-    `params` may be a tuple of parameter sets: the open-road platoon is
-    then simulated once per set, as one batch.
     """
 
-    params: Union[ControlParams, Tuple[ControlParams, ...]]
+    params: ControlParams
     n_followers: int
     leader: Optional[LeaderSpec]
     duration: float
@@ -243,38 +236,18 @@ class Scenario:
             raise ValueError("open-road scenarios need a leader spec")
         if self.topology == "ring" and self.initial_speeds is None:
             raise ValueError("ring scenarios need explicit initial speeds")
-        if not self.run_params:
-            raise ValueError("a batch needs at least one parameter set")
-        if self.topology == "ring" and (self.cut_ins or len(self.run_params) > 1):
-            raise ValueError("a ring takes one parameter set and no cut-ins")
-
-    @property
-    def run_params(self) -> Tuple[ControlParams, ...]:
-        """The parameter set of each run, in batch order."""
-        return self.params if isinstance(self.params, tuple) else (self.params,)
-
-    @property
-    def history_bytes(self) -> int:
-        """Bytes of the x, v and a histories `simulate_platoon` keeps per run."""
-        if self.topology == "ring":
-            n_cols = len(self.initial_speeds) + 1
-        else:
-            n_cols = self.n_followers + len(self.cut_ins) + 1
-        return 3 * 8 * n_cols * (round(self.duration / self.dt) + 1)
+        if not isinstance(self.params, ControlParams):
+            raise TypeError(f"params must be one ControlParams, got {type(self.params).__name__}")
+        if self.topology == "ring" and self.cut_ins:
+            raise ValueError("a ring takes no cut-ins")
 
 
 @dataclass(frozen=True)
 class PlatoonResult:
-    """Trajectories in platoon order (front to rear), run after run, plus ring metadata."""
+    """Trajectories in platoon order (front to rear), plus ring metadata."""
 
     trajectories: List[Trajectory]
     ring_length: Optional[float] = None
-    runs: int = 1
-
-    def run(self, r: int) -> List[Trajectory]:
-        """Trajectories of run r of the batch, in platoon order."""
-        n = len(self.trajectories) // self.runs
-        return self.trajectories[r * n:(r + 1) * n]
 
 
 class EngagementEvent(NamedTuple):
@@ -284,15 +257,12 @@ class EngagementEvent(NamedTuple):
 
 
 class CollisionError(RuntimeError):
-    """A spacing reached zero: time, follower index in platoon order, and run of the batch."""
+    """A spacing reached zero: time and follower index in platoon order."""
 
-    def __init__(self, t: float, follower_index: int, run: int = 0):
-        where = f", run {run}" if run else ""
-        super().__init__(
-            f"vehicle collision (spacing <= 0) at t={t:.3f} s, follower {follower_index}{where}")
+    def __init__(self, t: float, follower_index: int):
+        super().__init__(f"vehicle collision (spacing <= 0) at t={t:.3f} s, follower {follower_index}")
         self.t = t
         self.follower_index = follower_index
-        self.run = run
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +375,13 @@ def _leader_initial_speed(leader: LeaderSpec) -> float:
 _TAYLOR_DEGREE = 14
 _TAYLOR_NORM = 0.5
 
-# Time blocks, in samples, that keep every temporary small: one doubling
-# scan of an open-road follower covers at most _STEPS steps, and the
-# ring's modes and the acceleration record (all columns at once) go
-# _BLOCK samples at a time.
+# Time blocks that keep every temporary small: one doubling scan of an
+# open-road follower covers at most _STEPS steps, the ring's modes go
+# _BLOCK samples at a time, and the acceleration record (all columns at
+# once) takes blocks of about _CELLS columns x samples.
 _STEPS = 1024
 _BLOCK = 256
+_CELLS = 1 << 14
 
 
 def _step_maps(A, h, n_inputs: int = 4) -> Tuple[np.ndarray, np.ndarray]:
@@ -554,25 +525,22 @@ def simulate_platoon(scenario: Scenario) -> PlatoonResult:
     ring of length sum(tau*v_i(0) + L); the ring must stay engaged
     (ValueError otherwise).
 
-    A scenario with a tuple of parameter sets runs them as one batch;
-    the result lists each run's trajectories in turn (`PlatoonResult.run`).
-
     Raises CollisionError if any spacing reaches zero.
     """
     sc = scenario
-    runs = sc.run_params
+    p = sc.params
     n_steps = int(round(sc.duration / sc.dt))
     times = np.arange(n_steps + 1) * sc.dt
     if sc.topology == "ring":
         init_v = np.asarray(sc.initial_speeds, dtype=float)
         n = len(init_v)
-        L_x, x0 = ring_setup(n, runs[0], init_v)
-        X, V, A = (np.empty((1, n + 1, n_steps + 1)) for _ in range(3))
-        X[0, 1:, 0], V[0, 1:, 0] = x0, init_v
-        _propagate_ring(runs[0], sc.dt, times, X, V, L_x)
+        L_x, x0 = ring_setup(n, p, init_v)
+        X, V, A = (np.empty((n + 1, n_steps + 1)) for _ in range(3))
+        X[1:, 0], V[1:, 0] = x0, init_v
+        _propagate_ring(p, sc.dt, times, X, V, L_x)
         _record_accelerations(sc, times, X, V, A, np.zeros(n + 1, dtype=int), ring=True)
         trajs = [
-            Trajectory(vehicle_id=i, t=times, x=X[0, i + 1], v=V[0, i + 1], a=A[0, i + 1], dt=sc.dt)
+            Trajectory(vehicle_id=i, t=times, x=X[i + 1], v=V[i + 1], a=A[i + 1], dt=sc.dt)
             for i in range(n)
         ]
         return PlatoonResult(trajectories=trajs, ring_length=L_x)
@@ -584,9 +552,9 @@ def simulate_platoon(scenario: Scenario) -> PlatoonResult:
     else:
         init_v = np.broadcast_to(np.asarray(sc.initial_speeds, dtype=float), (n_f,))
     if sc.initial_gaps is None:
-        init_gaps = np.array([p.tau * init_v + p.L for p in runs])
+        init_gaps = p.tau * init_v + p.L
     else:
-        init_gaps = np.broadcast_to(np.asarray(sc.initial_gaps, dtype=float), (len(runs), n_f))
+        init_gaps = np.broadcast_to(np.asarray(sc.initial_gaps, dtype=float), (n_f,))
 
     # Vehicle i < n_f is follower i; vehicle n_f + j is cut-in j in time
     # order.  Columns hold the leader, then every vehicle in its final
@@ -605,29 +573,26 @@ def simulate_platoon(scenario: Scenario) -> PlatoonResult:
     born_col = np.zeros(len(order) + 1, dtype=int)
     born_col[column] = born
 
-    X, V, A = (np.empty((len(runs), len(order) + 1, n_steps + 1)) for _ in range(3))
-    X[:, 0], V[:, 0] = lx, lv
+    X, V, A = (np.empty((len(order) + 1, n_steps + 1)) for _ in range(3))
+    X[0], V[0] = lx, lv
     for c, b in zip(column[n_f:], cut_steps):
-        X[:, c, :b] = V[:, c, :b] = np.nan
-    x = lx[0] - init_gaps[:, 0]
+        X[c, :b] = V[c, :b] = np.nan
+    x = lx[0] - init_gaps[0]
     for i in range(n_f):
         if i:
-            x = x - init_gaps[:, i]
-        X[:, column[i], 0], V[:, column[i], 0] = x, init_v[i]
+            x = x - init_gaps[i]
+        X[column[i], 0], V[column[i], 0] = x, init_v[i]
     merges = [(k, column[n_f + j], c.gap) for j, (c, k) in enumerate(zip(cut_ins, cut_steps))]
     _propagate_open(sc, times, X, V, merges)
     _record_accelerations(sc, times, X, V, A, born_col)
 
-    trajs: List[Trajectory] = []
-    for r in range(len(runs)):
-        trajs.append(Trajectory(vehicle_id=0, t=times, x=lx, v=lv, a=la, dt=sc.dt))
-        for vid in order:
-            b, c = born[vid], column[vid]
-            trajs.append(Trajectory(
-                vehicle_id=vid + 1, t=times[b:],
-                x=X[r, c, b:], v=V[r, c, b:], a=A[r, c, b:], dt=sc.dt,
-            ))
-    return PlatoonResult(trajectories=trajs, runs=len(runs))
+    trajs = [Trajectory(vehicle_id=0, t=times, x=lx, v=lv, a=la, dt=sc.dt)]
+    for vid in order:
+        b, c = born[vid], column[vid]
+        trajs.append(Trajectory(
+            vehicle_id=vid + 1, t=times[b:], x=X[c, b:], v=V[c, b:], a=A[c, b:], dt=sc.dt,
+        ))
+    return PlatoonResult(trajectories=trajs)
 
 
 def _propagate_open(
@@ -637,7 +602,7 @@ def _propagate_open(
     V: np.ndarray,
     merges: Sequence[Tuple[int, int, float]],
 ) -> None:
-    """Fill the open road's (run, column, step) x and v histories from step 0.
+    """Fill the open road's (column, step) x and v histories from step 0.
 
     Column 0 holds the leader.  Between merge steps every merged column
     follows a fixed lead, the nearest merged column ahead of it, so the
@@ -647,8 +612,8 @@ def _propagate_open(
     speed of the column behind, and joins the next segment.
     """
     n_steps = len(times) - 1
-    laws = [_Law.of(p, sc.dt, sc.eps_v) for p in sc.run_params]
-    merged = np.ones(X.shape[1], dtype=bool)
+    law = _Law.of(sc.params, sc.dt, sc.eps_v)
+    merged = np.ones(X.shape[0], dtype=bool)
     merged[[c for _, c, _ in merges]] = False
     pending = list(merges)
     k_a = 0
@@ -656,19 +621,18 @@ def _propagate_open(
         while pending and pending[0][0] == k_a:
             _, c, gap = pending.pop(0)
             behind = c + 1 + int(np.argmax(merged[c + 1:]))
-            X[:, c, k_a] = X[:, _lead_columns(merged)[c - 1], k_a] - gap
-            V[:, c, k_a] = V[:, behind, k_a]
+            X[c, k_a] = X[_lead_columns(merged)[c - 1], k_a] - gap
+            V[c, k_a] = V[behind, k_a]
             merged[c] = True
         k_b = pending[0][0] if pending else n_steps
         lead = _lead_columns(merged)
-        for r, law in enumerate(laws):
-            for c in np.flatnonzero(merged[1:]) + 1:
-                _follow(X[r, c], V[r, c], X[r, lead[c - 1]], V[r, lead[c - 1]], k_a, k_b, law)
+        for c in np.flatnonzero(merged[1:]) + 1:
+            _follow(X[c], V[c], X[lead[c - 1]], V[lead[c - 1]], k_a, k_b, law)
         k_a = k_b
 
 
 class _Law(NamedTuple):
-    """One run's follower law: parameters, step, cruise band and exact step maps."""
+    """The follower law: parameters, step, cruise band and exact step maps."""
 
     p: ControlParams
     h: float
@@ -755,11 +719,11 @@ def _propagate_ring(p: ControlParams, h: float, times: np.ndarray, X: np.ndarray
     Column 0 is the lead of column 1: the last vehicle one ring length
     ahead.
     """
-    n = X.shape[1] - 1
+    n = X.shape[0] - 1
     s_bar = L_x / n
     v_bar = p.equilibrium_speed(s_bar)
     x_ref = -s_bar * np.arange(n)
-    z = np.fft.rfft([X[0, 1:, 0] - x_ref, V[0, 1:, 0] - v_bar])  # (x, v) of modes 0..n/2
+    z = np.fft.rfft([X[1:, 0] - x_ref, V[1:, 0] - v_bar])  # (x, v) of modes 0..n/2
     shift = np.exp(-2j * np.pi * np.arange(z.shape[1]) / n) - 1.0  # the vehicle ahead, per mode
     M = np.zeros((z.shape[1], 2, 2), dtype=complex)
     M[:, 0, 1] = 1.0
@@ -775,10 +739,10 @@ def _propagate_ring(p: ControlParams, h: float, times: np.ndarray, X: np.ndarray
     for k0 in range(1, len(times), _BLOCK):
         k1 = min(k0 + _BLOCK, len(times))
         zb = _mul2(powers[..., :k1 - k0], z[:, :, None])
-        X[0, 1:, k0:k1] = np.fft.irfft(zb[0], n, axis=0) + x_ref[:, None] + v_bar * times[k0:k1]
-        V[0, 1:, k0:k1] = np.fft.irfft(zb[1], n, axis=0) + v_bar
+        X[1:, k0:k1] = np.fft.irfft(zb[0], n, axis=0) + x_ref[:, None] + v_bar * times[k0:k1]
+        V[1:, k0:k1] = np.fft.irfft(zb[1], n, axis=0) + v_bar
         z = zb[..., -1]
-    X[0, 0], V[0, 0] = X[0, n] + L_x, V[0, n]
+    X[0], V[0] = X[n] + L_x, V[n]
 
 
 def _record_accelerations(
@@ -794,31 +758,31 @@ def _record_accelerations(
 
     Column c is merged from step born[c] on and follows the nearest
     merged column ahead.  Raises CollisionError at the first sample with
-    a spacing <= 0, naming the first run with one there and its first
-    follower; on a ring, a sample outside the engaged set raises
-    ValueError, as the ring's modes hold only while it is engaged.
+    a spacing <= 0, naming its first follower; on a ring, a sample
+    outside the engaged set raises ValueError, as the ring's modes hold
+    only while it is engaged.
     """
+    block = max(1, _CELLS // X.shape[0])
     bounds = sorted(set(born[born > 0].tolist()) | {0, len(times)})
     for k_a, k_e in zip(bounds, bounds[1:]):
         merged = born <= k_a
         lead = _lead_columns(merged)
-        for k0 in range(k_a, k_e, _BLOCK):
-            k1 = min(k0 + _BLOCK, k_e)
-            x, v = X[:, :, k0:k1], V[:, :, k0:k1]
-            gaps = x[:, lead] - x[:, 1:]
+        for k0 in range(k_a, k_e, block):
+            k1 = min(k0 + block, k_e)
+            x, v = X[:, k0:k1], V[:, k0:k1]
+            gaps = x[lead] - x[1:]
             bad = gaps <= 0
             if ring:
-                bad |= ~engaged(gaps, v[:, 1:], sc.run_params[0], sc.eps_v)
+                bad |= ~engaged(gaps, v[1:], sc.params, sc.eps_v)
             if bad.any():
-                k = int(np.argmax(bad.any(axis=(0, 1))))
-                r, j = divmod(int(np.argmax(bad[:, :, k])), bad.shape[1])
-                if gaps[r, j, k] > 0:
+                k = int(np.argmax(bad.any(axis=0)))
+                j = int(np.argmax(bad[:, k]))
+                if gaps[j, k] > 0:
                     raise ValueError(
                         f"ring vehicle {j} leaves the engaged set at t={times[k0 + k]:.3f} s; "
                         "the exact ring propagator needs every vehicle engaged")
-                raise CollisionError(times[k0 + k], int(np.count_nonzero(merged[1:j + 1])), r)
-            for r, p in enumerate(sc.run_params):
-                A[r, 1:, k0:k1] = acc_acceleration(gaps[r], v[r, 1:], v[r, lead], p, sc.eps_v)
+                raise CollisionError(times[k0 + k], int(np.count_nonzero(merged[1:j + 1])))
+            A[1:, k0:k1] = acc_acceleration(gaps, v[1:], v[lead], sc.params, sc.eps_v)
 
 
 def _lead_columns(merged: np.ndarray) -> np.ndarray:

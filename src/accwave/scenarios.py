@@ -129,6 +129,9 @@ def origin_grid(lead: Trajectory, warmup: float, end_margin: float, spacing: flo
     `warmup` after its start up to `end_margin` before its end."""
     if not (math.isfinite(spacing) and spacing > 0):
         raise ValueError(f"origin spacing must be positive and finite, got {spacing}")
+    for name, value in (("warmup", warmup), ("end margin", end_margin)):
+        if not value >= 0:  # also refuses NaN
+            raise ValueError(f"{name} must be non-negative, got {value}")
     t0, t1 = lead.t0 + warmup, lead.t_end - end_margin
     if t1 <= t0:
         raise ValueError("empty origin window; lower the warmup or the end margin")
@@ -262,6 +265,8 @@ def _ring_field(res: PlatoonResult, duration: float, n_cells: int, cfl: float,
     field at t = 0 on `n_cells` cells (about `dx` metres each, at least 4,
     when `dx` is given), recorded at the solver's nearest completed steps
     to every `sample_every` seconds."""
+    if not (math.isfinite(sample_every) and sample_every > 0):
+        raise ValueError(f"sample_every must be positive and finite, got {sample_every}")
     if dx is not None:
         if not (math.isfinite(dx) and dx > 0):
             raise ValueError(f"cell size dx must be positive and finite, got {dx}")
@@ -326,12 +331,6 @@ class EmpiricalRun:
     n_deviations: int
 
 
-# Histories (x, v, a of every vehicle at every step) of the draws simulated
-# in one batch stay under this many bytes, so a sweep of any size holds one
-# small batch at a time.
-_BATCH_BYTES = 2 * 1024 * 1024
-
-
 def run_empirical(
     leader: Trajectory,
     draws: Sequence,
@@ -348,9 +347,8 @@ def run_empirical(
     recorded leader, traces characteristic and constant-speed paths from
     the same origins, and pools the deviations across draws.  The
     free-flow speed is pushed above the recorded profile so the platoon
-    stays congested, matching the characteristic-only treatment.  Draws
-    are simulated in batches whose histories fit in `_BATCH_BYTES`; each
-    batch is traced run by run and released before the next one.
+    stays congested, matching the characteristic-only treatment.  Each
+    draw's platoon is traced and released before the next one is simulated.
     """
     if leader.t0 != 0.0:
         raise ValueError("recorded leader must start at t = 0")
@@ -359,19 +357,13 @@ def run_empirical(
     if not params:
         raise ValueError("no parameter draws to simulate")
     origins = origin_grid(leader, warmup, end_margin, origin_spacing)
-    one = Scenario(params=params[0], n_followers=n_followers, leader=leader, duration=leader.t_end,
-                   dt=dt)
-    batch = max(1, _BATCH_BYTES // one.history_bytes)
     proposed: List[WavePath] = []
     baseline: List[WavePath] = []
-    for i in range(0, len(params), batch):
-        runs = params[i:i + batch]
-        res = simulate_platoon(dataclasses.replace(one, params=tuple(runs)))
-        for r, p in enumerate(runs):
-            prop, base = trace_methods(origins, res.run(r), p, baseline_speed)
-            proposed += prop
-            baseline += base
-        del res
+    for p in params:
+        sc = Scenario(params=p, n_followers=n_followers, leader=leader, duration=leader.t_end, dt=dt)
+        prop, base = trace_methods(origins, simulate_platoon(sc).trajectories, p, baseline_speed)
+        proposed += prop
+        baseline += base
     c = Comparison.pool(proposed, baseline)
     return EmpiricalRun(
         proposed_stats=c.proposed_stats,

@@ -11,11 +11,9 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from accwave.dataio import ingest_trajectories, load_draws, sample_params
-from accwave.fourier import fourier_decompose, periodic_reconstruct
-from accwave.metrics import deviation_set, summary_stats
+from accwave.fourier import periodic_reconstruct
 from accwave.microsim import (
     ConstAccel,
     Cruise,

@@ -667,26 +667,6 @@ def _sweep_inputs(n_draws):
     return leader, sample_params(load_draws(str(DATA_DIR / "calibrated_draws.csv")), n_draws, seed=3)
 
 
-def test_empirical_batches_give_the_per_draw_result(monkeypatch):
-    leader, draws = _sweep_inputs(5)
-    calls = []
-
-    def counting(sc):
-        calls.append(len(sc.run_params))
-        return simulate_platoon(sc)
-
-    monkeypatch.setattr(scenarios, "simulate_platoon", counting)
-    per_run = 5 * (round(leader.t_end / 0.05) + 1) * 3 * 8  # leader + 4 followers
-    results = []
-    for budget, batches in ((1, [1] * 5), (2 * per_run, [2, 2, 1]), (scenarios._BATCH_BYTES, [5])):
-        monkeypatch.setattr(scenarios, "_BATCH_BYTES", budget)
-        calls.clear()
-        results.append(scenarios.run_empirical(leader, draws))
-        assert calls == batches
-    assert results[0] == results[1] == results[2]
-    assert results[0].n_draws == 5
-
-
 def test_empirical_counts_draws_from_an_iterator_and_rejects_none():
     leader, draws = _sweep_inputs(2)
     assert scenarios.run_empirical(leader, iter(draws)).n_draws == 2
@@ -767,3 +747,26 @@ def test_cli_pde_refuses_a_cell_size_that_is_not_positive_and_finite(tmp_path, c
     assert rc == 2
     assert "error: cell size dx must be positive and finite" in capsys.readouterr().err
     assert not (tmp_path / "field_case1.csv").exists()
+
+
+@pytest.mark.parametrize("sample_every", ["0", "-1"])
+@pytest.mark.parametrize("command", ["pde", "validate"])
+def test_cli_refuses_a_sample_interval_that_is_not_positive(tmp_path, capsys, command, sample_every):
+    # 0 used to end in a ZeroDivisionError traceback, -1 to write a field of 0 snapshots
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"sample_every: {sample_every}\n")
+    rc = main([command, "--config", str(cfg), "--duration", "2", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "error: sample_every must be positive and finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("flag, value", [("--warmup", "-5"), ("--warmup", "nan"), ("--end-margin", "-5")])
+def test_cli_metrics_refuses_a_negative_or_nan_window_margin(tmp_path, capsys, flag, value):
+    # used to fail with "origin time outside the lead trajectory" or numpy's arange error
+    path = tmp_path / "t.csv"
+    write_trajectories(str(path), _small_run(duration=20.0))
+    rc = main(["metrics", "--input", str(path), flag, value, "--out-dir", str(tmp_path)])
+    assert rc == 2
+    name = flag[2:].replace("-", " ")
+    assert f"error: {name} must be non-negative, got {float(value)}" in capsys.readouterr().err

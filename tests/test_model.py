@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from accwave.model import (
     ControlParams,
-    EigenStructure,
     TrafficState,
     acc_acceleration,
     constant_gain,
