@@ -206,8 +206,8 @@ def _cmd_empirical(args: argparse.Namespace) -> int:
         raise ValueError("empirical needs --draws and --leader (or config keys)")
     draws = dataio.sample_params(dataio.load_draws(draws_file), cfg.n_draws, cfg.seed)
     leader = dataio.ingest_trajectories(leader_file)[0]
-    r = run_empirical(leader, draws, dt=cfg.dt, origin_spacing=cfg.origin_spacing,
-                      baseline_speed=cfg.baseline_speed)
+    r = run_empirical(leader, draws, n_followers=cfg.n_followers, dt=cfg.dt,
+                      origin_spacing=cfg.origin_spacing, baseline_speed=cfg.baseline_speed)
     path = _write_stats(cfg, "empirical_stats.csv", "empirical", r)
     ps, bs = r.proposed_stats, r.baseline_stats
     print(f"{r.n_draws} draws, {r.n_deviations} deviations")

@@ -135,6 +135,37 @@ class Trajectory:
     def speed_at(self, t) -> np.ndarray:
         return np.interp(t, self.t, self.v)
 
+    def state_at(self, t: float, interval: int = -1) -> Tuple[float, float]:
+        """(position_at(t), speed_at(t)) of a scalar t, bit for bit, as Python floats.
+
+        `interval` is a guess at the sample interval i with t[i] <= t <
+        t[i+1]; a guess that does not hold t (or none) is replaced by a
+        binary search.  Inside an interval the value is np.interp's own
+        formula, (y[i+1] - y[i])/(t[i+1] - t[i])*(t - t[i]) + y[i], and
+        y[i] when t is the sample t[i].  At or past the last sample, before
+        the first, and where the formula gives NaN (an infinite sample),
+        np.interp itself is called.
+        """
+        ts, t, i = self.t, float(t), interval
+        t_i = t_n = math.nan
+        if 0 <= i < len(ts) - 1:
+            t_i, t_n = ts.item(i), ts.item(i + 1)
+        if not t_i <= t < t_n:
+            i = int(ts.searchsorted(t, side="right")) - 1
+            if 0 <= i < len(ts) - 1:
+                t_i, t_n = ts.item(i), ts.item(i + 1)
+        if t_i <= t < t_n:
+            xs, vs = self.x, self.v
+            x_i, v_i = xs.item(i), vs.item(i)
+            if t == t_i:
+                return x_i, v_i
+            h, u = t_n - t_i, t - t_i
+            x = (xs.item(i + 1) - x_i) / h * u + x_i
+            v = (vs.item(i + 1) - v_i) / h * u + v_i
+            if x == x and v == v:
+                return x, v
+        return float(np.interp(t, ts, self.x)), float(np.interp(t, ts, self.v))
+
 
 @dataclass(frozen=True)
 class CutIn:

@@ -9,18 +9,32 @@
   as an independent check on the platoon.
 - `first_down_crossing`, the root of a sampled series linear between its
   samples, which the Euler and windowed tracer oracles cross pairs with.
+- `table_trace`, the pair-table tracer as it was before its crossings
+  were computed in scalar arithmetic: the follower read by scalar
+  np.interp, the crossing knot found by one compare over the whole rest
+  of the table.  The production tracer must equal it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from accwave.microsim import _step_maps
+from accwave.microsim import Trajectory, _step_maps
 from accwave.model import ControlParams
+from accwave.tracker import (
+    Crossing,
+    PathKind,
+    Platoon,
+    SpeedRule,
+    Terminator,
+    WavePath,
+    _pair_table,
+    _PairTable,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -151,3 +165,90 @@ def first_down_crossing(t, y, level: float) -> Optional[float]:
     k = int(hit[0])
     y0, y1 = float(y[k - 1]), float(y[k])
     return float(t[k - 1] + (y0 - level) / (y0 - y1) * (t[k] - t[k - 1]))
+
+
+# ---------------------------------------------------------------------------
+# Pair-table tracer with scalar np.interp and a whole-table compare
+# ---------------------------------------------------------------------------
+
+def table_pair_crossing(t_c: float, x_c: float, v_c: float, fol: Trajectory, tab: _PairTable,
+                        rule: SpeedRule, terminator: Optional[Terminator]) -> Optional[float]:
+    """Time at which a path entering a pair at (t_c, x_c), on the lead at
+    speed v_c, meets the follower, or None when it reaches the end of the
+    pair's common window or the terminator first (or enters outside that
+    window).
+
+    Between t_c and the first knot after it the path takes the trapezoid of
+    the rule at the entry and at that knot; from there on it follows the
+    table.  The path is the chord between knots, so path minus follower is
+    linear there and its first down-crossing of zero is a closed-form root.
+    """
+    t, g = tab.t, tab.g
+    if not tab.t_lo <= t_c < tab.t_end:
+        return None
+    x_f = float(fol.position_at(t_c))
+    w_c = rule(x_c, v_c, x_f, float(fol.speed_at(t_c)))
+    j = int(t.searchsorted(t_c, side="right"))   # first knot after t_c
+    # path minus follower is g + offset on the knots from j on; compared
+    # as g against -offset, which has the same sign in floating point
+    offset = float(x_c + 0.5 * (w_c + tab.w[j]) * (t[j] - t_c) - tab.c[j])
+    k = j
+    if not x_c - x_f > 0.0:
+        # a path behind the follower (overlapping vehicles in recorded data)
+        # has not crossed it yet: search from the first knot ahead of it
+        ahead = g[j:] > -offset
+        k += int(ahead.argmax())
+        if not ahead[k - j]:
+            return None
+    below = g[k:] <= -offset
+    n = int(below.argmax())
+    if not below[n]:
+        return None
+    k += n
+    t0, g0 = (t_c, x_c - x_f) if k == j else (t[k - 1], g[k - 1] + offset)
+    t_x = float(t0 + g0 / (g0 - (g[k] + offset)) * (t[k] - t0))
+    if terminator is not None:
+        tn = np.concatenate(([t_c], t[j:k + 1]))
+        xn = np.concatenate(([x_c], tab.c[j:k + 1] + offset))
+        if np.any(terminator(tn, xn)[tn < t_x]):
+            return None
+    return t_x
+
+
+def table_trace(
+    origin_t: float,
+    origin_x: float,
+    origin_v: float,
+    trajectories: Sequence[Trajectory],
+    first_target: int,
+    rule: SpeedRule,
+    kind: PathKind,
+    terminator: Optional[Terminator] = None,
+) -> WavePath:
+    """Shared tracer: pair tables on the follower's samples, closed-form crossings.
+
+    Pair by pair from `first_target` rearward, the path follows the table
+    of `rule` on the bracketing pair (last crossed vehicle, next vehicle)
+    and re-anchors on the follower at the crossing; see `table_pair_crossing`.
+    Crossings are O(h^2) in the sample spacing h where the speed is smooth
+    and O(h) across an interval in which the switching rule flips;
+    straight paths are exact to round-off.  `Trajectory.dt` is not read.
+    `terminator(t, x)` (array-valued) is tested on the knots before each
+    crossing and ends the path early (flagged truncated), as does the end
+    of a pair's common time window.
+    """
+    platoon = Platoon.of(trajectories)
+    tables = platoon.tables(rule)
+    crossings: List[Crossing] = []
+    t, x, v = origin_t, origin_x, origin_v
+    for idx in range(first_target, len(platoon)):
+        fol = platoon[idx]
+        tab = tables.get(idx)
+        if tab is None:
+            tab = tables[idx] = _pair_table(platoon[idx - 1], fol, rule)
+        t_x = table_pair_crossing(t, x, v, fol, tab, rule, terminator)
+        if t_x is None:
+            return WavePath(kind, origin_t, origin_x, origin_v, tuple(crossings), True)
+        t, x, v = t_x, float(fol.position_at(t_x)), float(fol.speed_at(t_x))
+        crossings.append(Crossing(fol.vehicle_id, t, x, v))
+    return WavePath(kind, origin_t, origin_x, origin_v, tuple(crossings))

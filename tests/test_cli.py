@@ -662,6 +662,30 @@ def test_cli_empirical_smoke(tmp_path, capsys):
     assert (tmp_path / "empirical_stats.csv").exists()
 
 
+def _empirical_with(tmp_path, config):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(config)
+    return main(["empirical", "--config", str(cfg),
+                 "--draws", str(DATA_DIR / "calibrated_draws.csv"),
+                 "--leader", str(DATA_DIR / "leader_dip.csv"),
+                 "--n-draws", "2", "--seed", "0", "--out-dir", str(tmp_path)])
+
+
+def test_cli_empirical_simulates_the_configured_platoon_size(tmp_path, capsys):
+    counts = []
+    for config in ("", "n_followers: 2\n"):
+        assert _empirical_with(tmp_path, config) == 0
+        m = re.search(r"^2 draws, (\d+) deviations$", capsys.readouterr().out, re.M)
+        counts.append(int(m.group(1)))
+    # every path crosses each follower once, so half the followers pool half the deviations
+    assert counts[0] > 0 and counts[1] * 2 == counts[0]
+
+
+def test_cli_empirical_refuses_a_platoon_without_followers(tmp_path, capsys):
+    assert _empirical_with(tmp_path, "n_followers: 0\n") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def _sweep_inputs(n_draws):
     leader = ingest_trajectories(str(DATA_DIR / "leader_dip.csv"))[0]
     return leader, sample_params(load_draws(str(DATA_DIR / "calibrated_draws.csv")), n_draws, seed=3)

@@ -419,6 +419,91 @@ def test_trajectory_dt_must_match_sample_steps():
         Trajectory(vehicle_id=0, t=jittered, x=z, v=z, a=z, dt=0.1)
 
 
+def _bits(*values):
+    """Each value as the hex of its double, so -0.0, 0.0 and NaN compare exactly."""
+    return [float(y).hex() for y in values]
+
+
+def _interp_bits(tr, q):
+    return _bits(np.interp(q, tr.t, tr.x), np.interp(q, tr.t, tr.v))
+
+
+@st.composite
+def _motion_and_time(draw):
+    """A trajectory on a uniform or a jittered grid, and a time on a sample, at
+    either end, past either end, or inside the first, the last or any interval."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    dt = draw(st.floats(min_value=0.01, max_value=2.0))
+    t = draw(st.floats(min_value=-100.0, max_value=100.0)) + dt * np.arange(n)
+    if draw(st.booleans()):
+        jitter = st.floats(min_value=-0.4 * DT_JITTER, max_value=0.4 * DT_JITTER)
+        t = t + np.array(draw(st.lists(jitter, min_size=n, max_size=n)))
+    values = st.lists(st.floats(min_value=-1e4, max_value=1e4), min_size=n, max_size=n)
+    x, v = np.array(draw(values)), np.array(draw(values))
+    tr = Trajectory(vehicle_id=0, t=t, x=x, v=v, a=np.zeros(n), dt=dt)
+    where = draw(st.sampled_from(
+        ["sample", "start", "end", "past end", "before start", "first", "last", "any"]))
+    f = draw(st.floats(min_value=0.0, max_value=1.0))
+    beyond = draw(st.floats(min_value=0.0, max_value=10.0, exclude_min=True))
+    q = {
+        "sample": t[draw(st.integers(min_value=0, max_value=n - 1))],
+        "start": t[0],
+        "end": t[-1],
+        "past end": t[-1] + beyond,
+        "before start": t[0] - beyond,
+        "first": t[0] + f * (t[1] - t[0]),
+        "last": t[-2] + f * (t[-1] - t[-2]),
+        "any": t[0] + f * (t[-1] - t[0]),
+    }[where]
+    return tr, float(q), draw(st.integers(min_value=-2, max_value=n + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_motion_and_time())
+def test_state_at_is_np_interp_bit_for_bit(case):
+    tr, q, guess = case
+    want = _interp_bits(tr, q)
+    for got in (tr.state_at(q), tr.state_at(q, guess), tr.state_at(np.float64(q), guess)):
+        assert all(type(y) is float for y in got)
+        assert _bits(*got) == want
+
+
+def test_state_at_where_the_formula_is_not_np_interp():
+    # a sample time gives the sample itself, also a negative zero, where the
+    # formula would give 2 * 0.0 + -0.0 = +0.0
+    t = 0.5 * np.arange(5)
+    x = np.array([-0.0, 1.0, 3.0, 2.0, 5.0])
+    v = np.array([2.0, 1.0, -0.0, 4.0, 4.0])
+    tr = Trajectory(vehicle_id=0, t=t, x=x, v=v, a=np.zeros_like(t), dt=0.5)
+    for i, q in enumerate(t):
+        assert _bits(*tr.state_at(q)) == _interp_bits(tr, q) == _bits(x[i], v[i])
+    # between two infinite samples the formula gives inf - inf = NaN, where
+    # np.interp gives the infinity
+    x_inf = np.array([0.0, 1.0, np.inf, np.inf, 2.0])
+    tr = Trajectory(vehicle_id=0, t=t, x=x_inf, v=v, a=np.zeros_like(t), dt=0.5)
+    for q in (1.0, 1.2, 1.5, 1.7):
+        assert _bits(*tr.state_at(q)) == _interp_bits(tr, q)
+    assert tr.state_at(1.2)[0] == math.inf
+
+
+def test_state_at_with_a_wrong_interval_guess_is_still_np_interp():
+    t = 0.07 + 0.1 * np.arange(11)
+    x = np.random.default_rng(1).uniform(-50.0, 50.0, t.size)
+    tr = Trajectory(vehicle_id=0, t=t, x=x, v=x[::-1].copy(), a=np.zeros_like(t), dt=0.1)
+    for q, guess in ((0.55, 2), (0.55, 7), (0.55, -1), (0.55, 10), (0.55, 99),
+                     (t[0] - 1.0, 0), (t[-1], 9), (t[-1] + 1.0, 9)):
+        assert _bits(*tr.state_at(q, guess)) == _interp_bits(tr, q)
+    # a time on the right end of the guessed interval is that interval's next
+    # sample, which the formula on the guess misses by round-off on some
+    # intervals of this motion
+    missed = 0
+    for i in range(t.size - 1):
+        formula = (x[i + 1] - x[i]) / (t[i + 1] - t[i]) * (t[i + 1] - t[i]) + x[i]
+        missed += formula != x[i + 1]
+        assert _bits(*tr.state_at(t[i + 1], i)) == _bits(x[i + 1], x[-i - 2])
+    assert missed
+
+
 # ---------------------------------------------------------------------------
 # The exact propagator against the Euler loops it replaced
 # ---------------------------------------------------------------------------

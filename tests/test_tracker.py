@@ -47,7 +47,7 @@ from accwave.tracker import (
     trace_characteristic_path,
     trace_phase_transition,
 )
-from oracles import first_down_crossing
+from oracles import first_down_crossing, table_trace
 
 P = ControlParams()  # tau=1.2, L=5, k_s=0.8, k_v=1.4, v_f=15
 
@@ -683,6 +683,129 @@ def test_tracer_matches_windowed_oracle_from_any_origin(name, fractions, w):
     paths = [trace_characteristic_path(t_o, platoon, P) for t_o in origins]
     paths += [constant_speed_path(t_o, platoon, w) for t_o in origins]
     assert np.all(_windowed_oracle_differences(trajs, P, paths, w) <= 1e-9)
+    assert paths == _table_oracle_paths(trajs, P, paths, w)
+
+
+# ---------------------------------------------------------------------------
+# the pair-table tracer with scalar np.interp and a whole-table compare,
+# which the scalar crossings and the windowed search must equal bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _table_oracle_paths(trajs, params, paths, w_base, transition=None):
+    """Re-trace each path with `oracles.table_trace` over a Platoon of its own,
+    from the origin and under the rule and terminator of the production call
+    that made it; a path from the lead takes its origin from np.interp."""
+    overtaken = None
+    if transition is not None:
+        c_sh, first = transition.shock_speed, transition.events[0]
+
+        def overtaken(t, x):
+            return x <= first.x_star + c_sh * (t - first.t_star)
+
+    platoon, lead = Platoon(trajs), trajs[0]
+    out = []
+    for path in paths:
+        origin = (path.origin_t, float(lead.position_at(path.origin_t)),
+                  float(lead.speed_at(path.origin_t)))
+        first_target, term = 1, None
+        if path.kind is PathKind.CONSTANT_SPEED:
+            rule = _Constant(w_base)
+        elif path.kind is PathKind.SHOCK:
+            rule, origin = _Constant(c_sh), (path.origin_t, path.origin_x, path.origin_v)
+            first_target = [tr.vehicle_id for tr in trajs].index(first.vehicle_id) + 1
+        else:
+            rule, term = _Characteristic(params, 1e-9), overtaken
+        out.append(table_trace(*origin, platoon, first_target, rule, path.kind, term))
+    return out
+
+
+def _overlap_run(tmp_path):
+    """Both methods over the overlapping recorded-style platoon, read back from CSV."""
+    path = str(tmp_path / "overlap.csv")
+    write_trajectories(path, _overlap_platoon(), full_precision=True)
+    trajs = ingest_trajectories(path)
+    w_base = lwr_baseline_speed(P)
+    proposed, baseline = trace_methods(np.arange(2.0, 34.0, 0.25), trajs, P, w_base)
+    return trajs, P, proposed, baseline, w_base, None
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, 4, "four cut-ins", "overlap"])
+def test_tracer_equals_table_oracle_bit_for_bit(case, tmp_path):
+    # same origins, crossings and truncation flags, compared with ==
+    run = _overlap_run(tmp_path) if case == "overlap" else _case_run(case)
+    trajs, params, proposed, baseline, w_base, transition = run
+    traced = [p for p in proposed + baseline if p.kind is not PathKind.ENGAGEMENT]
+    if case == 4:
+        assert transition.shock in traced
+        assert any(p.truncated and p.crossings for p in transition.characteristics)
+    oracle = _table_oracle_paths(trajs, params, traced, w_base, transition)
+    for path, ref in zip(traced, oracle):
+        assert path == ref, (path.kind, path.origin_t)
+
+
+def test_the_tracer_reads_the_follower_in_the_interval_its_table_gives(monkeypatch):
+    reads = []
+    state_at = Trajectory.state_at
+
+    def spy(self, t, interval=-1):
+        reads.append((self.t, t, interval))
+        return state_at(self, t, interval)
+
+    monkeypatch.setattr(Trajectory, "state_at", spy)
+    # cut-ins start some followers' tables past their first sample
+    _, _, proposed, baseline, *_ = _case_run("four cut-ins")
+    entries = [(ts, t, i) for ts, t, i in reads if i >= 0]
+    assert len(reads) - len(entries) == len(proposed) + len(baseline)   # one origin each
+    # each entry and crossing lies in the interval the table names, or on its
+    # right end where round-off puts a crossing on the next sample
+    assert all(ts[i] <= t < ts[i + 1] or t == ts[i + 1] for ts, t, i in entries)
+    assert sum(t == ts[i + 1] for ts, t, i in entries) < len(entries) / 100
+
+
+def _far_crossing_pair(t_end=40.0, dt=0.01):
+    """A lead at 10 m/s and a follower 60 m behind it, sampled every dt: a
+    path of slope 7 m/s closes on the follower at 3 m/s and meets it 20 s,
+    2,000 samples, after it leaves the lead."""
+    t = np.arange(0.0, t_end + dt / 2, dt)
+    lead = Trajectory(0, t, 100.0 + 10.0 * t, np.full(t.size, 10.0), np.zeros(t.size), dt)
+    fol = Trajectory(1, t, 40.0 + 10.0 * t, np.full(t.size, 10.0), np.zeros(t.size), dt)
+    return [lead, fol]
+
+
+def test_a_crossing_thousands_of_knots_ahead_is_found_by_growing_windows():
+    trajs = _far_crossing_pair()
+    far = constant_speed_path(1.0, trajs, 7.0)
+    (crossing,) = far.crossings
+    assert crossing.t == pytest.approx(21.0, abs=1e-9) and not far.truncated
+    # from t = 25 s the path would meet the follower at 45 s, after the
+    # window ends at 40 s: the search runs through every window and stops
+    late = constant_speed_path(25.0, trajs, 7.0)
+    assert late.truncated and late.crossings == ()
+    assert [far, late] == _table_oracle_paths(trajs, P, [far, late], 7.0)
+
+
+def test_crossing_search_windows_double_from_the_entry():
+    windows = []
+
+    class Logged(np.ndarray):
+        def __getitem__(self, key):
+            if isinstance(key, slice):
+                windows.append(len(range(*key.indices(len(self)))))
+            return super().__getitem__(key)
+
+    g = np.arange(10_000.0)[::-1].copy().view(Logged)   # g[i] = 9999 - i
+    assert tracker._first_knot(g, 10, 5000.5) == 4999
+    first = tracker._FIRST_WINDOW
+    assert windows == [first * 2 ** m for m in range(len(windows))]
+    assert sum(windows[:-1]) < 4999 - 10 < sum(windows)
+    windows.clear()
+    assert tracker._first_knot(g, 10, -1.0) == -1
+    assert sum(windows) == g.size - 10
+    assert windows[:-1] == [first * 2 ** m for m in range(len(windows) - 1)]
+    windows.clear()
+    assert tracker._first_knot(g, 10, 9000.0, above=True) == 10
+    assert windows == [first]
 
 
 # ---------------------------------------------------------------------------
