@@ -111,15 +111,6 @@ def _ring_kwargs(cfg: ScenarioConfig) -> dict:
                 n_cells=cfg.n_cells, cfl=cfg.cfl, sample_every=cfg.sample_every)
 
 
-def _write_stats(cfg: ScenarioConfig, name: str, label: str, r) -> str:
-    """Stats CSV of both methods of a comparison or sweep `r`; `label` fills
-    the case column.  Returns the file's path."""
-    path = os.path.join(_out_dir(cfg), name)
-    rows = [(label, "proposed", r.proposed_stats), (label, "baseline", r.baseline_stats)]
-    dataio.write_stats(path, rows, cfg.full_precision)
-    return path
-
-
 def _write_comparison(cfg: ScenarioConfig, c: Comparison, prefix: str, label: str) -> str:
     """Paths, stats and histogram CSVs of both methods, named `prefix` + file;
     `label` fills the stats file's case column.  Returns the output directory."""
@@ -129,7 +120,8 @@ def _write_comparison(cfg: ScenarioConfig, c: Comparison, prefix: str, label: st
                                 ("baseline", c.baseline, c.baseline_devs)):
         dataio.write_wave_paths(os.path.join(out, f"{prefix}paths_{method}.csv"), paths, fp)
         dataio.write_histogram(os.path.join(out, f"{prefix}hist_{method}.csv"), histogram(devs), fp)
-    _write_stats(cfg, f"{prefix}stats.csv", label, c)
+    dataio.write_stats(os.path.join(out, f"{prefix}stats.csv"), label,
+                       c.proposed_stats, c.baseline_stats, fp)
     return out
 
 
@@ -164,11 +156,7 @@ def _cmd_fft(args: argparse.Namespace) -> int:
     spec = fourier_decompose(tr.v, tr.dt, cfg.fft_modes)
     _, rmse = periodic_reconstruct(tr.v, tr.dt, cfg.fft_modes)
     out = os.path.join(_out_dir(cfg), "modes.csv")
-    with open(out, "w", newline="") as fh:
-        fh.write("amplitude,omega,phase\n")
-        for A, om, phi in spec.modes:
-            fh.write(f"{dataio.fmt(A, cfg.full_precision)},{dataio.fmt(om, cfg.full_precision)},"
-                     f"{dataio.fmt(phi, cfg.full_precision)}\n")
+    dataio.write_modes(out, spec.modes, cfg.full_precision)
     print(f"v_e = {spec.v_e:.6g} m/s, {len(spec.modes)} modes, reconstruction RMSE = {rmse:.6g} m/s")
     print(f"wrote {out}")
     return 0
@@ -208,8 +196,9 @@ def _cmd_empirical(args: argparse.Namespace) -> int:
     leader = dataio.ingest_trajectories(leader_file)[0]
     r = run_empirical(leader, draws, n_followers=cfg.n_followers, dt=cfg.dt,
                       origin_spacing=cfg.origin_spacing, baseline_speed=cfg.baseline_speed)
-    path = _write_stats(cfg, "empirical_stats.csv", "empirical", r)
     ps, bs = r.proposed_stats, r.baseline_stats
+    path = os.path.join(_out_dir(cfg), "empirical_stats.csv")
+    dataio.write_stats(path, "empirical", ps, bs, cfg.full_precision)
     print(f"{r.n_draws} draws, {r.n_deviations} deviations")
     print(f"proposed:  mean={ps.mean:.3f} median={ps.median:.3f} q1={ps.q1:.3f} q3={ps.q3:.3f}")
     print(f"baseline:  mean={bs.mean:.3f} median={bs.median:.3f} q1={bs.q1:.3f} q3={bs.q3:.3f}")

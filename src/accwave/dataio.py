@@ -1,9 +1,10 @@
 """CSV import/export, parameter draws, and scenario configuration.
 
-All exports default to 6 significant digits (full precision on
-request).  Trajectory files use the flat schema `t,vehicle_id,x,v,a`
-sorted by (t, vehicle_id); wave-path files carry one row per crossing
-with the path origin marked by vehicle_id = -1.
+Every export is written by `_write_blocks`: a header row, then printf rows
+ending in CRLF, reals at 6 significant digits (full precision on request).
+Trajectory files use the flat schema `t,vehicle_id,x,v,a` sorted by
+(t, vehicle_id); wave-path files carry one row per crossing with the path
+origin marked by vehicle_id = -1.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .waves import transfer_function
 __all__ = [
     "ParamSample",
     "ScenarioConfig",
-    "fmt",
     "write_trajectories",
     "ingest_trajectories",
     "write_wave_paths",
@@ -37,6 +37,7 @@ __all__ = [
     "write_histogram",
     "write_field",
     "write_bode",
+    "write_modes",
     "load_draws",
     "sample_params",
     "load_config",
@@ -57,28 +58,25 @@ class ParamSample:
             raise ValueError(f"draw fields must be positive and finite, got {self}")
 
 
-# printf spec of an exported real: 6 significant digits, or repr()
+# printf spec of an exported real: 6 significant digits, or repr().  A real
+# must reach it as a Python float: %r prints an np.float64 as "np.float64(...)".
 _REAL_SPEC = {False: "%.6g", True: "%r"}
 
 
-def fmt(x: float, full_precision: bool = False) -> str:
-    return _REAL_SPEC[full_precision] % float(x)
+def _row(*specs: str) -> str:
+    """printf template of one CSV row: `specs` joined by commas, CRLF-ended."""
+    return ",".join(specs) + "\r\n"
 
 
-def _write_blocks(
-    path: str, header: str, specs: Sequence[str], blocks: Iterable[np.ndarray]
-) -> None:
-    """CSV file of `header`, then each row of every 2-D block with column j
-    formatted by printf spec `specs[j]`, with csv's line ending.
-
-    One block is formatted and written at a time, so the text held in
-    memory is one block's, not the file's.
-    """
-    row = ",".join(specs) + "\r\n"
+def _write_blocks(path: str, header: str, blocks: Iterable[Tuple[str, list]]) -> None:
+    """CSV file of the `header` row, then each block's printf template (whole
+    rows, see `_row`) filled with its flat list of values.  Every output file
+    is written here, one block at a time, so the text held in memory is one
+    block's, not the file's."""
     with open(path, "w", newline="") as fh:
-        fh.write(header + "\r\n")
-        for block in blocks:
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+        fh.write(_row(header))
+        for template, values in blocks:
+            fh.write(template % tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -94,12 +92,23 @@ def write_trajectories(
 ) -> None:
     """Flat trajectory export sorted by (t, vehicle_id)."""
     cols = np.hstack([np.empty((5, 0))] + [
-        np.vstack((tr.t, np.full(len(tr.t), tr.vehicle_id), tr.x, tr.v, tr.a))
-        for tr in trajectories])                       # rows t, vehicle_id, x, v, a
-    order = np.lexsort((cols[1], cols[0]))
-    blocks = (cols[:, order[i:i + _BLOCK_ROWS]].T for i in range(0, order.size, _BLOCK_ROWS))
+        np.vstack((tr.t, np.zeros(len(tr.t)), tr.x, tr.v, tr.a))
+        for tr in trajectories])                       # rows t, (id slot), x, v, a
+    # ids stay int64: as floats, distinct ids above 2**53 would collapse
+    ids = np.repeat(np.array([tr.vehicle_id for tr in trajectories], dtype=np.int64),
+                    [len(tr.t) for tr in trajectories])
+    order = np.lexsort((ids, cols[0]))
     real = _REAL_SPEC[full_precision]
-    _write_blocks(path, "t,vehicle_id,x,v,a", (real, "%d", real, real, real), blocks)
+    row = _row(real, "%d", real, real, real)
+
+    def blocks():
+        for i in range(0, order.size, _BLOCK_ROWS):
+            o = order[i:i + _BLOCK_ROWS]
+            values = cols[:, o].T.ravel().tolist()
+            values[1::5] = ids[o].tolist()
+            yield row * o.size, values
+
+    _write_blocks(path, "t,vehicle_id,x,v,a", blocks())
 
 
 # fields of a trajectory CSV row; the last, `a`, is optional
@@ -245,35 +254,34 @@ def write_wave_paths(
     path: str, paths: Sequence[WavePath], full_precision: bool = False
 ) -> None:
     """One row per crossing; the origin point is the row with vehicle_id -1."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["path_id", "kind", "vehicle_id", "t_cross", "x_cross", "v_at_cross"])
+    real = _REAL_SPEC[full_precision]
+    row = _row("%d", "%s", "%d", real, real, real)
+
+    def blocks():
         for pid, wp in enumerate(paths):
-            w.writerow([pid, wp.kind.value, -1, fmt(wp.origin_t, full_precision),
-                        fmt(wp.origin_x, full_precision), fmt(wp.origin_v, full_precision)])
-            for c in wp.crossings:
-                w.writerow([pid, wp.kind.value, c.vehicle_id, fmt(c.t, full_precision),
-                            fmt(c.x, full_precision), fmt(c.v, full_precision)])
+            points = [(-1, wp.origin_t, wp.origin_x, wp.origin_v), *wp.crossings]
+            values = [u for vid, t, x, v in points
+                      for u in (pid, wp.kind.value, vid, float(t), float(x), float(v))]
+            yield row * len(points), values
+
+    _write_blocks(path, "path_id,kind,vehicle_id,t_cross,x_cross,v_at_cross", blocks())
 
 
-def write_stats(
-    path: str,
-    rows: Sequence[Tuple[str, str, DeviationStats]],
-    full_precision: bool = False,
-) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["case", "method", "mean", "median", "q1", "q3", "max", "min"])
-        for case, method, st in rows:
-            w.writerow([case, method] + [fmt(v, full_precision) for v in st.as_row()])
+def write_stats(path: str, label: str, proposed: DeviationStats, baseline: DeviationStats,
+                full_precision: bool = False) -> None:
+    """|deviation| statistics of the proposed and the baseline method, one row
+    each; `label` fills the case column, written as given (unquoted)."""
+    real = _REAL_SPEC[full_precision]
+    values = [v for method, st in (("proposed", proposed), ("baseline", baseline))
+              for v in (label, method, *map(float, st.as_row()))]
+    _write_blocks(path, "case,method,mean,median,q1,q3,max,min",
+                  [(_row("%s", "%s", *[real] * 6) * 2, values)])
 
 
 def write_histogram(path: str, hist: Histogram, full_precision: bool = False) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bin_center", "density"])
-        for c, d in zip(hist.bin_centers, hist.density):
-            w.writerow([fmt(float(c), full_precision), fmt(float(d), full_precision)])
+    real = _REAL_SPEC[full_precision]
+    values = np.column_stack((hist.bin_centers, hist.density)).ravel().tolist()
+    _write_blocks(path, "bin_center,density", [(_row(real, real) * len(hist.density), values)])
 
 
 def write_field(path: str, fld: EulerianField, full_precision: bool = False) -> None:
@@ -282,17 +290,19 @@ def write_field(path: str, fld: EulerianField, full_precision: bool = False) -> 
     Every snapshot's rows share its time and every snapshot shares the
     centers, so each time is formatted once per snapshot and the centers
     once per file; only rho and v go through printf cell by cell.  A
-    snapshot is one string: its time text joined between the per-cell
-    row tails, then formatted with the snapshot's interleaved (rho, v).
+    snapshot is one block: its time text joined between the per-cell
+    row tails, filled with the snapshot's interleaved (rho, v).
     """
     real = _REAL_SPEC[full_precision]
-    # what follows the time in each cell's row: ",x,<rho spec>,<v spec>"
-    tails = [f",{real % x},{real},{real}\r\n" for x in fld.grid.centers.tolist()]
-    with open(path, "w", newline="") as fh:
-        fh.write("t,x,rho,v\r\n")
+    # what follows the time in each cell's row: ",x,<rho spec>,<v spec>\r\n"
+    tails = [_row("", real % x, real, real) for x in fld.grid.centers.tolist()]
+
+    def blocks():
         for t, rho_v in zip(fld.times.tolist(), np.stack((fld.rho, fld.v), axis=-1)):
             t_text = real % t
-            fh.write((t_text + t_text.join(tails)) % tuple(rho_v.ravel().tolist()))
+            yield t_text + t_text.join(tails), rho_v.ravel().tolist()
+
+    _write_blocks(path, "t,x,rho,v", blocks())
 
 
 def write_bode(
@@ -302,13 +312,17 @@ def write_bode(
     full_precision: bool = False,
 ) -> None:
     """Frequency response export: omega, gain magnitude, phase."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["omega", "gain_mag", "phase"])
-        for om in omegas:
-            te = transfer_function(float(om), params)
-            w.writerow([fmt(float(om), full_precision), fmt(te.gain_mag, full_precision),
-                        fmt(te.phase, full_precision)])
+    real = _REAL_SPEC[full_precision]
+    tes = [transfer_function(float(om), params) for om in omegas]
+    values = [float(u) for om, te in zip(omegas, tes) for u in (om, te.gain_mag, te.phase)]
+    _write_blocks(path, "omega,gain_mag,phase", [(_row(real, real, real) * len(omegas), values)])
+
+
+def write_modes(path: str, modes: Sequence[Sequence[float]], full_precision: bool = False) -> None:
+    """Fourier modes export: one row of (amplitude, omega, phase) per mode."""
+    real = _REAL_SPEC[full_precision]
+    values = [float(v) for mode in modes for v in mode]
+    _write_blocks(path, "amplitude,omega,phase", [(_row(real, real, real) * len(modes), values)])
 
 
 # ---------------------------------------------------------------------------

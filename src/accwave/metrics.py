@@ -10,7 +10,8 @@ stays visible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from itertools import pairwise
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -18,7 +19,6 @@ from .pde import EulerianField
 from .tracker import WavePath
 
 __all__ = [
-    "DeviationSet",
     "DeviationStats",
     "Histogram",
     "deviation_set",
@@ -26,18 +26,6 @@ __all__ = [
     "histogram",
     "field_rmse",
 ]
-
-
-@dataclass(frozen=True)
-class DeviationSet:
-    """Signed deviations v_{p,i+1} - v_{p,i} with (path, step) provenance."""
-
-    values: np.ndarray
-    path_ids: np.ndarray
-    indices: np.ndarray
-
-    def __len__(self) -> int:
-        return self.values.size
 
 
 @dataclass(frozen=True)
@@ -62,33 +50,20 @@ class Histogram:
     bin_width: float
 
 
-def deviation_set(paths: Sequence[WavePath]) -> DeviationSet:
-    """Pool successive speed differences along every path, order kept.
+def deviation_set(paths: Sequence[WavePath]) -> np.ndarray:
+    """Signed deviations v_{p,i+1} - v_{p,i} pooled over every path, order kept.
 
     Paths with fewer than two points (origin plus at least one crossing)
     contribute nothing; an empty pool is legal.
     """
-    vals: List[float] = []
-    pids: List[int] = []
-    idxs: List[int] = []
-    for pid, path in enumerate(paths):
-        speeds = path.speeds
-        for j in range(speeds.size - 1):
-            vals.append(float(speeds[j + 1] - speeds[j]))
-            pids.append(pid)
-            idxs.append(j)
-    return DeviationSet(
-        values=np.array(vals, dtype=float),
-        path_ids=np.array(pids, dtype=int),
-        indices=np.array(idxs, dtype=int),
-    )
+    return np.array([b - a for p in paths for a, b in pairwise(p.speeds.tolist())], dtype=float)
 
 
-def summary_stats(devs: DeviationSet) -> DeviationStats:
+def summary_stats(devs: np.ndarray) -> DeviationStats:
     """Table-row statistics of |deviation|; quartiles by linear interpolation."""
     if len(devs) == 0:
         raise ValueError("cannot summarize an empty deviation set")
-    a = np.abs(devs.values)
+    a = np.abs(devs)
     q1, med, q3 = np.percentile(a, [25.0, 50.0, 75.0])
     return DeviationStats(
         mean=float(np.mean(a)),
@@ -100,7 +75,7 @@ def summary_stats(devs: DeviationSet) -> DeviationStats:
     )
 
 
-def histogram(devs: DeviationSet, bin_width: float = 0.1) -> Histogram:
+def histogram(devs: np.ndarray, bin_width: float = 0.1) -> Histogram:
     """Center-aligned density histogram of the signed deviations.
 
     Bin centers sit on multiples of the width (a lone zero value lands
@@ -111,11 +86,10 @@ def histogram(devs: DeviationSet, bin_width: float = 0.1) -> Histogram:
         raise ValueError("bin width must be positive")
     if len(devs) == 0:
         raise ValueError("cannot bin an empty deviation set")
-    x = devs.values
-    lo = int(np.round(np.min(x) / bin_width))
-    hi = int(np.round(np.max(x) / bin_width))
+    lo = int(np.round(np.min(devs) / bin_width))
+    hi = int(np.round(np.max(devs) / bin_width))
     edges = (np.arange(lo, hi + 2) - 0.5) * bin_width
-    density, _ = np.histogram(x, bins=edges, density=True)
+    density, _ = np.histogram(devs, bins=edges, density=True)
     centers = np.arange(lo, hi + 1) * bin_width
     return Histogram(bin_centers=centers, density=density, bin_width=bin_width)
 

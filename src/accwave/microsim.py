@@ -583,7 +583,7 @@ def simulate_platoon(scenario: Scenario) -> PlatoonResult:
     else:
         init_v = np.broadcast_to(np.asarray(sc.initial_speeds, dtype=float), (n_f,))
     if sc.initial_gaps is None:
-        init_gaps = p.tau * init_v + p.L
+        init_gaps = p.desired_spacing(init_v)
     else:
         init_gaps = np.broadcast_to(np.asarray(sc.initial_gaps, dtype=float), (n_f,))
 
@@ -837,13 +837,8 @@ def ring_setup(
     v = np.asarray(initial_speeds, dtype=float)
     if v.shape != (n,):
         raise ValueError(f"expected {n} initial speeds, got shape {v.shape}")
-    gaps = params.tau * v + params.L
-    L_x = float(np.sum(gaps))
-    x = np.empty(n)
-    x[0] = 0.0
-    for i in range(1, n):
-        x[i] = x[i - 1] - gaps[i]
-    return L_x, x
+    gaps = params.desired_spacing(v)
+    return float(np.sum(gaps)), np.concatenate(([0.0], -np.cumsum(gaps[1:])))
 
 
 # ---------------------------------------------------------------------------

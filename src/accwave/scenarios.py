@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .metrics import DeviationSet, DeviationStats, deviation_set, field_rmse, summary_stats
+from .metrics import DeviationStats, deviation_set, field_rmse, summary_stats
 from .microsim import (
     ConstAccel,
     Cruise,
@@ -163,8 +163,8 @@ class Comparison:
 
     proposed: List[WavePath]
     baseline: List[WavePath]
-    proposed_devs: DeviationSet
-    baseline_devs: DeviationSet
+    proposed_devs: np.ndarray
+    baseline_devs: np.ndarray
     proposed_stats: DeviationStats
     baseline_stats: DeviationStats
 

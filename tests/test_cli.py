@@ -372,6 +372,117 @@ def test_write_trajectories_bytes_match_csv_writer_loop(tmp_path, full_precision
     assert got.read_bytes() == want.read_bytes()
 
 
+def _oracle_write_rows(path, header, rows):
+    """Reference: the header and every row through one csv.writer."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _awkward_paths():
+    """Paths of every kind with np.float64 coordinates, one without crossings."""
+    from accwave.tracker import Crossing, PathKind, WavePath
+
+    rng = np.random.default_rng(6)
+    paths = []
+    for k, kind in enumerate(list(PathKind) * 2):
+        t, x, v = (rng.permuted(_AWKWARD)[:k + 1] for _ in range(3))
+        crossings = tuple(Crossing(i + 1, t[i + 1], x[i + 1], v[i + 1]) for i in range(k))
+        paths.append(WavePath(kind, t[0], x[0], v[0], crossings))
+    return paths
+
+
+@pytest.mark.parametrize("full_precision", [False, True])
+def test_write_wave_paths_bytes_match_csv_writer_loop(tmp_path, full_precision):
+    paths = _awkward_paths()
+    rows = []
+    for pid, wp in enumerate(paths):
+        rows.append([pid, wp.kind.value, -1] + [_oracle_fmt(float(u), full_precision)
+                                                 for u in (wp.origin_t, wp.origin_x, wp.origin_v)])
+        rows += [[pid, wp.kind.value, c.vehicle_id] + [_oracle_fmt(float(u), full_precision)
+                                                        for u in (c.t, c.x, c.v)]
+                 for c in wp.crossings]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    dataio.write_wave_paths(str(got), paths, full_precision)
+    _oracle_write_rows(str(want), ["path_id", "kind", "vehicle_id", "t_cross", "x_cross",
+                                   "v_at_cross"], rows)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("full_precision", [False, True])
+def test_write_stats_bytes_match_csv_writer_loop(tmp_path, full_precision):
+    from accwave.metrics import DeviationStats
+
+    proposed = DeviationStats(*_AWKWARD[:6])       # np.float64 fields
+    baseline = DeviationStats(*_AWKWARD[6:].tolist())
+    rows = [["case3", method] + [_oracle_fmt(u, full_precision) for u in st.as_row()]
+            for method, st in (("proposed", proposed), ("baseline", baseline))]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    dataio.write_stats(str(got), "case3", proposed, baseline, full_precision)
+    _oracle_write_rows(str(want), ["case", "method", "mean", "median", "q1", "q3", "max", "min"],
+                       rows)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("full_precision", [False, True])
+def test_write_histogram_bytes_match_csv_writer_loop(tmp_path, full_precision):
+    from accwave.metrics import Histogram
+
+    hist = Histogram(bin_centers=_AWKWARD, density=np.abs(_AWKWARD[::-1]), bin_width=0.1)
+    rows = [[_oracle_fmt(float(c), full_precision), _oracle_fmt(float(d), full_precision)]
+            for c, d in zip(hist.bin_centers, hist.density)]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    dataio.write_histogram(str(got), hist, full_precision)
+    _oracle_write_rows(str(want), ["bin_center", "density"], rows)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("full_precision", [False, True])
+def test_write_bode_bytes_match_csv_writer_loop(tmp_path, full_precision):
+    from accwave.waves import transfer_function
+
+    params = ControlParams(k_s=0.0)                 # omega = 0 takes the DC limit
+    omegas = np.concatenate(([0.0, 0.1 + 0.2, 3.0, 1.0 / 3.0], np.logspace(-2, 2, 400)))
+    rows = []
+    for om in omegas:
+        te = transfer_function(float(om), params)
+        rows.append([_oracle_fmt(u, full_precision) for u in (float(om), te.gain_mag, te.phase)])
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    dataio.write_bode(str(got), params, omegas, full_precision)
+    _oracle_write_rows(str(want), ["omega", "gain_mag", "phase"], rows)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("full_precision", [False, True])
+def test_write_modes_bytes_match_csv_writer_loop_with_crlf_line_ends(tmp_path, full_precision):
+    modes = list(zip(_AWKWARD[0::3], _AWKWARD[1::3], _AWKWARD[2::3]))   # np.float64 values
+    rows = [[_oracle_fmt(u, full_precision) for u in mode] for mode in modes]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    dataio.write_modes(str(got), modes, full_precision)
+    _oracle_write_rows(str(want), ["amplitude", "omega", "phase"], rows)
+    assert got.read_bytes() == want.read_bytes()
+    assert got.read_bytes().count(b"\r\n") == len(modes) + 1
+
+
+@pytest.mark.parametrize("full_precision", [False, True])
+def test_trajectory_ids_across_the_int64_range_round_trip(tmp_path, full_precision):
+    from accwave.microsim import Trajectory
+
+    # ids above 2**53 are not all representable as float64: 2**62 + 1 and
+    # 2**63 - 1 would collapse onto their neighbours
+    ids = [-2**63, 2**62, 2**62 + 1, 2**63 - 1]
+    t = 0.5 * np.arange(4)
+    trajs = [Trajectory(vid, t, -10.0 * k + t, np.full(4, 2.0), np.zeros(4), 0.5)
+             for k, vid in enumerate(ids)]
+    path = tmp_path / "ids.csv"
+    write_trajectories(str(path), trajs, full_precision)
+    back = ingest_trajectories(str(path))
+    assert [tr.vehicle_id for tr in back] == ids
+    for a, b in zip(trajs, back):
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.t, b.t)
+
+
 # ---------------------------------------------------------------------------
 # draws
 # ---------------------------------------------------------------------------

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from accwave.metrics import (
-    DeviationSet,
-    deviation_set,
-    field_rmse,
-    histogram,
-    summary_stats,
-)
+from accwave.metrics import deviation_set, field_rmse, histogram, summary_stats
 from accwave.pde import EulerianField, Grid
 from accwave.tracker import Crossing, PathKind, WavePath
 
@@ -23,8 +17,7 @@ def _path(origin_v, crossing_speeds, kind=PathKind.CHARACTERISTIC):
 
 
 def _devset(values):
-    vals = np.asarray(values, dtype=float)
-    return DeviationSet(vals, np.zeros(vals.size, dtype=int), np.arange(vals.size))
+    return np.asarray(values, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -35,16 +28,28 @@ def _devset(values):
 def test_deviation_set_pools_successive_differences():
     # speeds 10 -> 9.2 -> 9.5 give signed deviations (-0.8, 0.3)
     devs = deviation_set([_path(10.0, (9.2, 9.5))])
-    assert np.allclose(devs.values, [-0.8, 0.3])
-    assert list(devs.path_ids) == [0, 0]
-    assert list(devs.indices) == [0, 1]
+    assert np.allclose(devs, [-0.8, 0.3])
 
 
-def test_deviation_set_keeps_path_provenance():
+def test_deviation_set_pools_paths_in_order():
     devs = deviation_set([_path(10.0, (9.0,)), _path(8.0, (8.5, 8.25))])
     assert len(devs) == 3
-    assert list(devs.path_ids) == [0, 1, 1]
-    assert np.allclose(devs.values, [-1.0, 0.5, -0.25])
+    assert np.allclose(devs, [-1.0, 0.5, -0.25])
+
+
+def test_deviation_set_is_each_paths_speed_differences_bit_for_bit():
+    # the pooled values are the subtractions b - a of consecutive path
+    # speeds, as a Python loop over each path computes them
+    rng = np.random.default_rng(11)
+    paths = [_path(float(rng.uniform(5, 15)), rng.uniform(5, 15, n).tolist()) for n in (0, 1, 4, 9)]
+    want = [b - a for p in paths for a, b in zip(p.speeds.tolist(), p.speeds.tolist()[1:])]
+    got = deviation_set(paths)
+    assert got.dtype == np.float64 and got.tolist() == want
+
+
+def test_deviation_set_of_no_paths_is_an_empty_float_array():
+    devs = deviation_set([])
+    assert devs.dtype == np.float64 and devs.shape == (0,)
 
 
 def test_paths_without_crossings_contribute_nothing():

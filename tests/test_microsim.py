@@ -28,7 +28,7 @@ from accwave.microsim import (
 )
 from accwave.microsim import _leader_arrays, _leader_initial_speed, _step_maps
 from accwave.model import ControlParams, acc_acceleration
-from accwave.scenarios import case_scenario, ring_scenario
+from accwave.scenarios import TABLE_PARAMS, case_scenario, ring_initial_speeds, ring_scenario
 from accwave.waves import follower_motion_closed_form
 from oracles import (
     PairErrorState,
@@ -215,6 +215,20 @@ def test_ring_setup_total_length_and_descending_positions():
     assert all(a > b for a, b in zip(x0, x0[1:]))
     with pytest.raises(ValueError):
         ring_setup(1, P, speeds[:1])
+
+
+@pytest.mark.parametrize("n", [2, 7, 40, 400])
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_ring_setup_positions_match_the_gap_by_gap_loop_bit_for_bit(case, n):
+    speeds = ring_initial_speeds(case, n)
+    gaps = TABLE_PARAMS.tau * speeds + TABLE_PARAMS.L
+    want = np.empty(n)
+    want[0] = 0.0
+    for i in range(1, n):
+        want[i] = want[i - 1] - gaps[i]
+    L_x, x0 = ring_setup(n, TABLE_PARAMS, speeds)
+    assert L_x == float(np.sum(gaps))
+    assert x0.tobytes() == want.tobytes()
 
 
 def test_ring_platoon_conserves_vehicle_count_and_length():
