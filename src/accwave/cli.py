@@ -193,7 +193,10 @@ def _cmd_empirical(args: argparse.Namespace) -> int:
     if not draws_file or not leader_file:
         raise ValueError("empirical needs --draws and --leader (or config keys)")
     draws = dataio.sample_params(dataio.load_draws(draws_file), cfg.n_draws, cfg.seed)
-    leader = dataio.ingest_trajectories(leader_file)[0]
+    leaders = dataio.ingest_trajectories(leader_file)
+    if not leaders:
+        raise ValueError(f"{leader_file}: no vehicles")
+    leader = leaders[0]
     r = run_empirical(leader, draws, n_followers=cfg.n_followers, dt=cfg.dt,
                       origin_spacing=cfg.origin_spacing, baseline_speed=cfg.baseline_speed)
     ps, bs = r.proposed_stats, r.baseline_stats
@@ -291,7 +294,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

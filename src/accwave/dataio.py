@@ -3,19 +3,21 @@
 Every export is written by `_write_blocks`: a header row, then printf rows
 ending in CRLF, reals at 6 significant digits (full precision on request).
 Trajectory files use the flat schema `t,vehicle_id,x,v,a` sorted by
-(t, vehicle_id); wave-path files carry one row per crossing with the path
-origin marked by vehicle_id = -1.
+(t, vehicle_id), and are read back, in any row order, by one np.loadtxt
+parse; wave-path files carry one row per crossing with the path origin
+marked by vehicle_id = -1.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import numbers
 import os
 import warnings
 from dataclasses import dataclass, asdict, fields
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import yaml
@@ -139,111 +141,99 @@ def _sampling(t: np.ndarray) -> Tuple[np.ndarray, float, np.ndarray]:
 def ingest_trajectories(path: str) -> List[Trajectory]:
     """Read a trajectory CSV into per-vehicle Trajectory objects.
 
-    Rows may appear in any order.  Each vehicle must be uniformly
-    sampled (time jitter above `DT_JITTER` or a skipped sample raises,
-    naming the offending data row).  A missing `a` column is
-    reconstructed by central differences of v.
+    Rows may appear in any order; blank lines are skipped and fields may
+    be quoted.  Each vehicle must be uniformly sampled (time jitter above
+    `DT_JITTER` or a skipped sample raises, naming the offending data
+    row).  A missing `a` column is reconstructed by central differences
+    of v.
 
-    The data rows are parsed in one pass (`np.loadtxt`) and grouped by
-    one stable sort on (vehicle_id, t).  A file that pass does not take
-    as it stands (a parse error, quoted fields, a row of another length,
-    a failed check) is read again by the row parser `_ingest_rows`, so
-    the result, and the message naming the file and data row of a
-    refused file, are the row parser's.
+    The data rows are parsed by one `np.loadtxt` call and grouped by one
+    stable sort on (vehicle_id, t).  A refused file raises ValueError
+    naming the file and the data row (its csv record number; the header
+    is row 1), or the vehicle where no one row is at fault.
     """
-    out = _ingest_block(path)
-    return _ingest_rows(path) if out is None else out
-
-
-def _ingest_block(path: str) -> Optional[List[Trajectory]]:
-    """`ingest_trajectories` by one loadtxt parse and one lexsort; None
-    where the row parser must decide (anything refused or not parsed as
-    it would parse it)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         has_a = _trajectory_header(path, reader)
-    # loadtxt is given the path, not the open file: it reads a path in
-    # blocks and a file line by line, at half the speed.  But it opens a
-    # path with a compression suffix as compressed, which this file is not.
-    if path.endswith(_COMPRESSED_SUFFIXES):
-        return None
+        skip = reader.line_num
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")   # e.g. loadtxt's "input contained no data"
-            rows = np.loadtxt(path, dtype=_ROW_DTYPE[:4 + has_a], delimiter=",", comments=None,
-                              skiprows=reader.line_num, ndmin=1)
-    except (ValueError, Warning):
-        return None
+        rows = _load_rows(path, has_a, skip)
+    except (ValueError, Warning) as exc:
+        if "input contained no data" in str(exc):    # a header-only file
+            return []
+        raise ValueError(_refused_row(path, has_a, skip)) from exc
     order = np.lexsort((rows["t"], rows["vehicle_id"]))
     vid = rows["vehicle_id"][order]
     cols = np.array([rows[n][order] for n in rows.dtype.names if n != "vehicle_id"])  # t, x, v[, a]
-    if not np.isfinite(cols).all():
-        return None
     bounds = np.r_[0, np.flatnonzero(vid[1:] != vid[:-1]) + 1, vid.size]
     out: List[Trajectory] = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        vehicle = int(vid[lo])
         if hi - lo < 2:
-            return None
+            raise ValueError(f"{path}: vehicle {vehicle} has fewer than two samples")
+        bad = np.flatnonzero(~np.isfinite(cols[:, lo:hi]).all(axis=0))
+        if bad.size:
+            row_no = _data_rows(path)[order[lo + bad[0]]][0]
+            raise ValueError(f"{path}: non-finite value in data row {row_no}")
         t, x, v = cols[:3, lo:hi]
-        _, dt, off = _sampling(t)
+        steps, dt, off = _sampling(t)
         if off.size:
-            return None
+            k = int(off[0])
+            row_no = _data_rows(path)[order[lo + k + 1]][0]
+            raise ValueError(
+                f"{path}: vehicle {vehicle} not uniformly sampled near data row "
+                f"{row_no} (step {steps[k]:.6g} vs dt {dt:.6g})"
+            )
         with np.errstate(over="ignore", invalid="ignore"):   # finite speeds can overflow
             a = cols[3, lo:hi] if has_a else np.gradient(v, dt)
         if not np.isfinite(a).all():
-            return None
-        out.append(Trajectory(vehicle_id=int(vid[lo]), t=t, x=x, v=v, a=a, dt=dt))
+            raise ValueError(f"{path}: vehicle {vehicle} speeds give a non-finite acceleration")
+        out.append(Trajectory(vehicle_id=vehicle, t=t, x=x, v=v, a=a, dt=dt))
     return out
 
 
-def _ingest_rows(path: str) -> List[Trajectory]:
-    """`ingest_trajectories` by a csv.reader loop, one row at a time.
+def _load_rows(path: str, has_a: bool, skip: int, max_rows: Optional[int] = None) -> np.ndarray:
+    """The data rows after the `skip` header lines of a trajectory CSV, by one
+    np.loadtxt call: the first `max_rows` of them if given.  A row loadtxt
+    refuses raises ValueError or, warnings being errors here, a Warning."""
+    n = 4 + has_a
+    # loadtxt reads a path in blocks and an open file line by line, at half
+    # the speed.  But it opens a path with a compression suffix as
+    # compressed, which this file is not.
+    named_compressed = path.endswith(_COMPRESSED_SUFFIXES)
+    with (open(path) if named_compressed else contextlib.nullcontext(path)) as src, \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # under max_rows, loadtxt warns of each blank line that it is not a row
+        warnings.filterwarnings("ignore", "Input line", UserWarning)
+        return np.loadtxt(src, dtype=_ROW_DTYPE[:n], delimiter=",", comments=None,
+                          quotechar='"', skiprows=skip, usecols=range(n), ndmin=1,
+                          max_rows=max_rows)
 
-    Refuses a malformed row, a non-finite value, a vehicle with fewer
-    than two samples or one not uniformly sampled, naming the file and
-    the data row (the vehicle, for a non-finite reconstructed acceleration).
-    """
-    by_vehicle: Dict[int, List[Tuple[float, float, float, Optional[float], int]]] = {}
+
+def _data_rows(path: str) -> List[Tuple[int, List[str]]]:
+    """(data row number, csv record) of each non-empty record after the
+    header of a trajectory CSV; row k of `_load_rows` is the k-th."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        has_a = _trajectory_header(path, reader)
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                t = float(row[0])
-                vid = int(row[1])
-                x = float(row[2])
-                v = float(row[3])
-                a = float(row[4]) if has_a else None
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path}: malformed row {row_no}: {row}") from exc
-            by_vehicle.setdefault(vid, []).append((t, x, v, a, row_no))
+        next(reader)
+        return [(row_no, row) for row_no, row in enumerate(reader, start=2) if row]
 
-    out: List[Trajectory] = []
-    n_cols = 4 if has_a else 3
-    for vid in sorted(by_vehicle):
-        recs = sorted(by_vehicle[vid], key=lambda r: r[0])
-        if len(recs) < 2:
-            raise ValueError(f"{path}: vehicle {vid} has fewer than two samples")
-        cols = np.array([[r[i] for r in recs] for i in range(n_cols)])   # rows t, x, v[, a]
-        bad = np.nonzero(~np.isfinite(cols).all(axis=0))[0]
-        if bad.size:
-            raise ValueError(f"{path}: non-finite value in data row {recs[int(bad[0])][4]}")
-        t, x, v = cols[:3]
-        steps, dt, bad = _sampling(t)
-        if bad.size:
-            k = int(bad[0])
-            raise ValueError(
-                f"{path}: vehicle {vid} not uniformly sampled near data row "
-                f"{recs[k + 1][4]} (step {steps[k]:.6g} vs dt {dt:.6g})"
-            )
-        with np.errstate(over="ignore", invalid="ignore"):
-            a = cols[3] if has_a else np.gradient(v, dt)
-        if not np.isfinite(a).all():
-            raise ValueError(f"{path}: vehicle {vid} speeds give a non-finite acceleration")
-        out.append(Trajectory(vehicle_id=vid, t=t, x=x, v=v, a=a, dt=dt))
-    return out
+
+def _refused_row(path: str, has_a: bool, skip: int) -> str:
+    """Message naming the first row loadtxt refuses in a file it does not
+    parse whole, found by bisecting `max_rows` over the data rows."""
+    rows = _data_rows(path)
+    lo, hi = 0, len(rows)     # the first lo rows parse, the first hi do not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _load_rows(path, has_a, skip, mid)
+            lo = mid
+        except (ValueError, Warning):
+            hi = mid
+    row_no, row = rows[hi - 1]
+    return f"{path}: malformed row {row_no}: {row}"
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,22 @@
   were computed in scalar arithmetic: the follower read by scalar
   np.interp, the crossing knot found by one compare over the whole rest
   of the table.  The production tracer must equal it bit for bit.
+- `row_ingest`, the trajectory CSV reader as it was before every file
+  went through one np.loadtxt parse: a csv.reader loop, one row at a
+  time.  `dataio.ingest_trajectories` must give its result bit for bit
+  and its message for a refused file.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from accwave.dataio import _sampling, _trajectory_header
 from accwave.microsim import Trajectory, _step_maps
 from accwave.model import ControlParams
 from accwave.tracker import (
@@ -252,3 +258,57 @@ def table_trace(
         t, x, v = t_x, float(fol.position_at(t_x)), float(fol.speed_at(t_x))
         crossings.append(Crossing(fol.vehicle_id, t, x, v))
     return WavePath(kind, origin_t, origin_x, origin_v, tuple(crossings))
+
+
+# ---------------------------------------------------------------------------
+# Row-by-row trajectory ingest
+# ---------------------------------------------------------------------------
+
+def row_ingest(path: str) -> List[Trajectory]:
+    """`ingest_trajectories` by a csv.reader loop, one row at a time.
+
+    Refuses a malformed row, a non-finite value, a vehicle with fewer
+    than two samples or one not uniformly sampled, naming the file and
+    the data row (the vehicle, for a non-finite reconstructed acceleration).
+    """
+    by_vehicle: Dict[int, List[Tuple[float, float, float, Optional[float], int]]] = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        has_a = _trajectory_header(path, reader)
+        for row_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                t = float(row[0])
+                vid = int(row[1])
+                x = float(row[2])
+                v = float(row[3])
+                a = float(row[4]) if has_a else None
+            except (ValueError, IndexError) as exc:
+                raise ValueError(f"{path}: malformed row {row_no}: {row}") from exc
+            by_vehicle.setdefault(vid, []).append((t, x, v, a, row_no))
+
+    out: List[Trajectory] = []
+    n_cols = 4 if has_a else 3
+    for vid in sorted(by_vehicle):
+        recs = sorted(by_vehicle[vid], key=lambda r: r[0])
+        if len(recs) < 2:
+            raise ValueError(f"{path}: vehicle {vid} has fewer than two samples")
+        cols = np.array([[r[i] for r in recs] for i in range(n_cols)])   # rows t, x, v[, a]
+        bad = np.nonzero(~np.isfinite(cols).all(axis=0))[0]
+        if bad.size:
+            raise ValueError(f"{path}: non-finite value in data row {recs[int(bad[0])][4]}")
+        t, x, v = cols[:3]
+        steps, dt, bad = _sampling(t)
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(
+                f"{path}: vehicle {vid} not uniformly sampled near data row "
+                f"{recs[k + 1][4]} (step {steps[k]:.6g} vs dt {dt:.6g})"
+            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = cols[3] if has_a else np.gradient(v, dt)
+        if not np.isfinite(a).all():
+            raise ValueError(f"{path}: vehicle {vid} speeds give a non-finite acceleration")
+        out.append(Trajectory(vehicle_id=vid, t=t, x=x, v=v, a=a, dt=dt))
+    return out

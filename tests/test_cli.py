@@ -31,6 +31,7 @@ from accwave import scenarios
 from accwave.microsim import Cruise, LeaderProfile, Scenario, simulate_platoon
 from accwave.model import ControlParams
 from accwave.pde import EulerianField, Grid
+import oracles
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -104,7 +105,9 @@ def test_ingest_names_file_and_row_of_non_finite_value(tmp_path, row):
 
 
 def _ingest_bad_row(kind: str, data) -> None:
-    """Write a valid two-vehicle file with one row spoiled; ingest must name it."""
+    """Write a valid two-vehicle file with one row spoiled, among blank lines
+    and quoted fields, LF or CRLF; ingest must refuse it with the message of
+    `oracles.row_ingest`, which names the spoiled data row."""
     rows = [[repr(k * 0.1), str(vid), repr(30.0 - 20.0 * vid + k), "10.0", "0.0"]
             for k in range(8) for vid in (0, 1)]
     rows = data.draw(st.permutations(rows), label="rows")
@@ -123,13 +126,26 @@ def _ingest_bad_row(kind: str, data) -> None:
             field = data.draw(st.integers(0, 4), label="field")
             bad = ["", "ten", "1..5", "--1"] + (["1.5", "nan"] if field == 1 else [])
             rows[i][field] = data.draw(st.sampled_from(bad), label="value")
+    spoiled = rows[i]
+    for r, f in data.draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), st.integers(0, 4)),
+                                   max_size=8, unique=True), label="quoted fields"):
+        if f < len(rows[r]):
+            rows[r][f] = f'"{rows[r][f]}"'
+    for at in data.draw(st.lists(st.integers(0, len(rows)), max_size=3), label="blank lines"):
+        rows.insert(at, [])
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]), label="newline")
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "rec.csv")
-        with open(path, "w") as fh:
-            fh.write("t,vehicle_id,x,v,a\n" + "".join(",".join(r) + "\n" for r in rows))
-        # data row i is line i + 2 of the file, after the header
-        with pytest.raises(ValueError, match=rf"^{re.escape(path)}: .*\brow {i + 2}\b"):
+        with open(path, "w", newline="") as fh:
+            fh.write(newline.join(["t,vehicle_id,x,v,a"] + [",".join(r) for r in rows]) + newline)
+        with pytest.raises(ValueError) as want:
+            oracles.row_ingest(path)
+        with pytest.raises(ValueError) as got:
             ingest_trajectories(path)
+        assert str(got.value) == str(want.value)
+        # the data row of list index j is record j + 2 of the file, after the header
+        j = next(j for j, r in enumerate(rows) if r is spoiled)
+        assert re.match(rf"^{re.escape(path)}: .*\brow {j + 2}\b", str(got.value))
 
 
 @settings(max_examples=150, deadline=None)
@@ -149,8 +165,10 @@ def _same_trajectories(got, want) -> bool:
 @st.composite
 def _valid_trajectory_file(draw):
     """Text of a valid trajectory CSV: shuffled rows, with or without `a`,
-    LF or CRLF, blank lines, and ids written as `1`, `+1` or ` 1 `."""
+    LF or CRLF, blank lines, quoted rows, a column past the header's, and
+    ids written as `1`, `+1` or ` 1 `."""
     has_a = draw(st.booleans(), label="has_a")
+    extra = draw(st.booleans(), label="extra column")
     newline = draw(st.sampled_from(["\n", "\r\n"]), label="newline")
     ids = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=3, unique=True),
                label="ids")
@@ -165,6 +183,9 @@ def _valid_trajectory_file(draw):
             forms = ["{}", " {} "] + ["+{}"] * (vid >= 0)
             id_text = draw(st.sampled_from(forms), label="id form").format(vid)
             fields = [repr(t0 + k * dt), id_text] + [repr(draw(reals)) for _ in range(2 + has_a)]
+            fields += ["lane 2"] * extra
+            if draw(st.booleans(), label="quoted"):
+                fields = [f'"{f}"' for f in fields]
             rows.append(",".join(fields))
     rows = draw(st.permutations(rows), label="rows")
     for _ in range(draw(st.integers(0, 2), label="blank lines")):
@@ -180,10 +201,7 @@ def test_block_ingest_matches_the_row_parser_bit_for_bit(text):
         path = os.path.join(tmp, "rec.csv")
         with open(path, "w", newline="") as fh:
             fh.write(text)
-        fast, want = dataio._ingest_block(path), dataio._ingest_rows(path)
-        assert fast is not None   # the file is valid, so the block parse takes it
-        assert _same_trajectories(fast, want)
-        assert _same_trajectories(ingest_trajectories(path), want)
+        assert _same_trajectories(ingest_trajectories(path), oracles.row_ingest(path))
 
 
 _TWO_SAMPLES = "t,vehicle_id,x,v,a\n0.0,0,0.0,10.0,0.0\n0.1,0,1.0,10.0,0.0\n"
@@ -194,6 +212,16 @@ def test_ingest_refuses_a_real_vehicle_id(tmp_path, vid):
     path = tmp_path / "id.csv"
     path.write_text(_TWO_SAMPLES + f"0.0,{vid},5.0,10.0,0.0\n")
     msg = f"{path}: malformed row 4: ['0.0', '{vid}', '5.0', '10.0', '0.0']"
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        ingest_trajectories(str(path))
+
+
+@pytest.mark.parametrize("vid", [str(2**63), str(-2**63 - 1), "1_0"])
+def test_ingest_refuses_an_id_that_is_not_an_int64_literal(tmp_path, vid):
+    # Python's int() takes each of these; the int64 parse of np.loadtxt does not
+    path = tmp_path / "id.csv"
+    path.write_text(_TWO_SAMPLES + f"0.2,0,2.0,10.0,0.0\n0.0,{vid},5.0,10.0,0.0\n")
+    msg = f"{path}: malformed row 5: ['0.0', '{vid}', '5.0', '10.0', '0.0']"
     with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
         ingest_trajectories(str(path))
 
@@ -210,7 +238,6 @@ def test_ingest_accepts_quoted_fields(tmp_path):
     plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
     plain.write_text(_TWO_SAMPLES)
     quoted.write_text('"t",vehicle_id,x,v,a\n"0.0","0",0.0,10.0,0.0\n0.1,0,"1.0",10.0,0.0\n')
-    assert dataio._ingest_block(str(quoted)) is None   # left to the row parser
     assert _same_trajectories(ingest_trajectories(str(quoted)), ingest_trajectories(str(plain)))
 
 
@@ -253,15 +280,9 @@ def test_row_ingest_refuses_a_non_finite_reconstructed_accel_naming_file_and_veh
     path.write_text(_HUGE_SPEEDS)
     msg = f"{path}: vehicle 0 speeds give a non-finite acceleration"
     with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
-        dataio._ingest_rows(str(path))
+        oracles.row_ingest(str(path))
     with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
         ingest_trajectories(str(path))
-
-
-def test_block_ingest_leaves_a_non_finite_reconstructed_accel_to_the_row_parser(tmp_path):
-    path = tmp_path / "huge.csv"
-    path.write_text(_HUGE_SPEEDS)
-    assert dataio._ingest_block(str(path)) is None
 
 
 def test_ingest_rejects_wrong_header(tmp_path):
@@ -797,6 +818,16 @@ def test_cli_empirical_refuses_a_platoon_without_followers(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_cli_empirical_refuses_a_leader_file_without_vehicles(tmp_path, capsys):
+    # used to end in an IndexError traceback
+    leader = tmp_path / "leader.csv"
+    leader.write_text("t,vehicle_id,x,v\n")
+    rc = main(["empirical", "--draws", str(DATA_DIR / "calibrated_draws.csv"),
+               "--leader", str(leader), "--n-draws", "1", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {leader}: no vehicles\n"
+
+
 def _sweep_inputs(n_draws):
     leader = ingest_trajectories(str(DATA_DIR / "leader_dip.csv"))[0]
     return leader, sample_params(load_draws(str(DATA_DIR / "calibrated_draws.csv")), n_draws, seed=3)
@@ -905,3 +936,20 @@ def test_cli_metrics_refuses_a_negative_or_nan_window_margin(tmp_path, capsys, f
     assert rc == 2
     name = flag[2:].replace("-", " ")
     assert f"error: {name} must be non-negative, got {float(value)}" in capsys.readouterr().err
+
+
+# each used to end in an OSError traceback
+def test_cli_refuses_a_directory_as_input(tmp_path, capsys):
+    rc = main(["metrics", "--input", str(tmp_path), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
+def test_cli_refuses_an_out_dir_that_is_a_file(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["wave", "--out-dir", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(taken) in err
+    assert taken.read_text() == ""
