@@ -434,7 +434,10 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 
 def load_config(path: str) -> ScenarioConfig:
     with open(path) as fh:
-        data = yaml.safe_load(fh)
+        try:
+            data = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     if data is None:
         data = {}
     if not isinstance(data, dict):

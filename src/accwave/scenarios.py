@@ -344,11 +344,14 @@ def run_empirical(
     """Pool deviation statistics over calibrated parameter draws.
 
     Each draw (tau, L, k_s, k_v) simulates a fresh platoon behind the
-    recorded leader, traces characteristic and constant-speed paths from
-    the same origins, and pools the deviations across draws.  The
-    free-flow speed is pushed above the recorded profile so the platoon
-    stays congested, matching the characteristic-only treatment.  Each
-    draw's platoon is traced and released before the next one is simulated.
+    recorded leader and traces characteristic and constant-speed paths from
+    the same origins.  The free-flow speed is pushed above the recorded
+    profile so the platoon stays congested, matching the
+    characteristic-only treatment.  Each draw's deviations are pooled as
+    soon as it is traced, and only they are kept: its platoon and paths are
+    released before the next draw is simulated, so memory stays flat in the
+    number of draws.  The statistics are taken once over the deviations of
+    all draws, in draw order.
     """
     if leader.t0 != 0.0:
         raise ValueError("recorded leader must start at t = 0")
@@ -357,17 +360,18 @@ def run_empirical(
     if not params:
         raise ValueError("no parameter draws to simulate")
     origins = origin_grid(leader, warmup, end_margin, origin_spacing)
-    proposed: List[WavePath] = []
-    baseline: List[WavePath] = []
+    proposed: List[np.ndarray] = []
+    baseline: List[np.ndarray] = []
     for p in params:
         sc = Scenario(params=p, n_followers=n_followers, leader=leader, duration=leader.t_end, dt=dt)
         prop, base = trace_methods(origins, simulate_platoon(sc).trajectories, p, baseline_speed)
-        proposed += prop
-        baseline += base
-    c = Comparison.pool(proposed, baseline)
+        proposed.append(deviation_set(prop))
+        baseline.append(deviation_set(base))
+        del prop, base  # release this draw's paths before the next draw is simulated
+    prop_devs, base_devs = np.concatenate(proposed), np.concatenate(baseline)
     return EmpiricalRun(
-        proposed_stats=c.proposed_stats,
-        baseline_stats=c.baseline_stats,
+        proposed_stats=summary_stats(prop_devs),
+        baseline_stats=summary_stats(base_devs),
         n_draws=len(params),
-        n_deviations=len(c.proposed_devs),
+        n_deviations=len(prop_devs),
     )

@@ -17,6 +17,10 @@
   went through one np.loadtxt parse: a csv.reader loop, one row at a
   time.  `dataio.ingest_trajectories` must give its result bit for bit
   and its message for a refused file.
+- `pooled_empirical`, the calibrated-draw sweep as it was before each
+  draw's deviations were pooled as soon as it was traced: every draw's
+  paths kept until the last draw, then pooled once by `Comparison.pool`.
+  `scenarios.run_empirical` must give the same statistics and counts.
 """
 
 from __future__ import annotations
@@ -29,8 +33,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from accwave.dataio import _sampling, _trajectory_header
-from accwave.microsim import Trajectory, _step_maps
+from accwave.microsim import Scenario, Trajectory, _step_maps, simulate_platoon
 from accwave.model import ControlParams
+from accwave.scenarios import Comparison, EmpiricalRun, origin_grid, trace_methods
 from accwave.tracker import (
     Crossing,
     PathKind,
@@ -312,3 +317,42 @@ def row_ingest(path: str) -> List[Trajectory]:
             raise ValueError(f"{path}: vehicle {vid} speeds give a non-finite acceleration")
         out.append(Trajectory(vehicle_id=vid, t=t, x=x, v=v, a=a, dt=dt))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Accumulate-then-pool empirical sweep
+# ---------------------------------------------------------------------------
+
+def pooled_empirical(
+    leader: Trajectory,
+    draws: Sequence,
+    n_followers: int = 4,
+    dt: float = 0.05,
+    warmup: float = 20.0,
+    origin_spacing: float = 2.0,
+    end_margin: float = 10.0,
+    baseline_speed: Optional[float] = None,
+) -> EmpiricalRun:
+    """`run_empirical` keeping every draw's paths until the last draw is
+    traced, then pooling them all at once."""
+    if leader.t0 != 0.0:
+        raise ValueError("recorded leader must start at t = 0")
+    v_free = float(np.max(leader.v)) + 5.0
+    params = [ControlParams(tau=d.tau, L=d.L, k_s=d.k_s, k_v=d.k_v, v_f=v_free) for d in draws]
+    if not params:
+        raise ValueError("no parameter draws to simulate")
+    origins = origin_grid(leader, warmup, end_margin, origin_spacing)
+    proposed: List[WavePath] = []
+    baseline: List[WavePath] = []
+    for p in params:
+        sc = Scenario(params=p, n_followers=n_followers, leader=leader, duration=leader.t_end, dt=dt)
+        prop, base = trace_methods(origins, simulate_platoon(sc).trajectories, p, baseline_speed)
+        proposed += prop
+        baseline += base
+    c = Comparison.pool(proposed, baseline)
+    return EmpiricalRun(
+        proposed_stats=c.proposed_stats,
+        baseline_stats=c.baseline_stats,
+        n_draws=len(params),
+        n_deviations=len(c.proposed_devs),
+    )

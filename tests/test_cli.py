@@ -6,6 +6,7 @@ import math
 import os
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -828,9 +829,9 @@ def test_cli_empirical_refuses_a_leader_file_without_vehicles(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {leader}: no vehicles\n"
 
 
-def _sweep_inputs(n_draws):
+def _sweep_inputs(n_draws, seed=3):
     leader = ingest_trajectories(str(DATA_DIR / "leader_dip.csv"))[0]
-    return leader, sample_params(load_draws(str(DATA_DIR / "calibrated_draws.csv")), n_draws, seed=3)
+    return leader, sample_params(load_draws(str(DATA_DIR / "calibrated_draws.csv")), n_draws, seed=seed)
 
 
 def test_empirical_counts_draws_from_an_iterator_and_rejects_none():
@@ -838,6 +839,39 @@ def test_empirical_counts_draws_from_an_iterator_and_rejects_none():
     assert scenarios.run_empirical(leader, iter(draws)).n_draws == 2
     with pytest.raises(ValueError, match="no parameter draws"):
         scenarios.run_empirical(leader, iter([]))
+
+
+@pytest.mark.parametrize("seed, kwargs", [
+    (0, {}),
+    (3, {"n_followers": 2}),
+    (5, {"baseline_speed": -5.0}),
+    (11, {"n_followers": 2, "baseline_speed": -3.5, "origin_spacing": 1.5}),
+])
+def test_empirical_pooled_draw_by_draw_equals_the_pool_of_all_paths(seed, kwargs):
+    leader, draws = _sweep_inputs(4, seed)
+    got = scenarios.run_empirical(leader, iter(draws), **kwargs)
+    want = oracles.pooled_empirical(leader, draws, **kwargs)
+    assert got.proposed_stats == want.proposed_stats
+    assert got.baseline_stats == want.baseline_stats
+    assert (got.n_deviations, got.n_draws) == (want.n_deviations, want.n_draws)
+
+
+def _sweep_peak_bytes(leader, draws):
+    tracemalloc.start()
+    try:
+        scenarios.run_empirical(leader, draws)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_empirical_peak_memory_does_not_grow_with_the_draw_count():
+    # each draw's paths are released once its deviations are pooled; keeping
+    # them all grows the peak by about 0.08 MB per draw
+    leader, draws = _sweep_inputs(16)
+    scenarios.run_empirical(leader, draws[:1])  # warm any first-call allocations
+    growth = _sweep_peak_bytes(leader, draws) - _sweep_peak_bytes(leader, draws[:4])
+    assert growth < 0.25e6
 
 
 class _Stop(Exception):
@@ -890,6 +924,16 @@ def test_cli_bad_config_key_exits_nonzero(tmp_path, capsys):
     rc = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_cli_refuses_a_config_that_is_not_yaml(tmp_path, capsys):
+    # used to end in a yaml.parser.ParserError traceback
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text("dt: [0.1\n")
+    rc = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("spacing", ["0", "-1"])
