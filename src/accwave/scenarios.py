@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -350,8 +350,10 @@ def run_empirical(
     characteristic-only treatment.  Each draw's deviations are pooled as
     soon as it is traced, and only they are kept: its platoon and paths are
     released before the next draw is simulated, so memory stays flat in the
-    number of draws.  The statistics are taken once over the deviations of
-    all draws, in draw order.
+    number of draws.  A draw equal to an earlier one (draws are resampled
+    with replacement) is simulated and traced once, and its deviations are
+    still pooled once per time it was drawn.  The statistics are taken once
+    over the deviations of all draws, in draw order.
     """
     if leader.t0 != 0.0:
         raise ValueError("recorded leader must start at t = 0")
@@ -360,14 +362,20 @@ def run_empirical(
     if not params:
         raise ValueError("no parameter draws to simulate")
     origins = origin_grid(leader, warmup, end_margin, origin_spacing)
-    proposed: List[np.ndarray] = []
-    baseline: List[np.ndarray] = []
+    # a draw's deviations are a pure function of its parameters, keyed here
+    # on their exact bits (so 0.0 and -0.0 are different draws); the stored
+    # arrays are the ones already pooled, so reuse adds no memory
+    devs_of: Dict[bytes, Tuple[np.ndarray, np.ndarray]] = {}
+    pooled: List[Tuple[np.ndarray, np.ndarray]] = []
     for p in params:
-        sc = Scenario(params=p, n_followers=n_followers, leader=leader, duration=leader.t_end, dt=dt)
-        prop, base = trace_methods(origins, simulate_platoon(sc).trajectories, p, baseline_speed)
-        proposed.append(deviation_set(prop))
-        baseline.append(deviation_set(base))
-        del prop, base  # release this draw's paths before the next draw is simulated
+        key = np.array(dataclasses.astuple(p)).tobytes()
+        if key not in devs_of:
+            sc = Scenario(params=p, n_followers=n_followers, leader=leader, duration=leader.t_end, dt=dt)
+            prop, base = trace_methods(origins, simulate_platoon(sc).trajectories, p, baseline_speed)
+            devs_of[key] = deviation_set(prop), deviation_set(base)
+            del prop, base  # release this draw's paths before the next draw is simulated
+        pooled.append(devs_of[key])
+    proposed, baseline = zip(*pooled)
     prop_devs, base_devs = np.concatenate(proposed), np.concatenate(baseline)
     return EmpiricalRun(
         proposed_stats=summary_stats(prop_devs),

@@ -856,6 +856,26 @@ def test_empirical_pooled_draw_by_draw_equals_the_pool_of_all_paths(seed, kwargs
     assert (got.n_deviations, got.n_draws) == (want.n_deviations, want.n_draws)
 
 
+def test_empirical_simulates_a_repeated_draw_once_and_pools_it_each_time(monkeypatch):
+    leader, (a, b) = _sweep_inputs(2, seed=0)
+    assert a != b
+    draws = [a, b, a, dataclasses.replace(a)]  # the same object twice, then an equal copy
+    kwargs = {"n_followers": 2, "origin_spacing": 15.0}
+    want = oracles.pooled_empirical(leader, draws, **kwargs)
+    calls = []
+
+    def spy(sc):
+        calls.append(sc.params)
+        return simulate_platoon(sc)
+
+    monkeypatch.setattr(scenarios, "simulate_platoon", spy)
+    got = scenarios.run_empirical(leader, draws, **kwargs)
+    assert len(calls) == len(set(calls)) == 2  # each distinct draw simulated once
+    assert got.proposed_stats == want.proposed_stats
+    assert got.baseline_stats == want.baseline_stats
+    assert (got.n_deviations, got.n_draws) == (want.n_deviations, want.n_draws)
+
+
 def _sweep_peak_bytes(leader, draws):
     tracemalloc.start()
     try:

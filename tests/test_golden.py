@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from accwave.cli import main
+from accwave.dataio import load_config, load_draws, sample_params
 from accwave.microsim import OscillationSpec, Scenario, simulate_platoon
 from accwave.model import ControlParams
 
@@ -105,6 +106,14 @@ def test_outputs_match_the_golden_digests(name, run_dir):
 
 def test_golden_digests_name_only_these_runs():
     assert {k.split("/")[0] for k in json.loads(GOLDEN.read_text())} == set(RUNS)
+
+
+def test_golden_empirical_run_repeats_a_draw():
+    # `run_empirical` reuses a repeated draw's deviations, so the golden sweep
+    # must resample at least one draw twice for its digests to cover that path
+    cfg = load_config(str(ROOT / "bench" / "sweep.yaml"))
+    draws = sample_params(load_draws(_EMPIRICAL_INPUTS[1]), cfg.n_draws, cfg.seed)
+    assert len(set(draws)) < len(draws)
 
 
 if __name__ == "__main__":
