@@ -107,7 +107,7 @@ def _cmd_wave(args: argparse.Namespace) -> int:
 
 
 def _ring_kwargs(cfg: ScenarioConfig) -> dict:
-    return dict(n_vehicles=cfg.ring_vehicles, duration=cfg.duration, dt=cfg.dt,
+    return dict(n_vehicles=cfg.ring_vehicles, duration=cfg.duration,
                 n_cells=cfg.n_cells, cfl=cfg.cfl, sample_every=cfg.sample_every)
 
 
@@ -164,7 +164,7 @@ def _cmd_fft(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     cfg = _merged_config(args)
-    r = run_ring_validation(args.case, **_ring_kwargs(cfg))
+    r = run_ring_validation(args.case, dt=cfg.dt, **_ring_kwargs(cfg))
     out = _out_dir(cfg)
     dataio.write_field(os.path.join(out, f"validate_case{args.case}_micro.csv"), r.micro, cfg.full_precision)
     dataio.write_field(os.path.join(out, f"validate_case{args.case}_pde.csv"), r.pde, cfg.full_precision)
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_wave)
 
     sp = sub.add_parser("pde", help="solve the ring balance law, write the field")
-    _add_common(sp, "dt", "duration")
+    _add_common(sp, "duration")
     sp.add_argument("--case", type=int, choices=(1, 2, 3), default=1)
     sp.add_argument("--dx", type=float, default=None, help="target cell size [m]")
     sp.add_argument("--cfl", type=float, default=None)

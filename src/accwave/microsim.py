@@ -108,6 +108,8 @@ class Trajectory:
     dt: float
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.vehicle_id, (int, np.integer)) and -2**63 <= self.vehicle_id < 2**63):
+            raise ValueError(f"vehicle_id must be an integer in the int64 range, got {self.vehicle_id!r}")
         if len(self.t) < 2:
             raise ValueError("trajectory needs at least two samples")
         steps = np.diff(self.t)

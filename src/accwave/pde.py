@@ -23,10 +23,10 @@ state stays valid through the next step.  The flux average and the
 interface speed are carried doubled and share one scale 0.5 * (h / dx);
 halving is exact, so the arithmetic is the same to the bit.
 
-Also provides the piecewise-constant mapping from ring trajectories to
-Eulerian (rho, v) fields: each vehicle owns the stretch of road from its
-own position up to its leader's, carrying rho = 1/spacing and its own
-speed.
+Also provides the piecewise-constant mapping from ring vehicle states
+(`ring_cells`) and ring trajectories (`micro_to_eulerian`) to Eulerian
+(rho, v) fields: each vehicle owns the stretch of road from its own
+position up to its leader's, carrying rho = 1/spacing and its own speed.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ __all__ = [
     "PositivityError",
     "step",
     "solve",
+    "ring_cells",
     "micro_to_eulerian",
-    "pde_initial_from_micro",
 ]
 
 SourceFn = Optional[Callable[[np.ndarray, float], np.ndarray]]
@@ -372,31 +372,20 @@ def solve(
 # Micro -> Eulerian mapping
 # ---------------------------------------------------------------------------
 
-def micro_to_eulerian(
-    trajectories: Sequence[Trajectory],
-    ring_length: float,
-    grid: Grid,
-    t,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Piecewise-constant (rho, v) at time t from ring trajectories.
-
-    Vehicle i owns the road from its own position up to its leader's
-    (wrap-around); every cell whose center falls in that stretch takes
-    rho = 1/s_i(t) and v = v_i(t).  Trajectories are in platoon order:
-    vehicle i follows i-1, vehicle 0 follows the last one across the
-    seam.  A scalar t gives (n_x,) arrays; an array of n_t times gives
-    (n_t, n_x) arrays, one row per time.
+def ring_cells(x: np.ndarray, v: np.ndarray, ring_length: float,
+               grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
+    """Piecewise-constant (n_t, n_x) fields rho and v of ring vehicles at
+    (n_t, n) positions `x` and speeds `v`, one column per vehicle in
+    platoon order: vehicle i follows i-1, vehicle 0 the last one across
+    the seam.  Vehicle i owns the road from its own position up to its
+    leader's (wrap-around); every cell whose center falls in that stretch
+    takes rho = 1/s_i and v = v_i.
     """
-    n = len(trajectories)
+    n = x.shape[1]
     if n < 2:
         raise ValueError("need at least two vehicles")
     if abs(ring_length - grid.L_x) > 1e-9:
         raise ValueError("grid length must match the ring length")
-    times = np.asarray(t, dtype=float)
-    flat = times.ravel()
-    # (n_t, n): one interpolation per vehicle over all requested times
-    x = np.stack([tr.position_at(flat) for tr in trajectories], axis=1)
-    v = np.stack([tr.speed_at(flat) for tr in trajectories], axis=1)
     lead_x = np.roll(x, 1, axis=1)
     lead_x[:, 0] += ring_length
     gaps = lead_x - x
@@ -412,16 +401,22 @@ def micro_to_eulerian(
     idx = np.array([np.searchsorted(row, centers, side="right") for row in sorted_pos]) - 1
     idx[idx < 0] = n - 1
     owners = np.take_along_axis(order, idx, axis=1)
-    shape = times.shape + (grid.n_x,)
     rho = 1.0 / np.take_along_axis(gaps, owners, axis=1)
-    return rho.reshape(shape), np.take_along_axis(v, owners, axis=1).reshape(shape)
+    return rho, np.take_along_axis(v, owners, axis=1)
 
 
-def pde_initial_from_micro(
+def micro_to_eulerian(
     trajectories: Sequence[Trajectory],
     ring_length: float,
     grid: Grid,
+    t,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Initial PDE data: the micro-derived field at the first sample time."""
-    t0 = max(tr.t0 for tr in trajectories)
-    return micro_to_eulerian(trajectories, ring_length, grid, t0)
+    """`ring_cells` of ring trajectories in platoon order at time t: a scalar
+    t gives (n_x,) arrays, an array of n_t times (n_t, n_x) arrays."""
+    times = np.asarray(t, dtype=float)
+    flat = times.ravel()
+    # (n_t, n): one interpolation per vehicle over all requested times
+    x = np.stack([tr.position_at(flat) for tr in trajectories], axis=1)
+    v = np.stack([tr.speed_at(flat) for tr in trajectories], axis=1)
+    shape = times.shape + (grid.n_x,)
+    return tuple(field.reshape(shape) for field in ring_cells(x, v, ring_length, grid))

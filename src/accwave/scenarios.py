@@ -10,9 +10,9 @@ Case 4  free-flow approach with leader deceleration into a congested
 
 Each run traces the proposed wave paths and a constant-speed baseline from
 the same origins (`trace_methods`) and reduces both to deviation statistics
-(`Comparison`), as `metrics` does on recorded trajectories.  Ring runs feed
-the platoon's t = 0 state into the finite-volume solver (`solve_ring` for
-the field alone, `run_ring_validation` for micro-vs-PDE RMSEs).
+(`Comparison`), as `metrics` does on recorded trajectories.  Ring runs solve
+the finite-volume balance law from the ring's initial state (`solve_ring`)
+and compare it with the simulated ring (`run_ring_validation`, RMSEs).
 """
 
 from __future__ import annotations
@@ -32,13 +32,13 @@ from .microsim import (
     LeaderProfile,
     Oscillate,
     OscillationSpec,
-    PlatoonResult,
     Scenario,
     Trajectory,
+    ring_setup,
     simulate_platoon,
 )
 from .model import ControlParams
-from .pde import Grid, EulerianField, micro_to_eulerian, pde_initial_from_micro, solve
+from .pde import Grid, EulerianField, micro_to_eulerian, ring_cells, solve
 from .tracker import (
     PhaseTransition,
     Platoon,
@@ -217,7 +217,7 @@ def run_case(
 # ---------------------------------------------------------------------------
 
 RING_N = 40
-_RING_DV = {1: 3.0, 2: 3.0, 3: 3.0}
+_RING_DV = 3.0   # speed amplitude of the ring profiles [m/s]
 
 
 def ring_initial_speeds(case: int, n: int = RING_N) -> np.ndarray:
@@ -227,7 +227,7 @@ def ring_initial_speeds(case: int, n: int = RING_N) -> np.ndarray:
     slowdown (the cut-in analogue); Case 3: two superposed harmonics.
     """
     i = np.arange(n)
-    dv = _RING_DV[case]
+    dv = _RING_DV
     if case == 1:
         return V_E + dv * np.sin(2.0 * np.pi * i / n)
     if case == 2:
@@ -259,36 +259,27 @@ class RingValidation:
     pde: EulerianField
 
 
-def _ring_field(res: PlatoonResult, duration: float, n_cells: int, cfl: float,
-                sample_every: float, dx: Optional[float] = None) -> EulerianField:
-    """PDE field of ring platoon `res` over `duration`, solved from its micro
-    field at t = 0 on `n_cells` cells (about `dx` metres each, at least 4,
-    when `dx` is given), recorded at the solver's nearest completed steps
-    to every `sample_every` seconds."""
-    if not (math.isfinite(sample_every) and sample_every > 0):
-        raise ValueError(f"sample_every must be positive and finite, got {sample_every}")
+def solve_ring(case: int, n_vehicles: int, duration: float, n_cells: int, cfl: float,
+               sample_every: float, dx: Optional[float] = None) -> EulerianField:
+    """PDE field of one ring case over `duration`, recorded at the solver's
+    nearest completed steps to every `sample_every` seconds and solved,
+    without simulating, from the case's speed profile on the ring that the
+    time-headway manifold sizes (`ring_setup`), on `n_cells` cells (about
+    `dx` metres each, at least 4, when `dx` is given)."""
+    checks = [("duration", duration), ("sample_every", sample_every)]
     if dx is not None:
-        if not (math.isfinite(dx) and dx > 0):
-            raise ValueError(f"cell size dx must be positive and finite, got {dx}")
-        n_cells = max(4, int(round(res.ring_length / dx)))
-    grid = Grid(res.ring_length, n_cells)
-    rho0, v0 = pde_initial_from_micro(res.trajectories, res.ring_length, grid)
+        checks.append(("cell size dx", dx))
+    for name, value in checks:
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    speeds = ring_initial_speeds(case, n_vehicles)
+    ring_length, positions = ring_setup(n_vehicles, TABLE_PARAMS, speeds)
+    if dx is not None:
+        n_cells = max(4, int(round(ring_length / dx)))
+    grid = Grid(ring_length, n_cells)
+    (rho0,), (v0,) = ring_cells(positions[None], speeds[None], ring_length, grid)
     wanted = np.arange(0.0, duration + 1e-9, sample_every)
     return solve(rho0, v0, grid, TABLE_PARAMS, duration, cfl=cfl, output_times=wanted)
-
-
-def solve_ring(case: int, n_vehicles: int, duration: float, dt: float, n_cells: int, cfl: float,
-               sample_every: float, dx: Optional[float] = None) -> EulerianField:
-    """PDE field of one ring case on a ring sized by the time-headway
-    manifold (`_ring_field`).
-
-    The field starts from the platoon's t = 0 state alone, so the platoon
-    is simulated for its first step only; its scenario is still built for
-    the whole `duration`, whose checks therefore still apply.
-    """
-    sc = ring_scenario(case, n_vehicles, duration, dt)
-    res = simulate_platoon(dataclasses.replace(sc, duration=sc.dt))
-    return _ring_field(res, duration, n_cells, cfl, sample_every, dx)
 
 
 def run_ring_validation(
@@ -300,14 +291,14 @@ def run_ring_validation(
     cfl: float = 0.5,
     sample_every: float = 0.5,
 ) -> RingValidation:
-    """Micro-vs-PDE comparison for one ring case: the platoon over the whole
-    `duration` and the PDE field solved from its t = 0 state (`_ring_field`).
+    """Micro-vs-PDE comparison for one ring case: the ring platoon simulated
+    over the whole `duration` and the PDE field of `solve_ring`.
 
     The micro field is sampled on the solver's output times before
     computing space-time RMSEs.
     """
     res = simulate_platoon(ring_scenario(case, n_vehicles, duration, dt))
-    pde_field = _ring_field(res, duration, n_cells, cfl, sample_every)
+    pde_field = solve_ring(case, n_vehicles, duration, n_cells, cfl, sample_every)
     grid = pde_field.grid
     rho_m, v_m = micro_to_eulerian(res.trajectories, res.ring_length, grid, pde_field.times)
     micro_field = EulerianField(grid=grid, times=pde_field.times.copy(), rho=rho_m, v=v_m)
@@ -323,6 +314,10 @@ def run_ring_validation(
 # Empirical sweep over calibrated parameter draws
 # ---------------------------------------------------------------------------
 
+# Warmup and end margin of the empirical origin grid on the recorded leader [s].
+_EMPIRICAL_WINDOW = (20.0, 10.0)
+
+
 @dataclass(frozen=True)
 class EmpiricalRun:
     proposed_stats: DeviationStats
@@ -336,9 +331,7 @@ def run_empirical(
     draws: Sequence,
     n_followers: int = 4,
     dt: float = 0.05,
-    warmup: float = 20.0,
     origin_spacing: float = 2.0,
-    end_margin: float = 10.0,
     baseline_speed: Optional[float] = None,
 ) -> EmpiricalRun:
     """Pool deviation statistics over calibrated parameter draws.
@@ -361,7 +354,7 @@ def run_empirical(
     params = [ControlParams(tau=d.tau, L=d.L, k_s=d.k_s, k_v=d.k_v, v_f=v_free) for d in draws]
     if not params:
         raise ValueError("no parameter draws to simulate")
-    origins = origin_grid(leader, warmup, end_margin, origin_spacing)
+    origins = origin_grid(leader, *_EMPIRICAL_WINDOW, origin_spacing)
     # a draw's deviations are a pure function of its parameters, keyed here
     # on their exact bits (so 0.0 and -0.0 are different draws); the stored
     # arrays are the ones already pooled, so reuse adds no memory

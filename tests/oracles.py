@@ -35,7 +35,7 @@ import numpy as np
 from accwave.dataio import _sampling, _trajectory_header
 from accwave.microsim import Scenario, Trajectory, _step_maps, simulate_platoon
 from accwave.model import ControlParams
-from accwave.scenarios import Comparison, EmpiricalRun, origin_grid, trace_methods
+from accwave.scenarios import _EMPIRICAL_WINDOW, Comparison, EmpiricalRun, origin_grid, trace_methods
 from accwave.tracker import (
     Crossing,
     PathKind,
@@ -328,9 +328,7 @@ def pooled_empirical(
     draws: Sequence,
     n_followers: int = 4,
     dt: float = 0.05,
-    warmup: float = 20.0,
     origin_spacing: float = 2.0,
-    end_margin: float = 10.0,
     baseline_speed: Optional[float] = None,
 ) -> EmpiricalRun:
     """`run_empirical` keeping every draw's paths until the last draw is
@@ -341,7 +339,7 @@ def pooled_empirical(
     params = [ControlParams(tau=d.tau, L=d.L, k_s=d.k_s, k_v=d.k_v, v_f=v_free) for d in draws]
     if not params:
         raise ValueError("no parameter draws to simulate")
-    origins = origin_grid(leader, warmup, end_margin, origin_spacing)
+    origins = origin_grid(leader, *_EMPIRICAL_WINDOW, origin_spacing)
     proposed: List[WavePath] = []
     baseline: List[WavePath] = []
     for p in params:

@@ -714,22 +714,33 @@ def test_metrics_on_a_case_export_writes_the_case_comparison(tmp_path):
     assert [r.split(",", 1)[0] for r in metrics_rows[1:]] == ["custom", "custom"]
 
 
-def test_pde_simulates_one_platoon_step_and_writes_the_validate_pde_field(tmp_path, monkeypatch):
-    """The PDE starts from the ring platoon's t = 0 state alone, so `pde`
-    simulates only the platoon's first step; its field is still the PDE
-    field of `validate`, which simulates the whole run, byte for byte."""
+def test_pde_simulates_nothing_and_writes_the_validate_pde_field(tmp_path, monkeypatch):
+    """The PDE starts from the ring's t = 0 state, which `solve_ring` builds
+    without simulating; `validate` simulates the whole run for its micro
+    field only, and its PDE field is the field of `pde`, byte for byte."""
     steps = []
     simulate = scenarios.simulate_platoon
     monkeypatch.setattr(scenarios, "simulate_platoon",
                         lambda sc: steps.append(round(sc.duration / sc.dt)) or simulate(sc))
     assert main(["pde", "--case", "2", "--full-precision", "--out-dir", str(tmp_path)]) == 0
+    assert steps == []
     assert main(["validate", "--case", "2", "--full-precision", "--out-dir", str(tmp_path)]) == 0
-    assert steps == [1, 6000]
+    assert steps == [6000]
     assert (tmp_path / "field_case2.csv").read_bytes() == (
         tmp_path / "validate_case2_pde.csv").read_bytes()
-    # the scenario is still checked over the whole duration
-    with pytest.raises(ValueError, match="integer multiple"):
-        scenarios.solve_ring(2, 40, 60.005, 0.01, 200, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("duration", 0.0), ("duration", -60.0), ("duration", math.nan), ("duration", math.inf),
+    ("sample_every", 0.0), ("sample_every", math.nan),
+    ("cell size dx", -1.0), ("cell size dx", math.nan),
+])
+def test_solve_ring_refuses_a_value_that_is_not_positive_and_finite(name, value):
+    args = {"duration": 60.0, "sample_every": 0.5, "cell size dx": 0.5}
+    args[name] = value
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value}$"):
+        scenarios.solve_ring(2, 40, args["duration"], 200, 0.5, args["sample_every"],
+                             dx=args["cell size dx"])
 
 
 _SUBCOMMANDS = {  # subcommand -> its required arguments
@@ -738,7 +749,7 @@ _SUBCOMMANDS = {  # subcommand -> its required arguments
 }
 # flags that set a config key, and the subcommands that read that key
 _FLAG_READERS = {
-    "--dt": {"simulate", "pde", "validate", "case", "empirical"},
+    "--dt": {"simulate", "validate", "case", "empirical"},
     "--duration": {"simulate", "pde", "validate", "case"},
     "--seed": {"empirical"},
 }

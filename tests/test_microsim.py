@@ -433,6 +433,17 @@ def test_trajectory_dt_must_match_sample_steps():
         Trajectory(vehicle_id=0, t=jittered, x=z, v=z, a=z, dt=0.1)
 
 
+def test_trajectory_takes_only_an_int64_vehicle_id():
+    # 2**63 used to pass here and end in an OverflowError in write_trajectories
+    t = np.arange(3) * 0.1
+    z = np.zeros_like(t)
+    for vid in (-2**63, 2**63 - 1, np.int64(7)):
+        assert Trajectory(vehicle_id=vid, t=t, x=z, v=z, a=z, dt=0.1).vehicle_id == vid
+    for vid in (2**63, -2**63 - 1, 1.5, 2.0, "3", None):
+        with pytest.raises(ValueError, match=f"vehicle_id must be an integer in the int64 range, got {vid!r}"):
+            Trajectory(vehicle_id=vid, t=t, x=z, v=z, a=z, dt=0.1)
+
+
 def _bits(*values):
     """Each value as the hex of its double, so -0.0, 0.0 and NaN compare exactly."""
     return [float(y).hex() for y in values]

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accwave.microsim import Trajectory, simulate_platoon
+from accwave.microsim import Trajectory, ring_setup, simulate_platoon
 from accwave.model import ControlParams
 from accwave.pde import (
     EulerianField,
     Grid,
     PositivityError,
     micro_to_eulerian,
-    pde_initial_from_micro,
+    ring_cells,
     solve,
     step,
 )
@@ -290,13 +290,20 @@ def _oracle_step(rho, v, grid, params, cfl=0.5, t=0.0, dt=None,
     return rho_new, v_new, h
 
 
-def _ring_initial_field(case, n_cells):
-    from accwave.scenarios import TABLE_PARAMS, ring_scenario
+def _ring_setup(case):
+    from accwave.scenarios import RING_N, TABLE_PARAMS, ring_initial_speeds
 
-    res = simulate_platoon(ring_scenario(case, duration=0.1))
-    g = Grid(res.ring_length, n_cells)
-    rho, v = pde_initial_from_micro(res.trajectories, res.ring_length, g)
-    return g, rho, v, TABLE_PARAMS
+    v = ring_initial_speeds(case, RING_N)
+    return ring_setup(RING_N, TABLE_PARAMS, v) + (v,)
+
+
+def _ring_initial_field(case, n_cells):
+    from accwave.scenarios import TABLE_PARAMS
+
+    L_x, x, v = _ring_setup(case)
+    g = Grid(L_x, n_cells)
+    (rho0,), (v0,) = ring_cells(x[None], v[None], L_x, g)
+    return g, rho0, v0, TABLE_PARAMS
 
 
 def _wavy_sources(grid):
@@ -420,12 +427,9 @@ _RESOLUTIONS = {"200 cells": (200, None, 8.0), "dx 0.25": (None, 0.25, 0.8)}
 
 
 def _ring_resolution(case, name):
-    from accwave.scenarios import ring_scenario
-
     n_cells, dx, t_end = _RESOLUTIONS[name]
     if dx is not None:
-        L_x = simulate_platoon(ring_scenario(case, duration=0.1)).ring_length
-        n_cells = int(round(L_x / dx))
+        n_cells = int(round(_ring_setup(case)[0] / dx))
     return _ring_initial_field(case, n_cells) + (t_end,)
 
 
@@ -530,13 +534,38 @@ def test_micro_to_eulerian_over_many_times_matches_each_time():
         assert np.array_equal(v[k], v_k)
 
 
-def test_pde_initial_from_micro_uses_first_common_time():
+def test_ring_cells_of_the_sampled_states_match_micro_to_eulerian():
     trajs = _ring_pair()
     g = Grid(L_x=100.0, n_x=10)
-    rho_a, v_a = pde_initial_from_micro(trajs, 100.0, g)
-    rho_b, v_b = micro_to_eulerian(trajs, 100.0, g, 0.0)
+    x = np.array([tr.x for tr in trajs]).T        # (n_t, n): one row per sample time
+    v = np.array([tr.v for tr in trajs]).T
+    rho_a, v_a = ring_cells(x, v, 100.0, g)
+    rho_b, v_b = micro_to_eulerian(trajs, 100.0, g, trajs[0].t)
     assert np.array_equal(rho_a, rho_b)
     assert np.array_equal(v_a, v_b)
+
+
+def test_ring_cells_validation():
+    g = Grid(L_x=100.0, n_x=10)
+    x, v = np.array([[60.0, 20.0]]), np.array([[5.0, 7.0]])
+    with pytest.raises(ValueError, match="at least two vehicles"):
+        ring_cells(x[:, :1], v[:, :1], 100.0, g)
+    with pytest.raises(ValueError, match="grid length"):
+        ring_cells(x, v, 120.0, g)
+    with pytest.raises(ValueError, match="non-positive spacing"):
+        ring_cells(np.array([[20.0, 60.0]]), v, 100.0, g)
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_solve_ring_starts_from_the_simulated_ring_at_t0_bit_for_bit(case):
+    from accwave.scenarios import RING_N, ring_scenario, solve_ring
+
+    fld = solve_ring(case, RING_N, 1.0, 200, 0.5, 0.5)
+    res = simulate_platoon(ring_scenario(case))
+    rho, v = micro_to_eulerian(res.trajectories, res.ring_length, fld.grid, 0.0)
+    assert fld.times[0] == 0.0
+    assert np.array_equal(fld.rho[0], rho)
+    assert np.array_equal(fld.v[0], v)
 
 
 # ---------------------------------------------------------------------------
