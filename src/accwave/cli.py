@@ -1,15 +1,16 @@
 """Command-line front end.
 
 Subcommands: simulate, wave, pde, metrics, fft, validate, case,
-empirical.  A YAML config supplies defaults (see configs/example.yaml);
-flags override config keys.  Outputs are CSV files in --out-dir (or
-$ACCWAVE_OUT_DIR, default ./out), identical byte-for-byte for identical
-inputs and seed.
+empirical.  A YAML config (see configs/example.yaml) sets run values and
+flags override its keys; what neither sets is left to the library's
+defaults.  Outputs are CSV files in --out-dir (or $ACCWAVE_OUT_DIR,
+default ./out), identical byte-for-byte for identical inputs and seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from typing import List, Optional
@@ -20,10 +21,11 @@ from . import dataio
 from .dataio import ScenarioConfig, default_out_dir, load_config
 from .fourier import fourier_decompose, periodic_reconstruct
 from .metrics import histogram
-from .microsim import OscillationSpec, Scenario, simulate_platoon
+from .microsim import Scenario, simulate_platoon
 from .scenarios import (
     Comparison,
     case_scenario,
+    oscillation_scenario,
     origin_grid,
     run_case,
     run_empirical,
@@ -33,28 +35,12 @@ from .scenarios import (
 )
 from .waves import string_stability_class, wave_speed_closed_form
 
-_CONFIG_FLAG_KEYS = (
-    "dt", "duration", "origin_spacing", "baseline_speed", "n_cells",
-    "cfl", "seed", "fft_modes", "out_dir", "full_precision", "n_draws",
-)
 
-
-# Values for the config keys that neither the config file nor a flag sets.
-_UNSET_DEFAULTS = {"dt": 0.01, "origin_spacing": 1.0}
-_EMPIRICAL_DEFAULTS = {"dt": 0.05, "origin_spacing": 2.0}
-
-
-def _merged_config(args: argparse.Namespace, unset_defaults=_UNSET_DEFAULTS) -> ScenarioConfig:
+def _config(args: argparse.Namespace) -> ScenarioConfig:
+    """The config file's keys, overridden by the flags given (a flag's dest is its key)."""
     cfg = load_config(args.config) if args.config else ScenarioConfig()
-    d = cfg.to_dict()
-    for key in _CONFIG_FLAG_KEYS:
-        val = getattr(args, key, None)
-        if val is not None and val is not False:
-            d[key] = val
-    for key, val in unset_defaults.items():
-        if d[key] is None:
-            d[key] = val
-    return dataio.config_from_dict(d)
+    return dataclasses.replace(cfg, **{f.name: val for f in dataclasses.fields(cfg)
+                                       if (val := getattr(args, f.name, None)) is not None})
 
 
 def _out_dir(cfg: ScenarioConfig) -> str:
@@ -63,14 +49,8 @@ def _out_dir(cfg: ScenarioConfig) -> str:
     return path
 
 
-def _custom_scenario(cfg: ScenarioConfig) -> Scenario:
-    return Scenario(
-        params=cfg.params(),
-        n_followers=cfg.n_followers,
-        leader=OscillationSpec(v_e=cfg.v_e, modes=cfg.modes),
-        duration=cfg.duration,
-        dt=cfg.dt,
-    )
+def _custom_scenario(cfg: ScenarioConfig, **run) -> Scenario:
+    return oscillation_scenario(cfg.params(), **cfg.given("n_followers", "v_e", "modes"), **run)
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +58,9 @@ def _custom_scenario(cfg: ScenarioConfig) -> Scenario:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _merged_config(args)
-    sc = case_scenario(args.case, dt=cfg.dt, duration=cfg.duration) if args.case else _custom_scenario(cfg)
+    cfg = _config(args)
+    run = cfg.given("duration", "dt")
+    sc = case_scenario(args.case, **run) if args.case else _custom_scenario(cfg, **run)
     res = simulate_platoon(sc)
     out = os.path.join(_out_dir(cfg), "trajectories.csv")
     dataio.write_trajectories(out, res.trajectories, cfg.full_precision)
@@ -88,8 +69,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_wave(args: argparse.Namespace) -> int:
-    cfg = _merged_config(args)
-    p = cfg.params()
+    cfg = _config(args)
+    sc = _custom_scenario(cfg)
+    p, spec = sc.params, sc.leader
     omegas = np.logspace(-2, 2, 400)
     out = os.path.join(_out_dir(cfg), "bode.csv")
     dataio.write_bode(out, p, omegas, cfg.full_precision)
@@ -97,9 +79,8 @@ def _cmd_wave(args: argparse.Namespace) -> int:
     print(f"wrote {out}")
     print(f"string stability: {stab.classification.value} "
           f"(sup|G|={stab.sup_gain:.6f} at omega={stab.argmax_omega:.4g} rad/s)")
-    spec = OscillationSpec(v_e=cfg.v_e, modes=cfg.modes)
     if spec.modes:
-        for n in range(1, cfg.n_followers + 1):
+        for n in range(1, sc.n_followers + 1):
             w = wave_speed_closed_form(n, spec, p)
             amps = ", ".join(f"R={R:.4f} phase={th0 + phw:.4f}" for R, phw, om, th0 in w.modes)
             print(f"pair {n}: nominal {w.nominal:.4f} m/s; {amps}")
@@ -107,8 +88,7 @@ def _cmd_wave(args: argparse.Namespace) -> int:
 
 
 def _ring_kwargs(cfg: ScenarioConfig) -> dict:
-    return dict(n_vehicles=cfg.ring_vehicles, duration=cfg.duration,
-                n_cells=cfg.n_cells, cfl=cfg.cfl, sample_every=cfg.sample_every)
+    return cfg.given("duration", "n_cells", "cfl", "sample_every", n_vehicles="ring_vehicles")
 
 
 def _write_comparison(cfg: ScenarioConfig, c: Comparison, prefix: str, label: str) -> str:
@@ -126,7 +106,7 @@ def _write_comparison(cfg: ScenarioConfig, c: Comparison, prefix: str, label: st
 
 
 def _cmd_pde(args: argparse.Namespace) -> int:
-    cfg = _merged_config(args)
+    cfg = _config(args)
     fld = solve_ring(args.case, dx=args.dx, **_ring_kwargs(cfg))
     out = os.path.join(_out_dir(cfg), f"field_case{args.case}.csv")
     dataio.write_field(out, fld, cfg.full_precision)
@@ -135,11 +115,11 @@ def _cmd_pde(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    cfg = _merged_config(args)
+    cfg = _config(args)
     trajs = dataio.ingest_trajectories(args.input)
     if len(trajs) < 2:
         raise ValueError("need at least two vehicles to trace waves")
-    origins = origin_grid(trajs[0], args.warmup, args.end_margin, cfg.origin_spacing)
+    origins = origin_grid(trajs[0], args.warmup, args.end_margin, **cfg.given(spacing="origin_spacing"))
     c = Comparison.pool(*trace_methods(origins, trajs, cfg.params(), cfg.baseline_speed))
     out = _write_comparison(cfg, c, "", "custom")
     print(f"wrote stats and paths for {len(origins)} origins to {out}")
@@ -147,14 +127,15 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_fft(args: argparse.Namespace) -> int:
-    cfg = _merged_config(args)
+    cfg = _config(args)
     trajs = dataio.ingest_trajectories(args.input)
     by_id = {tr.vehicle_id: tr for tr in trajs}
     if args.vehicle not in by_id:
         raise ValueError(f"vehicle {args.vehicle} not in {sorted(by_id)}")
     tr = by_id[args.vehicle]
-    spec = fourier_decompose(tr.v, tr.dt, cfg.fft_modes)
-    _, rmse = periodic_reconstruct(tr.v, tr.dt, cfg.fft_modes)
+    modes = cfg.given(K="fft_modes")
+    spec = fourier_decompose(tr.v, tr.dt, **modes)
+    _, rmse = periodic_reconstruct(tr.v, tr.dt, **modes)
     out = os.path.join(_out_dir(cfg), "modes.csv")
     dataio.write_modes(out, spec.modes, cfg.full_precision)
     print(f"v_e = {spec.v_e:.6g} m/s, {len(spec.modes)} modes, reconstruction RMSE = {rmse:.6g} m/s")
@@ -163,8 +144,8 @@ def _cmd_fft(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    cfg = _merged_config(args)
-    r = run_ring_validation(args.case, dt=cfg.dt, **_ring_kwargs(cfg))
+    cfg = _config(args)
+    r = run_ring_validation(args.case, **cfg.given("dt"), **_ring_kwargs(cfg))
     out = _out_dir(cfg)
     dataio.write_field(os.path.join(out, f"validate_case{args.case}_micro.csv"), r.micro, cfg.full_precision)
     dataio.write_field(os.path.join(out, f"validate_case{args.case}_pde.csv"), r.pde, cfg.full_precision)
@@ -173,9 +154,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_case(args: argparse.Namespace) -> int:
-    cfg = _merged_config(args)
-    run = run_case(args.case, dt=cfg.dt, duration=cfg.duration,
-                   origin_spacing=cfg.origin_spacing, baseline_speed=cfg.baseline_speed)
+    cfg = _config(args)
+    run = run_case(args.case, **cfg.given("dt", "duration", "origin_spacing", "baseline_speed"))
     tag = f"case{args.case}"
     dataio.write_trajectories(os.path.join(_out_dir(cfg), f"{tag}_trajectories.csv"),
                               run.trajectories, cfg.full_precision)
@@ -187,18 +167,15 @@ def _cmd_case(args: argparse.Namespace) -> int:
 
 
 def _cmd_empirical(args: argparse.Namespace) -> int:
-    cfg = _merged_config(args, _EMPIRICAL_DEFAULTS)
-    draws_file = args.draws or cfg.draws_file
-    leader_file = args.leader or cfg.leader_file
-    if not draws_file or not leader_file:
+    cfg = _config(args)
+    if not cfg.draws_file or not cfg.leader_file:
         raise ValueError("empirical needs --draws and --leader (or config keys)")
-    draws = dataio.sample_params(dataio.load_draws(draws_file), cfg.n_draws, cfg.seed)
-    leaders = dataio.ingest_trajectories(leader_file)
+    draws = dataio.sample_params(dataio.load_draws(cfg.draws_file), **cfg.given("seed", count="n_draws"))
+    leaders = dataio.ingest_trajectories(cfg.leader_file)
     if not leaders:
-        raise ValueError(f"{leader_file}: no vehicles")
+        raise ValueError(f"{cfg.leader_file}: no vehicles")
     leader = leaders[0]
-    r = run_empirical(leader, draws, n_followers=cfg.n_followers, dt=cfg.dt,
-                      origin_spacing=cfg.origin_spacing, baseline_speed=cfg.baseline_speed)
+    r = run_empirical(leader, draws, **cfg.given("n_followers", "dt", "origin_spacing", "baseline_speed"))
     ps, bs = r.proposed_stats, r.baseline_stats
     path = os.path.join(_out_dir(cfg), "empirical_stats.csv")
     dataio.write_stats(path, "empirical", ps, bs, cfg.full_precision)
@@ -216,13 +193,12 @@ def _cmd_empirical(args: argparse.Namespace) -> int:
 def _add_common(sp: argparse.ArgumentParser, *run_flags: str) -> None:
     """Flags of every subcommand, plus "dt" and "duration" where in `run_flags`."""
     sp.add_argument("--config", help="YAML config file")
-    sp.add_argument("--out-dir", dest="out_dir", help="output directory")
-    sp.add_argument("--full-precision", dest="full_precision", action="store_true",
-                    default=None, help="write full-precision floats")
+    sp.add_argument("--out-dir", help="output directory")
+    sp.add_argument("--full-precision", action="store_true", default=None, help="write full-precision floats")
     if "dt" in run_flags:
-        sp.add_argument("--dt", type=float, default=None, help="simulation time step [s]")
+        sp.add_argument("--dt", type=float, help="simulation time step [s]")
     if "duration" in run_flags:
-        sp.add_argument("--duration", type=float, default=None, help="scenario length [s]")
+        sp.add_argument("--duration", type=float, help="scenario length [s]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,8 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="run a platoon scenario, write trajectories")
     _add_common(sp, "dt", "duration")
-    sp.add_argument("--case", type=int, choices=(1, 2, 3, 4), default=None,
-                    help="preset case (omit to use config scenario)")
+    sp.add_argument("--case", type=int, choices=(1, 2, 3, 4), help="preset case (omit to use config scenario)")
     sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("wave", help="frequency response, stability, closed-form waves")
@@ -245,15 +220,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("pde", help="solve the ring balance law, write the field")
     _add_common(sp, "duration")
     sp.add_argument("--case", type=int, choices=(1, 2, 3), default=1)
-    sp.add_argument("--dx", type=float, default=None, help="target cell size [m]")
-    sp.add_argument("--cfl", type=float, default=None)
+    sp.add_argument("--dx", type=float, help="target cell size [m]")
+    sp.add_argument("--cfl", type=float)
     sp.set_defaults(func=_cmd_pde)
 
     sp = sub.add_parser("metrics", help="trace waves on a trajectory CSV, write stats")
     _add_common(sp)
     sp.add_argument("--input", required=True, help="trajectory CSV (t,vehicle_id,x,v[,a])")
-    sp.add_argument("--origin-spacing", dest="origin_spacing", type=float, default=None)
-    sp.add_argument("--baseline-speed", dest="baseline_speed", type=float, default=None)
+    sp.add_argument("--origin-spacing", type=float)
+    sp.add_argument("--baseline-speed", type=float)
     sp.add_argument("--warmup", type=float, default=0.0, help="skip this much lead time [s]")
     sp.add_argument("--end-margin", dest="end_margin", type=float, default=5.0)
     sp.set_defaults(func=_cmd_metrics)
@@ -262,28 +237,28 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--input", required=True, help="trajectory CSV")
     sp.add_argument("--vehicle", type=int, default=0)
-    sp.add_argument("--modes", dest="fft_modes", type=int, default=None, help="mode count K")
+    sp.add_argument("--modes", dest="fft_modes", type=int, help="mode count K")
     sp.set_defaults(func=_cmd_fft)
 
     sp = sub.add_parser("validate", help="micro-vs-PDE ring comparison")
     _add_common(sp, "dt", "duration")
     sp.add_argument("--case", type=int, choices=(1, 2, 3), default=1)
-    sp.add_argument("--cfl", type=float, default=None)
+    sp.add_argument("--cfl", type=float)
     sp.set_defaults(func=_cmd_validate)
 
     sp = sub.add_parser("case", help="full pipeline for one preset case")
     _add_common(sp, "dt", "duration")
     sp.add_argument("case", type=int, choices=(1, 2, 3, 4))
-    sp.add_argument("--origin-spacing", dest="origin_spacing", type=float, default=None)
-    sp.add_argument("--baseline-speed", dest="baseline_speed", type=float, default=None)
+    sp.add_argument("--origin-spacing", type=float)
+    sp.add_argument("--baseline-speed", type=float)
     sp.set_defaults(func=_cmd_case)
 
     sp = sub.add_parser("empirical", help="calibrated-draw sweep over a recorded leader")
     _add_common(sp, "dt")
-    sp.add_argument("--draws", help="draws CSV (tau,L,k_s,k_v)")
-    sp.add_argument("--leader", help="recorded leader trajectory CSV")
-    sp.add_argument("--n-draws", dest="n_draws", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None, help="resampling seed")
+    sp.add_argument("--draws", dest="draws_file", metavar="DRAWS", help="draws CSV (tau,L,k_s,k_v)")
+    sp.add_argument("--leader", dest="leader_file", metavar="LEADER", help="recorded leader trajectory CSV")
+    sp.add_argument("--n-draws", type=int)
+    sp.add_argument("--seed", type=int, help="resampling seed")
     sp.set_defaults(func=_cmd_empirical)
 
     return parser

@@ -16,7 +16,7 @@ import math
 import numbers
 import os
 import warnings
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, fields
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -341,7 +341,7 @@ def load_draws(path: str) -> List[ParamSample]:
     return out
 
 
-def sample_params(draws: Sequence[ParamSample], count: int, seed: int) -> List[ParamSample]:
+def sample_params(draws: Sequence[ParamSample], count: int = 200, seed: int = 0) -> List[ParamSample]:
     """Seeded uniform resampling with replacement from the provided draws."""
     if not draws:
         raise ValueError("cannot sample from an empty draw set")
@@ -358,46 +358,75 @@ def sample_params(draws: Sequence[ParamSample], count: int, seed: int) -> List[P
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything a CLI run needs; YAML-serializable and strict on keys."""
+    """Everything a CLI run needs; YAML-serializable and strict on keys.  A
+    field left None (in YAML, an absent key) is not passed on (`given`), so
+    the library call it feeds applies its default, written once there."""
 
-    # dt and origin_spacing left unset (None) take the CLI subcommand's
-    # default (see configs/example.yaml)
     dt: Optional[float] = None
-    duration: float = 60.0
+    duration: Optional[float] = None
     origin_spacing: Optional[float] = None
     baseline_speed: Optional[float] = None
     # controller (used by simulate/wave/metrics when not running a case)
-    tau: float = 1.2
-    L: float = 5.0
-    k_s: float = 0.8
-    k_v: float = 1.4
-    v_f: float = 15.0
-    v_e: float = 10.0
-    modes: Tuple[Tuple[float, float, float], ...] = ()
-    n_followers: int = 4
+    tau: Optional[float] = None
+    L: Optional[float] = None
+    k_s: Optional[float] = None
+    k_v: Optional[float] = None
+    v_f: Optional[float] = None
+    v_e: Optional[float] = None
+    modes: Optional[Tuple[Tuple[float, float, float], ...]] = None
+    n_followers: Optional[int] = None
     # PDE / ring validation
-    n_cells: int = 200
-    cfl: float = 0.5
-    sample_every: float = 0.5
-    ring_vehicles: int = 40
+    n_cells: Optional[int] = None
+    cfl: Optional[float] = None
+    sample_every: Optional[float] = None
+    ring_vehicles: Optional[int] = None
     # signal tools
-    fft_modes: int = 10
+    fft_modes: Optional[int] = None
     # empirical sweep
     draws_file: Optional[str] = None
     leader_file: Optional[str] = None
-    n_draws: int = 200
-    seed: int = 0
+    n_draws: Optional[int] = None
+    seed: Optional[int] = None
     # output
     out_dir: Optional[str] = None
     full_precision: bool = False
 
+    def __post_init__(self) -> None:
+        for key, val in self.given(*(f.name for f in fields(self))).items():
+            _check_field(self.__dataclass_fields__[key], val)
+
+    def given(self, *keys: str, **renamed: str) -> dict:
+        """The set fields among `keys`, and among `renamed`'s values (under
+        their argument names), as keyword arguments."""
+        names = {**dict(zip(keys, keys)), **renamed}
+        return {arg: getattr(self, key) for arg, key in names.items() if getattr(self, key) is not None}
+
     def params(self) -> ControlParams:
-        return ControlParams(tau=self.tau, L=self.L, k_s=self.k_s, k_v=self.k_v, v_f=self.v_f)
+        """The controller of the gains set here; ControlParams gives the rest."""
+        return ControlParams(**self.given(*(f.name for f in fields(ControlParams))))
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["modes"] = [list(m) for m in self.modes]
-        return d
+        """The set fields, as YAML keys (an unset field is an absent key)."""
+        modes = {} if self.modes is None else {"modes": [list(m) for m in self.modes]}
+        return {**self.given(*(f.name for f in fields(self))), **modes}
+
+
+# keys that YAML may set to null, which means what an absent key means
+_NULL_KEYS = ("dt", "origin_spacing", "baseline_speed", "draws_file", "leader_file", "out_dir")
+
+
+def _check_field(f, val) -> None:
+    """Refuse a value that config field `f`'s annotation does not take, naming the key."""
+    if f.type == "Optional[int]" and (isinstance(val, bool) or not isinstance(val, numbers.Integral)):
+        raise ValueError(f"{f.name} must be an integer, got {val!r}")
+    if f.type == "Optional[float]" and (isinstance(val, bool) or not isinstance(val, numbers.Real)):
+        raise ValueError(f"{f.name} must be a number, got {val!r}")
+    if f.type == "Optional[float]" and not math.isfinite(val):
+        raise ValueError(f"{f.name} must be finite, got {val!r}")
+    if f.type == "bool" and not isinstance(val, bool):
+        raise ValueError(f"{f.name} must be true or false, got {val!r}")
+    if val is None:
+        raise ValueError(f"{f.name} must not be null")
 
 
 def _coerce_modes(raw) -> Tuple[Tuple[float, float, float], ...]:
@@ -410,25 +439,14 @@ def _coerce_modes(raw) -> Tuple[Tuple[float, float, float], ...]:
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
-    known = set(ScenarioConfig.__dataclass_fields__)
-    unknown = set(data) - known
+    unknown = set(data) - set(ScenarioConfig.__dataclass_fields__)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    # numeric fields are checked by their annotation, naming the key
     for f in fields(ScenarioConfig):
-        val = data.get(f.name)
-        if f.name not in data or (val is None and f.type == "Optional[float]"):
-            continue
-        if f.type == "int" and (isinstance(val, bool) or not isinstance(val, numbers.Integral)):
-            raise ValueError(f"{f.name} must be an integer, got {val!r}")
-        if f.type in ("float", "Optional[float]"):
-            if isinstance(val, bool) or not isinstance(val, numbers.Real):
-                raise ValueError(f"{f.name} must be a number, got {val!r}")
-            if not math.isfinite(val):
-                raise ValueError(f"{f.name} must be finite, got {val!r}")
-    if "modes" in data and data["modes"] is not None:
-        data = dict(data)
-        data["modes"] = _coerce_modes(data["modes"])
+        if f.name in data and data[f.name] is None and f.name not in _NULL_KEYS:
+            _check_field(f, None)  # raises, naming the key
+    if data.get("modes") is not None:
+        data = {**data, "modes": _coerce_modes(data["modes"])}
     return ScenarioConfig(**data)
 
 

@@ -23,8 +23,10 @@ from .microsim import OscillationSpec
 
 __all__ = ["fourier_decompose", "periodic_reconstruct"]
 
+N_MODES = 10  # modes kept when K is not given
 
-def fourier_decompose(speeds: np.ndarray, dt: float, K: int = 10) -> OscillationSpec:
+
+def fourier_decompose(speeds: np.ndarray, dt: float, K: int = N_MODES) -> OscillationSpec:
     """Extract equilibrium speed and the top-K oscillation modes.
 
     Selection is by descending spectral magnitude over the positive-
@@ -62,7 +64,7 @@ def fourier_decompose(speeds: np.ndarray, dt: float, K: int = 10) -> Oscillation
     return OscillationSpec(v_e=v_e, modes=tuple(modes))
 
 
-def periodic_reconstruct(speeds: np.ndarray, dt: float, K: int = 10) -> Tuple[np.ndarray, float]:
+def periodic_reconstruct(speeds: np.ndarray, dt: float, K: int = N_MODES) -> Tuple[np.ndarray, float]:
     """Exactly periodic K-mode reconstruction and its RMSE vs the input.
 
     The window length defines the period; K=0 returns the constant mean

@@ -94,6 +94,7 @@ class OscillationSpec:
 
 # Largest difference between a trajectory's sample steps and its dt [s].
 DT_JITTER = 1e-6
+DT = 0.01  # time step of a simulation that names none [s]
 
 
 @dataclass(frozen=True)
@@ -243,7 +244,7 @@ class Scenario:
     n_followers: int
     leader: Optional[LeaderSpec]
     duration: float
-    dt: float = 0.01
+    dt: float = DT
     topology: str = "open"
     cut_ins: Tuple[CutIn, ...] = ()
     initial_speeds: Union[float, Sequence[float], None] = None
@@ -253,8 +254,9 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.topology not in ("open", "ring"):
             raise ValueError(f"unknown topology {self.topology!r}")
-        if self.duration <= 0 or self.dt <= 0:
-            raise ValueError("duration and dt must be positive")
+        for name, value in (("duration", self.duration), ("dt", self.dt)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not self.eps_v >= 0:  # also refuses NaN
             raise ValueError(f"eps_v must be non-negative, got {self.eps_v}")
         n_steps = round(self.duration / self.dt)

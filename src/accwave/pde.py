@@ -53,6 +53,8 @@ __all__ = [
 
 SourceFn = Optional[Callable[[np.ndarray, float], np.ndarray]]
 
+CFL = 0.5  # CFL number of the adaptive step when none is given
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -192,7 +194,7 @@ def step(
     v: np.ndarray,
     grid: Grid,
     params: ControlParams,
-    cfl: float = 0.5,
+    cfl: float = CFL,
     t: float = 0.0,
     dt: Optional[float] = None,
     mass_source: SourceFn = None,
@@ -296,7 +298,7 @@ def solve(
     grid: Grid,
     params: ControlParams,
     t_end: float,
-    cfl: float = 0.5,
+    cfl: float = CFL,
     output_times: Optional[Sequence[float]] = None,
     mass_source: SourceFn = None,
     momentum_source: SourceFn = None,

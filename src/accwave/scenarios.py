@@ -29,6 +29,7 @@ from .microsim import (
     ConstAccel,
     Cruise,
     CutIn,
+    DT,
     LeaderProfile,
     Oscillate,
     OscillationSpec,
@@ -38,8 +39,9 @@ from .microsim import (
     simulate_platoon,
 )
 from .model import ControlParams
-from .pde import Grid, EulerianField, micro_to_eulerian, ring_cells, solve
+from .pde import CFL, Grid, EulerianField, micro_to_eulerian, ring_cells, solve
 from .tracker import (
+    ORIGIN_SPACING,
     PhaseTransition,
     Platoon,
     WavePath,
@@ -71,10 +73,11 @@ __all__ = [
 ]
 
 # Default experiment table: 4 followers, v_e = 10 m/s, tau = 1.2 s,
-# L = 5 m, k_s = 0.8 s^-2, k_v = 1.4 s^-1.
+# L = 5 m, k_s = 0.8 s^-2, k_v = 1.4 s^-1, each run 60 s long.
 TABLE_PARAMS = ControlParams()
 N_FOLLOWERS = 4
 V_E = 10.0
+DURATION = 60.0
 
 SINGLE_MODES = ((20.0, 0.16 * math.pi, 0.0),)
 COMPOUND_MODES = ((20.0, 0.16 * math.pi, 0.0), (10.0, 0.32 * math.pi, 0.5 * math.pi))
@@ -95,14 +98,22 @@ _CUT_IN_TIME = 10.0
 _CUT_IN_SETTLE = 2.0
 
 
-def case_scenario(case: int, dt: float = 0.01, duration: float = 60.0) -> Scenario:
+def oscillation_scenario(params: ControlParams = TABLE_PARAMS, n_followers: int = N_FOLLOWERS,
+                         v_e: float = V_E, modes: Tuple[Tuple[float, float, float], ...] = (),
+                         duration: float = DURATION, dt: float = DT,
+                         cut_ins: Tuple[CutIn, ...] = ()) -> Scenario:
+    """Platoon of `n_followers` behind a leader oscillating about `v_e` in `modes`:
+    cases 1-3, and the scenario `simulate` and `wave` build from a config."""
+    return Scenario(params=params, n_followers=n_followers, duration=duration, dt=dt,
+                    leader=OscillationSpec(v_e=v_e, modes=modes), cut_ins=cut_ins)
+
+
+def case_scenario(case: int, dt: float = DT, duration: float = DURATION) -> Scenario:
     """Scenario object for one of the four studied cases."""
     if case in (1, 2, 3):
-        return Scenario(
-            params=TABLE_PARAMS, n_followers=N_FOLLOWERS, duration=duration, dt=dt,
-            leader=OscillationSpec(v_e=V_E, modes=COMPOUND_MODES if case == 3 else SINGLE_MODES),
-            cut_ins=(CutIn(time=_CUT_IN_TIME, gap=10.0, ahead_of=2),) if case == 2 else (),
-        )
+        return oscillation_scenario(
+            modes=COMPOUND_MODES if case == 3 else SINGLE_MODES, duration=duration, dt=dt,
+            cut_ins=(CutIn(time=_CUT_IN_TIME, gap=10.0, ahead_of=2),) if case == 2 else ())
     if case == 4:
         profile = LeaderProfile(
             v0=CASE4_PARAMS.v_f,
@@ -124,7 +135,8 @@ def case_scenario(case: int, dt: float = 0.01, duration: float = 60.0) -> Scenar
 # for a path to cross the whole platoon before the window ends.
 _ORIGIN_WINDOW = {1: (_WARMUP, 5.0), 2: (_CUT_IN_TIME + _CUT_IN_SETTLE, 6.0), 3: (_WARMUP, 5.0)}
 
-def origin_grid(lead: Trajectory, warmup: float, end_margin: float, spacing: float) -> np.ndarray:
+def origin_grid(lead: Trajectory, warmup: float, end_margin: float,
+                spacing: float = ORIGIN_SPACING) -> np.ndarray:
     """Path origin times on the lead trajectory: every `spacing` seconds from
     `warmup` after its start up to `end_margin` before its end."""
     if not (math.isfinite(spacing) and spacing > 0):
@@ -184,13 +196,8 @@ class CaseRun(Comparison):
     transition: Optional[PhaseTransition] = None
 
 
-def run_case(
-    case: int,
-    dt: float = 0.01,
-    duration: float = 60.0,
-    origin_spacing: float = 1.0,
-    baseline_speed: Optional[float] = None,
-) -> CaseRun:
+def run_case(case: int, dt: float = DT, duration: float = DURATION,
+             origin_spacing: float = ORIGIN_SPACING, baseline_speed: Optional[float] = None) -> CaseRun:
     """Simulate one case and trace proposed + constant-speed path sets.
 
     The baseline speed defaults to the congested kinematic-wave slope
@@ -217,6 +224,8 @@ def run_case(
 # ---------------------------------------------------------------------------
 
 RING_N = 40
+RING_CELLS = 200
+RING_SAMPLE_EVERY = 0.5   # field recording interval [s]
 _RING_DV = 3.0   # speed amplitude of the ring profiles [m/s]
 
 
@@ -241,9 +250,8 @@ def ring_initial_speeds(case: int, n: int = RING_N) -> np.ndarray:
     raise ValueError(f"no ring profile for case {case}")
 
 
-def ring_scenario(
-    case: int, n_vehicles: int = RING_N, duration: float = 60.0, dt: float = 0.01
-) -> Scenario:
+def ring_scenario(case: int, n_vehicles: int = RING_N, duration: float = DURATION,
+                  dt: float = DT) -> Scenario:
     """Ring platoon for one validation case, started from its speed profile."""
     return Scenario(
         params=TABLE_PARAMS, n_followers=n_vehicles, leader=None, duration=duration, dt=dt,
@@ -259,8 +267,9 @@ class RingValidation:
     pde: EulerianField
 
 
-def solve_ring(case: int, n_vehicles: int, duration: float, n_cells: int, cfl: float,
-               sample_every: float, dx: Optional[float] = None) -> EulerianField:
+def solve_ring(case: int, n_vehicles: int = RING_N, duration: float = DURATION,
+               n_cells: int = RING_CELLS, cfl: float = CFL,
+               sample_every: float = RING_SAMPLE_EVERY, dx: Optional[float] = None) -> EulerianField:
     """PDE field of one ring case over `duration`, recorded at the solver's
     nearest completed steps to every `sample_every` seconds and solved,
     without simulating, from the case's speed profile on the ring that the
@@ -282,15 +291,9 @@ def solve_ring(case: int, n_vehicles: int, duration: float, n_cells: int, cfl: f
     return solve(rho0, v0, grid, TABLE_PARAMS, duration, cfl=cfl, output_times=wanted)
 
 
-def run_ring_validation(
-    case: int,
-    n_vehicles: int = RING_N,
-    duration: float = 60.0,
-    dt: float = 0.01,
-    n_cells: int = 200,
-    cfl: float = 0.5,
-    sample_every: float = 0.5,
-) -> RingValidation:
+def run_ring_validation(case: int, n_vehicles: int = RING_N, duration: float = DURATION,
+                        dt: float = DT, n_cells: int = RING_CELLS, cfl: float = CFL,
+                        sample_every: float = RING_SAMPLE_EVERY) -> RingValidation:
     """Micro-vs-PDE comparison for one ring case: the ring platoon simulated
     over the whole `duration` and the PDE field of `solve_ring`.
 
@@ -326,14 +329,9 @@ class EmpiricalRun:
     n_deviations: int
 
 
-def run_empirical(
-    leader: Trajectory,
-    draws: Sequence,
-    n_followers: int = 4,
-    dt: float = 0.05,
-    origin_spacing: float = 2.0,
-    baseline_speed: Optional[float] = None,
-) -> EmpiricalRun:
+def run_empirical(leader: Trajectory, draws: Sequence, n_followers: int = N_FOLLOWERS,
+                  dt: float = 0.05, origin_spacing: float = 2.0,
+                  baseline_speed: Optional[float] = None) -> EmpiricalRun:
     """Pool deviation statistics over calibrated parameter draws.
 
     Each draw (tau, L, k_s, k_v) simulates a fresh platoon behind the

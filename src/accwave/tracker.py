@@ -72,6 +72,8 @@ __all__ = [
     "trace_phase_transition",
 ]
 
+ORIGIN_SPACING = 1.0  # seconds between path origins, when not given
+
 
 class PathKind(Enum):
     CHARACTERISTIC = "Characteristic"
@@ -473,7 +475,7 @@ def trace_phase_transition(
     trajectories: Sequence[Trajectory],
     params: ControlParams,
     v_e: float,
-    origin_spacing: float = 1.0,
+    origin_spacing: float = ORIGIN_SPACING,
     eps_v: float = 1e-9,
 ) -> PhaseTransition:
     """Build the composite wave set of a free-flow-to-congested scenario.

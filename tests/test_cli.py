@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import inspect
 import math
 import os
 import re
@@ -16,7 +17,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accwave import dataio
+from accwave import dataio, fourier, pde
 from accwave.cli import build_parser, main
 from accwave.dataio import (
     ParamSample,
@@ -604,6 +605,26 @@ def test_config_takes_integers_for_reals_and_none_where_optional():
         config_from_dict({"duration": None})
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"modes": None}, "modes must not be null"),
+    ({"full_precision": None}, "full_precision must be true or false, got None"),
+    ({"full_precision": 3}, "full_precision must be true or false, got 3"),
+])
+def test_config_refuses_a_null_mode_list_or_a_non_boolean_precision(data, message):
+    # each used to load, then end in a TypeError or KeyError traceback
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        config_from_dict(data)
+
+
+@pytest.mark.parametrize("flag", ["--dt", "--duration", "--origin-spacing", "--baseline-speed"])
+def test_cli_refuses_a_non_finite_flag_value_by_its_key(tmp_path, capsys, flag):
+    # flags override the config through ScenarioConfig, which checks them as it checks keys
+    assert main(["case", "1", flag, "nan", "--out-dir", str(tmp_path)]) == 2
+    key = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == f"error: {key} must be finite, got nan\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_yaml_float_cell_count_fails_at_load_with_the_key(tmp_path):
     path = tmp_path / "c.yaml"
     path.write_text("n_cells: 200.0\n")
@@ -627,6 +648,44 @@ def test_example_config_documents_exactly_the_config_fields():
     with open(Path(__file__).resolve().parent.parent / "configs" / "example.yaml") as fh:
         keys = set(yaml.safe_load(fh))
     assert keys == {f.name for f in dataclasses.fields(ScenarioConfig)}
+
+
+# keys whose value in configs/example.yaml is an example, not the default
+_EXAMPLE_VALUED_KEYS = {"modes", "draws_file", "leader_file", "out_dir"}
+
+
+def test_example_config_shows_the_default_of_every_other_key():
+    # the default of a key that a run leaves unset is read from every library
+    # call the key feeds, and those calls must agree on it; a key that feeds
+    # none, or calls that differ by subcommand (dt, origin_spacing), shows
+    # ScenarioConfig's own default, which the CLI does not pass on
+    s = scenarios
+
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    feeds = {
+        "duration": [(fn, "duration") for fn in (s.oscillation_scenario, s.case_scenario, s.run_case,
+                                                 s.ring_scenario, s.solve_ring, s.run_ring_validation)],
+        **{f.name: [(ControlParams, f.name)] for f in dataclasses.fields(ControlParams)},
+        "v_e": [(s.oscillation_scenario, "v_e")],
+        "n_followers": [(s.oscillation_scenario, "n_followers"), (s.run_empirical, "n_followers")],
+        "n_cells": [(s.solve_ring, "n_cells"), (s.run_ring_validation, "n_cells")],
+        "cfl": [(s.solve_ring, "cfl"), (s.run_ring_validation, "cfl"), (pde.solve, "cfl"),
+                (pde.step, "cfl")],
+        "sample_every": [(s.solve_ring, "sample_every"), (s.run_ring_validation, "sample_every")],
+        "ring_vehicles": [(s.ring_initial_speeds, "n"), (s.ring_scenario, "n_vehicles"),
+                          (s.solve_ring, "n_vehicles"), (s.run_ring_validation, "n_vehicles")],
+        "fft_modes": [(fourier.fourier_decompose, "K"), (fourier.periodic_reconstruct, "K")],
+        "n_draws": [(sample_params, "count")],
+        "seed": [(sample_params, "seed")],
+    }
+    unset = {f.name: f.default for f in dataclasses.fields(ScenarioConfig)}
+    with open(Path(__file__).resolve().parent.parent / "configs" / "example.yaml") as fh:
+        shown = {k: v for k, v in yaml.safe_load(fh).items() if k not in _EXAMPLE_VALUED_KEYS}
+    applied = {key: {default(fn, name) for fn, name in feeds[key]} if key in feeds else {unset[key]}
+               for key in shown}
+    assert {key: {val} for key, val in shown.items()} == applied
 
 
 def test_config_refuses_the_removed_case_key():
@@ -909,6 +968,14 @@ class _Stop(Exception):
     pass
 
 
+def _effective(fn, *args, **kwargs) -> dict:
+    """Every argument `fn` runs with when called with `args` and `kwargs`,
+    its own defaults included."""
+    bound = inspect.signature(fn).bind(*args, **kwargs)
+    bound.apply_defaults()
+    return bound.arguments
+
+
 @pytest.mark.parametrize("argv, config, expected", [
     ([], "", (0.05, 2.0)),
     (["--dt", "0.01"], "", (0.01, 2.0)),
@@ -921,7 +988,8 @@ def test_cli_empirical_runs_explicit_dt_and_spacing_as_given(tmp_path, monkeypat
     seen = []
 
     def spy(leader, draws, **kwargs):
-        seen.append((kwargs["dt"], kwargs["origin_spacing"]))
+        run = _effective(scenarios.run_empirical, leader, draws, **kwargs)
+        seen.append((run["dt"], run["origin_spacing"]))
         raise _Stop
 
     monkeypatch.setattr(cli, "run_empirical", spy)
@@ -940,7 +1008,8 @@ def test_cli_other_subcommands_default_to_fine_dt_and_spacing(tmp_path, monkeypa
     seen = []
 
     def spy(case, **kwargs):
-        seen.append((kwargs["dt"], kwargs["origin_spacing"]))
+        run = _effective(scenarios.run_case, case, **kwargs)
+        seen.append((run["dt"], run["origin_spacing"]))
         raise _Stop
 
     monkeypatch.setattr(cli, "run_case", spy)

@@ -28,7 +28,14 @@ from accwave.microsim import (
 )
 from accwave.microsim import _leader_arrays, _leader_initial_speed, _step_maps
 from accwave.model import ControlParams, acc_acceleration
-from accwave.scenarios import TABLE_PARAMS, case_scenario, ring_initial_speeds, ring_scenario
+from accwave.scenarios import (
+    TABLE_PARAMS,
+    case_scenario,
+    ring_initial_speeds,
+    ring_scenario,
+    run_case,
+    run_ring_validation,
+)
 from accwave.waves import follower_motion_closed_form
 from oracles import (
     PairErrorState,
@@ -108,6 +115,17 @@ def test_scenario_refuses_a_negative_or_nan_cruise_band(eps_v):
     with pytest.raises(ValueError, match="eps_v must be non-negative"):
         Scenario(params=P, n_followers=4, leader=OscillationSpec(10.0), duration=10.0,
                  eps_v=eps_v)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("run, name", [
+    (run_case, "dt"), (run_case, "duration"), (run_ring_validation, "duration"),
+], ids=["run_case-dt", "run_case-duration", "run_ring_validation-duration"])
+def test_scenario_refuses_a_time_that_is_not_positive_and_finite_by_name(run, name, value):
+    # inf and NaN used to pass on to round(duration / dt): a misleading
+    # "not an integer multiple" or a bare conversion error naming no field
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value}$"):
+        run(1, **{name: value})
 
 
 def test_equilibrium_platoon_is_a_fixed_point():
