@@ -133,9 +133,8 @@ def _cmd_fft(args: argparse.Namespace) -> int:
     if args.vehicle not in by_id:
         raise ValueError(f"vehicle {args.vehicle} not in {sorted(by_id)}")
     tr = by_id[args.vehicle]
-    modes = cfg.given(K="fft_modes")
-    spec = fourier_decompose(tr.v, tr.dt, **modes)
-    _, rmse = periodic_reconstruct(tr.v, tr.dt, **modes)
+    spec = fourier_decompose(tr.v, tr.dt, **cfg.given(K="fft_modes"))
+    _, rmse = periodic_reconstruct(tr.v, tr.dt, spec)
     out = os.path.join(_out_dir(cfg), "modes.csv")
     dataio.write_modes(out, spec.modes, cfg.full_precision)
     print(f"v_e = {spec.v_e:.6g} m/s, {len(spec.modes)} modes, reconstruction RMSE = {rmse:.6g} m/s")

@@ -402,8 +402,9 @@ class ScenarioConfig:
         return {arg: getattr(self, key) for arg, key in names.items() if getattr(self, key) is not None}
 
     def params(self) -> ControlParams:
-        """The controller of the gains set here; ControlParams gives the rest."""
-        return ControlParams(**self.given(*(f.name for f in fields(ControlParams))))
+        """The controller of its fields set here; ControlParams gives the rest."""
+        keys = (f.name for f in fields(ControlParams) if f.name in self.__dataclass_fields__)
+        return ControlParams(**self.given(*keys))
 
     def to_dict(self) -> dict:
         """The set fields, as YAML keys (an unset field is an absent key)."""
@@ -423,6 +424,8 @@ def _check_field(f, val) -> None:
         raise ValueError(f"{f.name} must be a number, got {val!r}")
     if f.type == "Optional[float]" and not math.isfinite(val):
         raise ValueError(f"{f.name} must be finite, got {val!r}")
+    if f.type == "Optional[str]" and not isinstance(val, str):
+        raise ValueError(f"{f.name} must be a string, got {val!r}")
     if f.type == "bool" and not isinstance(val, bool):
         raise ValueError(f"{f.name} must be true or false, got {val!r}")
     if val is None:

@@ -64,14 +64,14 @@ def fourier_decompose(speeds: np.ndarray, dt: float, K: int = N_MODES) -> Oscill
     return OscillationSpec(v_e=v_e, modes=tuple(modes))
 
 
-def periodic_reconstruct(speeds: np.ndarray, dt: float, K: int = N_MODES) -> Tuple[np.ndarray, float]:
-    """Exactly periodic K-mode reconstruction and its RMSE vs the input.
+def periodic_reconstruct(speeds: np.ndarray, dt: float, spec: OscillationSpec) -> Tuple[np.ndarray, float]:
+    """Exactly periodic reconstruction of `speeds` from its decomposition
+    `spec` (`fourier_decompose(speeds, dt, K)`), and its RMSE vs the input.
 
-    The window length defines the period; K=0 returns the constant mean
-    (RMSE = population standard deviation).
+    The window length defines the period; a spec without modes (K=0)
+    gives the constant mean (RMSE = population standard deviation).
     """
     v = np.asarray(speeds, dtype=float)
-    spec = fourier_decompose(v, dt, K)
     t = np.arange(v.size) * dt
     recon = np.full(v.size, spec.v_e)
     for A, omega, phi in spec.modes:

@@ -249,7 +249,6 @@ class Scenario:
     cut_ins: Tuple[CutIn, ...] = ()
     initial_speeds: Union[float, Sequence[float], None] = None
     initial_gaps: Union[float, Sequence[float], None] = None
-    eps_v: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.topology not in ("open", "ring"):
@@ -257,8 +256,6 @@ class Scenario:
         for name, value in (("duration", self.duration), ("dt", self.dt)):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if not self.eps_v >= 0:  # also refuses NaN
-            raise ValueError(f"eps_v must be non-negative, got {self.eps_v}")
         n_steps = round(self.duration / self.dt)
         if n_steps < 1 or abs(self.duration / self.dt - n_steps) > 1e-9 * n_steps:
             raise ValueError(
@@ -647,7 +644,7 @@ def _propagate_open(
     speed of the column behind, and joins the next segment.
     """
     n_steps = len(times) - 1
-    law = _Law.of(sc.params, sc.dt, sc.eps_v)
+    law = _Law.of(sc.params, sc.dt)
     merged = np.ones(X.shape[0], dtype=bool)
     merged[[c for _, c, _ in merges]] = False
     pending = list(merges)
@@ -667,18 +664,17 @@ def _propagate_open(
 
 
 class _Law(NamedTuple):
-    """The follower law: parameters, step, cruise band and exact step maps."""
+    """The follower law: parameters, step and exact step maps."""
 
     p: ControlParams
     h: float
-    eps_v: float
     Phi: list
     Psi: list
 
     @classmethod
-    def of(cls, p: ControlParams, h: float, eps_v: float) -> "_Law":
+    def of(cls, p: ControlParams, h: float) -> "_Law":
         Phi, Psi = _step_maps(_follower_matrix(p), h)
-        return cls(p, h, eps_v, Phi.tolist(), Psi.tolist())
+        return cls(p, h, Phi.tolist(), Psi.tolist())
 
 
 def _follow(x, v, xl, vl, k: int, k_end: int, law: _Law) -> None:
@@ -693,7 +689,7 @@ def _follow(x, v, xl, vl, k: int, k_end: int, law: _Law) -> None:
     the step before it (`_enter`).
     """
     while k < k_end:
-        if not engaged(xl[k] - x[k], v[k], law.p, law.eps_v):
+        if not engaged(xl[k] - x[k], v[k], law.p):
             k = _cruise(x, v, xl, vl, k, k_end, law)
             continue
         stop = min(k + _STEPS, k_end)
@@ -701,7 +697,7 @@ def _follow(x, v, xl, vl, k: int, k_end: int, law: _Law) -> None:
         x[k + 1:stop + 1] = sum(psi[0] * fm for psi, fm in zip(law.Psi, f))
         v[k + 1:stop + 1] = sum(psi[1] * fm for psi, fm in zip(law.Psi, f))
         _doubling_scan(law.Phi, x[k:stop + 1], v[k:stop + 1])
-        off = np.flatnonzero(~engaged(xl[k + 1:stop] - x[k + 1:stop], v[k + 1:stop], law.p, law.eps_v))
+        off = np.flatnonzero(~engaged(xl[k + 1:stop] - x[k + 1:stop], v[k + 1:stop], law.p))
         k = k + 1 + int(off[0]) if off.size else stop
 
 
@@ -716,7 +712,7 @@ def _cruise(x, v, xl, vl, k: int, k_end: int, law: _Law) -> int:
     for j in range(k + 1, k_end + 1, _STEPS):
         stop = min(j + _STEPS, k_end + 1)
         xs = x0 + v0 * (np.arange(j - k, stop - k) * law.h)
-        on = np.flatnonzero(engaged(xl[j:stop] - xs, v0, law.p, law.eps_v))
+        on = np.flatnonzero(engaged(xl[j:stop] - xs, v0, law.p))
         m = j + int(on[0]) if on.size else stop
         x[j:m], v[j:m] = xs[:m - j], v0
         if on.size:
@@ -808,7 +804,7 @@ def _record_accelerations(
             gaps = x[lead] - x[1:]
             bad = gaps <= 0
             if ring:
-                bad |= ~engaged(gaps, v[1:], sc.params, sc.eps_v)
+                bad |= ~engaged(gaps, v[1:], sc.params)
             if bad.any():
                 k = int(np.argmax(bad.any(axis=0)))
                 j = int(np.argmax(bad[:, k]))
@@ -817,7 +813,7 @@ def _record_accelerations(
                         f"ring vehicle {j} leaves the engaged set at t={times[k0 + k]:.3f} s; "
                         "the exact ring propagator needs every vehicle engaged")
                 raise CollisionError(times[k0 + k], int(np.count_nonzero(merged[1:j + 1])))
-            A[1:, k0:k1] = acc_acceleration(gaps, v[1:], v[lead], sc.params, sc.eps_v)
+            A[1:, k0:k1] = acc_acceleration(gaps, v[1:], v[lead], sc.params)
 
 
 def _lead_columns(merged: np.ndarray) -> np.ndarray:

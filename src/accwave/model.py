@@ -51,6 +51,8 @@ class ControlParams:
         k_s: spacing gain [1/s^2].
         k_v: speed-difference gain [1/s].
         v_f: free-flow (cruise) speed [m/s].
+        eps_v: cruise band half-width [m/s] of `engaged`, which the simulator,
+            the acceleration record and the tracker all read from here.
     """
 
     tau: float = 1.2
@@ -58,6 +60,7 @@ class ControlParams:
     k_s: float = 0.8
     k_v: float = 1.4
     v_f: float = 15.0
+    eps_v: float = 1e-9
 
     def __post_init__(self) -> None:
         if not np.all(np.isfinite((self.tau, self.L, self.k_s, self.k_v, self.v_f))):
@@ -70,6 +73,8 @@ class ControlParams:
             raise ValueError(f"v_f must be positive, got {self.v_f}")
         if self.k_s < 0 or self.k_v < 0:
             raise ValueError("gains k_s, k_v must be non-negative")
+        if not self.eps_v >= 0:  # also refuses NaN
+            raise ValueError(f"eps_v must be non-negative, got {self.eps_v}")
 
     @property
     def s_c(self) -> float:
@@ -131,16 +136,16 @@ class EigenStructure:
     r2: Tuple[ArrayLike, ArrayLike]
 
 
-def engaged(s: ArrayLike, v: ArrayLike, params: ControlParams, eps_v: float = 1e-9) -> ArrayLike:
+def engaged(s: ArrayLike, v: ArrayLike, params: ControlParams) -> ArrayLike:
     """ACC switching rule, elementwise: is the controller engaged?
 
     The controller is engaged when the spacing is at or below the
     critical spacing s_c, or the speed is off the cruise band
-    |v - v_f| <= eps_v; it cruises (zero command) otherwise.  The
-    boundary s = s_c counts as engaged, which keeps engagement times
-    well defined.  This is the only place the rule is written.
+    |v - v_f| <= eps_v (all three from `params`); it cruises (zero command)
+    otherwise.  The boundary s = s_c counts as engaged, which keeps
+    engagement times well defined.  This is the only place the rule is written.
     """
-    return (s <= params.s_c) | (abs(v - params.v_f) > eps_v)
+    return (s <= params.s_c) | (abs(v - params.v_f) > params.eps_v)
 
 
 def acc_acceleration(
@@ -148,7 +153,6 @@ def acc_acceleration(
     v: ArrayLike,
     v_lead: ArrayLike,
     params: ControlParams,
-    eps_v: float = 1e-9,
 ) -> ArrayLike:
     """Commanded acceleration of the ACC law, elementwise over vehicle pairs.
 
@@ -158,7 +162,7 @@ def acc_acceleration(
     if np.any(np.asarray(s) <= 0):
         raise ValueError(f"spacing must be positive, got {s}")
     raw = params.k_s * (s - params.desired_spacing(v)) + params.k_v * (v_lead - v)
-    acc = np.where(engaged(s, v, params, eps_v), raw, 0.0)
+    acc = np.where(engaged(s, v, params), raw, 0.0)
     return float(acc) if acc.ndim == 0 else acc
 
 

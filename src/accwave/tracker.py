@@ -137,24 +137,23 @@ def lwr_baseline_speed(params: ControlParams) -> float:
 # Pair-local wave speed
 # ---------------------------------------------------------------------------
 
-def _wave_speed(x_lead, v_lead, x_fol, v_fol, params: ControlParams, eps_v: float):
+def _wave_speed(x_lead, v_lead, x_fol, v_fol, params: ControlParams):
     """W = v_lead - k_v*s of a pair in the states (x, v) of its two vehicles,
     s = x_lead - x_fol, with the gain gated by the follower's regime."""
     s = x_lead - x_fol
-    return v_lead - params.k_v * s * engaged(s, v_fol, params, eps_v)
+    return v_lead - params.k_v * s * engaged(s, v_fol, params)
 
 
-def pair_wave_speed(t, leader: Trajectory, follower: Trajectory, params: ControlParams,
-                    eps_v: float = 1e-9):
+def pair_wave_speed(t, leader: Trajectory, follower: Trajectory, params: ControlParams):
     """Wave speed W(t) = v_lead - k_v*(x_lead - x_follower) of one pair.
 
-    The gain is gated by the follower's local regime (spacing s and
-    speed against the switching rule `engaged`), so a free-flow follower
-    yields the degenerate W = v_lead.  Accepts scalar or array t.
+    The gain is gated by the follower's local regime (`engaged` on its
+    spacing and speed, with the cruise band of `params`), so a free-flow
+    follower yields the degenerate W = v_lead.  Accepts scalar or array t.
     """
     t_arr = np.asarray(t, dtype=float)
     w = _wave_speed(leader.position_at(t_arr), leader.speed_at(t_arr),
-                    follower.position_at(t_arr), follower.speed_at(t_arr), params, eps_v)
+                    follower.position_at(t_arr), follower.speed_at(t_arr), params)
     return float(w) if np.isscalar(t) or t_arr.ndim == 0 else w
 
 
@@ -173,10 +172,9 @@ class _Characteristic:
     """Speed rule of a characteristic path: the pair wave speed W."""
 
     params: ControlParams
-    eps_v: float
 
     def __call__(self, x_lead, v_lead, x_fol, v_fol):
-        return _wave_speed(x_lead, v_lead, x_fol, v_fol, self.params, self.eps_v)
+        return _wave_speed(x_lead, v_lead, x_fol, v_fol, self.params)
 
 
 @dataclass(frozen=True)
@@ -370,18 +368,17 @@ def trace_characteristic_path(
     origin_t: float,
     trajectories: Sequence[Trajectory],
     params: ControlParams,
-    eps_v: float = 1e-9,
 ) -> WavePath:
     """Trace a characteristic path from a point on the lead trajectory.
 
-    The path starts at (origin_t, x_0(origin_t)) and integrates
-    dx/dt = W of the pair currently being traversed, re-anchoring on
-    each crossed trajectory.  Tracing stops at the last vehicle or the
-    end of the common time window (then flagged truncated).  Pass a
-    `Platoon` to share its pair tables with other paths.
+    The path starts at (origin_t, x_0(origin_t)) and integrates dx/dt = W
+    of the pair currently being traversed, its gain gated by the cruise
+    band of `params`, re-anchoring on each crossed trajectory.  Tracing
+    stops at the last vehicle or the end of the common time window (then
+    flagged truncated).  Pass a `Platoon` to share its pair tables with other paths.
     """
     return _trace_from_lead(
-        origin_t, trajectories, _Characteristic(params, eps_v), PathKind.CHARACTERISTIC)
+        origin_t, trajectories, _Characteristic(params), PathKind.CHARACTERISTIC)
 
 
 def constant_speed_path(
@@ -476,7 +473,6 @@ def trace_phase_transition(
     params: ControlParams,
     v_e: float,
     origin_spacing: float = ORIGIN_SPACING,
-    eps_v: float = 1e-9,
 ) -> PhaseTransition:
     """Build the composite wave set of a free-flow-to-congested scenario.
 
@@ -487,7 +483,7 @@ def trace_phase_transition(
     paths start on the lead trajectory at multiples of `origin_spacing`
     once every vehicle's spacing has first come down to s_e, and each
     one terminates when the shock front catches it (the characteristic
-    falls back faster than the shock).
+    falls back faster than the shock); their gain sees the cruise band of `params`.
 
     A scenario that never transitions returns an empty composite.
     """
@@ -524,7 +520,7 @@ def trace_phase_transition(
         def overtaken(t: np.ndarray, x: np.ndarray) -> np.ndarray:
             return x <= x_sh + c_sh * (t - t_sh)
 
-        rule = _Characteristic(params, eps_v)
+        rule = _Characteristic(params)
         t_o = math.ceil(t_complete / origin_spacing) * origin_spacing
         while t_o < trajectories[0].t_end:
             chars.append(_trace_from_lead(

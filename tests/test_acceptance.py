@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from accwave.dataio import ingest_trajectories, load_draws, sample_params
-from accwave.fourier import periodic_reconstruct
+from accwave.fourier import fourier_decompose, periodic_reconstruct
 from accwave.microsim import (
     ConstAccel,
     Cruise,
@@ -326,10 +326,11 @@ def test_criterion_10_fourier_round_trip():
     v = 10.0 + np.zeros(n)
     for k, C, phi in ((3, 1.5, 0.2), (7, 0.8, -1.0), (12, 0.3, 2.2)):
         v = v + C * np.cos(2.0 * math.pi * k / T * t + phi)
-    _, rmse = periodic_reconstruct(v, dt, K=3)
+    _, rmse = periodic_reconstruct(v, dt, fourier_decompose(v, dt, K=3))
 
     leader = ingest_trajectories(str(DATA_DIR / "leader_dip.csv"))[0]
-    errs = [periodic_reconstruct(leader.v, leader.dt, K=k)[1] for k in range(0, 21)]
+    errs = [periodic_reconstruct(leader.v, leader.dt, fourier_decompose(leader.v, leader.dt, K=k))[1]
+            for k in range(0, 21)]
     monotone = all(e1 <= e0 + 1e-12 for e0, e1 in zip(errs, errs[1:]))
     ok = rmse < 1e-9 and monotone
     _gate(

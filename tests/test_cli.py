@@ -1,5 +1,6 @@
 """Tests for CSV import/export, configs, draws, and the CLI front end."""
 
+import builtins
 import csv
 import dataclasses
 import inspect
@@ -625,6 +626,28 @@ def test_cli_refuses_a_non_finite_flag_value_by_its_key(tmp_path, capsys, flag):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("cmd, key, val", [
+    (["empirical"], "draws_file", 7),
+    (["wave"], "out_dir", 5),
+    (["empirical"], "leader_file", [1, 2]),
+])
+def test_cli_refuses_a_non_string_path_key_before_opening_a_file(tmp_path, monkeypatch, capsys,
+                                                                 cmd, key, val):
+    # each used to open a file descriptor (draws_file) or end in a TypeError traceback
+    cfg = tmp_path / "c.yaml"
+    paths = {"draws_file": str(DATA_DIR / "calibrated_draws.csv"),
+             "leader_file": str(DATA_DIR / "leader_dip.csv")}
+    cfg.write_text(yaml.safe_dump({**paths, key: val}))
+    opened, real_open = [], builtins.open
+    monkeypatch.setattr(builtins, "open",
+                        lambda file, *a, **k: opened.append(file) or real_open(file, *a, **k))
+    monkeypatch.chdir(tmp_path)
+    assert main([*cmd, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: {key} must be a string, got {val!r}\n"
+    assert opened == [str(cfg)]
+    assert [p.name for p in tmp_path.iterdir()] == ["c.yaml"]
+
+
 def test_yaml_float_cell_count_fails_at_load_with_the_key(tmp_path):
     path = tmp_path / "c.yaml"
     path.write_text("n_cells: 200.0\n")
@@ -676,7 +699,7 @@ def test_example_config_shows_the_default_of_every_other_key():
         "sample_every": [(s.solve_ring, "sample_every"), (s.run_ring_validation, "sample_every")],
         "ring_vehicles": [(s.ring_initial_speeds, "n"), (s.ring_scenario, "n_vehicles"),
                           (s.solve_ring, "n_vehicles"), (s.run_ring_validation, "n_vehicles")],
-        "fft_modes": [(fourier.fourier_decompose, "K"), (fourier.periodic_reconstruct, "K")],
+        "fft_modes": [(fourier.fourier_decompose, "K")],
         "n_draws": [(sample_params, "count")],
         "seed": [(sample_params, "seed")],
     }

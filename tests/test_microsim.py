@@ -27,7 +27,7 @@ from accwave.microsim import (
     simulate_platoon,
 )
 from accwave.microsim import _leader_arrays, _leader_initial_speed, _step_maps
-from accwave.model import ControlParams, acc_acceleration
+from accwave.model import ControlParams, acc_acceleration, engaged
 from accwave.scenarios import (
     TABLE_PARAMS,
     case_scenario,
@@ -36,6 +36,7 @@ from accwave.scenarios import (
     run_case,
     run_ring_validation,
 )
+from accwave.tracker import pair_wave_speed
 from accwave.waves import follower_motion_closed_form
 from oracles import (
     PairErrorState,
@@ -110,11 +111,22 @@ def test_scenario_validation():
         Scenario(params=P, n_followers=4, leader=None, duration=10.0, topology="ring")
 
 
-@pytest.mark.parametrize("eps_v", [-1e-9, -1.0, math.nan])
-def test_scenario_refuses_a_negative_or_nan_cruise_band(eps_v):
-    with pytest.raises(ValueError, match="eps_v must be non-negative"):
-        Scenario(params=P, n_followers=4, leader=OscillationSpec(10.0), duration=10.0,
-                 eps_v=eps_v)
+@pytest.mark.parametrize("eps_v", [0.05, ControlParams().eps_v])
+def test_one_cruise_band_gates_the_law_the_tracker_and_the_simulator(eps_v):
+    # a follower 5 m beyond s_c and 0.03 m/s below v_f, behind a leader at v_f:
+    # inside a 0.05 m/s band every layer lets it cruise, reading the band from
+    # the one ControlParams; the default band engages it in every layer
+    p = dataclasses.replace(P, eps_v=eps_v)
+    s, v = p.s_c + 5.0, p.v_f - 0.03
+    cruising = eps_v > 0.03
+    sc = Scenario(params=p, n_followers=1, leader=LeaderProfile(v0=p.v_f, phases=(Cruise(None),)),
+                  duration=10.0, initial_speeds=v, initial_gaps=s)
+    lead, fol = simulate_platoon(sc).trajectories
+    assert (fol.x[0], fol.v[0]) == (lead.x[0] - s, v)
+    assert engaged(s, v, p) == (not cruising)
+    assert (acc_acceleration(s, v, lead.v[0], p) == 0.0) == cruising
+    assert (pair_wave_speed(0.0, lead, fol, p) == lead.v[0]) == cruising
+    assert np.all(fol.a == 0.0) == cruising
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
@@ -609,7 +621,7 @@ def _oracle_open(sc: Scenario) -> PlatoonResult:
         lead_spd[1:] = active_v[:-1]
         gaps = lead_pos - active_x
         try:
-            acc = acc_acceleration(gaps, active_v, lead_spd, p, sc.eps_v)
+            acc = acc_acceleration(gaps, active_v, lead_spd, p)
         except ValueError:  # raised for a non-positive spacing
             raise CollisionError(times[k], int(np.argmax(gaps <= 0))) from None
         A[k, order] = acc
@@ -677,7 +689,7 @@ def _oracle_ring(sc: Scenario) -> PlatoonResult:
         lead_spd[0] = v[-1]
         gaps = lead_pos - x
         try:
-            acc = acc_acceleration(gaps, v, lead_spd, p, sc.eps_v)
+            acc = acc_acceleration(gaps, v, lead_spd, p)
         except ValueError:  # raised for a non-positive spacing
             raise CollisionError(times[k], int(np.argmax(gaps <= 0))) from None
         A[k] = acc
@@ -786,8 +798,8 @@ def test_ring_matches_per_run_loop(case):
 
 def test_ring_that_leaves_the_engaged_set_is_refused():
     # cruising just above v_f with gaps above s_c: the ring's modes do not apply
-    sc = Scenario(params=P, n_followers=6, leader=None, duration=5.0, topology="ring",
-                  initial_speeds=np.full(6, P.v_f + 0.1), eps_v=0.5)
+    sc = Scenario(params=dataclasses.replace(P, eps_v=0.5), n_followers=6, leader=None,
+                  duration=5.0, topology="ring", initial_speeds=np.full(6, P.v_f + 0.1))
     with pytest.raises(ValueError, match="leaves the engaged set"):
         simulate_platoon(sc)
 
@@ -817,15 +829,15 @@ def test_follower_returns_to_cruise_as_the_loop_does():
     # followers start engaged below v_f, settle into the cruise band (eps_v)
     # with gaps above s_c and cruise; the leader's braking at 20 s re-engages them
     prof = LeaderProfile(v0=P.v_f, phases=(Cruise(20.0), ConstAccel(4.0, -0.5), Cruise(None)))
-    sc = Scenario(params=P, n_followers=2, leader=prof, duration=40.0, initial_speeds=14.8,
-                  initial_gaps=(23.5, 24.0), eps_v=0.05)
+    sc = Scenario(params=dataclasses.replace(P, eps_v=0.05), n_followers=2, leader=prof,
+                  duration=40.0, initial_speeds=14.8, initial_gaps=(23.5, 24.0))
     got, want = simulate_platoon(sc).trajectories, _oracle_open(sc).trajectories
     for g, w in zip(got[1:], want[1:]):
         switches = [tr.t[np.flatnonzero(np.diff(tr.a == 0)) + 1] for tr in (g, w)]
         assert len(switches[0]) == len(switches[1]) == 2  # engaged -> cruise -> engaged
         assert np.max(np.abs(switches[0] - switches[1])) < 0.05
         cruise = g.a == 0
-        assert np.ptp(g.v[cruise]) == 0.0 and abs(g.v[cruise][0] - P.v_f) <= sc.eps_v
+        assert np.ptp(g.v[cruise]) == 0.0 and abs(g.v[cruise][0] - P.v_f) <= sc.params.eps_v
 
 
 def _rk4(A, z0, u, h, steps=2000):

@@ -1,5 +1,8 @@
 """Regime logic, eigenstructure, and degeneracy indicators."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +53,12 @@ def test_params_reject_non_finite(field, value):
         ControlParams(**{field: value})
 
 
+@pytest.mark.parametrize("eps_v", [-1e-9, -1.0, math.nan])
+def test_params_refuse_a_negative_or_nan_cruise_band(eps_v):
+    with pytest.raises(ValueError, match="eps_v must be non-negative"):
+        ControlParams(eps_v=eps_v)
+
+
 def test_state_requires_positive_density():
     with pytest.raises(ValueError):
         TrafficState(rho=0.0, v=5.0)
@@ -71,7 +80,7 @@ def test_regime_boundary_density_is_congested():
 
 def test_regime_eps_v_widens_the_cruise_band():
     assert engaged(2.0 * P.s_c, P.v_f - 0.05, P)
-    assert not engaged(2.0 * P.s_c, P.v_f - 0.05, P, eps_v=0.1)
+    assert not engaged(2.0 * P.s_c, P.v_f - 0.05, dataclasses.replace(P, eps_v=0.1))
 
 
 @pytest.mark.parametrize("above", [False, True])

@@ -477,7 +477,7 @@ def test_terminator_against_euler_oracle():
     paths, oracle, windowed = [], [], []
     for t_o in np.arange(14.0, 24.0, 0.1):
         start = (t_o, float(lead.position_at(t_o)), float(lead.speed_at(t_o)))
-        paths.append(_trace(*start, platoon, 1, _Characteristic(params, 1e-9),
+        paths.append(_trace(*start, platoon, 1, _Characteristic(params),
                             PathKind.CHARACTERISTIC, overtaken))
         oracle.append(_euler_trace(*start, trajs, 1, rule, PathKind.CHARACTERISTIC, overtaken))
         windowed.append(_windowed_trace(*start, trajs, 1, rule, PathKind.CHARACTERISTIC, overtaken))
@@ -715,7 +715,7 @@ def _table_oracle_paths(trajs, params, paths, w_base, transition=None):
             rule, origin = _Constant(c_sh), (path.origin_t, path.origin_x, path.origin_v)
             first_target = [tr.vehicle_id for tr in trajs].index(first.vehicle_id) + 1
         else:
-            rule, term = _Characteristic(params, 1e-9), overtaken
+            rule, term = _Characteristic(params), overtaken
         out.append(table_trace(*origin, platoon, first_target, rule, path.kind, term))
     return out
 
@@ -840,9 +840,9 @@ def test_each_pair_table_is_built_once_per_platoon():
 def test_characteristic_tables_are_shared_across_origins(monkeypatch):
     evaluations = []
 
-    def counting(x_lead, v_lead, x_fol, v_fol, params, eps_v):
+    def counting(x_lead, v_lead, x_fol, v_fol, params):
         evaluations.append(np.ndim(x_fol))
-        return wave_speed(x_lead, v_lead, x_fol, v_fol, params, eps_v)
+        return wave_speed(x_lead, v_lead, x_fol, v_fol, params)
 
     wave_speed = tracker._wave_speed
     monkeypatch.setattr(tracker, "_wave_speed", counting)
@@ -857,4 +857,4 @@ def test_characteristic_tables_are_shared_across_origins(monkeypatch):
     for t_o in origins[:3]:
         trace_characteristic_path(t_o, trajs, P)
     assert evaluations.count(1) == 3 * (len(trajs) - 1)
-    assert _Characteristic(P, 1e-9) == _Characteristic(P, 1e-9) != _Constant(-4.0)
+    assert _Characteristic(P) == _Characteristic(P) != _Constant(-4.0)
