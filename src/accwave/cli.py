@@ -144,7 +144,7 @@ def _cmd_fft(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    r = run_ring_validation(args.case, **cfg.given("dt"), **_ring_kwargs(cfg))
+    r = run_ring_validation(args.case, **_ring_kwargs(cfg))
     out = _out_dir(cfg)
     dataio.write_field(os.path.join(out, f"validate_case{args.case}_micro.csv"), r.micro, cfg.full_precision)
     dataio.write_field(os.path.join(out, f"validate_case{args.case}_pde.csv"), r.pde, cfg.full_precision)
@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_fft)
 
     sp = sub.add_parser("validate", help="micro-vs-PDE ring comparison")
-    _add_common(sp, "dt", "duration")
+    _add_common(sp, "duration")
     sp.add_argument("--case", type=int, choices=(1, 2, 3), default=1)
     sp.add_argument("--cfl", type=float)
     sp.set_defaults(func=_cmd_validate)

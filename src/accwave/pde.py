@@ -16,12 +16,13 @@ and no rolled copies.  The Rusanov flux, the wave bound and a are each
 written once, on arrays, and write into a buffer when given one.
 
 Within `solve` a step allocates nothing: its ghost-cell array, its
-scratch arrays and the states it returns live in a `_StepWork` that
+scratch arrays and the state it returns live in a `_StepWork` that
 `solve` allocates once per solve, and every term is computed in place
-with `out=` ufuncs.  The returned states alternate between two buffers, so a
-state stays valid through the next step.  The flux average and the
-interface speed are carried doubled and share one scale 0.5 * (h / dx);
-halving is exact, so the arithmetic is the same to the bit.
+with `out=` ufuncs.  The flux average and the interface speed are
+carried doubled and share one scale 0.5 * (h / dx); halving is exact,
+so the arithmetic is the same to the bit.  `solve` caps the step before
+each output time so that the march lands on it, and records the state
+there.
 
 Also provides the piecewise-constant mapping from ring vehicle states
 (`ring_cells`) and ring trajectories (`micro_to_eulerian`) to Eulerian
@@ -152,10 +153,10 @@ class _StepWork:
     """Buffers of `step` on an n-cell grid, and the views of them it reads.
 
     The ghost-cell array, the per-column, interface and cell scratch
-    arrays, and two (2, n) state buffers that successive steps write in
-    turn.  Every slice the step takes (interior, wrap columns, left and
-    right interface sides) is made once here: making a view costs a good
-    part of a ufunc call on a grid of a few hundred cells.
+    arrays, and the (2, n) state buffer that each step writes.  Every
+    slice the step takes (interior, wrap columns, left and right interface
+    sides, state rows) is made once here: making a view costs a good part
+    of a ufunc call on a grid of a few hundred cells.
     """
 
     def __init__(self, n: int):
@@ -169,7 +170,8 @@ class _StepWork:
         self.dv = np.empty(n + 1)                # the jump of v
         self.donor = np.empty((2, n + 1))        # and the two upwind terms of v
         self.relax = np.empty(n)                 # per cell: the relaxation term
-        self.tmp = np.empty(n)                   # and its second buffer
+        self.tmp = np.empty(n)                   # and its second buffer,
+        self.state = np.empty((2, n))            # the new rho and v
 
         self.r, self.u = cells
         self.interior = cells[:, 1:-1]
@@ -183,10 +185,7 @@ class _StepWork:
         # cell i takes the positive part at its left interface (entry i)
         # and the negative part at its right one (entry i + 1)
         self.up_l, self.dn_r = self.up[:-1], self.dn[1:]
-        # the two state buffers with their rho and v rows; `turn` picks the one
-        # the next step writes
-        self.rows = tuple((state, state[0], state[1]) for state in np.empty((2, 2, n)))
-        self.turn = 0
+        self.rho_new, self.v_new = self.state
 
 
 def step(
@@ -224,11 +223,10 @@ def step(
 
     Buffers: every array the step computes lives in `work`, a `_StepWork`
     for this grid size, and is filled in place; without one the step
-    allocates its own.  The returned arrays are views of one of the two
-    state buffers of `work`, which successive calls write in turn: a
-    result stays valid through the next call with the same `work` and is
-    overwritten by the call after.  The inputs are read only through the
-    ghost-cell copy, so they may be the results of any earlier call.
+    allocates its own.  The returned arrays are views of the state buffer
+    of `work`, which the next call with the same `work` overwrites.  The
+    inputs are read only through the ghost-cell copy, so they may be the
+    results of the previous call.
     """
     if not 0.0 < cfl < 1.0:
         raise ValueError("cfl must lie in (0, 1)")
@@ -267,8 +265,7 @@ def step(
     np.multiply(w.donor, dv, out=w.donor)
     # both updates, scaled at once: rho - scale (flux_{i+1/2} - flux_{i-1/2})
     # and v* = v - scale (a_{i-1/2}^+ dv_{i-1/2} + a_{i+1/2}^- dv_{i+1/2})
-    state, rho_new, v_new = w.rows[w.turn]       # v_new holds v* until the relaxation
-    w.turn ^= 1
+    state, rho_new, v_new = w.state, w.rho_new, w.v_new   # v_new holds v* until the relaxation
     np.subtract(w.flux_r, w.flux_l, out=rho_new)
     np.add(w.up_l, w.dn_r, out=v_new)
     np.multiply(state, scale, out=state)
@@ -303,18 +300,13 @@ def solve(
     mass_source: SourceFn = None,
     momentum_source: SourceFn = None,
 ) -> EulerianField:
-    """March the scheme to t_end, sampling output at the requested times.
+    """March the scheme to t_end, recording the state at the requested times.
 
-    Each requested time is matched to its nearest completed step, the
-    later one on a tie and the final one for a time past t_end; each
-    matched step is recorded once, at its actual time, so the recorded
-    times strictly increase.  With no request list, the initial and final
-    states are kept.  The final step is clamped to land exactly on t_end.
-
-    One `_StepWork` serves every step, so the march allocates nothing
-    per step; its two state buffers alternate, which keeps the previous
-    step's state intact for nearest-step sampling while the next is
-    written.
+    The step before each requested time is capped to land on it exactly,
+    so the recorded times are the distinct requests, clipped to
+    [0, t_end], in increasing order; with no request list they are 0 and
+    t_end.  The march always ends at t_end.  One `_StepWork` serves every
+    step, so the march allocates nothing per step but the recorded copies.
     """
     rho = np.asarray(rho0, dtype=float).copy()
     v = np.asarray(v0, dtype=float).copy()
@@ -326,41 +318,29 @@ def solve(
         raise ValueError("initial density must be positive")
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
+    requests = [0.0, t_end] if output_times is None else [float(x) for x in output_times]
+    for x in requests:
+        if not math.isfinite(x):
+            raise ValueError(f"output times must be finite, got {x}")
+    stops = sorted({min(max(x, 0.0), t_end) for x in requests})
 
-    requests = [0.0, t_end] if output_times is None else sorted(float(x) for x in output_times)
+    t = 0.0
+    work = _StepWork(grid.n_x)
     rec_t: List[float] = []
     rec_rho: List[np.ndarray] = []
     rec_v: List[np.ndarray] = []
-
-    def record(t_step: float, rho_step: np.ndarray, v_step: np.ndarray) -> None:
-        if not rec_t or rec_t[-1] != t_step:  # a step nearest to several requests
-            rec_t.append(t_step)
-            rec_rho.append(rho_step.copy())
-            rec_v.append(v_step.copy())
-
-    t = 0.0
-    ptr = 0
-    while ptr < len(requests) and requests[ptr] <= t:
-        record(t, rho, v)
-        ptr += 1
-
-    work = _StepWork(grid.n_x)
-    while t < t_end - 1e-12:
-        prev_rho, prev_v, prev_t = rho, v, t
-        rho, v, h = step(
-            rho, v, grid, params, cfl, t=t, dt=t_end - t,
-            mass_source=mass_source, momentum_source=momentum_source, work=work,
-        )
-        t += h
-        # every request left in (prev_t, t] is nearest to one of these two steps
-        while ptr < len(requests) and requests[ptr] <= t:
-            if requests[ptr] - prev_t < t - requests[ptr]:
-                record(prev_t, prev_rho, prev_v)
-            else:
-                record(t, rho, v)
-            ptr += 1
-    if ptr < len(requests):
-        record(t, rho, v)
+    for k, stop in enumerate(stops + [t_end]):
+        while t < stop:
+            rho, v, h = step(
+                rho, v, grid, params, cfl, t=t, dt=stop - t,
+                mass_source=mass_source, momentum_source=momentum_source, work=work,
+            )
+            # when the cap binds, t + h may round to either side of the stop
+            t = stop if h == stop - t else t + h
+        if k < len(stops):
+            rec_t.append(t)
+            rec_rho.append(rho.copy())
+            rec_v.append(v.copy())
 
     return EulerianField(
         grid=grid,
@@ -414,9 +394,16 @@ def micro_to_eulerian(
     t,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """`ring_cells` of ring trajectories in platoon order at time t: a scalar
-    t gives (n_x,) arrays, an array of n_t times (n_t, n_x) arrays."""
+    t gives (n_x,) arrays, an array of n_t times (n_t, n_x) arrays.  Every
+    time must lie in the window that all trajectories cover."""
     times = np.asarray(t, dtype=float)
     flat = times.ravel()
+    lo = max(tr.t0 for tr in trajectories)
+    hi = min(tr.t_end for tr in trajectories)
+    outside = ~((flat >= lo) & (flat <= hi))     # also NaN
+    if outside.any():
+        raise ValueError(f"time {flat[outside][0]} lies outside the trajectories' "
+                         f"common window [{lo}, {hi}]")
     # (n_t, n): one interpolation per vehicle over all requested times
     x = np.stack([tr.position_at(flat) for tr in trajectories], axis=1)
     v = np.stack([tr.speed_at(flat) for tr in trajectories], axis=1)

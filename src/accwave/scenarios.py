@@ -270,11 +270,11 @@ class RingValidation:
 def solve_ring(case: int, n_vehicles: int = RING_N, duration: float = DURATION,
                n_cells: int = RING_CELLS, cfl: float = CFL,
                sample_every: float = RING_SAMPLE_EVERY, dx: Optional[float] = None) -> EulerianField:
-    """PDE field of one ring case over `duration`, recorded at the solver's
-    nearest completed steps to every `sample_every` seconds and solved,
-    without simulating, from the case's speed profile on the ring that the
-    time-headway manifold sizes (`ring_setup`), on `n_cells` cells (about
-    `dx` metres each, at least 4, when `dx` is given)."""
+    """PDE field of one ring case over `duration`, recorded every
+    `sample_every` seconds and solved, without simulating, from the case's
+    speed profile on the ring that the time-headway manifold sizes
+    (`ring_setup`), on `n_cells` cells (about `dx` metres each, at least 4,
+    when `dx` is given)."""
     checks = [("duration", duration), ("sample_every", sample_every)]
     if dx is not None:
         checks.append(("cell size dx", dx))
@@ -292,15 +292,18 @@ def solve_ring(case: int, n_vehicles: int = RING_N, duration: float = DURATION,
 
 
 def run_ring_validation(case: int, n_vehicles: int = RING_N, duration: float = DURATION,
-                        dt: float = DT, n_cells: int = RING_CELLS, cfl: float = CFL,
+                        n_cells: int = RING_CELLS, cfl: float = CFL,
                         sample_every: float = RING_SAMPLE_EVERY) -> RingValidation:
     """Micro-vs-PDE comparison for one ring case: the ring platoon simulated
-    over the whole `duration` and the PDE field of `solve_ring`.
+    over the whole `duration` at the step `DT` and the PDE field of
+    `solve_ring`.
 
-    The micro field is sampled on the solver's output times before
-    computing space-time RMSEs.
+    The micro field is mapped at the solver's output times before
+    computing space-time RMSEs.  The ring simulation is exact at its
+    samples, and at the default `sample_every` every output time is one of
+    them, so the micro field does not depend on the step.
     """
-    res = simulate_platoon(ring_scenario(case, n_vehicles, duration, dt))
+    res = simulate_platoon(ring_scenario(case, n_vehicles, duration))
     pde_field = solve_ring(case, n_vehicles, duration, n_cells, cfl, sample_every)
     grid = pde_field.grid
     rho_m, v_m = micro_to_eulerian(res.trajectories, res.ring_length, grid, pde_field.times)

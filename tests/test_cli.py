@@ -831,7 +831,7 @@ _SUBCOMMANDS = {  # subcommand -> its required arguments
 }
 # flags that set a config key, and the subcommands that read that key
 _FLAG_READERS = {
-    "--dt": {"simulate", "validate", "case", "empirical"},
+    "--dt": {"simulate", "case", "empirical"},
     "--duration": {"simulate", "pde", "validate", "case"},
     "--seed": {"empirical"},
 }

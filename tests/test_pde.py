@@ -211,30 +211,36 @@ def test_solve_rejects_non_finite_or_negative_end_time(t_end):
 def test_solve_records_requested_times():
     g, rho, v = _equilibrium_grid()
     field = solve(rho, v, g, P, t_end=2.0, output_times=[0.0, 1.0, 2.0])
-    assert len(field.times) == 3
-    assert field.times[0] == 0.0
-    # snapshots land on completed steps, within one CFL step of the request
-    assert abs(field.times[1] - 1.0) <= 0.19
-    assert field.times[2] == pytest.approx(2.0, abs=1e-12)
+    assert field.times.tolist() == [0.0, 1.0, 2.0]
     assert field.rho.shape == (3, g.n_x)
 
 
 @pytest.mark.parametrize("requests, want", [
-    ([0.2, 0.21], [0]),                   # both nearest the start
-    ([0.0, 0.0], [0]),
-    ([-1.0, 0.31, 0.3], [0, 1]),          # out of order
-    ("tie", [1]),                         # half a step: the later step
-    ([0.7, 0.9, 5.0], [1, 2]),            # past t_end: the final step
+    ([0.3, 0.0, 0.3, 0.03, 0.0], [0.0, 0.03, 0.3]),      # duplicates
+    ([0.7, 0.31, 0.1 + 0.2], [0.1 + 0.2, 0.31, 0.7]),    # out of order
+    ([0.2, -0.0, -1.0], [0.0, 0.2]),                     # below 0: at +0.0
+    ([0.9, 5.0, 1.0], [0.9, 1.0]),                       # past t_end: at t_end
 ])
-def test_solve_records_each_nearest_step_once_in_order(requests, want):
-    # at equilibrium on dx = 17 m every step is h = 0.5 * 17 / 13.8 = 0.616 s,
-    # and the last one is clamped to land on t_end = 1
+def test_solve_lands_on_each_requested_time(requests, want):
+    # at equilibrium on dx = 17 m an uncapped step is h = 0.5 * 17 / 13.8
+    # = 0.616 s, so each request here caps the step that lands on it; the
+    # march reaches 0.3 from 0.03 only by setting t to the request, as
+    # 0.03 + (0.3 - 0.03) rounds past it
     g = Grid(L_x=3400.0, n_x=200)
     rho, v = np.full(g.n_x, 1.0 / 17.0), np.full(g.n_x, 10.0)
-    h = step(rho, v, g, P)[2]
-    field = solve(rho, v, g, P, t_end=1.0, output_times=[0.5 * h] if requests == "tie" else requests)
-    assert field.times.tolist() == [(0.0, h, 1.0)[k] for k in want]
+    field = solve(rho, v, g, P, t_end=1.0, output_times=requests)
+    assert field.times.tolist() == want                  # bit for bit
+    assert [math.copysign(1.0, t) for t in field.times] == [1.0] * len(want)
     assert field.rho.shape == (len(want), g.n_x)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_solve_refuses_a_non_finite_output_time(bad):
+    # a NaN request broke the sort, so [0, nan, 1] on a 2 s solve recorded
+    # [0, 2] and dropped the 1; inf was recorded at t_end
+    g, rho, v = _equilibrium_grid()
+    with pytest.raises(ValueError, match=f"^output times must be finite, got {bad}$"):
+        solve(rho, v, g, P, t_end=2.0, output_times=[0.0, bad, 1.0])
 
 
 def test_field_validation():
@@ -375,19 +381,16 @@ def test_step_refuses_a_nan_density_before_and_after_the_update():
     assert info.value.cell == 11 and math.isnan(info.value.rho)
 
 
-def test_step_results_survive_the_next_call_with_the_same_work():
+def test_step_takes_inputs_that_live_where_its_result_goes():
+    # solve passes each step the previous result, a view of the buffer the
+    # step writes; the step must read it all before it writes
     g, rho0, v0, params = _ring_initial_field(3, 200)
     w = _StepWork(g.n_x)
     rho1, v1, _ = step(rho0, v0, g, params, work=w)
-    kept = rho1.copy(), v1.copy()
+    want = _oracle_step(rho1.copy(), v1.copy(), g, params)
     rho2, v2, _ = step(rho1, v1, g, params, work=w)
-    assert np.array_equal(rho1, kept[0]) and np.array_equal(v1, kept[1])
-    assert not np.shares_memory(rho1, rho2) and not np.shares_memory(v1, v2)
-    # both match the oracle, also when the inputs live where the result goes
-    want = _oracle_step(rho1, v1, g, params)
+    assert np.shares_memory(rho1, rho2) and np.shares_memory(v1, v2)
     assert np.array_equal(rho2, want[0]) and np.array_equal(v2, want[1])
-    rho3, v3, _ = step(rho1, v1, g, params, work=w)   # writes where rho1 lives
-    assert np.array_equal(rho3, want[0]) and np.array_equal(v3, want[1])
 
 
 def test_step_refuses_work_for_another_grid():
@@ -398,28 +401,22 @@ def test_step_refuses_work_for_another_grid():
 
 def _oracle_solve(rho, v, grid, params, t_end, output_times, mass_source=None,
                   momentum_source=None):
-    """Reference for `solve`: a loop of `_oracle_step` that keeps a copy of
-    every state, then picks each request's nearest step by index (the
-    later one on a tie), once.  Also returns how many requests took the
-    step before the first one at or past them."""
-    states = [(0.0, rho, v)]
+    """Reference for `solve`: a loop of `_oracle_step` capped at each
+    request, clipped to [0, t_end], in increasing order, and then at t_end;
+    it keeps the state and time where each request's march ends, once."""
+    wanted = [0.0, t_end] if output_times is None else sorted(np.clip(output_times, 0.0, t_end))
+    times, rhos, vs = [], [], []
     t = 0.0
-    while t < t_end - 1e-12:
-        rho, v, h = _oracle_step(rho, v, grid, params, 0.5, t, t_end - t,
-                                 mass_source, momentum_source)
-        t += h
-        states.append((t, rho, v))
-    picks, n_prev, k = [], 0, 0
-    for req in ([0.0, t_end] if output_times is None else sorted(output_times)):
-        while k < len(states) - 1 and states[k][0] < req:
-            k += 1
-        j = k - 1 if k > 0 and req - states[k - 1][0] < states[k][0] - req else k
-        n_prev += j < k
-        if not picks or picks[-1] != j:
-            picks.append(j)
-    times = np.array([states[k][0] for k in picks])
-    return (times, np.array([states[k][1] for k in picks]),
-            np.array([states[k][2] for k in picks]), n_prev)
+    for k, stop in enumerate(wanted + [t_end]):
+        while t < stop:
+            rho, v, h = _oracle_step(rho, v, grid, params, 0.5, t, stop - t,
+                                     mass_source, momentum_source)
+            t = stop if h == stop - t else t + h
+        if k < len(wanted) and (not times or times[-1] != t):
+            times.append(t)
+            rhos.append(rho)
+            vs.append(v)
+    return np.array(times), np.array(rhos), np.array(vs)
 
 
 # (cells or None, dx or None, t_end): the default grid and the refined one
@@ -437,20 +434,19 @@ def _ring_resolution(case, name):
 @pytest.mark.parametrize("resolution", list(_RESOLUTIONS))
 @pytest.mark.parametrize("sources", [False, True])
 def test_solve_matches_a_loop_of_the_oracle_step_bit_for_bit(case, resolution, sources):
-    # solve reuses its buffers from step to step; a state it records from
-    # the step before the current one must not have been overwritten
+    # solve reuses its buffers from step to step and copies the state it
+    # records; the oracle step allocates every state it returns
     g, rho0, v0, params, t_end = _ring_resolution(case, resolution)
     mass, mom = _wavy_sources(g) if sources else (None, None)
-    # off the step grid, so some requests take the step before
+    # off the CFL step grid, and the last one short of t_end
     requests = list(np.arange(0.0, t_end, t_end / 17.0) + t_end / 41.0)
     for wanted in (requests, None):
         got = solve(rho0, v0, g, params, t_end, output_times=wanted,
                     mass_source=mass, momentum_source=mom)
-        times, rho, v, n_prev = _oracle_solve(rho0, v0, g, params, t_end, wanted, mass, mom)
-        assert np.array_equal(got.times, times)
+        times, rho, v = _oracle_solve(rho0, v0, g, params, t_end, wanted, mass, mom)
+        assert got.times.tolist() == times.tolist() == (wanted or [0.0, t_end])
         assert np.array_equal(got.rho, rho)
         assert np.array_equal(got.v, v)
-        assert n_prev > 0 or wanted is None
 
 
 @pytest.mark.parametrize("case", [1, 2, 3])
@@ -503,6 +499,16 @@ def test_micro_to_eulerian_validation():
         micro_to_eulerian(trajs[:1], 100.0, g, 0.0)
     with pytest.raises(ValueError):
         micro_to_eulerian(trajs, 120.0, g, 0.0)
+
+
+@pytest.mark.parametrize("t", [600.0, -0.5, math.nan, [0.0, 0.5, 1.5]])
+def test_micro_to_eulerian_refuses_a_time_outside_the_trajectories(t):
+    # np.interp clamps: t = 600 on a 6 s ring used to return the t = 6
+    # field, and a NaN time an all-NaN field
+    trajs = _ring_pair()                 # both sampled at t = 0 and 1
+    g = Grid(L_x=100.0, n_x=10)
+    with pytest.raises(ValueError, match=r"outside the trajectories' common window \[0.0, 1.0\]"):
+        micro_to_eulerian(trajs, 100.0, g, t)
 
 
 def _micro_to_eulerian_at(trajectories, ring_length, grid, t):
@@ -566,6 +572,21 @@ def test_solve_ring_starts_from_the_simulated_ring_at_t0_bit_for_bit(case):
     assert fld.times[0] == 0.0
     assert np.array_equal(fld.rho[0], rho)
     assert np.array_equal(fld.v[0], v)
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_validate_micro_field_does_not_depend_on_the_ring_step(case):
+    # every PDE output time is a sample of the ring at dt = 0.01, and the
+    # ring is exact at its samples, so a ring at dt = 0.001 maps to the
+    # same field to round-off
+    from accwave.scenarios import ring_scenario, run_ring_validation
+
+    r = run_ring_validation(case)
+    res = simulate_platoon(ring_scenario(case, dt=0.001))
+    rho, v = micro_to_eulerian(res.trajectories, res.ring_length, r.pde.grid, r.pde.times)
+    assert np.array_equal(r.micro.times, r.pde.times)
+    assert np.max(np.abs(r.micro.rho - rho)) <= 1e-11
+    assert np.max(np.abs(r.micro.v - v)) <= 1e-11
 
 
 # ---------------------------------------------------------------------------
