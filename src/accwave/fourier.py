@@ -19,7 +19,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .microsim import OscillationSpec
+from .microsim import OscillationSpec, leader_motion
 
 __all__ = ["fourier_decompose", "periodic_reconstruct"]
 
@@ -72,9 +72,6 @@ def periodic_reconstruct(speeds: np.ndarray, dt: float, spec: OscillationSpec) -
     gives the constant mean (RMSE = population standard deviation).
     """
     v = np.asarray(speeds, dtype=float)
-    t = np.arange(v.size) * dt
-    recon = np.full(v.size, spec.v_e)
-    for A, omega, phi in spec.modes:
-        recon = recon + A * omega * np.cos(omega * t + phi)
+    _, recon, _ = leader_motion(spec, np.arange(v.size) * dt)
     rmse = float(np.sqrt(np.mean((recon - v) ** 2)))
     return recon, rmse

@@ -2,8 +2,12 @@
 
 The lead vehicle follows exact closed-form kinematics (cruise segments,
 constant-acceleration segments, sinusoidal oscillation, or a recorded
-trajectory).  An engaged follower is a 2-state LTI system driven by the
-vehicle ahead of it,
+trajectory).  One rule evaluates a sum of sinusoidal modes,
+`leader_motion`: a profile's cruise phase is its case without modes, an
+oscillation phase its modes shifted to start where the phase does, and
+`waves` and `fourier` call it for the filtered follower modes, the wave
+speed and the FFT reconstruction.  An engaged follower is a 2-state LTI
+system driven by the vehicle ahead of it,
 
     z' = A z + e2 f(t),   A = [[0, 1], [-k_s, -(k_s*tau + k_v)]],
     f = k_s*x_lead + k_v*v_lead - k_s*L,
@@ -203,6 +207,9 @@ class Oscillate:
     duration: Optional[float]
     modes: Tuple[Tuple[float, float, float], ...]
 
+    def __post_init__(self) -> None:
+        OscillationSpec(0.0, self.modes)  # the same checks on each mode
+
 
 LeaderPhase = Union[Cruise, ConstAccel, Oscillate]
 
@@ -311,9 +318,10 @@ def leader_motion(spec: OscillationSpec, t) -> Tuple[np.ndarray, np.ndarray, np.
     a = np.zeros_like(t_arr)
     for A, om, phi in spec.modes:
         arg = om * t_arr + phi
-        x = x + A * np.sin(arg)
+        s = np.sin(arg)
+        x = x + A * s
         v = v + A * om * np.cos(arg)
-        a = a - A * om**2 * np.sin(arg)
+        a = a - A * om**2 * s
     return x, v, a
 
 
@@ -330,34 +338,21 @@ def _profile_motion(profile: LeaderProfile, t: np.ndarray) -> Tuple[np.ndarray, 
         else:
             mask = remaining & (t < t0 + ph.duration) if not last else remaining & (t <= t0 + ph.duration)
         dt_ph = t[mask] - t0
-        if isinstance(ph, Cruise):
-            x[mask] = x0 + v0 * dt_ph
-            v[mask] = v0
-            a[mask] = 0.0
-            end_v = v0
-            end_x = x0 + v0 * (ph.duration or 0.0)
-        elif isinstance(ph, ConstAccel):
+        if isinstance(ph, ConstAccel):
             x[mask] = x0 + v0 * dt_ph + 0.5 * ph.accel * dt_ph**2
             v[mask] = v0 + ph.accel * dt_ph
             a[mask] = ph.accel
             d = ph.duration or 0.0
             end_v = v0 + ph.accel * d
             end_x = x0 + v0 * d + 0.5 * ph.accel * d**2
-        elif isinstance(ph, Oscillate):
-            xs = x0 + v0 * dt_ph
-            vs = np.full_like(dt_ph, v0)
-            acc = np.zeros_like(dt_ph)
-            d = ph.duration or 0.0
-            end_x = x0 + v0 * d
-            end_v = v0
-            for A, om, phi in ph.modes:
-                arg = om * dt_ph + phi
-                xs = xs + A * (np.sin(arg) - math.sin(phi))
-                vs = vs + A * om * np.cos(arg)
-                acc = acc - A * om**2 * np.sin(arg)
-                end_x += A * (math.sin(om * d + phi) - math.sin(phi))
-                end_v += A * om * math.cos(om * d + phi)
-            x[mask], v[mask], a[mask] = xs, vs, acc
+        elif isinstance(ph, (Cruise, Oscillate)):
+            # a cruise is an oscillation without modes; x is shifted to start at x0
+            spec = OscillationSpec(v0, ph.modes if isinstance(ph, Oscillate) else ())
+            shift = x0 - float(leader_motion(spec, 0.0)[0])
+            xs, v[mask], a[mask] = leader_motion(spec, dt_ph)
+            x[mask] = shift + xs
+            end_x, end_v, _ = leader_motion(spec, ph.duration or 0.0)
+            end_x, end_v = shift + float(end_x), float(end_v)
         else:  # pragma: no cover
             raise TypeError(f"unknown phase {ph!r}")
         remaining = remaining & ~mask

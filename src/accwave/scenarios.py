@@ -271,10 +271,10 @@ def solve_ring(case: int, n_vehicles: int = RING_N, duration: float = DURATION,
                n_cells: int = RING_CELLS, cfl: float = CFL,
                sample_every: float = RING_SAMPLE_EVERY, dx: Optional[float] = None) -> EulerianField:
     """PDE field of one ring case over `duration`, recorded every
-    `sample_every` seconds and solved, without simulating, from the case's
-    speed profile on the ring that the time-headway manifold sizes
-    (`ring_setup`), on `n_cells` cells (about `dx` metres each, at least 4,
-    when `dx` is given)."""
+    `sample_every` seconds and at `duration`, and solved, without
+    simulating, from the case's speed profile on the ring that the
+    time-headway manifold sizes (`ring_setup`), on `n_cells` cells (about
+    `dx` metres each, at least 4, when `dx` is given)."""
     checks = [("duration", duration), ("sample_every", sample_every)]
     if dx is not None:
         checks.append(("cell size dx", dx))
@@ -288,6 +288,8 @@ def solve_ring(case: int, n_vehicles: int = RING_N, duration: float = DURATION,
     grid = Grid(ring_length, n_cells)
     (rho0,), (v0,) = ring_cells(positions[None], speeds[None], ring_length, grid)
     wanted = np.arange(0.0, duration + 1e-9, sample_every)
+    if duration - wanted[-1] > 1e-9:  # the end state, unless the last sample is it
+        wanted = np.append(wanted, duration)
     return solve(rho0, v0, grid, TABLE_PARAMS, duration, cfl=cfl, output_times=wanted)
 
 

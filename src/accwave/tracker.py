@@ -521,11 +521,11 @@ def trace_phase_transition(
             return x <= x_sh + c_sh * (t - t_sh)
 
         rule = _Characteristic(params)
-        t_o = math.ceil(t_complete / origin_spacing) * origin_spacing
-        while t_o < trajectories[0].t_end:
+        k = math.ceil(t_complete / origin_spacing)
+        while k * origin_spacing < trajectories[0].t_end:
             chars.append(_trace_from_lead(
-                t_o, trajectories, rule, PathKind.CHARACTERISTIC, terminator=overtaken))
-            t_o += origin_spacing
+                k * origin_spacing, trajectories, rule, PathKind.CHARACTERISTIC, terminator=overtaken))
+            k += 1
 
     return PhaseTransition(
         tuple(events), front, eng_path, shock_path, tuple(chars), c_sh, t_complete

@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .microsim import OscillationSpec, leader_motion
 from .model import ControlParams
 
 ArrayLike = Union[float, np.ndarray]
@@ -119,34 +120,32 @@ def string_stability_class(
 
 def follower_motion_closed_form(
     n: int,
-    spec: "OscillationSpec",
+    spec: OscillationSpec,
     params: ControlParams,
     t: ArrayLike,
 ) -> Tuple[ArrayLike, ArrayLike]:
     """Steady-state position and speed of follower n under leader modes.
 
     Each mode passes through the filter n times, so its amplitude scales
-    by |G|^n and its phase advances by n*angle(G):
+    by |G|^n and its phase advances by n*angle(G): follower n moves as
+    `leader_motion` of the filtered modes, n spacings x_e = tau*v_e + L
+    behind,
 
-        x_n = v_e t - n*x_e + sum_m A_m |G_m|^n sin(w_m t + phi_m + n psi_m)
+        x_n = v_e t + sum_m A_m |G_m|^n sin(w_m t + phi_m + n psi_m) - n*x_e
         v_n = v_e + sum_m A_m |G_m|^n w_m cos(...)
 
-    with x_e = tau*v_e + L.  n = 0 reproduces the leader exactly.
+    n = 0 is `leader_motion` itself, bit for bit.  Like it, t must be
+    non-negative.
     """
     if n < 0:
         raise ValueError("vehicle index must be non-negative")
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    x_e = params.desired_spacing(spec.v_e)
-    x = spec.v_e * t_arr - n * x_e
-    v = np.full_like(t_arr, spec.v_e)
+    filtered = []
     for A, om, phi in spec.modes:
         te = transfer_function(om, params)
-        arg = om * t_arr + phi + n * te.phase
-        gn = te.gain_mag**n
-        x = x + A * gn * np.sin(arg)
-        v = v + A * gn * om * np.cos(arg)
-    if scalar:
+        filtered.append((A * te.gain_mag**n, om, phi + n * te.phase))
+    x, v, _ = leader_motion(OscillationSpec(spec.v_e, tuple(filtered)), t)
+    x = x - n * params.desired_spacing(spec.v_e)
+    if np.ndim(t) == 0:
         return float(x), float(v)
     return x, v
 
@@ -166,16 +165,16 @@ class WaveSpeedClosedForm:
     modes: Tuple[Tuple[float, float, float, float], ...]  # (R, phi, omega, theta0)
 
     def evaluate(self, t: ArrayLike) -> ArrayLike:
-        t_arr = np.asarray(t, dtype=float)
-        w = np.full_like(t_arr, self.nominal)
-        for R, phi, om, theta0 in self.modes:
-            w = w + R * np.cos(om * t_arr + theta0 + phi)
-        return float(w) if t_arr.ndim == 0 else w
+        """W at times t >= 0: the speed of `leader_motion` with position
+        amplitudes R/omega."""
+        modes = tuple((R / om, om, theta0 + phi) for R, phi, om, theta0 in self.modes)
+        _, w, _ = leader_motion(OscillationSpec(self.nominal, modes), t)
+        return float(w) if np.ndim(t) == 0 else w
 
 
 def wave_speed_closed_form(
     n: int,
-    spec: "OscillationSpec",
+    spec: OscillationSpec,
     params: ControlParams,
 ) -> WaveSpeedClosedForm:
     """Closed form of W(t) = v_{n-1}(t) - k_v*(x_{n-1}(t) - x_n(t)).

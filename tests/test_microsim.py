@@ -192,6 +192,34 @@ def test_leader_profile_continuity():
     assert np.all(np.diff(lead.x) > 0)
 
 
+def test_cruise_phase_is_x0_plus_v0_tau_bit_for_bit():
+    t = np.arange(1001) * 0.01
+    prof = LeaderProfile(v0=12.5, phases=(ConstAccel(2.0, -1.0), Cruise(3.0), Cruise(None)))
+    x, v, a = _leader_arrays(prof, t)
+    x0, v0 = 0.0 + 12.5 * 2.0 + 0.5 * -1.0 * 2.0**2, 12.5 + -1.0 * 2.0
+    first, second = (t >= 2.0) & (t < 5.0), t >= 5.0
+    assert np.array_equal(x[first], x0 + v0 * (t[first] - 2.0))
+    assert np.array_equal(x[second], (x0 + v0 * 3.0) + v0 * (t[second] - 5.0))
+    assert np.all(v[t >= 2.0] == v0) and np.all(a[t >= 2.0] == 0.0)
+
+
+def test_open_ended_oscillate_phase_is_leader_motion_shifted_to_start_at_zero():
+    modes = ((3.0, 0.5, 0.25), (1.0, 1.3, -2.0))
+    t = np.arange(2001) * 0.01
+    got = _leader_arrays(LeaderProfile(v0=15.0, phases=(Oscillate(None, modes),)), t)
+    x, v, a = leader_motion(OscillationSpec(15.0, modes), t)
+    shift = sum(A * math.sin(phi) for A, _, phi in modes)
+    for g, want in zip(got, (x - shift, v, a)):
+        np.testing.assert_allclose(g, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", [(1.0, 0.0, 0.0), (1.0, -0.5, 0.0), (-1.0, 0.5, 0.0),
+                                  (math.nan, 0.5, 0.0), (1.0, math.nan, 0.0), (1.0, 0.5, math.nan)])
+def test_oscillate_phase_refuses_a_mode_that_oscillation_spec_refuses(mode):
+    with pytest.raises(ValueError, match="mode"):
+        Oscillate(None, ((3.0, 0.5, 0.25), mode))
+
+
 def test_leader_profile_only_last_phase_open_ended():
     with pytest.raises(ValueError):
         LeaderProfile(v0=10.0, phases=(Cruise(duration=None), Cruise(duration=1.0)))

@@ -574,6 +574,19 @@ def test_solve_ring_starts_from_the_simulated_ring_at_t0_bit_for_bit(case):
     assert np.array_equal(fld.v[0], v)
 
 
+def test_solve_ring_records_the_end_state_of_a_run_between_samples():
+    # the solver marches to the duration, so its end state is recorded too;
+    # a last sample within round-off of the end (3 * 0.7 against 2.1) is it
+    from accwave.scenarios import RING_N, run_ring_validation, solve_ring
+
+    assert solve_ring(1, RING_N, 0.3, 200, 0.5, 0.5).times.tolist() == [0.0, 0.3]
+    assert solve_ring(1, RING_N, 59.7, 200, 0.5, 0.5).times[-2:].tolist() == [59.5, 59.7]
+    assert solve_ring(1, RING_N, 2.1, 200, 0.5, 0.7).times.tolist() == [0.0, 0.7, 1.4, 3 * 0.7]
+    r = run_ring_validation(1, duration=0.3)
+    assert r.micro.times.tolist() == [0.0, 0.3]
+    assert r.rmse_v > 0 and r.rmse_rho > 0
+
+
 @pytest.mark.parametrize("case", [1, 2, 3])
 def test_validate_micro_field_does_not_depend_on_the_ring_step(case):
     # every PDE output time is a sample of the ring at dt = 0.01, and the

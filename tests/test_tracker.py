@@ -279,6 +279,16 @@ def test_phase_transition_composite():
     assert len(full) >= 10
 
 
+def test_phase_transition_origins_are_whole_multiples_of_the_spacing():
+    # k * spacing, as origin_grid builds its origins, not a running sum,
+    # which drifts at 0.1 (25.800000000000004 for 25.8)
+    trajs = _transition_trajectories()
+    pt = trace_phase_transition(trajs, P4, v_e=10.0, origin_spacing=0.1)
+    k0, n = math.ceil(pt.t_complete / 0.1), len(pt.characteristics)
+    assert [c.origin_t for c in pt.characteristics] == [k * 0.1 for k in range(k0, k0 + n)]
+    assert (k0 + n) * 0.1 >= trajs[0].t_end > (k0 + n - 1) * 0.1
+
+
 def test_phase_transition_without_engagement_is_empty():
     trajs = _cruise_platoon()  # starts congested: nothing to engage
     pt = trace_phase_transition(trajs, P, v_e=10.0)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from accwave.microsim import OscillationSpec
+from accwave.microsim import OscillationSpec, leader_motion
 from accwave.model import ControlParams
 from accwave.waves import (
     StabilityClass,
@@ -77,8 +77,14 @@ def test_follower_motion_reduces_to_leader_at_n0():
     x0, v0 = follower_motion_closed_form(0, spec, P, t)
     assert np.allclose(v0, 10.0 + 2.0 * OMEGA_1 * np.cos(OMEGA_1 * t + 0.3))
     assert np.allclose(x0, 10.0 * t + 2.0 * np.sin(OMEGA_1 * t + 0.3))
-    with pytest.raises(ValueError):
+    # bit for bit, as the docstring claims, and with its t >= 0 check
+    x, v, _ = leader_motion(spec, t)
+    assert np.array_equal(x0, x) and np.array_equal(v0, v)
+    assert follower_motion_closed_form(0, spec, P, 7.3) == tuple(float(y) for y in leader_motion(spec, 7.3)[:2])
+    with pytest.raises(ValueError, match="vehicle index"):
         follower_motion_closed_form(-1, spec, P, t)
+    with pytest.raises(ValueError, match="non-negative"):
+        follower_motion_closed_form(2, spec, P, -1.0)
 
 
 def test_follower_amplitude_scales_by_gain_power():
