@@ -31,7 +31,8 @@ and is propagated exactly rather than time-stepped:
 - **Ring: no time loop.**  About the uniform equilibrium the engaged
   ring is circulant; a DFT over vehicles splits it into independent
   complex 2x2 modes whose one-step maps are raised to every power by
-  doubling, block by block in time.
+  doubling, block by block in time, in checked steps of at most `DT`;
+  a ring's dt is its sample step, and only its samples are recorded.
 
 The state is kept as (column, step) histories of x, v and a, so every
 trajectory is a contiguous row; the recorded a is the ACC command
@@ -190,24 +191,40 @@ class CutIn:
 
 
 @dataclass(frozen=True)
-class Cruise:
+class _Phase:
+    """A leader phase of `duration` seconds, or open-ended (None)."""
+
     duration: Optional[float]
+
+    def __post_init__(self) -> None:
+        d = self.duration
+        if d is not None and not (math.isfinite(d) and d > 0):
+            raise ValueError(f"duration must be None or positive and finite, got {d}")
 
 
 @dataclass(frozen=True)
-class ConstAccel:
-    duration: Optional[float]
+class Cruise(_Phase):
+    pass
+
+
+@dataclass(frozen=True)
+class ConstAccel(_Phase):
     accel: float
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not math.isfinite(self.accel):
+            raise ValueError(f"accel must be finite, got {self.accel}")
+
 
 @dataclass(frozen=True)
-class Oscillate:
+class Oscillate(_Phase):
     """Oscillation about the phase-entry speed: v = v0 + sum A w cos(w t' + phi)."""
 
-    duration: Optional[float]
     modes: Tuple[Tuple[float, float, float], ...]
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         OscillationSpec(0.0, self.modes)  # the same checks on each mode
 
 
@@ -227,6 +244,8 @@ class LeaderProfile:
     phases: Tuple[LeaderPhase, ...]
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.v0):
+            raise ValueError(f"v0 must be finite, got {self.v0}")
         for ph in self.phases[:-1]:
             if ph.duration is None:
                 raise ValueError("only the last phase may be open-ended")
@@ -244,7 +263,8 @@ class Scenario:
     equilibrium manifold for `initial_speeds` unless `initial_gaps`
     overrides (free-flow approach scenarios use gaps above s_c).  For
     ring topology there is no external leader: `initial_speeds` lists
-    every vehicle and `leader` is ignored.
+    every one of the `n_followers` vehicles and `leader` is ignored; dt
+    is the ring's sample step, and the ring is checked at least every `DT`.
     """
 
     params: ControlParams
@@ -275,6 +295,9 @@ class Scenario:
             raise ValueError("open-road scenarios need a leader spec")
         if self.topology == "ring" and self.initial_speeds is None:
             raise ValueError("ring scenarios need explicit initial speeds")
+        if self.topology == "ring" and np.shape(self.initial_speeds) != (self.n_followers,):
+            raise ValueError(f"a ring's initial_speeds must list its {self.n_followers} vehicles, "
+                             f"got shape {np.shape(self.initial_speeds)}")
         if not isinstance(self.params, ControlParams):
             raise TypeError(f"params must be one ControlParams, got {type(self.params).__name__}")
         if self.topology == "ring" and self.cut_ins:
@@ -404,7 +427,7 @@ _TAYLOR_NORM = 0.5
 
 # Time blocks that keep every temporary small: one doubling scan of an
 # open-road follower covers at most _STEPS steps, the ring's modes go
-# _BLOCK samples at a time, and the acceleration record (all columns at
+# _BLOCK steps at a time, and the acceleration record (all columns at
 # once) takes blocks of about _CELLS columns x samples.
 _STEPS = 1024
 _BLOCK = 256
@@ -549,8 +572,8 @@ def simulate_platoon(scenario: Scenario) -> PlatoonResult:
     the ACC law whenever their local state is congested (spacing at or
     below s_c, or speed off v_f) and cruise otherwise.  Ring topology:
     every vehicle follows its predecessor with wrap-around gaps on a
-    ring of length sum(tau*v_i(0) + L); the ring must stay engaged
-    (ValueError otherwise).
+    ring of length sum(tau*v_i(0) + L), sampled every dt and checked at
+    least every `DT`; the ring must stay engaged (ValueError otherwise).
 
     Raises CollisionError if any spacing reaches zero.
     """
@@ -564,8 +587,8 @@ def simulate_platoon(scenario: Scenario) -> PlatoonResult:
         L_x, x0 = ring_setup(n, p, init_v)
         X, V, A = (np.empty((n + 1, n_steps + 1)) for _ in range(3))
         X[1:, 0], V[1:, 0] = x0, init_v
-        _propagate_ring(p, sc.dt, times, X, V, L_x)
-        _record_accelerations(sc, times, X, V, A, np.zeros(n + 1, dtype=int), ring=True)
+        _propagate_ring(p, sc.dt, X, V, L_x)
+        _record_accelerations(sc, times, X, V, A, np.zeros(n + 1, dtype=int))
         trajs = [
             Trajectory(vehicle_id=i, t=times, x=X[i + 1], v=V[i + 1], a=A[i + 1], dt=sc.dt)
             for i in range(n)
@@ -733,19 +756,22 @@ def _enter(x, v, xl, vl, m: int, h: float, p: ControlParams) -> None:
     x[m], v[m] = Phi[:, 0] * (x0 + v0 * s) + Phi[:, 1] * v0 + sum(c * psi for c, psi in zip(shifted, Psi))
 
 
-def _propagate_ring(p: ControlParams, h: float, times: np.ndarray, X: np.ndarray, V: np.ndarray,
-                    L_x: float) -> None:
-    """Fill a ring's histories from its step 0, with no loop over steps.
+def _propagate_ring(p: ControlParams, dt: float, X: np.ndarray, V: np.ndarray, L_x: float) -> None:
+    """Fill a ring's histories, one sample every dt, from its sample 0, with no loop over steps.
 
     About the uniform equilibrium (spacing L_x/n, speed (L_x/n - L)/tau)
     the engaged ring is linear and circulant, so a DFT over vehicles
     splits it into independent complex 2x2 modes z_m' = M_m z_m.  Their
-    one-step maps are raised to every power in a block by doubling, and
-    each time block is transformed back straight into the histories.
-    Column 0 is the lead of column 1: the last vehicle one ring length
-    ahead.
+    maps over the step h = dt/m, m = ceil(dt/DT), are raised to every
+    power in a block by doubling, and each time block is transformed
+    back.  Every step, from t = 0 on, is checked: a spacing <= 0 raises
+    CollisionError, and a vehicle outside the engaged set ValueError, as
+    the modes hold only while the ring is engaged.  Every m-th step is
+    kept as the next sample.  Column 0 is the lead of column 1: the last
+    vehicle one ring length ahead.
     """
-    n = X.shape[0] - 1
+    n, m = X.shape[0] - 1, math.ceil(dt / DT)
+    h, k_end = dt / m, (X.shape[1] - 1) * m
     s_bar = L_x / n
     v_bar = p.equilibrium_speed(s_bar)
     x_ref = -s_bar * np.arange(n)
@@ -762,11 +788,26 @@ def _propagate_ring(p: ControlParams, h: float, times: np.ndarray, X: np.ndarray
         e = min(2 * d, _BLOCK)
         powers[..., d:e] = _mul2(powers[..., d - 1:d], powers[..., :e - d])
         d *= 2
-    for k0 in range(1, len(times), _BLOCK):
-        k1 = min(k0 + _BLOCK, len(times))
-        zb = _mul2(powers[..., :k1 - k0], z[:, :, None])
-        X[1:, k0:k1] = np.fft.irfft(zb[0], n, axis=0) + x_ref[:, None] + v_bar * times[k0:k1]
-        V[1:, k0:k1] = np.fft.irfft(zb[1], n, axis=0) + v_bar
+    ks, x, v = np.zeros(1, dtype=int), X[1:, :1], V[1:, :1]  # step 0
+    while True:
+        gaps = np.concatenate((x[-1:] + L_x, x[:-1])) - x
+        bad = (gaps <= 0) | ~engaged(gaps, v, p)
+        if bad.any():
+            k = int(np.argmax(bad.any(axis=0)))
+            j = int(np.argmax(bad[:, k]))
+            if gaps[j, k] > 0:
+                raise ValueError(
+                    f"ring vehicle {j} leaves the engaged set at t={ks[k] * h:.3f} s; "
+                    "the exact ring propagator needs every vehicle engaged")
+            raise CollisionError(ks[k] * h, j)
+        kept = ks % m == 0
+        X[1:, ks[kept] // m], V[1:, ks[kept] // m] = x[:, kept], v[:, kept]
+        if ks[-1] == k_end:
+            break
+        ks = np.arange(ks[-1] + 1, min(ks[-1] + 1 + _BLOCK, k_end + 1))
+        zb = _mul2(powers[..., :len(ks)], z[:, :, None])
+        x = np.fft.irfft(zb[0], n, axis=0) + x_ref[:, None] + v_bar * (ks * h)
+        v = np.fft.irfft(zb[1], n, axis=0) + v_bar
         z = zb[..., -1]
     X[0], V[0] = X[n] + L_x, V[n]
 
@@ -778,15 +819,12 @@ def _record_accelerations(
     V: np.ndarray,
     A: np.ndarray,
     born: np.ndarray,
-    ring: bool = False,
 ) -> None:
     """Fill A with the ACC command on the sampled states, block by block in time.
 
     Column c is merged from step born[c] on and follows the nearest
     merged column ahead.  Raises CollisionError at the first sample with
-    a spacing <= 0, naming its first follower; on a ring, a sample
-    outside the engaged set raises ValueError, as the ring's modes hold
-    only while it is engaged.
+    a spacing <= 0, naming its first follower.
     """
     block = max(1, _CELLS // X.shape[0])
     bounds = sorted(set(born[born > 0].tolist()) | {0, len(times)})
@@ -798,15 +836,9 @@ def _record_accelerations(
             x, v = X[:, k0:k1], V[:, k0:k1]
             gaps = x[lead] - x[1:]
             bad = gaps <= 0
-            if ring:
-                bad |= ~engaged(gaps, v[1:], sc.params)
             if bad.any():
                 k = int(np.argmax(bad.any(axis=0)))
                 j = int(np.argmax(bad[:, k]))
-                if gaps[j, k] > 0:
-                    raise ValueError(
-                        f"ring vehicle {j} leaves the engaged set at t={times[k0 + k]:.3f} s; "
-                        "the exact ring propagator needs every vehicle engaged")
                 raise CollisionError(times[k0 + k], int(np.count_nonzero(merged[1:j + 1])))
             A[1:, k0:k1] = acc_acceleration(gaps, v[1:], v[lead], sc.params)
 

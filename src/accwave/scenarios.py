@@ -296,17 +296,21 @@ def solve_ring(case: int, n_vehicles: int = RING_N, duration: float = DURATION,
 def run_ring_validation(case: int, n_vehicles: int = RING_N, duration: float = DURATION,
                         n_cells: int = RING_CELLS, cfl: float = CFL,
                         sample_every: float = RING_SAMPLE_EVERY) -> RingValidation:
-    """Micro-vs-PDE comparison for one ring case: the ring platoon simulated
-    over the whole `duration` at the step `DT` and the PDE field of
-    `solve_ring`.
+    """Micro-vs-PDE comparison for one ring case: the PDE field of
+    `solve_ring` and the ring simulated over the whole `duration` with its
+    sample step as dt (`sample_every` when `duration` is a whole number of
+    samples, `DT` otherwise), checked at least every `DT`.
 
     The micro field is mapped at the solver's output times before
-    computing space-time RMSEs.  The ring simulation is exact at its
-    samples, and at the default `sample_every` every output time is one of
-    them, so the micro field does not depend on the step.
+    computing space-time RMSEs; each is a sample of the ring, where the
+    simulation is exact, so the micro field does not depend on the step.
     """
-    res = simulate_platoon(ring_scenario(case, n_vehicles, duration))
     pde_field = solve_ring(case, n_vehicles, duration, n_cells, cfl, sample_every)
+    try:
+        ring = ring_scenario(case, n_vehicles, duration, sample_every)
+    except ValueError:  # not a whole number of samples: `Scenario` says so
+        ring = ring_scenario(case, n_vehicles, duration)
+    res = simulate_platoon(ring)
     grid = pde_field.grid
     rho_m, v_m = micro_to_eulerian(res.trajectories, res.ring_length, grid, pde_field.times)
     micro_field = EulerianField(grid=grid, times=pde_field.times.copy(), rho=rho_m, v=v_m)

@@ -807,7 +807,7 @@ def test_pde_simulates_nothing_and_writes_the_validate_pde_field(tmp_path, monke
     assert main(["pde", "--case", "2", "--full-precision", "--out-dir", str(tmp_path)]) == 0
     assert steps == []
     assert main(["validate", "--case", "2", "--full-precision", "--out-dir", str(tmp_path)]) == 0
-    assert steps == [6000]
+    assert steps == [120]
     assert (tmp_path / "field_case2.csv").read_bytes() == (
         tmp_path / "validate_case2_pde.csv").read_bytes()
 

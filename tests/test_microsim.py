@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from typing import List
 
 import numpy as np
@@ -218,6 +219,22 @@ def test_open_ended_oscillate_phase_is_leader_motion_shifted_to_start_at_zero():
 def test_oscillate_phase_refuses_a_mode_that_oscillation_spec_refuses(mode):
     with pytest.raises(ValueError, match="mode"):
         Oscillate(None, ((3.0, 0.5, 0.25), mode))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: LeaderProfile(math.nan, (Cruise(None),)), "v0 must be finite, got nan"),
+    (lambda: LeaderProfile(math.inf, (Cruise(None),)), "v0 must be finite, got inf"),
+    (lambda: ConstAccel(None, math.nan), "accel must be finite, got nan"),
+    (lambda: ConstAccel(2.0, -math.inf), "accel must be finite, got -inf"),
+    (lambda: ConstAccel(-2.0, 0.0), "duration must be None or positive and finite, got -2.0"),
+    (lambda: Cruise(math.nan), "duration must be None or positive and finite, got nan"),
+    (lambda: Cruise(0.0), "duration must be None or positive and finite, got 0.0"),
+    (lambda: Oscillate(math.inf, ()), "duration must be None or positive and finite, got inf"),
+], ids=["v0-nan", "v0-inf", "accel-nan", "accel-inf", "duration-negative", "duration-nan",
+        "duration-zero", "oscillate-duration-inf"])
+def test_leader_profile_and_phases_refuse_numbers_that_are_not_finite(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_leader_profile_only_last_phase_open_ended():
@@ -832,6 +849,68 @@ def test_ring_that_leaves_the_engaged_set_is_refused():
         simulate_platoon(sc)
 
 
+def _ring(p: ControlParams, speeds, duration: float, dt: float) -> Scenario:
+    return Scenario(params=p, n_followers=len(speeds), leader=None, duration=duration, dt=dt,
+                    topology="ring", initial_speeds=speeds)
+
+
+def _ring_gaps(res: PlatoonResult) -> np.ndarray:
+    x = np.array([tr.x for tr in res.trajectories])
+    return np.vstack((x[-1:] + res.ring_length, x[:-1])) - x
+
+
+def test_ring_that_leaves_the_engaged_set_only_between_samples_is_refused():
+    # speeds cross the cruise band around v_f with gaps above s_c from 0.15
+    # to 0.17 s only; the ring's motion does not depend on the band, so the
+    # same ring with eps_v = 0 (never out of the engaged set) shows every
+    # sample at dt = 0.5 inside it
+    p = dataclasses.replace(P, eps_v=0.05)
+    speeds = P.v_f + 0.5 + 3.0 * np.sin(2 * np.pi * np.arange(6) / 6)
+    free = simulate_platoon(_ring(dataclasses.replace(p, eps_v=0.0), speeds, 2.0, 0.5))
+    assert np.all(engaged(_ring_gaps(free), np.array([tr.v for tr in free.trajectories]), p))
+    with pytest.raises(ValueError, match="leaves the engaged set") as coarse:
+        simulate_platoon(_ring(p, speeds, 2.0, 0.5))
+    with pytest.raises(ValueError, match="leaves the engaged set") as fine:
+        simulate_platoon(_ring(p, speeds, 2.0, 0.01))
+    assert str(coarse.value) == str(fine.value)
+    assert 0.0 < float(re.search(r"t=([0-9.]+) s", str(coarse.value)).group(1)) < 0.5
+
+
+def test_ring_that_collides_only_between_samples_is_refused():
+    # weak gains: two vehicles overlap from 9.55 to 9.94 s only.  Moving L
+    # 20 m out moves every gap 20 m and nothing else, so that ring shows
+    # every sample at dt = 1 with a positive gap
+    p = ControlParams(tau=0.6, k_s=0.4, k_v=0.5)
+    speeds = 8.0 + 6.25 * np.sin(2 * np.pi * np.arange(8) / 8)
+    far = simulate_platoon(_ring(dataclasses.replace(p, L=p.L + 20.0), speeds, 10.0, 1.0))
+    assert np.min(_ring_gaps(far)) > 20.0
+    with pytest.raises(CollisionError) as coarse:
+        simulate_platoon(_ring(p, speeds, 10.0, 1.0))
+    with pytest.raises(CollisionError) as fine:
+        simulate_platoon(_ring(p, speeds, 10.0, 0.01))
+    assert (coarse.value.t, coarse.value.follower_index) == (fine.value.t, fine.value.follower_index)
+    assert 9.0 < coarse.value.t < 10.0
+
+
+@pytest.mark.parametrize("dt, fine_dt, every", [(0.5, 0.01, 50), (0.015, 0.0075, 2)])
+def test_ring_above_the_check_step_keeps_every_step_of_the_ring_at_the_finer_step(dt, fine_dt, every):
+    # a ring steps at dt / ceil(dt / DT), here the finer dt, so its samples
+    # are the finer ring's, bit for bit
+    for case in (1, 2):
+        got = simulate_platoon(ring_scenario(case, dt=dt)).trajectories
+        want = simulate_platoon(ring_scenario(case, dt=fine_dt)).trajectories
+        for g, w in zip(got, want):
+            for field in ("t", "x", "v", "a"):
+                assert getattr(g, field).tobytes() == getattr(w, field)[::every].tobytes()
+
+
+@pytest.mark.parametrize("speeds, shape", [([10.0] * 8, "(8,)"), (10.0, "()")])
+def test_ring_scenario_refuses_speeds_that_are_not_one_per_vehicle(speeds, shape):
+    with pytest.raises(ValueError, match=re.escape(f"initial_speeds must list its 6 vehicles, got shape {shape}")):
+        Scenario(params=P, n_followers=6, leader=None, duration=5.0, topology="ring",
+                 initial_speeds=speeds)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     tau=st.floats(0.8, 1.6), k_s=st.floats(0.4, 1.5), k_v=st.floats(0.6, 2.0),
@@ -843,7 +922,8 @@ def test_engagement_inside_a_step_is_exact(tau, k_s, k_v, brake, cruise, margins
     # the sub-step root keeps the fourth order, so dt and dt/2 agree closely
     # (gains and braking within the calibrated range, where nobody collides)
     p = ControlParams(tau=tau, L=5.0, k_s=k_s, k_v=k_v, v_f=15.0)
-    prof = LeaderProfile(v0=p.v_f, phases=(Cruise(cruise), ConstAccel(4.0, -brake), Cruise(None)))
+    prof = LeaderProfile(v0=p.v_f, phases=((Cruise(cruise),) if cruise else ()) + (
+        ConstAccel(4.0, -brake), Cruise(None)))
     gaps = tuple(p.s_c + m for m in margins)
     sc = Scenario(params=p, n_followers=3, leader=prof, duration=20.0, dt=0.02,
                   initial_speeds=p.v_f, initial_gaps=gaps)

@@ -1,6 +1,7 @@
 """Tests for the finite-volume ring solver and the micro-to-Eulerian map."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -589,9 +590,9 @@ def test_solve_ring_records_the_end_state_of_a_run_between_samples():
 
 @pytest.mark.parametrize("case", [1, 2, 3])
 def test_validate_micro_field_does_not_depend_on_the_ring_step(case):
-    # every PDE output time is a sample of the ring at dt = 0.01, and the
-    # ring is exact at its samples, so a ring at dt = 0.001 maps to the
-    # same field to round-off
+    # every PDE output time is a sample of the ring at its sample step
+    # 0.5, and the ring is exact at its samples, so a ring at dt = 0.001
+    # maps to the same field to round-off
     from accwave.scenarios import ring_scenario, run_ring_validation
 
     r = run_ring_validation(case)
@@ -600,6 +601,21 @@ def test_validate_micro_field_does_not_depend_on_the_ring_step(case):
     assert np.array_equal(r.micro.times, r.pde.times)
     assert np.max(np.abs(r.micro.rho - rho)) <= 1e-11
     assert np.max(np.abs(r.micro.v - v)) <= 1e-11
+
+
+def test_ring_validation_records_only_its_samples():
+    # the ring is simulated at its 0.5 s sample step (121 samples of 40
+    # vehicles), not at the 0.01 s check step (6,001 samples, 5.9 MB)
+    from accwave.scenarios import run_ring_validation
+
+    run_ring_validation(1)
+    tracemalloc.start()
+    try:
+        run_ring_validation(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5e6
 
 
 # ---------------------------------------------------------------------------
