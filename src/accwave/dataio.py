@@ -12,19 +12,16 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import math
-import numbers
 import os
 import warnings
 from dataclasses import dataclass, fields
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-import yaml
 
 from .metrics import DeviationStats, Histogram
 from .microsim import DT_JITTER, Trajectory
-from .model import ControlParams
+from .model import ControlParams, _require
 from .pde import EulerianField
 from .tracker import WavePath
 from .waves import transfer_function
@@ -56,8 +53,8 @@ class ParamSample:
     k_v: float
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(f) and f > 0 for f in (self.tau, self.L, self.k_s, self.k_v)):
-            raise ValueError(f"draw fields must be positive and finite, got {self}")
+        for name in ("tau", "L", "k_s", "k_v"):
+            _require(getattr(self, name), name, positive=True)
 
 
 # printf spec of an exported real: 6 significant digits, or repr().  A real
@@ -345,8 +342,7 @@ def sample_params(draws: Sequence[ParamSample], count: int = 200, seed: int = 0)
     """Seeded uniform resampling with replacement from the provided draws."""
     if not draws:
         raise ValueError("cannot sample from an empty draw set")
-    if count < 1:
-        raise ValueError("count must be positive")
+    _require(count, "count", integer=True, positive=True)
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(draws), size=count)
     return [draws[int(i)] for i in idx]
@@ -418,12 +414,8 @@ _NULL_KEYS = ("dt", "origin_spacing", "baseline_speed", "draws_file", "leader_fi
 
 def _check_field(f, val) -> None:
     """Refuse a value that config field `f`'s annotation does not take, naming the key."""
-    if f.type == "Optional[int]" and (isinstance(val, bool) or not isinstance(val, numbers.Integral)):
-        raise ValueError(f"{f.name} must be an integer, got {val!r}")
-    if f.type == "Optional[float]" and (isinstance(val, bool) or not isinstance(val, numbers.Real)):
-        raise ValueError(f"{f.name} must be a number, got {val!r}")
-    if f.type == "Optional[float]" and not math.isfinite(val):
-        raise ValueError(f"{f.name} must be finite, got {val!r}")
+    if f.type in ("Optional[int]", "Optional[float]"):
+        _require(val, f.name, integer=f.type == "Optional[int]")
     if f.type == "Optional[str]" and not isinstance(val, str):
         raise ValueError(f"{f.name} must be a string, got {val!r}")
     if f.type == "bool" and not isinstance(val, bool):
@@ -454,6 +446,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 
 
 def load_config(path: str) -> ScenarioConfig:
+    import yaml  # only a --config run needs it
     with open(path) as fh:
         try:
             data = yaml.safe_load(fh)

@@ -20,6 +20,7 @@ from typing import Tuple
 import numpy as np
 
 from .microsim import OscillationSpec, leader_motion
+from .model import _require
 
 __all__ = ["fourier_decompose", "periodic_reconstruct"]
 
@@ -37,10 +38,8 @@ def fourier_decompose(speeds: np.ndarray, dt: float, K: int = N_MODES) -> Oscill
     v = np.asarray(speeds, dtype=float)
     if v.ndim != 1:
         raise ValueError("speed series must be one-dimensional")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if K < 0:
-        raise ValueError("K must be non-negative")
+    _require(dt, "dt", positive=True)
+    _require(K, "K", integer=True, nonnegative=True)
     n = v.size
     if n < 2 * K + 1:
         raise ValueError(f"series of length {n} supports at most K={(n - 1) // 2} modes")
@@ -72,6 +71,7 @@ def periodic_reconstruct(speeds: np.ndarray, dt: float, spec: OscillationSpec) -
     gives the constant mean (RMSE = population standard deviation).
     """
     v = np.asarray(speeds, dtype=float)
+    _require(dt, "dt", positive=True)
     _, recon, _ = leader_motion(spec, np.arange(v.size) * dt)
     rmse = float(np.sqrt(np.mean((recon - v) ** 2)))
     return recon, rmse

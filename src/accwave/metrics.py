@@ -15,6 +15,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from .model import _require
 from .pde import EulerianField
 from .tracker import WavePath
 
@@ -63,6 +64,7 @@ def summary_stats(devs: np.ndarray) -> DeviationStats:
     """Table-row statistics of |deviation|; quartiles by linear interpolation."""
     if len(devs) == 0:
         raise ValueError("cannot summarize an empty deviation set")
+    _require(devs, "deviations")
     a = np.abs(devs)
     q1, med, q3 = np.percentile(a, [25.0, 50.0, 75.0])
     return DeviationStats(
@@ -82,8 +84,7 @@ def histogram(devs: np.ndarray, bin_width: float = 0.1) -> Histogram:
     in a bin centered at 0 with density 1/width); the densities
     integrate to one.
     """
-    if bin_width <= 0:
-        raise ValueError("bin width must be positive")
+    _require(bin_width, "bin_width", positive=True)
     if len(devs) == 0:
         raise ValueError("cannot bin an empty deviation set")
     lo = int(np.round(np.min(devs) / bin_width))

@@ -50,7 +50,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .model import ControlParams, acc_acceleration, engaged
+from .model import ControlParams, _require, acc_acceleration, engaged
 
 __all__ = [
     "OscillationSpec",
@@ -86,15 +86,11 @@ class OscillationSpec:
     modes: Tuple[Tuple[float, float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.v_e):
-            raise ValueError(f"v_e must be finite, got {self.v_e}")
-        for A, om, phi in self.modes:
-            if not all(math.isfinite(f) for f in (A, om, phi)):
-                raise ValueError(f"mode fields must be finite, got {(A, om, phi)}")
-            if A < 0:
-                raise ValueError("mode amplitude must be non-negative")
-            if om <= 0:
-                raise ValueError("mode frequency must be positive")
+        _require(self.v_e, "v_e")
+        A, omega, phi = np.reshape(self.modes, (-1, 3)).T
+        _require(A, "mode amplitude", nonnegative=True)
+        _require(omega, "mode frequency", positive=True)
+        _require(phi, "mode phase")
 
 
 # Largest difference between a trajectory's sample steps and its dt [s].
@@ -104,7 +100,8 @@ DT = 0.01  # time step of a simulation that names none [s]
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled motion of one vehicle: every step of t is dt within DT_JITTER."""
+    """Uniformly sampled motion of one vehicle: every step of t is dt within
+    DT_JITTER, and x, v and a are finite samples on t."""
 
     vehicle_id: int
     t: np.ndarray
@@ -114,10 +111,17 @@ class Trajectory:
     dt: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.vehicle_id, (int, np.integer)) and -2**63 <= self.vehicle_id < 2**63):
-            raise ValueError(f"vehicle_id must be an integer in the int64 range, got {self.vehicle_id!r}")
+        vid = self.vehicle_id
+        if isinstance(vid, bool) or not (isinstance(vid, (int, np.integer)) and -2**63 <= vid < 2**63):
+            raise ValueError(f"vehicle_id must be an integer in the int64 range, got {vid!r}")
         if len(self.t) < 2:
             raise ValueError("trajectory needs at least two samples")
+        for name in ("t", "x", "v", "a"):
+            samples = getattr(self, name)
+            if np.shape(samples) != np.shape(self.t):
+                raise ValueError(f"{name} must have the shape {np.shape(self.t)} of t, got {np.shape(samples)}")
+            _require(samples, name)
+        _require(self.dt, "dt", positive=True)
         steps = np.diff(self.t)
         if np.any(steps <= 0):
             raise ValueError("sample times must be strictly increasing")
@@ -150,9 +154,10 @@ class Trajectory:
         t[i+1]; a guess that does not hold t (or none) is replaced by a
         binary search.  Inside an interval the value is np.interp's own
         formula, (y[i+1] - y[i])/(t[i+1] - t[i])*(t - t[i]) + y[i], and
-        y[i] when t is the sample t[i].  At or past the last sample, before
-        the first, and where the formula gives NaN (an infinite sample),
-        np.interp itself is called.
+        y[i] when t is the sample t[i]; on finite samples it is never NaN
+        (a difference that overflows gives inf, as np.interp does).  At or
+        past the last sample, and before the first, np.interp itself is
+        called.
         """
         ts, t, i = self.t, float(t), interval
         t_i = t_n = math.nan
@@ -168,10 +173,7 @@ class Trajectory:
             if t == t_i:
                 return x_i, v_i
             h, u = t_n - t_i, t - t_i
-            x = (xs.item(i + 1) - x_i) / h * u + x_i
-            v = (vs.item(i + 1) - v_i) / h * u + v_i
-            if x == x and v == v:
-                return x, v
+            return (xs.item(i + 1) - x_i) / h * u + x_i, (vs.item(i + 1) - v_i) / h * u + v_i
         return float(np.interp(t, ts, self.x)), float(np.interp(t, ts, self.v))
 
 
@@ -189,6 +191,11 @@ class CutIn:
     gap: float
     ahead_of: int
 
+    def __post_init__(self) -> None:
+        _require(self.time, "time")
+        _require(self.gap, "gap", positive=True)
+        _require(self.ahead_of, "ahead_of", integer=True)
+
 
 @dataclass(frozen=True)
 class _Phase:
@@ -197,9 +204,7 @@ class _Phase:
     duration: Optional[float]
 
     def __post_init__(self) -> None:
-        d = self.duration
-        if d is not None and not (math.isfinite(d) and d > 0):
-            raise ValueError(f"duration must be None or positive and finite, got {d}")
+        _require(self.duration, "duration", positive=True, optional=True)
 
 
 @dataclass(frozen=True)
@@ -213,8 +218,7 @@ class ConstAccel(_Phase):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not math.isfinite(self.accel):
-            raise ValueError(f"accel must be finite, got {self.accel}")
+        _require(self.accel, "accel")
 
 
 @dataclass(frozen=True)
@@ -244,8 +248,7 @@ class LeaderProfile:
     phases: Tuple[LeaderPhase, ...]
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.v0):
-            raise ValueError(f"v0 must be finite, got {self.v0}")
+        _require(self.v0, "v0")
         for ph in self.phases[:-1]:
             if ph.duration is None:
                 raise ValueError("only the last phase may be open-ended")
@@ -280,9 +283,11 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.topology not in ("open", "ring"):
             raise ValueError(f"unknown topology {self.topology!r}")
-        for name, value in (("duration", self.duration), ("dt", self.dt)):
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        for name in ("duration", "dt"):
+            _require(getattr(self, name), name, positive=True)
+        _require(self.n_followers, "n_followers", integer=True)
+        _require(self.initial_speeds, "initial_speeds", optional=True)
+        _require(self.initial_gaps, "initial_gaps", positive=True, optional=True)
         n_steps = round(self.duration / self.dt)
         if n_steps < 1 or abs(self.duration / self.dt - n_steps) > 1e-9 * n_steps:
             raise ValueError(
@@ -293,8 +298,6 @@ class Scenario:
             raise ValueError("a platoon needs at least two vehicles")
         if self.topology == "open" and self.leader is None:
             raise ValueError("open-road scenarios need a leader spec")
-        if self.topology == "ring" and self.initial_speeds is None:
-            raise ValueError("ring scenarios need explicit initial speeds")
         if self.topology == "ring" and np.shape(self.initial_speeds) != (self.n_followers,):
             raise ValueError(f"a ring's initial_speeds must list its {self.n_followers} vehicles, "
                              f"got shape {np.shape(self.initial_speeds)}")
@@ -334,8 +337,7 @@ class CollisionError(RuntimeError):
 def leader_motion(spec: OscillationSpec, t) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact leader position/speed/acceleration under an oscillation spec."""
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("time must be non-negative")
+    _require(t_arr, "time", nonnegative=True)
     x = spec.v_e * t_arr
     v = np.full_like(t_arr, spec.v_e)
     a = np.zeros_like(t_arr)
@@ -882,6 +884,7 @@ def gap_reach(lead: Trajectory, fol: Trajectory, level: float) -> Optional[float
     its switch (`_enter`).  None when the gap starts at or below `level`
     or never comes down to it.
     """
+    _require(level, "level")
     t_lo = max(lead.t0, fol.t0)
     n = int(math.floor((min(lead.t_end, fol.t_end) - t_lo) / fol.dt)) + 1
     tt = t_lo + np.arange(n) * fol.dt

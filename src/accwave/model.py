@@ -19,6 +19,8 @@ elementwise (broadcasting follows numpy rules).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Tuple, Union
 
@@ -39,6 +41,29 @@ __all__ = [
     "constant_gain",
     "density_gain",
 ]
+
+
+def _require(value, name: str, *, positive: bool = False, nonnegative: bool = False,
+             integer: bool = False, finite: bool = True, optional: bool = False) -> None:
+    """The one check of a number that enters the library, or of each element
+    of an array: it refuses a non-number (a bool too), NaN, +-inf unless not
+    `finite`, values <= 0 if `positive` or < 0 if `nonnegative`, and a
+    non-integer if `integer`; None passes if `optional`.  The ValueError reads
+    "<name> must be <rule>, got <value>", with an array's first refused value."""
+    if optional and value is None:
+        return
+    scalar = type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
+    v = value if scalar else np.asarray(value)
+    if not (scalar and isinstance(value, numbers.Integral) if integer else scalar or v.dtype.kind in "iuf"):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    ok = v > 0 if positive else v >= 0 if nonnegative else v == v   # each is False for NaN
+    if finite:
+        ok = ok & (abs(v) != math.inf)
+    if not (ok if scalar else ok.all()):
+        sign = "positive" if positive else "non-negative" if nonnegative else ""
+        rule = " and ".join(w for w in (sign, "finite" if finite and not integer else "") if w)
+        got = value if np.ndim(v) == 0 else v[~ok][0]
+        raise ValueError(f"{name} must be {'None or ' if optional else ''}{rule}, got {got}")
 
 
 @dataclass(frozen=True)
@@ -63,18 +88,10 @@ class ControlParams:
     eps_v: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not np.all(np.isfinite((self.tau, self.L, self.k_s, self.k_v, self.v_f))):
-            raise ValueError(f"parameters must be finite, got {self}")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.L <= 0:
-            raise ValueError(f"L must be positive, got {self.L}")
-        if self.v_f <= 0:
-            raise ValueError(f"v_f must be positive, got {self.v_f}")
-        if self.k_s < 0 or self.k_v < 0:
-            raise ValueError("gains k_s, k_v must be non-negative")
-        if not self.eps_v >= 0:  # also refuses NaN
-            raise ValueError(f"eps_v must be non-negative, got {self.eps_v}")
+        for name in ("tau", "L", "k_s", "k_v", "v_f"):    # the gains may be 0
+            _require(getattr(self, name), name, positive=not name.startswith("k_"), nonnegative=True)
+        # an infinite band is meaningful: the controller then engages on spacing alone
+        _require(self.eps_v, "eps_v", nonnegative=True, finite=False)
 
     @property
     def s_c(self) -> float:
@@ -104,16 +121,17 @@ class ControlParams:
 class TrafficState:
     """Macroscopic state (density, speed).
 
-    Speed may be any finite value: the linear oscillation cases can dip
-    below zero and the theory stays exact, so no v >= 0 check is applied.
+    Density is positive (non-vacuum).  Speed may be any finite value: the
+    linear oscillation cases can dip below zero and the theory stays exact,
+    so no v >= 0 check is applied.
     """
 
     rho: ArrayLike
     v: ArrayLike
 
     def __post_init__(self) -> None:
-        if np.any(np.asarray(self.rho) <= 0):
-            raise ValueError("density must be positive (non-vacuum)")
+        _require(self.rho, "rho", positive=True)
+        _require(self.v, "v")
 
     @property
     def s(self) -> ArrayLike:
@@ -210,8 +228,7 @@ def ptm_equivalent_kv(rho: ArrayLike, v: ArrayLike, V: ArrayLike, Vp: ArrayLike)
     """
     if np.any(np.asarray(V) == 0):
         raise ValueError("equilibrium speed V must be nonzero")
-    if np.any(np.asarray(rho) <= 0):
-        raise ValueError("density must be positive")
+    _require(rho, "density rho", positive=True)
     return -rho * (v + (rho * Vp / V) * v - V)
 
 

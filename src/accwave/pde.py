@@ -32,14 +32,12 @@ position up to its leader's, carrying rho = 1/spacing and its own speed.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import ControlParams
+from .model import ControlParams, _require
 from .microsim import Trajectory
 
 __all__ = [
@@ -65,10 +63,8 @@ class Grid:
     n_x: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.L_x) and self.L_x > 0):
-            raise ValueError(f"ring length must be positive and finite, got {self.L_x}")
-        if not isinstance(self.n_x, numbers.Integral):
-            raise ValueError(f"cell count must be an integer, got {self.n_x!r}")
+        _require(self.L_x, "ring length L_x", positive=True)
+        _require(self.n_x, "cell count n_x", integer=True)
         if self.n_x < 4:
             raise ValueError("need at least 4 cells")
 
@@ -204,7 +200,7 @@ def step(
     """One finite-volume step; returns (rho_new, v_new, dt_used).
 
     Stages: CFL time step from the global wave bound (unless `dt`, which
-    must be positive, caps it); conservative Rusanov mass update with periodic wrap; upwind
+    must be positive and finite, caps it); conservative Rusanov mass update with periodic wrap; upwind
     convective update of v with interface speed a_{i+1/2} = (a_i +
     a_{i+1})/2 and donor cell chosen by its sign; relaxation source
     using the updated density.  Optional source callbacks (x, t) ->
@@ -230,8 +226,7 @@ def step(
     """
     if not 0.0 < cfl < 1.0:
         raise ValueError("cfl must lie in (0, 1)")
-    if dt is not None and not dt > 0:  # also refuses NaN
-        raise ValueError(f"dt cap must be positive, got {dt}")
+    _require(dt, "dt cap", positive=True, optional=True)
     n, dx = grid.n_x, grid.dx
     w = _StepWork(n) if work is None else work
     if w.n != n:
@@ -312,16 +307,11 @@ def solve(
     v = np.asarray(v0, dtype=float).copy()
     if rho.shape != (grid.n_x,) or v.shape != rho.shape:
         raise ValueError("initial arrays must match the grid")
-    if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(v))):
-        raise ValueError("initial density and speed must be finite")
-    if np.any(rho <= 0):
-        raise ValueError("initial density must be positive")
-    if not (math.isfinite(t_end) and t_end >= 0):
-        raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
+    _require(rho, "initial density", positive=True)
+    _require(v, "initial speed")
+    _require(t_end, "t_end", nonnegative=True)
     requests = [0.0, t_end] if output_times is None else [float(x) for x in output_times]
-    for x in requests:
-        if not math.isfinite(x):
-            raise ValueError(f"output times must be finite, got {x}")
+    _require(requests, "output times")
     stops = sorted({min(max(x, 0.0), t_end) for x in requests})
 
     t = 0.0
@@ -366,6 +356,7 @@ def ring_cells(x: np.ndarray, v: np.ndarray, ring_length: float,
     n = x.shape[1]
     if n < 2:
         raise ValueError("need at least two vehicles")
+    _require(ring_length, "ring_length", positive=True)
     if abs(ring_length - grid.L_x) > 1e-9:
         raise ValueError("grid length must match the ring length")
     lead_x = np.roll(x, 1, axis=1)

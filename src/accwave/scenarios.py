@@ -38,7 +38,7 @@ from .microsim import (
     ring_setup,
     simulate_platoon,
 )
-from .model import ControlParams
+from .model import ControlParams, _require
 from .pde import CFL, Grid, EulerianField, micro_to_eulerian, ring_cells, solve
 from .tracker import (
     ORIGIN_SPACING,
@@ -139,11 +139,10 @@ def origin_grid(lead: Trajectory, warmup: float, end_margin: float,
                 spacing: float = ORIGIN_SPACING) -> np.ndarray:
     """Path origin times on the lead trajectory: every `spacing` seconds from
     `warmup` after its start up to `end_margin` before its end."""
-    if not (math.isfinite(spacing) and spacing > 0):
-        raise ValueError(f"origin spacing must be positive and finite, got {spacing}")
-    for name, value in (("warmup", warmup), ("end margin", end_margin)):
-        if not value >= 0:  # also refuses NaN
-            raise ValueError(f"{name} must be non-negative, got {value}")
+    _require(spacing, "origin spacing", positive=True)
+    # an infinite margin leaves no window, which the window check says
+    _require(warmup, "warmup", nonnegative=True, finite=False)
+    _require(end_margin, "end margin", nonnegative=True, finite=False)
     t0, t1 = lead.t0 + warmup, lead.t_end - end_margin
     if t1 <= t0:
         raise ValueError("empty origin window; lower the warmup or the end margin")
@@ -153,6 +152,7 @@ def origin_grid(lead: Trajectory, warmup: float, end_margin: float,
 def _baseline_paths(origins, trajectories, params: ControlParams, speed: Optional[float]):
     """Constant-speed paths from `origins`; the speed defaults to the
     congested kinematic-wave slope -L/tau of `params`."""
+    _require(speed, "baseline_speed", optional=True)
     w = lwr_baseline_speed(params) if speed is None else speed
     platoon = Platoon.of(trajectories)
     return [constant_speed_path(float(t), platoon, w) for t in origins]
@@ -275,12 +275,10 @@ def solve_ring(case: int, n_vehicles: int = RING_N, duration: float = DURATION,
     simulating, from the case's speed profile on the ring that the
     time-headway manifold sizes (`ring_setup`), on `n_cells` cells (about
     `dx` metres each, at least 4, when `dx` is given)."""
-    checks = [("duration", duration), ("sample_every", sample_every)]
+    _require(duration, "duration", positive=True)
+    _require(sample_every, "sample_every", positive=True)
     if dx is not None:
-        checks.append(("cell size dx", dx))
-    for name, value in checks:
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+        _require(dx, "cell size dx", positive=True)
     speeds = ring_initial_speeds(case, n_vehicles)
     ring_length, positions = ring_setup(n_vehicles, TABLE_PARAMS, speeds)
     if dx is not None:

@@ -47,7 +47,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import ControlParams, TrafficState, engaged
+from .model import ControlParams, TrafficState, _require, engaged
 from .microsim import (
     EngagementEvent,
     Trajectory,
@@ -487,8 +487,8 @@ def trace_phase_transition(
 
     A scenario that never transitions returns an empty composite.
     """
-    if not (math.isfinite(origin_spacing) and origin_spacing > 0):
-        raise ValueError(f"origin spacing must be positive and finite, got {origin_spacing}")
+    _require(origin_spacing, "origin spacing", positive=True)
+    _require(v_e, "v_e")
     trajectories = Platoon.of(trajectories)
     events = detect_engagement(trajectories, params)
     if not events:

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .microsim import OscillationSpec, leader_motion
-from .model import ControlParams
+from .model import ControlParams, _require
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -137,8 +137,7 @@ def follower_motion_closed_form(
     n = 0 is `leader_motion` itself, bit for bit.  Like it, t must be
     non-negative.
     """
-    if n < 0:
-        raise ValueError("vehicle index must be non-negative")
+    _require(n, "vehicle index n", integer=True, nonnegative=True)
     filtered = []
     for A, om, phi in spec.modes:
         te = transfer_function(om, params)
@@ -189,8 +188,7 @@ def wave_speed_closed_form(
     part is v_e - k_v*(tau*v_e + L).  For string-stable gains R shrinks
     geometrically with n and W approaches the nominal speed.
     """
-    if n < 1:
-        raise ValueError("pair index n must be >= 1 (wave from vehicle n-1 to n)")
+    _require(n, "pair index n (the wave from vehicle n-1 to n)", integer=True, positive=True)
     x_e = params.desired_spacing(spec.v_e)
     nominal = spec.v_e - params.k_v * x_e
     modes: List[Tuple[float, float, float, float]] = []
@@ -223,8 +221,7 @@ def wave_oscillation_period(
     """
     if len(omegas) == 0:
         raise ValueError("need at least one frequency")
-    if any(w <= 0 for w in omegas):
-        raise ValueError("frequencies must be positive")
+    _require(omegas, "frequencies", positive=True)
     base = omegas[0]
     qs: List[int] = []
     for w in omegas:

@@ -3,6 +3,9 @@ outside its own definition in the package or the benchmark, or restates a
 claim of the paper."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,3 +90,18 @@ def test_paper_claim_helpers_are_exported_and_have_no_caller():
     exported = {n for tree in MODULES.values() for n in _exports(tree)}
     assert PAPER_CLAIMS <= exported
     assert not PAPER_CLAIMS & _used_names()
+
+
+def test_only_the_cli_prints():
+    # the library reports through what it returns; the command line alone writes to the terminal
+    calls = [f"accwave/{module}.py:{node.lineno}" for module, tree in MODULES.items() if module != "cli"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"]
+    assert calls == []
+
+
+def test_the_cli_imports_yaml_only_to_read_a_config():
+    # `import yaml` lives in dataio.load_config: a run without --config never pays for it
+    code = "import sys, accwave.cli; sys.exit('yaml' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -577,13 +577,17 @@ def test_state_at_where_the_formula_is_not_np_interp():
     tr = Trajectory(vehicle_id=0, t=t, x=x, v=v, a=np.zeros_like(t), dt=0.5)
     for i, q in enumerate(t):
         assert _bits(*tr.state_at(q)) == _interp_bits(tr, q) == _bits(x[i], v[i])
-    # between two infinite samples the formula gives inf - inf = NaN, where
-    # np.interp gives the infinity
+    # an infinite sample, between two of which the formula gave inf - inf =
+    # NaN where np.interp gives the infinity, is refused at construction
     x_inf = np.array([0.0, 1.0, np.inf, np.inf, 2.0])
-    tr = Trajectory(vehicle_id=0, t=t, x=x_inf, v=v, a=np.zeros_like(t), dt=0.5)
-    for q in (1.0, 1.2, 1.5, 1.7):
+    with pytest.raises(ValueError, match="^x must be finite, got inf$"):
+        Trajectory(vehicle_id=0, t=t, x=x_inf, v=v, a=np.zeros_like(t), dt=0.5)
+    # finite samples whose difference overflows give inf, as np.interp does
+    x_big = np.array([0.0, -1.7e308, 1.7e308, -1.7e308, 2.0])
+    tr = Trajectory(vehicle_id=0, t=t, x=x_big, v=v, a=np.zeros_like(t), dt=0.5)
+    for q in (0.7, 1.0, 1.2, 1.5, 1.7):
         assert _bits(*tr.state_at(q)) == _interp_bits(tr, q)
-    assert tr.state_at(1.2)[0] == math.inf
+    assert tr.state_at(0.7)[0] == math.inf and tr.state_at(1.2)[0] == -math.inf
 
 
 def test_state_at_with_a_wrong_interval_guess_is_still_np_interp():

@@ -672,3 +672,47 @@ def test_manufactured_solution_error_shrinks_with_refinement():
         err_v = np.max(np.abs(field.v[-1] - v_star(x, t_f)))
         errs.append(err_rho / 0.01 + err_v / 0.5)
     assert errs[1] < errs[0] / 1.5
+
+
+# ---------------------------------------------------------------------------
+# grid error of validate's ring solve, against refined solves of the same ring
+# ---------------------------------------------------------------------------
+
+
+def _v_on_cells(field: EulerianField, n_cells: int) -> np.ndarray:
+    """v of a ring field averaged onto n_cells equal cells (a divisor of its own count)."""
+    n_t, n_x = field.v.shape
+    return field.v.reshape(n_t, n_cells, n_x // n_cells).mean(axis=2)
+
+
+def _rms(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.sqrt(np.mean((a - b) ** 2)))
+
+
+def test_ring_solve_self_converges_at_first_order():
+    # Case 1 on 200, 400, ..., 3,200 cells, each field's v averaged onto the
+    # 200 cells: successive fields differ by 0.0268, 0.0108, 0.0055 and 0.0028
+    # m/s, ratios 2.49, 1.95 and 2.00.  A first-order scheme halves that
+    # difference with dx, a ratio of 2; the band 1.6-3.0 keeps about 0.35 of
+    # margin below the lowest ratio and 0.5 above the highest, and fails a
+    # solve that stops converging (ratio near 1) or changes order (near 4).
+    from accwave.scenarios import solve_ring
+
+    fields = [_v_on_cells(solve_ring(1, n_cells=n), 200) for n in (200, 400, 800, 1600, 3200)]
+    diffs = [_rms(a, b) for a, b in zip(fields, fields[1:])]
+    ratios = [a / b for a, b in zip(diffs, diffs[1:])]
+    assert all(1.6 < r < 3.0 for r in ratios), (diffs, ratios)
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_ring_grid_error_is_a_small_share_of_the_validation_rmse(case):
+    # validate's RMSE_v holds the model's micro-vs-PDE mismatch and the grid
+    # error of its 200-cell solve.  Against the 1,600-cell field averaged onto
+    # the 200 cells, the 200-cell v differs by 0.039, 0.013 and 0.044 m/s in
+    # cases 1-3: 10.9 %, 9.9 % and 11.5 % of RMSE_v (0.356, 0.127, 0.381).
+    # The bound, 15 %, leaves about a third of margin over the largest share.
+    from accwave.scenarios import run_ring_validation, solve_ring
+
+    r = run_ring_validation(case)
+    fine = _v_on_cells(solve_ring(case, n_cells=1600), r.pde.grid.n_x)
+    assert _rms(r.pde.v, fine) < 0.15 * r.rmse_v
