@@ -3,9 +3,11 @@
 Every export is written by `_write_blocks`: a header row, then printf rows
 ending in CRLF, reals at 6 significant digits (full precision on request).
 Trajectory files use the flat schema `t,vehicle_id,x,v,a` sorted by
-(t, vehicle_id), and are read back, in any row order, by one np.loadtxt
-parse; wave-path files carry one row per crossing with the path origin
-marked by vehicle_id = -1.
+(t, vehicle_id).  They are written one window of sample times at a time,
+so the memory an export takes beyond its trajectories is set by the
+window, not by the length of the run, and read back, in any row order,
+by one np.loadtxt parse.  Wave-path files carry one row per crossing
+with the path origin marked by vehicle_id = -1.
 """
 
 from __future__ import annotations
@@ -82,30 +84,44 @@ def _write_blocks(path: str, header: str, blocks: Iterable[Tuple[str, list]]) ->
 # Trajectories
 # ---------------------------------------------------------------------------
 
-# rows of a trajectory export formatted and written at a time
-_BLOCK_ROWS = 4096
+# sample times of the longest trajectory in one window of a trajectory export
+_WINDOW_TIMES = 256
 
 
 def write_trajectories(
     path: str, trajectories: Sequence[Trajectory], full_precision: bool = False
 ) -> None:
-    """Flat trajectory export sorted by (t, vehicle_id)."""
-    cols = np.hstack([np.empty((5, 0))] + [
-        np.vstack((tr.t, np.zeros(len(tr.t)), tr.x, tr.v, tr.a))
-        for tr in trajectories])                       # rows t, (id slot), x, v, a
-    # ids stay int64: as floats, distinct ids above 2**53 would collapse
-    ids = np.repeat(np.array([tr.vehicle_id for tr in trajectories], dtype=np.int64),
-                    [len(tr.t) for tr in trajectories])
-    order = np.lexsort((ids, cols[0]))
+    """Flat trajectory export sorted by (t, vehicle_id).
+
+    Rows are formatted and written one window of sample times at a time, so
+    the memory taken beyond the trajectories is set by the window, not by
+    the length of the run.  The window edges are every `_WINDOW_TIMES`-th
+    time of the trajectory with the most samples; a window holds each
+    trajectory's samples from one edge up to the next, stacked in the order
+    given and stably sorted on (t, vehicle_id).  The windows split the time
+    axis, so the rows come out in the stable order of the whole table.
+    """
     real = _REAL_SPEC[full_precision]
     row = _row(real, "%d", real, real, real)
+    longest = max((tr.t for tr in trajectories), key=len, default=np.empty(0))
+    edges = np.r_[-np.inf, longest[_WINDOW_TIMES::_WINDOW_TIMES], np.inf]
+    # starts[k][i]: the first sample of trajectory i at or after edge k
+    starts = list(zip(*(tr.t.searchsorted(edges).tolist() for tr in trajectories)))
+    # ids stay int64: as floats, distinct ids above 2**53 would collapse
+    ids = np.array([tr.vehicle_id for tr in trajectories], dtype=np.int64)
 
     def blocks():
-        for i in range(0, order.size, _BLOCK_ROWS):
-            o = order[i:i + _BLOCK_ROWS]
-            values = cols[:, o].T.ravel().tolist()
-            values[1::5] = ids[o].tolist()
-            yield row * o.size, values
+        for los, his in zip(starts, starts[1:]):
+            spans = list(zip(trajectories, los, his))
+            counts = [hi - lo for hi, lo in zip(his, los)]
+            cols = np.empty((5, sum(counts)))                  # rows t, (id slot), x, v, a
+            for c, name in ((0, "t"), (2, "x"), (3, "v"), (4, "a")):
+                np.concatenate([getattr(tr, name)[lo:hi] for tr, lo, hi in spans], out=cols[c])
+            vid = np.repeat(ids, counts)
+            order = np.lexsort((vid, cols[0]))
+            values = cols[:, order].T.ravel().tolist()
+            values[1::5] = vid[order].tolist()
+            yield row * order.size, values
 
     _write_blocks(path, "t,vehicle_id,x,v,a", blocks())
 

@@ -229,12 +229,14 @@ RING_SAMPLE_EVERY = 0.5   # field recording interval [s]
 _RING_DV = 3.0   # speed amplitude of the ring profiles [m/s]
 
 
-def ring_initial_speeds(case: int, n: int = RING_N) -> np.ndarray:
+def ring_initial_speeds(case: int, n_vehicles: int = RING_N) -> np.ndarray:
     """Initial ring speed profiles mirroring the case structure.
 
     Case 1: one sinusoidal wave around the loop; Case 2: a localized
     slowdown (the cut-in analogue); Case 3: two superposed harmonics.
     """
+    _require(n_vehicles, "n_vehicles", integer=True)
+    n = n_vehicles
     i = np.arange(n)
     dv = _RING_DV
     if case == 1:

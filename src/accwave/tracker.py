@@ -17,7 +17,10 @@ depends on t only, so every path through that pair integrates the same
 speed: its pair table holds the speed on the follower's own samples
 (one array call) and its cumulative trapezoid, built the first time a
 path reaches the pair and reused by every later path under the same
-speed rule.  A path entering at (t_c, x_c) adds one trapezoid from t_c to
+speed rule.  When the pair's common window ends on a follower sample (a
+simulated platoon, or recorded vehicles on one clock), the table's knots
+borrow the follower's samples: they are a view of its times, not a copy.
+A path entering at (t_c, x_c) adds one trapezoid from t_c to
 the next sample and is then the table shifted by a constant; its
 crossing is the first root of path minus follower, linear between
 samples.  Its knot is found by array compares over windows of knots
@@ -191,7 +194,10 @@ class _PairTable(NamedTuple):
     """A speed rule integrated once over a pair's common window [t_lo, t_end].
 
     The knots are the follower's samples in [t_lo, t_end), from sample
-    `first` on, and t_end; `w` is the rule on the knots (the lead
+    `first` on, and t_end.  When t_end is a follower sample the knots are a
+    view of the follower's times (np.interp returns a sample at its own
+    time, so the follower's states there are its samples); otherwise they
+    are a copy with t_end appended.  `w` is the rule on the knots (the lead
     interpolated, the follower at its own samples), `c` its cumulative
     trapezoid from the first knot and `g = c - x_fol`.  A path entering at
     (t_c, x_c) is at c + offset on the knots after t_c and minus the
@@ -212,10 +218,14 @@ class _PairTable(NamedTuple):
 def _pair_table(lead: Trajectory, fol: Trajectory, rule: SpeedRule) -> _PairTable:
     t_lo, t_end = max(lead.t0, fol.t0), min(lead.t_end, fol.t_end)
     first = int(np.searchsorted(fol.t, t_lo))
-    inside = slice(first, int(np.searchsorted(fol.t, t_end)))
-    t = np.append(fol.t[inside], t_end)
-    x_fol = np.append(fol.x[inside], fol.position_at(t_end))
-    v_fol = np.append(fol.v[inside], fol.speed_at(t_end))
+    stop = int(np.searchsorted(fol.t, t_end))
+    if first <= stop < len(fol.t) and fol.t.item(stop) == t_end:
+        # views: np.interp returns the follower's sample at t_end
+        t, x_fol, v_fol = fol.t[first:stop + 1], fol.x[first:stop + 1], fol.v[first:stop + 1]
+    else:
+        t = np.append(fol.t[first:stop], t_end)
+        x_fol = np.append(fol.x[first:stop], fol.position_at(t_end))
+        v_fol = np.append(fol.v[first:stop], fol.speed_at(t_end))
     w = rule(lead.position_at(t), lead.speed_at(t), x_fol, v_fol)
     c = np.concatenate(([0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(t))))
     return _PairTable(t_lo, t_end, first, t, w, c, c - x_fol)
@@ -387,6 +397,7 @@ def constant_speed_path(
     w_const: float,
 ) -> WavePath:
     """Straight-line path of slope w_const from a point on the lead trajectory."""
+    _require(w_const, "w_const")
     return _trace_from_lead(origin_t, trajectories, _Constant(w_const), PathKind.CONSTANT_SPEED)
 
 

@@ -104,6 +104,7 @@ def string_stability_class(
     Marginal.  Stable means sup |G| < 1 - tol; Marginal |sup - 1| <= tol;
     Unstable otherwise.
     """
+    _require(tol, "tol", nonnegative=True)
     if omega_grid is None:
         omega_grid = np.logspace(-2, 2, 10_000)
     mags = np.abs(_gain(omega_grid, params))
@@ -222,6 +223,8 @@ def wave_oscillation_period(
     if len(omegas) == 0:
         raise ValueError("need at least one frequency")
     _require(omegas, "frequencies", positive=True)
+    _require(rel_tol, "rel_tol", nonnegative=True)
+    _require(max_denominator, "max_denominator", integer=True, positive=True)
     base = omegas[0]
     qs: List[int] = []
     for w in omegas:

@@ -12,11 +12,17 @@
 - `table_trace`, the pair-table tracer as it was before its crossings
   were computed in scalar arithmetic: the follower read by scalar
   np.interp, the crossing knot found by one compare over the whole rest
-  of the table.  The production tracer must equal it bit for bit.
+  of the table, on tables (`appended_pair_table`) that copy the
+  follower's samples and append the window end.  The production tracer
+  must equal it bit for bit.
 - `row_ingest`, the trajectory CSV reader as it was before every file
   went through one np.loadtxt parse: a csv.reader loop, one row at a
   time.  `dataio.ingest_trajectories` must give its result bit for bit
   and its message for a refused file.
+- `sorted_write_trajectories`, the trajectory CSV export as it was before
+  it was written one window of sample times at a time: the whole table
+  stacked and sorted on (t, vehicle_id), then written in blocks of
+  `_BLOCK_ROWS` rows.  `dataio.write_trajectories` must write its bytes.
 - `pooled_empirical`, the calibrated-draw sweep as it was before each
   draw's deviations were pooled as soon as it was traced: every draw's
   paths kept until the last draw, then pooled once by `Comparison.pool`.
@@ -32,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from accwave.dataio import _sampling, _trajectory_header
+from accwave.dataio import _REAL_SPEC, _row, _sampling, _trajectory_header, _write_blocks
 from accwave.microsim import Scenario, Trajectory, _step_maps, simulate_platoon
 from accwave.model import ControlParams
 from accwave.scenarios import _EMPIRICAL_WINDOW, Comparison, EmpiricalRun, origin_grid, trace_methods
@@ -43,7 +49,6 @@ from accwave.tracker import (
     SpeedRule,
     Terminator,
     WavePath,
-    _pair_table,
     _PairTable,
 )
 
@@ -182,6 +187,20 @@ def first_down_crossing(t, y, level: float) -> Optional[float]:
 # Pair-table tracer with scalar np.interp and a whole-table compare
 # ---------------------------------------------------------------------------
 
+def appended_pair_table(lead: Trajectory, fol: Trajectory, rule: SpeedRule) -> _PairTable:
+    """`tracker._pair_table` with its knots and follower states always copied
+    from the follower's samples, and the window end appended."""
+    t_lo, t_end = max(lead.t0, fol.t0), min(lead.t_end, fol.t_end)
+    first = int(np.searchsorted(fol.t, t_lo))
+    inside = slice(first, int(np.searchsorted(fol.t, t_end)))
+    t = np.append(fol.t[inside], t_end)
+    x_fol = np.append(fol.x[inside], fol.position_at(t_end))
+    v_fol = np.append(fol.v[inside], fol.speed_at(t_end))
+    w = rule(lead.position_at(t), lead.speed_at(t), x_fol, v_fol)
+    c = np.concatenate(([0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(t))))
+    return _PairTable(t_lo, t_end, first, t, w, c, c - x_fol)
+
+
 def table_pair_crossing(t_c: float, x_c: float, v_c: float, fol: Trajectory, tab: _PairTable,
                         rule: SpeedRule, terminator: Optional[Terminator]) -> Optional[float]:
     """Time at which a path entering a pair at (t_c, x_c), on the lead at
@@ -256,7 +275,7 @@ def table_trace(
         fol = platoon[idx]
         tab = tables.get(idx)
         if tab is None:
-            tab = tables[idx] = _pair_table(platoon[idx - 1], fol, rule)
+            tab = tables[idx] = appended_pair_table(platoon[idx - 1], fol, rule)
         t_x = table_pair_crossing(t, x, v, fol, tab, rule, terminator)
         if t_x is None:
             return WavePath(kind, origin_t, origin_x, origin_v, tuple(crossings), True)
@@ -317,6 +336,38 @@ def row_ingest(path: str) -> List[Trajectory]:
             raise ValueError(f"{path}: vehicle {vid} speeds give a non-finite acceleration")
         out.append(Trajectory(vehicle_id=vid, t=t, x=x, v=v, a=a, dt=dt))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Whole-table trajectory export
+# ---------------------------------------------------------------------------
+
+# rows of a trajectory export formatted and written at a time
+_BLOCK_ROWS = 4096
+
+
+def sorted_write_trajectories(
+    path: str, trajectories: Sequence[Trajectory], full_precision: bool = False
+) -> None:
+    """Flat trajectory export sorted by (t, vehicle_id)."""
+    cols = np.hstack([np.empty((5, 0))] + [
+        np.vstack((tr.t, np.zeros(len(tr.t)), tr.x, tr.v, tr.a))
+        for tr in trajectories])                       # rows t, (id slot), x, v, a
+    # ids stay int64: as floats, distinct ids above 2**53 would collapse
+    ids = np.repeat(np.array([tr.vehicle_id for tr in trajectories], dtype=np.int64),
+                    [len(tr.t) for tr in trajectories])
+    order = np.lexsort((ids, cols[0]))
+    real = _REAL_SPEC[full_precision]
+    row = _row(real, "%d", real, real, real)
+
+    def blocks():
+        for i in range(0, order.size, _BLOCK_ROWS):
+            o = order[i:i + _BLOCK_ROWS]
+            values = cols[:, o].T.ravel().tolist()
+            values[1::5] = ids[o].tolist()
+            yield row * o.size, values
+
+    _write_blocks(path, "t,vehicle_id,x,v,a", blocks())
 
 
 # ---------------------------------------------------------------------------

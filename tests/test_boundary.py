@@ -34,9 +34,9 @@ from accwave.microsim import (
 )
 from accwave.model import ControlParams, TrafficState, _require
 from accwave.pde import Grid, ring_cells
-from accwave.scenarios import trace_methods
-from accwave.tracker import trace_phase_transition
-from accwave.waves import wave_speed_closed_form
+from accwave.scenarios import ring_scenario, run_ring_validation, solve_ring, trace_methods
+from accwave.tracker import constant_speed_path, trace_phase_transition
+from accwave.waves import string_stability_class, wave_oscillation_period, wave_speed_closed_form
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "accwave"
 
@@ -217,6 +217,21 @@ def test_an_input_that_used_to_get_through_is_refused_by_name(build, message):
      "baseline_speed must be None or finite, got nan"),
     (lambda: wave_speed_closed_form(0, OscillationSpec(10.0), ControlParams()),
      "pair index n (the wave from vehicle n-1 to n) must be positive, got 0"),
+    (lambda: constant_speed_path(0.1, [_trajectory(x=_T + 30.0), _trajectory()], math.nan),
+     "w_const must be finite, got nan"),
+    (lambda: solve_ring(1, n_vehicles=math.nan), "n_vehicles must be an integer, got nan"),
+    (lambda: ring_scenario(2, n_vehicles=2.5), "n_vehicles must be an integer, got 2.5"),
+    (lambda: run_ring_validation(3, n_vehicles=True), "n_vehicles must be an integer, got True"),
+    (lambda: string_stability_class(ControlParams(), tol=math.nan),
+     "tol must be non-negative and finite, got nan"),
+    (lambda: string_stability_class(ControlParams(), tol=-1e-6),
+     "tol must be non-negative and finite, got -1e-06"),
+    (lambda: wave_oscillation_period([1.0, 2.0], rel_tol=math.nan),
+     "rel_tol must be non-negative and finite, got nan"),
+    (lambda: wave_oscillation_period([1.0, 2.0], max_denominator=2.5),
+     "max_denominator must be an integer, got 2.5"),
+    (lambda: wave_oscillation_period([1.0, 2.0], max_denominator=0),
+     "max_denominator must be positive, got 0"),
 ], ids=lambda x: x if isinstance(x, str) else "")
 def test_a_public_function_refuses_a_setting_it_cannot_use_by_name(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

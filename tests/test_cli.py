@@ -3,6 +3,7 @@
 import builtins
 import csv
 import dataclasses
+import functools
 import inspect
 import math
 import os
@@ -31,7 +32,7 @@ from accwave.dataio import (
     write_trajectories,
 )
 from accwave import scenarios
-from accwave.microsim import Cruise, LeaderProfile, Scenario, simulate_platoon
+from accwave.microsim import Cruise, CutIn, LeaderProfile, OscillationSpec, Scenario, simulate_platoon
 from accwave.model import ControlParams
 from accwave.pde import EulerianField, Grid
 import oracles
@@ -396,6 +397,110 @@ def test_write_trajectories_bytes_match_csv_writer_loop(tmp_path, full_precision
     assert got.read_bytes() == want.read_bytes()
 
 
+@functools.lru_cache(maxsize=None)
+def _export_platoon(case):
+    """Case 1-4 at the defaults, or a platoon of four cut-ins: vehicles born
+    mid-run, two of them in one step."""
+    if case != "four cut-ins":
+        return simulate_platoon(scenarios.case_scenario(case)).trajectories
+    cuts = (CutIn(time=12.0, gap=9.0, ahead_of=1), CutIn(time=5.0, gap=11.0, ahead_of=3),
+            CutIn(time=5.0, gap=10.0, ahead_of=3), CutIn(time=8.0, gap=4.0, ahead_of=4))
+    sc = Scenario(params=ControlParams(), n_followers=4, duration=25.0, cut_ins=cuts,
+                  leader=OscillationSpec(v_e=10.0, modes=((2.0, 0.16 * math.pi, 0.0),)))
+    return simulate_platoon(sc).trajectories
+
+
+def _assert_writes_the_whole_table_bytes(tmp_path, trajs, full_precision):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_trajectories(str(got), trajs, full_precision)
+    oracles.sorted_write_trajectories(str(want), trajs, full_precision)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("full_precision", [False, True])
+@pytest.mark.parametrize("case", [1, 2, 3, 4, "four cut-ins"])
+def test_windowed_trajectory_export_writes_the_whole_table_bytes(tmp_path, case, full_precision):
+    trajs = _export_platoon(case)
+    if case == "four cut-ins":
+        assert len({tr.t0 for tr in trajs}) == 4     # the leader's start and three merge times
+    _assert_writes_the_whole_table_bytes(tmp_path, trajs, full_precision)
+
+
+def _clock_trajectories():
+    """Trajectories on four clocks around a longest one of 1,000 samples every
+    0.25 s, whose every 256th time (64, 128, 192 s) is a window edge: a later
+    start, an earlier end, a coarser dt whose samples fall on the edges, and
+    one that starts later and ends after the longest.  Ids are out of order
+    and one repeats, so rows tie on (t, vehicle_id)."""
+    from accwave.microsim import Trajectory
+
+    rng = np.random.default_rng(8)
+    clocks = [(5, 0.0, 0.25, 1000), (2, 10.0, 0.25, 400), (9, 0.0, 0.25, 300),
+              (2, 1.0, 0.5, 450), (-4, 100.0, 1.0, 200)]
+    trajs = []
+    for vid, t0, dt, n in clocks:
+        t = t0 + dt * np.arange(n)
+        x, v, a = (rng.permuted(np.resize(_AWKWARD, n)) for _ in range(3))
+        trajs.append(Trajectory(vid, t, x, v, a, dt))
+    return trajs
+
+
+@pytest.mark.parametrize("full_precision", [False, True])
+def test_windowed_trajectory_export_on_different_clocks(tmp_path, full_precision):
+    trajs = _clock_trajectories()
+    edges = trajs[0].t[dataio._WINDOW_TIMES::dataio._WINDOW_TIMES]
+    assert edges.tolist() == [64.0, 128.0, 192.0]
+    # samples of other clocks on every edge, and times past the longest's end
+    assert np.isin(edges, trajs[3].t).all() and np.isin(edges[1:], trajs[4].t).all()
+    assert trajs[-1].t_end > trajs[0].t_end
+    _assert_writes_the_whole_table_bytes(tmp_path, trajs, full_precision)
+
+
+@pytest.mark.parametrize("full_precision", [False, True])
+@pytest.mark.parametrize("n", [0, 1])
+def test_windowed_trajectory_export_of_one_trajectory_or_none(tmp_path, n, full_precision):
+    trajs = _clock_trajectories()[:n]
+    _assert_writes_the_whole_table_bytes(tmp_path, trajs, full_precision)
+    if n == 0:
+        assert (tmp_path / "got.csv").read_bytes() == b"t,vehicle_id,x,v,a\r\n"
+
+
+def test_trajectory_export_windows_follow_the_longest_trajectory(tmp_path, monkeypatch):
+    # listed first, a 200-sample trajectory would set no edge of its own and
+    # leave the whole run to one window
+    trajs = _clock_trajectories()[::-1]
+    blocks, write_blocks = [], dataio._write_blocks
+
+    def recording(path, header, given):
+        blocks.extend(given)
+        write_blocks(path, header, blocks)
+
+    monkeypatch.setattr(dataio, "_write_blocks", recording)
+    write_trajectories(str(tmp_path / "t.csv"), trajs)
+    rows = [len(values) // 5 for _, values in blocks]
+    assert len(rows) == 4 and sum(rows) == sum(len(tr.t) for tr in trajs)
+    assert max(rows) <= dataio._WINDOW_TIMES * len(trajs)
+
+
+def _export_peak_bytes(trajs, path):
+    tracemalloc.start()
+    try:
+        write_trajectories(str(path), trajs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trajectory_export_peak_memory_does_not_grow_with_the_run_length(tmp_path):
+    # rows are formatted one window of sample times at a time; sorting the
+    # whole table first peaks at about 8x more for the 10x longer run
+    short, long = (simulate_platoon(scenarios.case_scenario(2, duration=d)).trajectories
+                   for d in (60.0, 600.0))
+    assert sum(len(tr.t) for tr in long) == 359_006
+    path = tmp_path / "t.csv"
+    assert _export_peak_bytes(long, path) < 1.5 * _export_peak_bytes(short, path)
+
+
 def _oracle_write_rows(path, header, rows):
     """Reference: the header and every row through one csv.writer."""
     with open(path, "w", newline="") as fh:
@@ -697,7 +802,7 @@ def test_example_config_shows_the_default_of_every_other_key():
         "cfl": [(s.solve_ring, "cfl"), (s.run_ring_validation, "cfl"), (pde.solve, "cfl"),
                 (pde.step, "cfl")],
         "sample_every": [(s.solve_ring, "sample_every"), (s.run_ring_validation, "sample_every")],
-        "ring_vehicles": [(s.ring_initial_speeds, "n"), (s.ring_scenario, "n_vehicles"),
+        "ring_vehicles": [(s.ring_initial_speeds, "n_vehicles"), (s.ring_scenario, "n_vehicles"),
                           (s.solve_ring, "n_vehicles"), (s.run_ring_validation, "n_vehicles")],
         "fft_modes": [(fourier.fourier_decompose, "K")],
         "n_draws": [(sample_params, "count")],

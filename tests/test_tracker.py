@@ -47,7 +47,7 @@ from accwave.tracker import (
     trace_characteristic_path,
     trace_phase_transition,
 )
-from oracles import first_down_crossing, table_trace
+from oracles import appended_pair_table, first_down_crossing, table_trace
 
 P = ControlParams()  # tau=1.2, L=5, k_s=0.8, k_v=1.4, v_f=15
 
@@ -845,6 +845,36 @@ def test_each_pair_table_is_built_once_per_platoon():
     assert spy.arrays == [len(tr.t) for tr in trajs[1:]]
     # the same paths as the public constant-speed path, which takes its own rule
     assert paths == [constant_speed_path(t_o, platoon, spy.w) for t_o in origins]
+
+
+def _assert_table_equals_the_appended_one(lead, fol, rule):
+    tab, ref = tracker._pair_table(lead, fol, rule), appended_pair_table(lead, fol, rule)
+    for got, want in zip(tab, ref):
+        assert np.asarray(got).dtype == np.asarray(want).dtype and np.array_equal(got, want)
+    return tab
+
+
+@pytest.mark.parametrize("lead_ends", ["with the follower", "on a follower sample"])
+def test_pair_table_knots_borrow_the_follower_samples_when_the_window_ends_on_one(lead_ends):
+    lead, fol = _cruise_platoon()[:2]
+    if lead_ends == "on a follower sample":
+        lead = Trajectory(lead.vehicle_id, lead.t[:1500], lead.x[:1500], lead.v[:1500],
+                          lead.a[:1500], lead.dt)
+    tab = _assert_table_equals_the_appended_one(lead, fol, _Characteristic(P))
+    assert tab.t[-1] == lead.t_end
+    assert np.shares_memory(tab.t, fol.t)
+
+
+def test_pair_table_knots_are_a_copy_when_the_lead_ends_between_follower_samples():
+    # a lead on a clock half a step off the follower's starts and ends
+    # between follower samples
+    fol = _const_speed_traj(1, 0.0, 10.0)
+    t = 0.005 + 0.01 * np.arange(1500)
+    lead = Trajectory(0, t, 30.0 + 10.0 * t, np.full_like(t, 10.0), np.zeros_like(t), 0.01)
+    tab = _assert_table_equals_the_appended_one(lead, fol, _Characteristic(P))
+    assert fol.t[tab.first - 1] < tab.t_lo < fol.t[tab.first]
+    assert tab.t[-1] == lead.t_end and lead.t_end not in fol.t
+    assert not np.shares_memory(tab.t, fol.t)
 
 
 def test_characteristic_tables_are_shared_across_origins(monkeypatch):
