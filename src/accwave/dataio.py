@@ -418,11 +418,6 @@ class ScenarioConfig:
         keys = (f.name for f in fields(ControlParams) if f.name in self.__dataclass_fields__)
         return ControlParams(**self.given(*keys))
 
-    def to_dict(self) -> dict:
-        """The set fields, as YAML keys (an unset field is an absent key)."""
-        modes = {} if self.modes is None else {"modes": [list(m) for m in self.modes]}
-        return {**self.given(*(f.name for f in fields(self))), **modes}
-
 
 # keys that YAML may set to null, which means what an absent key means
 _NULL_KEYS = ("dt", "origin_spacing", "baseline_speed", "draws_file", "leader_file", "out_dir")

@@ -36,10 +36,10 @@ and is propagated exactly rather than time-stepped:
 
 The state is kept as (column, step) histories of x, v and a, so every
 trajectory is a contiguous row; the recorded a is the ACC command
-(`model.acc_acceleration`) on the sampled states.  Column 0 leads
-column 1: the open road's leader, or on a ring the last vehicle one ring
-length ahead.  A cut-in is a column allocated up front, NaN until it
-merges.
+(`model.acc_acceleration`) on the sampled states, recorded where they are
+checked: the open road's segment by segment, the ring's at its kept steps.
+On the open road column 0 is the leader, and a cut-in is a column
+allocated up front, NaN until it merges; a ring's row i is vehicle i.
 """
 
 from __future__ import annotations
@@ -429,8 +429,8 @@ _TAYLOR_NORM = 0.5
 
 # Time blocks that keep every temporary small: one doubling scan of an
 # open-road follower covers at most _STEPS steps, the ring's modes go
-# _BLOCK steps at a time, and the acceleration record (all columns at
-# once) takes blocks of about _CELLS columns x samples.
+# _BLOCK steps at a time, and an open-road segment's acceleration record
+# (all columns at once) takes blocks of about _CELLS columns x samples.
 _STEPS = 1024
 _BLOCK = 256
 _CELLS = 1 << 14
@@ -587,14 +587,10 @@ def simulate_platoon(scenario: Scenario) -> PlatoonResult:
         init_v = np.asarray(sc.initial_speeds, dtype=float)
         n = len(init_v)
         L_x, x0 = ring_setup(n, p, init_v)
-        X, V, A = (np.empty((n + 1, n_steps + 1)) for _ in range(3))
-        X[1:, 0], V[1:, 0] = x0, init_v
-        _propagate_ring(p, sc.dt, X, V, L_x)
-        _record_accelerations(sc, times, X, V, A, np.zeros(n + 1, dtype=int))
-        trajs = [
-            Trajectory(vehicle_id=i, t=times, x=X[i + 1], v=V[i + 1], a=A[i + 1], dt=sc.dt)
-            for i in range(n)
-        ]
+        X, V, A = (np.empty((n, n_steps + 1)) for _ in range(3))
+        X[:, 0], V[:, 0] = x0, init_v
+        _propagate_ring(p, sc.dt, X, V, A, L_x)
+        trajs = [Trajectory(vehicle_id=i, t=times, x=X[i], v=V[i], a=A[i], dt=sc.dt) for i in range(n)]
         return PlatoonResult(trajectories=trajs, ring_length=L_x)
 
     lx, lv, la = _leader_arrays(sc.leader, times)
@@ -622,8 +618,6 @@ def simulate_platoon(scenario: Scenario) -> PlatoonResult:
         order.insert(c.ahead_of - 1, n_f + j)
     column = np.argsort(order) + 1
     born = [0] * n_f + cut_steps
-    born_col = np.zeros(len(order) + 1, dtype=int)
-    born_col[column] = born
 
     X, V, A = (np.empty((len(order) + 1, n_steps + 1)) for _ in range(3))
     X[0], V[0] = lx, lv
@@ -635,8 +629,7 @@ def simulate_platoon(scenario: Scenario) -> PlatoonResult:
             x = x - init_gaps[i]
         X[column[i], 0], V[column[i], 0] = x, init_v[i]
     merges = [(k, column[n_f + j], c.gap) for j, (c, k) in enumerate(zip(cut_ins, cut_steps))]
-    _propagate_open(sc, times, X, V, merges)
-    _record_accelerations(sc, times, X, V, A, born_col)
+    _propagate_open(sc, times, X, V, A, merges)
 
     trajs = [Trajectory(vehicle_id=0, t=times, x=lx, v=lv, a=la, dt=sc.dt)]
     for vid in order:
@@ -652,16 +645,18 @@ def _propagate_open(
     times: np.ndarray,
     X: np.ndarray,
     V: np.ndarray,
+    A: np.ndarray,
     merges: Sequence[Tuple[int, int, float]],
 ) -> None:
-    """Fill the open road's (column, step) x and v histories from step 0.
+    """Fill the open road's (column, step) x, v and a histories from step 0.
 
     Column 0 holds the leader.  Between merge steps every merged column
     follows a fixed lead, the nearest merged column ahead of it, so the
     columns are propagated front to rear, each against its lead's
-    finished samples.  `merges` lists (step, column, gap) in merge order:
-    at its step the column is placed `gap` behind the column ahead, at the
-    speed of the column behind, and joins the next segment.
+    finished samples, and then the segment's samples are recorded.
+    `merges` lists (step, column, gap) in merge order: at its step the
+    column is placed `gap` behind the column ahead, at the speed of the
+    column behind, and joins the next segment.
     """
     n_steps = len(times) - 1
     law = _Law.of(sc.params, sc.dt)
@@ -680,6 +675,7 @@ def _propagate_open(
         lead = _lead_columns(merged)
         for c in np.flatnonzero(merged[1:]) + 1:
             _follow(X[c], V[c], X[lead[c - 1]], V[lead[c - 1]], k_a, k_b, law)
+        _record_accelerations(sc.params, times, X, V, A, merged, lead, k_a, k_b if pending else n_steps + 1)
         k_a = k_b
 
 
@@ -758,7 +754,8 @@ def _enter(x, v, xl, vl, m: int, h: float, p: ControlParams) -> None:
     x[m], v[m] = Phi[:, 0] * (x0 + v0 * s) + Phi[:, 1] * v0 + sum(c * psi for c, psi in zip(shifted, Psi))
 
 
-def _propagate_ring(p: ControlParams, dt: float, X: np.ndarray, V: np.ndarray, L_x: float) -> None:
+def _propagate_ring(p: ControlParams, dt: float, X: np.ndarray, V: np.ndarray, A: np.ndarray,
+                    L_x: float) -> None:
     """Fill a ring's histories, one sample every dt, from its sample 0, with no loop over steps.
 
     About the uniform equilibrium (spacing L_x/n, speed (L_x/n - L)/tau)
@@ -769,15 +766,15 @@ def _propagate_ring(p: ControlParams, dt: float, X: np.ndarray, V: np.ndarray, L
     back.  Every step, from t = 0 on, is checked: a spacing <= 0 raises
     CollisionError, and a vehicle outside the engaged set ValueError, as
     the modes hold only while the ring is engaged.  Every m-th step is
-    kept as the next sample.  Column 0 is the lead of column 1: the last
-    vehicle one ring length ahead.
+    kept as the next sample, with its ACC command; vehicle 0's lead is the
+    last vehicle one ring length ahead.
     """
-    n, m = X.shape[0] - 1, math.ceil(dt / DT)
+    n, m = X.shape[0], math.ceil(dt / DT)
     h, k_end = dt / m, (X.shape[1] - 1) * m
     s_bar = L_x / n
     v_bar = p.equilibrium_speed(s_bar)
     x_ref = -s_bar * np.arange(n)
-    z = np.fft.rfft([X[1:, 0] - x_ref, V[1:, 0] - v_bar])  # (x, v) of modes 0..n/2
+    z = np.fft.rfft([X[:, 0] - x_ref, V[:, 0] - v_bar])  # (x, v) of modes 0..n/2
     shift = np.exp(-2j * np.pi * np.arange(z.shape[1]) / n) - 1.0  # the vehicle ahead, per mode
     M = np.zeros((z.shape[1], 2, 2), dtype=complex)
     M[:, 0, 1] = 1.0
@@ -790,7 +787,7 @@ def _propagate_ring(p: ControlParams, dt: float, X: np.ndarray, V: np.ndarray, L
         e = min(2 * d, _BLOCK)
         powers[..., d:e] = _mul2(powers[..., d - 1:d], powers[..., :e - d])
         d *= 2
-    ks, x, v = np.zeros(1, dtype=int), X[1:, :1], V[1:, :1]  # step 0
+    ks, x, v = np.zeros(1, dtype=int), X[:, :1], V[:, :1]  # step 0
     while True:
         gaps = np.concatenate((x[-1:] + L_x, x[:-1])) - x
         bad = (gaps <= 0) | ~engaged(gaps, v, p)
@@ -803,7 +800,9 @@ def _propagate_ring(p: ControlParams, dt: float, X: np.ndarray, V: np.ndarray, L
                     "the exact ring propagator needs every vehicle engaged")
             raise CollisionError(ks[k] * h, j)
         kept = ks % m == 0
-        X[1:, ks[kept] // m], V[1:, ks[kept] // m] = x[:, kept], v[:, kept]
+        x_k, v_k, cols = x[:, kept], v[:, kept], ks[kept] // m
+        X[:, cols], V[:, cols] = x_k, v_k
+        A[:, cols] = acc_acceleration(gaps[:, kept], v_k, np.concatenate((v_k[-1:], v_k[:-1])), p)
         if ks[-1] == k_end:
             break
         ks = np.arange(ks[-1] + 1, min(ks[-1] + 1 + _BLOCK, k_end + 1))
@@ -811,38 +810,28 @@ def _propagate_ring(p: ControlParams, dt: float, X: np.ndarray, V: np.ndarray, L
         x = np.fft.irfft(zb[0], n, axis=0) + x_ref[:, None] + v_bar * (ks * h)
         v = np.fft.irfft(zb[1], n, axis=0) + v_bar
         z = zb[..., -1]
-    X[0], V[0] = X[n] + L_x, V[n]
 
 
-def _record_accelerations(
-    sc: Scenario,
-    times: np.ndarray,
-    X: np.ndarray,
-    V: np.ndarray,
-    A: np.ndarray,
-    born: np.ndarray,
-) -> None:
-    """Fill A with the ACC command on the sampled states, block by block in time.
+def _record_accelerations(p: ControlParams, times: np.ndarray, X: np.ndarray, V: np.ndarray,
+                          A: np.ndarray, merged: np.ndarray, lead: np.ndarray, k_a: int, k_e: int) -> None:
+    """Fill A at one open-road segment's samples k_a..k_e-1 with the ACC
+    command on the sampled states, block by block in time.
 
-    Column c is merged from step born[c] on and follows the nearest
-    merged column ahead.  Raises CollisionError at the first sample with
-    a spacing <= 0, naming its first follower.
+    Column c follows column lead[c - 1]; an unmerged column is NaN.
+    Raises CollisionError at the first sample with a spacing <= 0, naming
+    its first follower in platoon order.
     """
     block = max(1, _CELLS // X.shape[0])
-    bounds = sorted(set(born[born > 0].tolist()) | {0, len(times)})
-    for k_a, k_e in zip(bounds, bounds[1:]):
-        merged = born <= k_a
-        lead = _lead_columns(merged)
-        for k0 in range(k_a, k_e, block):
-            k1 = min(k0 + block, k_e)
-            x, v = X[:, k0:k1], V[:, k0:k1]
-            gaps = x[lead] - x[1:]
-            bad = gaps <= 0
-            if bad.any():
-                k = int(np.argmax(bad.any(axis=0)))
-                j = int(np.argmax(bad[:, k]))
-                raise CollisionError(times[k0 + k], int(np.count_nonzero(merged[1:j + 1])))
-            A[1:, k0:k1] = acc_acceleration(gaps, v[1:], v[lead], sc.params)
+    for k0 in range(k_a, k_e, block):
+        k1 = min(k0 + block, k_e)
+        x, v = X[:, k0:k1], V[:, k0:k1]
+        gaps = x[lead] - x[1:]
+        bad = gaps <= 0
+        if bad.any():
+            k = int(np.argmax(bad.any(axis=0)))
+            j = int(np.argmax(bad[:, k]))
+            raise CollisionError(times[k0 + k], int(np.count_nonzero(merged[1:j + 1])))
+        A[1:, k0:k1] = acc_acceleration(gaps, v[1:], v[lead], p)
 
 
 def _lead_columns(merged: np.ndarray) -> np.ndarray:

@@ -177,8 +177,9 @@ def acc_acceleration(
     Returns k_s*(s - s*) + k_v*(v_lead - v) with s* = tau*v + L where the
     follower is engaged (see `engaged`), and 0 in cruise mode.
     """
-    if np.any(np.asarray(s) <= 0):
-        raise ValueError(f"spacing must be positive, got {s}")
+    refused = np.asarray(s)[np.asarray(s) <= 0]    # NaN passes: an unmerged cut-in
+    if refused.size:
+        raise ValueError(f"spacing must be positive, got {refused[0]}")
     raw = params.k_s * (s - params.desired_spacing(v)) + params.k_v * (v_lead - v)
     acc = np.where(engaged(s, v, params), raw, 0.0)
     return float(acc) if acc.ndim == 0 else acc

@@ -371,7 +371,8 @@ def ring_cells(x: np.ndarray, v: np.ndarray, ring_length: float,
     centers = grid.centers
     # owner of a center = vehicle with the largest wrapped position <= center,
     # wrapping to the topmost vehicle below the first one
-    idx = np.array([np.searchsorted(row, centers, side="right") for row in sorted_pos]) - 1
+    idx = np.array([np.searchsorted(row, centers, side="right") for row in sorted_pos],
+                   dtype=int).reshape(-1, centers.size) - 1
     idx[idx < 0] = n - 1
     owners = np.take_along_axis(order, idx, axis=1)
     rho = 1.0 / np.take_along_axis(gaps, owners, axis=1)

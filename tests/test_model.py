@@ -144,6 +144,15 @@ def test_acc_acceleration_cruise_mode_is_inert():
         acc_acceleration(0.0, 10.0, 10.0, P)
 
 
+def test_acc_acceleration_names_the_first_refused_spacing():
+    # the boundary contract's form, not numpy's truncated print of the array;
+    # a NaN spacing (an unmerged cut-in's column) passes and gives NaN
+    s = np.r_[np.ones(2000), math.nan, -1.0, 0.0]
+    with pytest.raises(ValueError, match=r"^spacing must be positive, got -1\.0$"):
+        acc_acceleration(s, 10.0, 10.0, P)
+    assert np.isnan(acc_acceleration(s[1999:2001], 10.0, 10.0, P)).tolist() == [False, True]
+
+
 def test_eigenstructure_hand_values():
     st_ = TrafficState(rho=0.05, v=10.0)
     eig = eigenstructure(st_, P.k_v)

@@ -550,6 +550,9 @@ def test_ring_cells_of_the_sampled_states_match_micro_to_eulerian():
     rho_b, v_b = micro_to_eulerian(trajs, 100.0, g, trajs[0].t)
     assert np.array_equal(rho_a, rho_b)
     assert np.array_equal(v_a, v_b)
+    # no times: empty fields, as solve(output_times=[]) gives
+    for rho_0, v_0 in (ring_cells(x[:0], v[:0], 100.0, g), micro_to_eulerian(trajs, 100.0, g, [])):
+        assert rho_0.shape == v_0.shape == (0, g.n_x)
 
 
 def test_ring_cells_validation():
