@@ -404,8 +404,9 @@ class ScenarioConfig:
     full_precision: bool = False
 
     def __post_init__(self) -> None:
-        for key, val in self.given(*(f.name for f in fields(self))).items():
-            _check_field(self.__dataclass_fields__[key], val)
+        for f in fields(self):  # None means unset, except in the bool flag
+            if getattr(self, f.name) is not None or f.type == "bool":
+                _check_field(f, getattr(self, f.name))
 
     def given(self, *keys: str, **renamed: str) -> dict:
         """The set fields among `keys`, and among `renamed`'s values (under

@@ -57,7 +57,8 @@ def deviation_set(paths: Sequence[WavePath]) -> np.ndarray:
     Paths with fewer than two points (origin plus at least one crossing)
     contribute nothing; an empty pool is legal.
     """
-    return np.array([b - a for p in paths for a, b in pairwise(p.speeds.tolist())], dtype=float)
+    return np.array([b - a for p in paths
+                     for a, b in pairwise([p.origin_v, *(c.v for c in p.crossings)])], dtype=float)
 
 
 def summary_stats(devs: np.ndarray) -> DeviationStats:
@@ -77,22 +78,23 @@ def summary_stats(devs: np.ndarray) -> DeviationStats:
     )
 
 
-def histogram(devs: np.ndarray, bin_width: float = 0.1) -> Histogram:
-    """Center-aligned density histogram of the signed deviations.
+def histogram(devs: np.ndarray) -> Histogram:
+    """Center-aligned density histogram of the signed deviations, in bins
+    0.1 m/s wide.
 
     Bin centers sit on multiples of the width (a lone zero value lands
     in a bin centered at 0 with density 1/width); the densities
     integrate to one.
     """
-    _require(bin_width, "bin_width", positive=True)
     if len(devs) == 0:
         raise ValueError("cannot bin an empty deviation set")
-    lo = int(np.round(np.min(devs) / bin_width))
-    hi = int(np.round(np.max(devs) / bin_width))
-    edges = (np.arange(lo, hi + 2) - 0.5) * bin_width
+    width = 0.1
+    lo = int(np.round(np.min(devs) / width))
+    hi = int(np.round(np.max(devs) / width))
+    edges = (np.arange(lo, hi + 2) - 0.5) * width
     density, _ = np.histogram(devs, bins=edges, density=True)
-    centers = np.arange(lo, hi + 1) * bin_width
-    return Histogram(bin_centers=centers, density=density, bin_width=bin_width)
+    centers = np.arange(lo, hi + 1) * width
+    return Histogram(bin_centers=centers, density=density, bin_width=width)
 
 
 def field_rmse(a: EulerianField, b: EulerianField, component: str = "v") -> float:

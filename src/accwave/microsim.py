@@ -183,8 +183,9 @@ class CutIn:
 
     The merging vehicle is placed `gap` metres behind the vehicle it now
     follows (i.e. it leaves `gap` to its new leader), cuts in directly
-    ahead of follower `ahead_of`, adopts that follower's current speed,
-    and runs the ACC law immediately.
+    ahead of the vehicle at position `ahead_of` behind the leader at the
+    merge (1..n_followers, counting earlier cut-ins), adopts that
+    vehicle's current speed, and runs the ACC law immediately.
     """
 
     time: float
@@ -261,13 +262,15 @@ LeaderSpec = Union[OscillationSpec, LeaderProfile, Trajectory]
 class Scenario:
     """One platoon experiment.
 
-    For open topology, `leader` drives the front of the platoon and
+    On the open road, `leader` drives the front of the platoon and
     `n_followers` ACC vehicles trail it.  Followers start on the
     equilibrium manifold for `initial_speeds` unless `initial_gaps`
-    overrides (free-flow approach scenarios use gaps above s_c).  For
-    ring topology there is no external leader: `initial_speeds` lists
-    every one of the `n_followers` vehicles and `leader` is ignored; dt
-    is the ring's sample step, and the ring is checked at least every `DT`.
+    overrides (free-flow approach scenarios use gaps above s_c); each is
+    one value or one per follower, and each cut-in merges strictly inside
+    the window.  A scenario without a leader is a ring: `initial_speeds`
+    lists all `n_followers` vehicles and sets their gaps (`ring_setup`),
+    and it takes no `initial_gaps` and no cut-ins; dt is the ring's sample
+    step, and the ring is checked at least every `DT`.
     """
 
     params: ControlParams
@@ -275,36 +278,39 @@ class Scenario:
     leader: Optional[LeaderSpec]
     duration: float
     dt: float = DT
-    topology: str = "open"
     cut_ins: Tuple[CutIn, ...] = ()
     initial_speeds: Union[float, Sequence[float], None] = None
     initial_gaps: Union[float, Sequence[float], None] = None
 
     def __post_init__(self) -> None:
-        if self.topology not in ("open", "ring"):
-            raise ValueError(f"unknown topology {self.topology!r}")
         for name in ("duration", "dt"):
             _require(getattr(self, name), name, positive=True)
         _require(self.n_followers, "n_followers", integer=True)
         _require(self.initial_speeds, "initial_speeds", optional=True)
         _require(self.initial_gaps, "initial_gaps", positive=True, optional=True)
-        n_steps = round(self.duration / self.dt)
+        n_steps, n, ring = round(self.duration / self.dt), self.n_followers, self.leader is None
         if n_steps < 1 or abs(self.duration / self.dt - n_steps) > 1e-9 * n_steps:
-            raise ValueError(
-                f"duration {self.duration} is not an integer multiple of dt {self.dt}"
-            )
-        n_total = self.n_followers + (1 if self.topology == "open" else 0)
-        if n_total < 2:
+            raise ValueError(f"duration {self.duration} is not an integer multiple of dt {self.dt}")
+        if n + (not ring) < 2:
             raise ValueError("a platoon needs at least two vehicles")
-        if self.topology == "open" and self.leader is None:
-            raise ValueError("open-road scenarios need a leader spec")
-        if self.topology == "ring" and np.shape(self.initial_speeds) != (self.n_followers,):
-            raise ValueError(f"a ring's initial_speeds must list its {self.n_followers} vehicles, "
-                             f"got shape {np.shape(self.initial_speeds)}")
         if not isinstance(self.params, ControlParams):
             raise TypeError(f"params must be one ControlParams, got {type(self.params).__name__}")
-        if self.topology == "ring" and self.cut_ins:
+        if ring and np.shape(self.initial_speeds) != (n,):
+            raise ValueError(f"a scenario without a leader is a ring; its initial_speeds must "
+                             f"list its {n} vehicles, got shape {np.shape(self.initial_speeds)}")
+        if ring and self.initial_gaps is not None:
+            raise ValueError("a ring takes no initial_gaps: its initial_speeds set its gaps")
+        if ring and self.cut_ins:
             raise ValueError("a ring takes no cut-ins")
+        for name in ("initial_speeds", "initial_gaps"):  # on the open road
+            if np.shape(getattr(self, name)) not in ((), (n,)):
+                raise ValueError(f"{name} must be one value or one per follower ({n}), "
+                                 f"got shape {np.shape(getattr(self, name))}")
+        for c in self.cut_ins:  # clamped first: a far time would overflow the rounding
+            if not (0 < round(min(max(c.time / self.dt, 0.0), n_steps)) < n_steps):
+                raise ValueError(f"cut-in time {c.time} outside the scenario window")
+            if not (1 <= c.ahead_of <= n):
+                raise ValueError(f"cut-in ahead_of must name a follower 1..{n}")
 
 
 @dataclass(frozen=True)
@@ -570,12 +576,14 @@ def _first_root(q: Sequence[float], h: float) -> float:
 def simulate_platoon(scenario: Scenario) -> PlatoonResult:
     """Propagate a platoon scenario exactly and return per-vehicle trajectories.
 
-    Open topology: vehicle 0 is the formula-driven leader; followers run
+    Open road: vehicle 0 is the formula-driven leader; followers run
     the ACC law whenever their local state is congested (spacing at or
-    below s_c, or speed off v_f) and cruise otherwise.  Ring topology:
-    every vehicle follows its predecessor with wrap-around gaps on a
-    ring of length sum(tau*v_i(0) + L), sampled every dt and checked at
-    least every `DT`; the ring must stay engaged (ValueError otherwise).
+    below s_c, or speed off v_f) and cruise otherwise.  A scenario
+    without a leader is a ring: every vehicle follows its predecessor
+    with wrap-around gaps on a ring of length sum(tau*v_i(0) + L),
+    sampled every dt and checked at least every `DT`; the ring must stay
+    engaged (ValueError otherwise).  `Scenario` has already refused
+    inputs the run cannot use (wrong lengths, cut-ins outside the window).
 
     Raises CollisionError if any spacing reaches zero.
     """
@@ -583,7 +591,7 @@ def simulate_platoon(scenario: Scenario) -> PlatoonResult:
     p = sc.params
     n_steps = int(round(sc.duration / sc.dt))
     times = np.arange(n_steps + 1) * sc.dt
-    if sc.topology == "ring":
+    if sc.leader is None:
         init_v = np.asarray(sc.initial_speeds, dtype=float)
         n = len(init_v)
         L_x, x0 = ring_setup(n, p, init_v)
@@ -595,14 +603,10 @@ def simulate_platoon(scenario: Scenario) -> PlatoonResult:
 
     lx, lv, la = _leader_arrays(sc.leader, times)
     n_f = sc.n_followers
-    if sc.initial_speeds is None:
-        init_v = np.full(n_f, _leader_initial_speed(sc.leader))
-    else:
-        init_v = np.broadcast_to(np.asarray(sc.initial_speeds, dtype=float), (n_f,))
-    if sc.initial_gaps is None:
-        init_gaps = p.desired_spacing(init_v)
-    else:
-        init_gaps = np.broadcast_to(np.asarray(sc.initial_gaps, dtype=float), (n_f,))
+    v0 = _leader_initial_speed(sc.leader) if sc.initial_speeds is None else sc.initial_speeds
+    init_v = np.broadcast_to(np.asarray(v0, dtype=float), (n_f,))
+    gaps = p.desired_spacing(init_v) if sc.initial_gaps is None else sc.initial_gaps
+    init_gaps = np.broadcast_to(np.asarray(gaps, dtype=float), (n_f,))
 
     # Vehicle i < n_f is follower i; vehicle n_f + j is cut-in j in time
     # order.  Columns hold the leader, then every vehicle in its final
@@ -610,11 +614,7 @@ def simulate_platoon(scenario: Scenario) -> PlatoonResult:
     cut_ins = sorted(sc.cut_ins, key=lambda c: c.time)
     cut_steps = [int(round(c.time / sc.dt)) for c in cut_ins]
     order = list(range(n_f))
-    for j, (c, k) in enumerate(zip(cut_ins, cut_steps)):
-        if not (0 < k < n_steps):
-            raise ValueError(f"cut-in time {c.time} outside the scenario window")
-        if not (1 <= c.ahead_of <= n_f):
-            raise ValueError(f"cut-in ahead_of must name a follower 1..{n_f}")
+    for j, c in enumerate(cut_ins):
         order.insert(c.ahead_of - 1, n_f + j)
     column = np.argsort(order) + 1
     born = [0] * n_f + cut_steps

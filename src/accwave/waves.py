@@ -91,23 +91,17 @@ class StabilityResult:
     argmax_omega: float
 
 
-def string_stability_class(
-    params: ControlParams,
-    omega_grid: Optional[np.ndarray] = None,
-    tol: float = 1e-6,
-) -> StabilityResult:
+def string_stability_class(params: ControlParams) -> StabilityResult:
     """Classify string stability from the supremum of |G| on a grid.
 
-    The default grid is 10^4 log-spaced frequencies on [1e-2, 100] rad/s.
-    The lower end matters: |G| -> 1 at DC for every parameter set, so a
-    grid reaching too close to zero would tag every configuration
-    Marginal.  Stable means sup |G| < 1 - tol; Marginal |sup - 1| <= tol;
+    The grid is 10^4 log-spaced frequencies on [1e-2, 100] rad/s.  The
+    lower end matters: |G| -> 1 at DC for every parameter set, so a grid
+    reaching too close to zero would tag every configuration Marginal.
+    Stable means sup |G| < 1 - 1e-6; Marginal |sup - 1| <= 1e-6;
     Unstable otherwise.
     """
-    _require(tol, "tol", nonnegative=True)
-    if omega_grid is None:
-        omega_grid = np.logspace(-2, 2, 10_000)
-    mags = np.abs(_gain(omega_grid, params))
+    omegas, tol = np.logspace(-2, 2, 10_000), 1e-6
+    mags = np.abs(_gain(omegas, params))
     k = int(np.argmax(mags))
     sup = float(mags[k])
     if sup < 1.0 - tol:
@@ -116,7 +110,7 @@ def string_stability_class(
         cls = StabilityClass.MARGINAL
     else:
         cls = StabilityClass.UNSTABLE
-    return StabilityResult(cls, sup, float(omega_grid[k]))
+    return StabilityResult(cls, sup, float(omegas[k]))
 
 
 def follower_motion_closed_form(
@@ -206,16 +200,12 @@ def wave_speed_closed_form(
     return WaveSpeedClosedForm(nominal=nominal, modes=tuple(modes))
 
 
-def wave_oscillation_period(
-    omegas: Sequence[float],
-    rel_tol: float = 1e-9,
-    max_denominator: int = 10_000,
-) -> Optional[float]:
+def wave_oscillation_period(omegas: Sequence[float]) -> Optional[float]:
     """Common period of a set of oscillation modes, if one exists.
 
     Returns lcm-based period when all frequency ratios w_m/w_1 are
-    rational within rel_tol (continued-fraction convergent with
-    denominator <= max_denominator); returns None for quasi-periodic
+    rational within a relative 1e-9 (continued-fraction convergent with
+    denominator <= 10^4); returns None for quasi-periodic
     (incommensurate) mode sets.  The denominator cap is the effective
     horizon: ratios like sqrt(2) admit astronomically good rational
     approximations, so an unbounded cap would call everything periodic.
@@ -223,15 +213,13 @@ def wave_oscillation_period(
     if len(omegas) == 0:
         raise ValueError("need at least one frequency")
     _require(omegas, "frequencies", positive=True)
-    _require(rel_tol, "rel_tol", nonnegative=True)
-    _require(max_denominator, "max_denominator", integer=True, positive=True)
     base = omegas[0]
     qs: List[int] = []
     for w in omegas:
         ratio = w / base
-        frac = Fraction(ratio).limit_denominator(max_denominator)
+        frac = Fraction(ratio).limit_denominator(10_000)
         approx = frac.numerator / frac.denominator
-        if not math.isclose(approx, ratio, rel_tol=rel_tol, abs_tol=0.0):
+        if not math.isclose(approx, ratio, rel_tol=1e-9, abs_tol=0.0):
             return None
         qs.append(frac.denominator)
     k = 1

@@ -100,7 +100,7 @@ def test_empty_set_raises():
 
 
 def test_histogram_center_aligned_bins():
-    h = histogram(_devset([0.0, 0.02, 0.27, -0.31]), bin_width=0.1)
+    h = histogram(_devset([0.0, 0.02, 0.27, -0.31]))
     # centers run over multiples of the width spanning the data
     assert h.bin_centers[0] == pytest.approx(-0.3)
     assert h.bin_centers[-1] == pytest.approx(0.3)
@@ -109,19 +109,19 @@ def test_histogram_center_aligned_bins():
 
 def test_histogram_density_integrates_to_one():
     rng = np.random.default_rng(11)
-    h = histogram(_devset(rng.normal(0.0, 0.5, 500)), bin_width=0.1)
+    h = histogram(_devset(rng.normal(0.0, 0.5, 500)))
     assert float(np.sum(h.density) * h.bin_width) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_histogram_single_zero_value():
-    h = histogram(_devset([0.0]), bin_width=0.1)
+    h = histogram(_devset([0.0]))
     assert h.bin_centers == pytest.approx([0.0])
     assert h.density == pytest.approx([10.0])  # 1/width
 
 
 def test_histogram_validation():
-    with pytest.raises(ValueError):
-        histogram(_devset([0.1]), bin_width=0.0)
+    with pytest.raises(ValueError, match="^cannot bin an empty deviation set$"):
+        histogram(_devset([]))
 
 
 # ---------------------------------------------------------------------------

@@ -103,13 +103,13 @@ def test_scenario_accepts_recorded_and_case_windows(duration, dt):
 
 
 def test_scenario_validation():
-    with pytest.raises(ValueError):
+    # a scenario without a leader is a ring, and a ring needs a speed per vehicle
+    with pytest.raises(ValueError, match=re.escape(
+            "a scenario without a leader is a ring; its initial_speeds must list its 4 vehicles, "
+            "got shape ()")):
         Scenario(params=P, n_followers=4, leader=None, duration=10.0)
-    with pytest.raises(ValueError):
-        Scenario(params=P, n_followers=4, leader=OscillationSpec(10.0), duration=10.0,
-                 topology="moebius")
-    with pytest.raises(ValueError):
-        Scenario(params=P, n_followers=4, leader=None, duration=10.0, topology="ring")
+    with pytest.raises(ValueError, match="a platoon needs at least two vehicles"):
+        Scenario(params=P, n_followers=1, leader=None, duration=10.0, initial_speeds=[10.0])
 
 
 @pytest.mark.parametrize("eps_v", [0.05, ControlParams().eps_v])
@@ -308,8 +308,7 @@ def test_ring_setup_positions_match_the_gap_by_gap_loop_bit_for_bit(case, n):
 
 def test_ring_platoon_conserves_vehicle_count_and_length():
     speeds = 10.0 + 2.0 * np.sin(2 * np.pi * np.arange(12) / 12)
-    sc = Scenario(params=P, n_followers=12, leader=None, duration=30.0, dt=0.01,
-                  topology="ring", initial_speeds=speeds)
+    sc = Scenario(params=P, n_followers=12, leader=None, duration=30.0, dt=0.01, initial_speeds=speeds)
     res = simulate_platoon(sc)
     assert len(res.trajectories) == 12
     assert res.ring_length is not None
@@ -323,8 +322,7 @@ def test_ring_platoon_conserves_vehicle_count_and_length():
 
 def test_uniform_ring_is_steady():
     speeds = np.full(8, 10.0)
-    sc = Scenario(params=P, n_followers=8, leader=None, duration=10.0, dt=0.01,
-                  topology="ring", initial_speeds=speeds)
+    sc = Scenario(params=P, n_followers=8, leader=None, duration=10.0, dt=0.01, initial_speeds=speeds)
     res = simulate_platoon(sc)
     for tr in res.trajectories:
         assert np.max(np.abs(tr.v - 10.0)) < 1e-12
@@ -867,14 +865,14 @@ def test_ring_matches_per_run_loop(case):
 def test_ring_that_leaves_the_engaged_set_is_refused():
     # cruising just above v_f with gaps above s_c: the ring's modes do not apply
     sc = Scenario(params=dataclasses.replace(P, eps_v=0.5), n_followers=6, leader=None,
-                  duration=5.0, topology="ring", initial_speeds=np.full(6, P.v_f + 0.1))
+                  duration=5.0, initial_speeds=np.full(6, P.v_f + 0.1))
     with pytest.raises(ValueError, match="leaves the engaged set"):
         simulate_platoon(sc)
 
 
 def _ring(p: ControlParams, speeds, duration: float, dt: float) -> Scenario:
     return Scenario(params=p, n_followers=len(speeds), leader=None, duration=duration, dt=dt,
-                    topology="ring", initial_speeds=speeds)
+                    initial_speeds=speeds)
 
 
 def _ring_gaps(res: PlatoonResult) -> np.ndarray:
@@ -941,8 +939,7 @@ def test_ring_above_the_check_step_keeps_every_step_of_the_ring_at_the_finer_ste
 @pytest.mark.parametrize("speeds, shape", [([10.0] * 8, "(8,)"), (10.0, "()")])
 def test_ring_scenario_refuses_speeds_that_are_not_one_per_vehicle(speeds, shape):
     with pytest.raises(ValueError, match=re.escape(f"initial_speeds must list its 6 vehicles, got shape {shape}")):
-        Scenario(params=P, n_followers=6, leader=None, duration=5.0, topology="ring",
-                 initial_speeds=speeds)
+        Scenario(params=P, n_followers=6, leader=None, duration=5.0, initial_speeds=speeds)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1077,5 +1074,5 @@ def test_scenario_takes_one_parameter_set_and_a_ring_no_cut_ins():
     with pytest.raises(TypeError, match="one ControlParams, got tuple"):
         Scenario(params=(P, P), n_followers=2, leader=OscillationSpec(10.0), duration=5.0)
     with pytest.raises(ValueError, match="a ring takes no cut-ins"):
-        Scenario(params=P, n_followers=3, leader=None, duration=5.0, topology="ring",
-                 initial_speeds=[10.0, 10.0, 10.0], cut_ins=(CutIn(time=1.0, gap=10.0, ahead_of=1),))
+        Scenario(params=P, n_followers=3, leader=None, duration=5.0, initial_speeds=[10.0, 10.0, 10.0],
+                 cut_ins=(CutIn(time=1.0, gap=10.0, ahead_of=1),))

@@ -591,19 +591,35 @@ def test_solve_ring_records_the_end_state_of_a_run_between_samples():
     assert r.rmse_v > 0 and r.rmse_rho > 0
 
 
-@pytest.mark.parametrize("case", [1, 2, 3])
-def test_validate_micro_field_does_not_depend_on_the_ring_step(case):
-    # every PDE output time is a sample of the ring at its sample step
-    # 0.5, and the ring is exact at its samples, so a ring at dt = 0.001
-    # maps to the same field to round-off
+def _validate_and_a_fine_ring(case, duration, sample_every=0.5):
+    """`validate`'s run, and the field of a ring at dt = 0.001 mapped at its times."""
     from accwave.scenarios import ring_scenario, run_ring_validation
 
-    r = run_ring_validation(case)
-    res = simulate_platoon(ring_scenario(case, dt=0.001))
-    rho, v = micro_to_eulerian(res.trajectories, res.ring_length, r.pde.grid, r.pde.times)
+    r = run_ring_validation(case, duration=duration, sample_every=sample_every)
+    res = simulate_platoon(ring_scenario(case, duration=duration, dt=0.001))
+    return r, micro_to_eulerian(res.trajectories, res.ring_length, r.pde.grid, r.pde.times)
+
+
+@pytest.mark.parametrize("case, duration", [pytest.param(c, 60.0, id=str(c)) for c in (1, 2, 3)]
+                         + [pytest.param(c, 30.25, id=f"{c}-30.25") for c in (1, 2, 3)])
+def test_validate_micro_field_does_not_depend_on_the_ring_step(case, duration):
+    # every PDE output time is a sample of the ring at its sample step:
+    # 0.5 s, or 0.01 s when the duration is not a whole number of samples
+    # (30.25 s, whose output times are the multiples of 0.5 s and the end).
+    # The ring is exact at its samples, so a ring at dt = 0.001 maps to the
+    # same field to round-off
+    r, (rho, v) = _validate_and_a_fine_ring(case, duration)
     assert np.array_equal(r.micro.times, r.pde.times)
     assert np.max(np.abs(r.micro.rho - rho)) <= 1e-11
     assert np.max(np.abs(r.micro.v - v)) <= 1e-11
+
+
+def test_validate_micro_field_interpolates_times_between_the_ring_samples():
+    # at 0.333 s the output times fall between the ring's 0.01 s samples:
+    # the field there is interpolated, which `validate`'s docs state
+    r, (rho, v) = _validate_and_a_fine_ring(1, 30.25, sample_every=0.333)
+    assert 1e-6 < np.max(np.abs(r.micro.v - v)) < 1e-5
+    assert np.max(np.abs(r.micro.rho - rho)) > 1e-9
 
 
 def test_ring_validation_records_only_its_samples():
