@@ -33,7 +33,7 @@ from .scenarios import (
     solve_ring,
     trace_methods,
 )
-from .waves import string_stability_class, wave_speed_closed_form
+from .waves import string_stability_class, transfer_function, wave_speed_closed_form
 
 
 def _config(args: argparse.Namespace) -> ScenarioConfig:
@@ -74,7 +74,7 @@ def _cmd_wave(args: argparse.Namespace) -> int:
     p, spec = sc.params, sc.leader
     omegas = np.logspace(-2, 2, 400)
     out = os.path.join(_out_dir(cfg), "bode.csv")
-    dataio.write_bode(out, p, omegas, cfg.full_precision)
+    dataio.write_bode(out, transfer_function(omegas, p), cfg.full_precision)
     stab = string_stability_class(p)
     print(f"wrote {out}")
     print(f"string stability: {stab.classification.value} "
@@ -88,7 +88,7 @@ def _cmd_wave(args: argparse.Namespace) -> int:
 
 
 def _ring_kwargs(cfg: ScenarioConfig) -> dict:
-    return cfg.given("duration", "n_cells", "cfl", "sample_every", n_vehicles="ring_vehicles")
+    return cfg.given("duration", "sample_every", n_vehicles="ring_vehicles")
 
 
 def _write_comparison(cfg: ScenarioConfig, c: Comparison, prefix: str, label: str) -> str:
@@ -220,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, "duration")
     sp.add_argument("--case", type=int, choices=(1, 2, 3), default=1)
     sp.add_argument("--dx", type=float, help="target cell size [m]")
-    sp.add_argument("--cfl", type=float)
     sp.set_defaults(func=_cmd_pde)
 
     sp = sub.add_parser("metrics", help="trace waves on a trajectory CSV, write stats")
@@ -242,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("validate", help="micro-vs-PDE ring comparison")
     _add_common(sp, "duration")
     sp.add_argument("--case", type=int, choices=(1, 2, 3), default=1)
-    sp.add_argument("--cfl", type=float)
     sp.set_defaults(func=_cmd_validate)
 
     sp = sub.add_parser("case", help="full pipeline for one preset case")

@@ -26,7 +26,6 @@ from .microsim import DT_JITTER, Trajectory
 from .model import ControlParams, _require
 from .pde import EulerianField
 from .tracker import WavePath
-from .waves import transfer_function
 
 __all__ = [
     "ParamSample",
@@ -308,17 +307,12 @@ def write_field(path: str, fld: EulerianField, full_precision: bool = False) -> 
     _write_blocks(path, "t,x,rho,v", blocks())
 
 
-def write_bode(
-    path: str,
-    params: ControlParams,
-    omegas: Sequence[float],
-    full_precision: bool = False,
-) -> None:
-    """Frequency response export: omega, gain magnitude, phase."""
+def write_bode(path: str, bode, full_precision: bool = False) -> None:
+    """Frequency response export: omega, gain magnitude, phase, one row per
+    frequency of `bode`, a `waves.TransferEval` over an array of omegas."""
     real = _REAL_SPEC[full_precision]
-    tes = [transfer_function(float(om), params) for om in omegas]
-    values = [float(u) for om, te in zip(omegas, tes) for u in (om, te.gain_mag, te.phase)]
-    _write_blocks(path, "omega,gain_mag,phase", [(_row(real, real, real) * len(omegas), values)])
+    values = np.column_stack((bode.omega, bode.gain_mag, bode.phase)).ravel().tolist()
+    _write_blocks(path, "omega,gain_mag,phase", [(_row(real, real, real) * len(bode.omega), values)])
 
 
 def write_modes(path: str, modes: Sequence[Sequence[float]], full_precision: bool = False) -> None:
@@ -388,8 +382,6 @@ class ScenarioConfig:
     modes: Optional[Tuple[Tuple[float, float, float], ...]] = None
     n_followers: Optional[int] = None
     # PDE / ring validation
-    n_cells: Optional[int] = None
-    cfl: Optional[float] = None
     sample_every: Optional[float] = None
     ring_vehicles: Optional[int] = None
     # signal tools

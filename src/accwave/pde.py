@@ -5,7 +5,10 @@ Lax-Friedrichs) flux; the speed equation is split into an upwind
 convective update at the second characteristic speed a = v - k_v/rho
 followed by an explicit relaxation source toward the time-headway
 manifold, evaluated with the already-updated density.  Time steps obey
-a CFL condition on the largest characteristic speed.
+a CFL condition on the largest characteristic speed.  The CFL number is
+the constant `CFL` = 0.5, a stability constant of the scheme, so the grid
+is the one setting of a solve; the ring solve (`scenarios.solve_ring`)
+takes it as a cell size dx, and has 200 cells by default.
 
 Each step copies (rho, v) into one ghost-cell array of n_x + 2 columns,
 with the last cell wrapped in front of the first and the first after the
@@ -52,7 +55,7 @@ __all__ = [
 
 SourceFn = Optional[Callable[[np.ndarray, float], np.ndarray]]
 
-CFL = 0.5  # CFL number of the adaptive step when none is given
+CFL = 0.5  # CFL number of the adaptive step: a stability constant of the scheme
 
 
 @dataclass(frozen=True)
@@ -101,7 +104,7 @@ class PositivityError(RuntimeError):
     def __init__(self, t: float, cell: int, rho: float):
         super().__init__(
             f"density non-positive after update: cell {cell}, t={t:.6f}, rho={rho:.3e} "
-            "(refine dx or lower cfl)"
+            "(refine dx)"
         )
         self.t = t
         self.cell = cell
@@ -189,7 +192,6 @@ def step(
     v: np.ndarray,
     grid: Grid,
     params: ControlParams,
-    cfl: float = CFL,
     t: float = 0.0,
     dt: Optional[float] = None,
     mass_source: SourceFn = None,
@@ -199,8 +201,9 @@ def step(
 ) -> Tuple[np.ndarray, np.ndarray, float]:
     """One finite-volume step; returns (rho_new, v_new, dt_used).
 
-    Stages: CFL time step from the global wave bound (unless `dt`, which
-    must be positive and finite, caps it); conservative Rusanov mass update with periodic wrap; upwind
+    Stages: time step of CFL number `CFL` (a constant) from the global
+    wave bound, unless `dt`, which must be positive and finite, caps it;
+    conservative Rusanov mass update with periodic wrap; upwind
     convective update of v with interface speed a_{i+1/2} = (a_i +
     a_{i+1})/2 and donor cell chosen by its sign; relaxation source
     using the updated density.  Optional source callbacks (x, t) ->
@@ -224,8 +227,6 @@ def step(
     inputs are read only through the ghost-cell copy, so they may be the
     results of the previous call.
     """
-    if not 0.0 < cfl < 1.0:
-        raise ValueError("cfl must lie in (0, 1)")
     _require(dt, "dt cap", positive=True, optional=True)
     n, dx = grid.n_x, grid.dx
     w = _StepWork(n) if work is None else work
@@ -244,7 +245,7 @@ def step(
     bound = _cell_bound(u, a, out=w.bound)
 
     # the max over cells equals the max of the interface bounds
-    dt_cfl = cfl * dx / float(bound[bound.argmax()])
+    dt_cfl = CFL * dx / float(bound[bound.argmax()])
     h = dt_cfl if dt is None else min(dt, dt_cfl)
     scale = 0.5 * (h / dx)                       # the 0.5 of the doubled flux and speeds
 
@@ -290,17 +291,17 @@ def solve(
     grid: Grid,
     params: ControlParams,
     t_end: float,
-    cfl: float = CFL,
     output_times: Optional[Sequence[float]] = None,
     mass_source: SourceFn = None,
     momentum_source: SourceFn = None,
 ) -> EulerianField:
     """March the scheme to t_end, recording the state at the requested times.
 
-    The step before each requested time is capped to land on it exactly,
-    so the recorded times are the distinct requests, clipped to
-    [0, t_end], in increasing order; with no request list they are 0 and
-    t_end.  The march always ends at t_end.  One `_StepWork` serves every
+    The steps take the constant CFL number `CFL`, so `grid` alone sets the
+    resolution.  The step before each requested time is capped to land on
+    it exactly, so the recorded times are the distinct requests, clipped
+    to [0, t_end], in increasing order; with no request list they are 0
+    and t_end.  The march always ends at t_end.  One `_StepWork` serves every
     step, so the march allocates nothing per step but the recorded copies.
     """
     rho = np.asarray(rho0, dtype=float).copy()
@@ -322,7 +323,7 @@ def solve(
     for k, stop in enumerate(stops + [t_end]):
         while t < stop:
             rho, v, h = step(
-                rho, v, grid, params, cfl, t=t, dt=stop - t,
+                rho, v, grid, params, t=t, dt=stop - t,
                 mass_source=mass_source, momentum_source=momentum_source, work=work,
             )
             # when the cap binds, t + h may round to either side of the stop

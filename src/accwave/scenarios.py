@@ -39,7 +39,7 @@ from .microsim import (
     simulate_platoon,
 )
 from .model import ControlParams, _require
-from .pde import CFL, Grid, EulerianField, micro_to_eulerian, ring_cells, solve
+from .pde import Grid, EulerianField, micro_to_eulerian, ring_cells, solve
 from .tracker import (
     ORIGIN_SPACING,
     PhaseTransition,
@@ -268,36 +268,37 @@ class RingValidation:
 
 
 def solve_ring(case: int, n_vehicles: int = RING_N, duration: float = DURATION,
-               n_cells: int = RING_CELLS, cfl: float = CFL,
                sample_every: float = RING_SAMPLE_EVERY, dx: Optional[float] = None) -> EulerianField:
     """PDE field of one ring case over `duration`, recorded every
     `sample_every` seconds and at `duration`, and solved, without
     simulating, from the case's speed profile on the ring that the
-    time-headway manifold sizes (`ring_setup`), on `n_cells` cells (about
-    `dx` metres each, at least 4, when `dx` is given)."""
+    time-headway manifold sizes (`ring_setup`).  `dx` is the one grid
+    setting: the ring has `RING_CELLS` (200) cells, or cells of about `dx`
+    metres (at least 4 of them) when `dx` is given.  The CFL number is the
+    solver's constant `pde.CFL`."""
     _require(duration, "duration", positive=True)
     _require(sample_every, "sample_every", positive=True)
     if dx is not None:
         _require(dx, "cell size dx", positive=True)
     speeds = ring_initial_speeds(case, n_vehicles)
     ring_length, positions = ring_setup(n_vehicles, TABLE_PARAMS, speeds)
-    if dx is not None:
-        n_cells = max(4, int(round(ring_length / dx)))
+    n_cells = RING_CELLS if dx is None else max(4, int(round(ring_length / dx)))
     grid = Grid(ring_length, n_cells)
     (rho0,), (v0,) = ring_cells(positions[None], speeds[None], ring_length, grid)
     wanted = np.arange(0.0, duration + 1e-9, sample_every)
     if duration - wanted[-1] > 1e-9:  # the end state, unless the last sample is it
         wanted = np.append(wanted, duration)
-    return solve(rho0, v0, grid, TABLE_PARAMS, duration, cfl=cfl, output_times=wanted)
+    return solve(rho0, v0, grid, TABLE_PARAMS, duration, output_times=wanted)
 
 
 def run_ring_validation(case: int, n_vehicles: int = RING_N, duration: float = DURATION,
-                        n_cells: int = RING_CELLS, cfl: float = CFL,
                         sample_every: float = RING_SAMPLE_EVERY) -> RingValidation:
     """Micro-vs-PDE comparison for one ring case: the PDE field of
-    `solve_ring` and the ring simulated over the whole `duration` with its
-    sample step as dt (`sample_every` when `duration` is a whole number of
-    samples, `DT` otherwise), checked at least every `DT`.
+    `solve_ring` on its default grid of `RING_CELLS` (200) cells, at the
+    constant CFL number `pde.CFL`, and the ring simulated over the whole
+    `duration` with its sample step as dt (`sample_every` when `duration`
+    is a whole number of samples, `DT` otherwise), checked at least every
+    `DT`.
 
     The micro field is mapped at the solver's output times before
     computing space-time RMSEs.  When `duration` is a whole number of
@@ -307,7 +308,7 @@ def run_ring_validation(case: int, n_vehicles: int = RING_N, duration: float = D
     samples are interpolated linearly (2.4e-6 m/s off in v for case 1 at
     duration 30.25 s and sample_every 0.333 s).
     """
-    pde_field = solve_ring(case, n_vehicles, duration, n_cells, cfl, sample_every)
+    pde_field = solve_ring(case, n_vehicles, duration, sample_every)
     try:
         ring = ring_scenario(case, n_vehicles, duration, sample_every)
     except ValueError:  # not a whole number of samples: `Scenario` says so

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -210,6 +209,8 @@ def wave_oscillation_period(omegas: Sequence[float]) -> Optional[float]:
     horizon: ratios like sqrt(2) admit astronomically good rational
     approximations, so an unbounded cap would call everything periodic.
     """
+    from fractions import Fraction  # only this helper needs it, and it loads decimal
+
     if len(omegas) == 0:
         raise ValueError("need at least one frequency")
     _require(omegas, "frequencies", positive=True)

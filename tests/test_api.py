@@ -100,8 +100,19 @@ def test_only_the_cli_prints():
     assert calls == []
 
 
+def _imported_with_the_cli(module: str) -> bool:
+    """Whether a fresh interpreter holds `module` after `import accwave.cli`."""
+    code = f"import sys, accwave.cli; sys.exit({module!r} in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    return subprocess.run([sys.executable, "-c", code], env=env).returncode != 0
+
+
 def test_the_cli_imports_yaml_only_to_read_a_config():
     # `import yaml` lives in dataio.load_config: a run without --config never pays for it
-    code = "import sys, accwave.cli; sys.exit('yaml' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert not _imported_with_the_cli("yaml")
+
+
+def test_the_cli_does_not_import_fractions():
+    # only waves.wave_oscillation_period, which no command calls, needs
+    # fractions (and the decimal module it loads), and imports it itself
+    assert not _imported_with_the_cli("fractions")

@@ -1,5 +1,6 @@
 """Tests for CSV import/export, configs, draws, and the CLI front end."""
 
+import argparse
 import builtins
 import csv
 import dataclasses
@@ -19,7 +20,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accwave import dataio, fourier, pde
+from accwave import dataio, fourier
 from accwave.cli import build_parser, main
 from accwave.dataio import (
     ParamSample,
@@ -578,7 +579,7 @@ def test_write_bode_bytes_match_csv_writer_loop(tmp_path, full_precision):
         te = transfer_function(float(om), params)
         rows.append([_oracle_fmt(u, full_precision) for u in (float(om), te.gain_mag, te.phase)])
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    dataio.write_bode(str(got), params, omegas, full_precision)
+    dataio.write_bode(str(got), transfer_function(omegas, params), full_precision)
     _oracle_write_rows(str(want), ["omega", "gain_mag", "phase"], rows)
     assert got.read_bytes() == want.read_bytes()
 
@@ -685,9 +686,9 @@ def test_unknown_config_key_rejected():
         config_from_dict({"n_folowers": 3})
 
 
-_INT_KEYS = ("n_followers", "n_cells", "ring_vehicles", "fft_modes", "n_draws", "seed")
+_INT_KEYS = ("n_followers", "ring_vehicles", "fft_modes", "n_draws", "seed")
 _REAL_KEYS = ("dt", "duration", "origin_spacing", "baseline_speed", "tau", "L", "k_s", "k_v",
-              "v_f", "v_e", "cfl", "sample_every")
+              "v_f", "v_e", "sample_every")
 
 
 @settings(max_examples=200, deadline=None)
@@ -706,8 +707,8 @@ def test_config_refuses_a_non_finite_real_and_names_the_key(key, val):
 
 
 def test_config_takes_integers_for_reals_and_none_where_optional():
-    cfg = config_from_dict({"duration": 30, "dt": None, "baseline_speed": None, "n_cells": 100})
-    assert (cfg.duration, cfg.dt, cfg.n_cells) == (30, None, 100)
+    cfg = config_from_dict({"duration": 30, "dt": None, "baseline_speed": None, "ring_vehicles": 30})
+    assert (cfg.duration, cfg.dt, cfg.ring_vehicles) == (30, None, 30)
     with pytest.raises(ValueError, match="duration must be a number, got None"):
         config_from_dict({"duration": None})
 
@@ -754,12 +755,12 @@ def test_cli_refuses_a_non_string_path_key_before_opening_a_file(tmp_path, monke
     assert [p.name for p in tmp_path.iterdir()] == ["c.yaml"]
 
 
-def test_yaml_float_cell_count_fails_at_load_with_the_key(tmp_path):
+def test_yaml_float_ring_vehicle_count_fails_at_load_with_the_key(tmp_path):
     path = tmp_path / "c.yaml"
-    path.write_text("n_cells: 200.0\n")
+    path.write_text("ring_vehicles: 40.0\n")
     with pytest.raises(ValueError) as exc:
         load_config(str(path))
-    assert str(exc.value) == f"{path}: n_cells must be an integer, got 200.0"
+    assert str(exc.value) == f"{path}: ring_vehicles must be an integer, got 40.0"
 
 
 def test_malformed_mode_rejected():
@@ -799,9 +800,6 @@ def test_example_config_shows_the_default_of_every_other_key():
         **{f.name: [(ControlParams, f.name)] for f in dataclasses.fields(ControlParams)},
         "v_e": [(s.oscillation_scenario, "v_e")],
         "n_followers": [(s.oscillation_scenario, "n_followers"), (s.run_empirical, "n_followers")],
-        "n_cells": [(s.solve_ring, "n_cells"), (s.run_ring_validation, "n_cells")],
-        "cfl": [(s.solve_ring, "cfl"), (s.run_ring_validation, "cfl"), (pde.solve, "cfl"),
-                (pde.step, "cfl")],
         "sample_every": [(s.solve_ring, "sample_every"), (s.run_ring_validation, "sample_every")],
         "ring_vehicles": [(s.ring_initial_speeds, "n_vehicles"), (s.ring_scenario, "n_vehicles"),
                           (s.solve_ring, "n_vehicles"), (s.run_ring_validation, "n_vehicles")],
@@ -820,6 +818,19 @@ def test_example_config_shows_the_default_of_every_other_key():
 def test_config_refuses_the_removed_case_key():
     with pytest.raises(ValueError, match=r"unknown config keys: \['case'\]"):
         config_from_dict({"case": 1})
+
+
+@pytest.mark.parametrize("command", ["pde", "validate"])
+@pytest.mark.parametrize("key, val", [("cfl", 0.5), ("n_cells", 200)])
+def test_config_refuses_the_removed_solver_keys(tmp_path, capsys, command, key, val):
+    # the CFL number is a constant of the scheme, and --dx the one grid setting
+    with pytest.raises(ValueError, match=rf"^unknown config keys: \['{key}'\]$"):
+        config_from_dict({key: val})
+    path = tmp_path / "c.yaml"
+    path.write_text(f"{key}: {val}\n")
+    assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: unknown config keys: ['{key}']\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_default_out_dir_env(monkeypatch):
@@ -927,8 +938,7 @@ def test_solve_ring_refuses_a_value_that_is_not_positive_and_finite(name, value)
     args = {"duration": 60.0, "sample_every": 0.5, "cell size dx": 0.5}
     args[name] = value
     with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value}$"):
-        scenarios.solve_ring(2, 40, args["duration"], 200, 0.5, args["sample_every"],
-                             dx=args["cell size dx"])
+        scenarios.solve_ring(2, 40, args["duration"], args["sample_every"], dx=args["cell size dx"])
 
 
 _SUBCOMMANDS = {  # subcommand -> its required arguments
@@ -955,6 +965,32 @@ def test_cli_takes_a_config_flag_only_where_its_key_is_read(flag, capsys):
                 parser.parse_args(argv)
             assert exc.value.code == 2
             assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["pde", "validate"])
+def test_the_ring_commands_take_no_cfl_flag(command, capsys):
+    # the CFL number is a constant of the solver
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, "--cfl", "0.5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cfl 0.5" in capsys.readouterr().err
+
+
+def _parser_flags():
+    """Each subcommand's option flags, apart from the ones every subcommand takes."""
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    common = {"-h", "--help", "--config", "--out-dir", "--full-precision"}
+    return {name: {flag for a in sp._actions for flag in a.option_strings} - common
+            for name, sp in sub.choices.items()}
+
+
+def test_readme_flag_table_matches_the_parser():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    quick_start = text.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` +\| (.*)\|$", quick_start, re.M)
+    table = {name: set(re.findall(r"`(--[\w-]+)`", flags)) for name, flags in rows}
+    assert table == _parser_flags()
 
 
 def test_cli_wave_reports_stability(tmp_path, capsys):

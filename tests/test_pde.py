@@ -112,13 +112,13 @@ def _equilibrium_grid():
 def test_cfl_time_step_hand_value():
     # bound = |10 - 1.4*17| = 13.8, dt = 0.5*5/13.8
     g, rho, v = _equilibrium_grid()
-    _, _, h = step(rho, v, g, P, cfl=0.5)
+    _, _, h = step(rho, v, g, P)
     assert h == pytest.approx(0.18115942028985507, rel=1e-13)
 
 
 def test_dt_argument_caps_the_step():
     g, rho, v = _equilibrium_grid()
-    _, _, h = step(rho, v, g, P, cfl=0.5, dt=0.01)
+    _, _, h = step(rho, v, g, P, dt=0.01)
     assert h == 0.01
 
 
@@ -129,13 +129,6 @@ def test_step_refuses_a_nan_zero_or_negative_dt_cap(bad):
     g, rho, v = _equilibrium_grid()
     with pytest.raises(ValueError, match="dt cap"):
         step(rho, v, g, P, dt=bad)
-
-
-def test_cfl_validation():
-    g, rho, v = _equilibrium_grid()
-    for bad in (0.0, 1.0, 1.5, -0.2):
-        with pytest.raises(ValueError):
-            step(rho, v, g, P, cfl=bad)
 
 
 def test_equilibrium_is_exact_fixed_point():
@@ -154,7 +147,7 @@ def test_mass_conserved_without_sources():
     x = g.centers
     rho0 = 1.0 / 17.0 + 0.01 * np.sin(2.0 * math.pi * x / g.L_x)
     v0 = 10.0 + 0.8 * np.cos(2.0 * math.pi * x / g.L_x)
-    field = solve(rho0, v0, g, P, t_end=20.0, cfl=0.5)
+    field = solve(rho0, v0, g, P, t_end=20.0)
     m0 = float(np.sum(rho0) * g.dx)
     assert field.mass(-1) == pytest.approx(m0, abs=1e-12)
 
@@ -263,16 +256,16 @@ def test_field_refuses_a_nan_density():
         EulerianField(g, np.array([0.0]), rho, np.full((1, 10), 10.0))
 
 
-def _oracle_step(rho, v, grid, params, cfl=0.5, t=0.0, dt=None,
-                 mass_source=None, momentum_source=None):
-    """Reference: the roll-based step, with every interface term rebuilt by np.roll."""
+def _oracle_step(rho, v, grid, params, t=0.0, dt=None, mass_source=None, momentum_source=None):
+    """Reference: the roll-based step, with every interface term rebuilt by
+    np.roll, at the solver's CFL number 0.5."""
     dx = grid.dx
     rho_r, v_r = np.roll(rho, -1), np.roll(v, -1)              # cell i+1
     a = v - params.k_v / rho
     a_r = v_r - params.k_v / rho_r
     bound = np.maximum(np.abs(v), np.abs(a))
     bound_r = np.maximum(np.abs(v_r), np.abs(a_r))
-    dt_cfl = cfl * dx / float(np.max(bound))
+    dt_cfl = 0.5 * dx / float(np.max(bound))
     h = dt_cfl if dt is None else min(dt, dt_cfl)
 
     alpha = np.maximum(bound, bound_r)                          # interface i+1/2
@@ -331,8 +324,8 @@ def test_step_matches_roll_oracle_bit_for_bit(case, capped, sources):
     for k in range(200):
         # a cap below the CFL step (~0.11 s here) on odd steps, above it on even ones
         dt = (0.05 if k % 2 else 1.0) if capped else None
-        r, w, h = step(*got, g, params, 0.5, t, dt, mass, mom)
-        r_o, w_o, h_o = _oracle_step(*want, g, params, 0.5, t, dt, mass, mom)
+        r, w, h = step(*got, g, params, t, dt, mass, mom)
+        r_o, w_o, h_o = _oracle_step(*want, g, params, t, dt, mass, mom)
         assert h == h_o
         assert (h == 0.05) == (capped and k % 2 == 1)
         assert np.array_equal(r, r_o)
@@ -352,7 +345,7 @@ def test_step_positivity_error_matches_roll_oracle():
         rho, v, t = rho0, v0, 0.0
         with pytest.raises(PositivityError) as info:
             for n_steps in range(100):
-                rho, v, h = fn(rho, v, g, params, 0.5, t, None, sink, None)
+                rho, v, h = fn(rho, v, g, params, t, None, sink, None)
                 t += h
         return info.value, n_steps
 
@@ -410,8 +403,8 @@ def _oracle_solve(rho, v, grid, params, t_end, output_times, mass_source=None,
     t = 0.0
     for k, stop in enumerate(wanted + [t_end]):
         while t < stop:
-            rho, v, h = _oracle_step(rho, v, grid, params, 0.5, t, stop - t,
-                                     mass_source, momentum_source)
+            rho, v, h = _oracle_step(rho, v, grid, params, t, stop - t, mass_source,
+                                     momentum_source)
             t = stop if h == stop - t else t + h
         if k < len(wanted) and (not times or times[-1] != t):
             times.append(t)
@@ -570,7 +563,8 @@ def test_ring_cells_validation():
 def test_solve_ring_starts_from_the_simulated_ring_at_t0_bit_for_bit(case):
     from accwave.scenarios import RING_N, ring_scenario, solve_ring
 
-    fld = solve_ring(case, RING_N, 1.0, 200, 0.5, 0.5)
+    fld = solve_ring(case, RING_N, 1.0, 0.5)
+    assert fld.grid.n_x == 200
     res = simulate_platoon(ring_scenario(case))
     rho, v = micro_to_eulerian(res.trajectories, res.ring_length, fld.grid, 0.0)
     assert fld.times[0] == 0.0
@@ -583,9 +577,9 @@ def test_solve_ring_records_the_end_state_of_a_run_between_samples():
     # a last sample within round-off of the end (3 * 0.7 against 2.1) is it
     from accwave.scenarios import RING_N, run_ring_validation, solve_ring
 
-    assert solve_ring(1, RING_N, 0.3, 200, 0.5, 0.5).times.tolist() == [0.0, 0.3]
-    assert solve_ring(1, RING_N, 59.7, 200, 0.5, 0.5).times[-2:].tolist() == [59.5, 59.7]
-    assert solve_ring(1, RING_N, 2.1, 200, 0.5, 0.7).times.tolist() == [0.0, 0.7, 1.4, 3 * 0.7]
+    assert solve_ring(1, RING_N, 0.3, 0.5).times.tolist() == [0.0, 0.3]
+    assert solve_ring(1, RING_N, 59.7, 0.5).times[-2:].tolist() == [59.5, 59.7]
+    assert solve_ring(1, RING_N, 2.1, 0.7).times.tolist() == [0.0, 0.7, 1.4, 3 * 0.7]
     r = run_ring_validation(1, duration=0.3)
     assert r.micro.times.tolist() == [0.0, 0.3]
     assert r.rmse_v > 0 and r.rmse_rho > 0
@@ -717,7 +711,12 @@ def test_ring_solve_self_converges_at_first_order():
     # solve that stops converging (ratio near 1) or changes order (near 4).
     from accwave.scenarios import solve_ring
 
-    fields = [_v_on_cells(solve_ring(1, n_cells=n), 200) for n in (200, 400, 800, 1600, 3200)]
+    ring_length = _ring_setup(1)[0]
+    fields = []
+    for n in (200, 400, 800, 1600, 3200):
+        field = solve_ring(1, dx=ring_length / n)
+        assert field.grid.n_x == n
+        fields.append(_v_on_cells(field, 200))
     diffs = [_rms(a, b) for a, b in zip(fields, fields[1:])]
     ratios = [a / b for a, b in zip(diffs, diffs[1:])]
     assert all(1.6 < r < 3.0 for r in ratios), (diffs, ratios)
@@ -733,5 +732,7 @@ def test_ring_grid_error_is_a_small_share_of_the_validation_rmse(case):
     from accwave.scenarios import run_ring_validation, solve_ring
 
     r = run_ring_validation(case)
-    fine = _v_on_cells(solve_ring(case, n_cells=1600), r.pde.grid.n_x)
+    field = solve_ring(case, dx=_ring_setup(case)[0] / 1600)
+    assert field.grid.n_x == 1600
+    fine = _v_on_cells(field, r.pde.grid.n_x)
     assert _rms(r.pde.v, fine) < 0.15 * r.rmse_v
