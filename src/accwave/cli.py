@@ -120,7 +120,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     if len(trajs) < 2:
         raise ValueError("need at least two vehicles to trace waves")
     origins = origin_grid(trajs[0], args.warmup, args.end_margin, **cfg.given(spacing="origin_spacing"))
-    c = Comparison.pool(*trace_methods(origins, trajs, cfg.params(), cfg.baseline_speed))
+    c = Comparison.pool(*trace_methods(origins, trajs, cfg.params()))
     out = _write_comparison(cfg, c, "", "custom")
     print(f"wrote stats and paths for {len(origins)} origins to {out}")
     return 0
@@ -154,7 +154,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_case(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    run = run_case(args.case, **cfg.given("dt", "duration", "origin_spacing", "baseline_speed"))
+    run = run_case(args.case, **cfg.given("dt", "duration", "origin_spacing"))
     tag = f"case{args.case}"
     dataio.write_trajectories(os.path.join(_out_dir(cfg), f"{tag}_trajectories.csv"),
                               run.trajectories, cfg.full_precision)
@@ -174,7 +174,7 @@ def _cmd_empirical(args: argparse.Namespace) -> int:
     if not leaders:
         raise ValueError(f"{cfg.leader_file}: no vehicles")
     leader = leaders[0]
-    r = run_empirical(leader, draws, **cfg.given("n_followers", "dt", "origin_spacing", "baseline_speed"))
+    r = run_empirical(leader, draws, **cfg.given("n_followers", "dt", "origin_spacing"))
     ps, bs = r.proposed_stats, r.baseline_stats
     path = os.path.join(_out_dir(cfg), "empirical_stats.csv")
     dataio.write_stats(path, "empirical", ps, bs, cfg.full_precision)
@@ -226,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--input", required=True, help="trajectory CSV (t,vehicle_id,x,v[,a])")
     sp.add_argument("--origin-spacing", type=float)
-    sp.add_argument("--baseline-speed", type=float)
     sp.add_argument("--warmup", type=float, default=0.0, help="skip this much lead time [s]")
     sp.add_argument("--end-margin", dest="end_margin", type=float, default=5.0)
     sp.set_defaults(func=_cmd_metrics)
@@ -247,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, "dt", "duration")
     sp.add_argument("case", type=int, choices=(1, 2, 3, 4))
     sp.add_argument("--origin-spacing", type=float)
-    sp.add_argument("--baseline-speed", type=float)
     sp.set_defaults(func=_cmd_case)
 
     sp = sub.add_parser("empirical", help="calibrated-draw sweep over a recorded leader")

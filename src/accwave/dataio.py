@@ -327,7 +327,8 @@ def write_modes(path: str, modes: Sequence[Sequence[float]], full_precision: boo
 # ---------------------------------------------------------------------------
 
 def load_draws(path: str) -> List[ParamSample]:
-    """Read a draws file (header tau,L,k_s,k_v, one row per sample)."""
+    """Read a draws file (header tau,L,k_s,k_v): one row per sample of four
+    numbers in ASCII digits without `_`; another row is refused by number."""
     out: List[ParamSample] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -339,9 +340,11 @@ def load_draws(path: str) -> List[ParamSample]:
         for row_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            try:
-                out.append(ParamSample(float(row[0]), float(row[1]), float(row[2]), float(row[3])))
-            except (ValueError, IndexError) as exc:
+            try:  # float() alone would also take `1_0` and non-ASCII digits
+                if len(row) != 4 or "_" in (text := "".join(row)) or not text.isascii():
+                    raise ValueError("not four ASCII numbers")
+                out.append(ParamSample(*map(float, row)))
+            except ValueError as exc:
                 raise ValueError(f"{path}: malformed draw at row {row_no}: {row}") from exc
     if not out:
         raise ValueError(f"{path}: no draws found")
@@ -371,7 +374,6 @@ class ScenarioConfig:
     dt: Optional[float] = None
     duration: Optional[float] = None
     origin_spacing: Optional[float] = None
-    baseline_speed: Optional[float] = None
     # controller (used by simulate/wave/metrics when not running a case)
     tau: Optional[float] = None
     L: Optional[float] = None
@@ -413,7 +415,7 @@ class ScenarioConfig:
 
 
 # keys that YAML may set to null, which means what an absent key means
-_NULL_KEYS = ("dt", "origin_spacing", "baseline_speed", "draws_file", "leader_file", "out_dir")
+_NULL_KEYS = ("dt", "origin_spacing", "draws_file", "leader_file", "out_dir")
 
 
 def _check_field(f, val) -> None:

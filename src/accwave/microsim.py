@@ -315,10 +315,9 @@ class Scenario:
 
 @dataclass(frozen=True)
 class PlatoonResult:
-    """Trajectories in platoon order (front to rear), plus ring metadata."""
+    """Trajectories in platoon order (front to rear); `ring_setup` sizes a ring."""
 
     trajectories: List[Trajectory]
-    ring_length: Optional[float] = None
 
 
 class EngagementEvent(NamedTuple):
@@ -594,12 +593,12 @@ def simulate_platoon(scenario: Scenario) -> PlatoonResult:
     if sc.leader is None:
         init_v = np.asarray(sc.initial_speeds, dtype=float)
         n = len(init_v)
-        L_x, x0 = ring_setup(n, p, init_v)
+        L_x, x0 = ring_setup(p, init_v)
         X, V, A = (np.empty((n, n_steps + 1)) for _ in range(3))
         X[:, 0], V[:, 0] = x0, init_v
         _propagate_ring(p, sc.dt, X, V, A, L_x)
         trajs = [Trajectory(vehicle_id=i, t=times, x=X[i], v=V[i], a=A[i], dt=sc.dt) for i in range(n)]
-        return PlatoonResult(trajectories=trajs, ring_length=L_x)
+        return PlatoonResult(trajectories=trajs)
 
     lx, lv, la = _leader_arrays(sc.leader, times)
     n_f = sc.n_followers
@@ -840,21 +839,19 @@ def _lead_columns(merged: np.ndarray) -> np.ndarray:
 
 
 def ring_setup(
-    n: int,
     params: ControlParams,
     initial_speeds: Sequence[float],
 ) -> Tuple[float, np.ndarray]:
-    """Ring length and initial positions from the time-headway manifold.
+    """Ring length and initial positions of one vehicle per initial speed.
 
     Each vehicle's initial gap to its predecessor is tau*v_i(0) + L; the
     ring length is the sum of all gaps.  Vehicle 0 sits at x = 0 and the
     rest stack behind it; vehicle 0 wraps around to follow the last one.
     """
-    if n < 2:
-        raise ValueError("ring needs at least two vehicles")
     v = np.asarray(initial_speeds, dtype=float)
-    if v.shape != (n,):
-        raise ValueError(f"expected {n} initial speeds, got shape {v.shape}")
+    if v.ndim != 1 or v.size < 2:
+        raise ValueError(f"ring initial_speeds must be a 1-D array of two or more, one per vehicle, "
+                         f"got shape {v.shape}")
     gaps = params.desired_spacing(v)
     return float(np.sum(gaps)), np.concatenate(([0.0], -np.cumsum(gaps[1:])))
 

@@ -29,8 +29,8 @@ there.
 
 Also provides the piecewise-constant mapping from ring vehicle states
 (`ring_cells`) and ring trajectories (`micro_to_eulerian`) to Eulerian
-(rho, v) fields: each vehicle owns the stretch of road from its own
-position up to its leader's, carrying rho = 1/spacing and its own speed.
+(rho, v) fields on a ring as long as their `Grid`: each vehicle owns the
+road from its own position up to its leader's, at rho = 1/spacing.
 """
 
 from __future__ import annotations
@@ -345,21 +345,17 @@ def solve(
 # Micro -> Eulerian mapping
 # ---------------------------------------------------------------------------
 
-def ring_cells(x: np.ndarray, v: np.ndarray, ring_length: float,
-               grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
+def ring_cells(x: np.ndarray, v: np.ndarray, grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
     """Piecewise-constant (n_t, n_x) fields rho and v of ring vehicles at
     (n_t, n) positions `x` and speeds `v`, one column per vehicle in
     platoon order: vehicle i follows i-1, vehicle 0 the last one across
-    the seam.  Vehicle i owns the road from its own position up to its
-    leader's (wrap-around); every cell whose center falls in that stretch
-    takes rho = 1/s_i and v = v_i.
+    the seam.  The ring is `grid.L_x` long.  Vehicle i owns the road from
+    its own position up to its leader's (wrap-around); every cell whose
+    center falls in that stretch takes rho = 1/s_i and v = v_i.
     """
-    n = x.shape[1]
+    n, ring_length = x.shape[1], grid.L_x
     if n < 2:
         raise ValueError("need at least two vehicles")
-    _require(ring_length, "ring_length", positive=True)
-    if abs(ring_length - grid.L_x) > 1e-9:
-        raise ValueError("grid length must match the ring length")
     lead_x = np.roll(x, 1, axis=1)
     lead_x[:, 0] += ring_length
     gaps = lead_x - x
@@ -382,13 +378,14 @@ def ring_cells(x: np.ndarray, v: np.ndarray, ring_length: float,
 
 def micro_to_eulerian(
     trajectories: Sequence[Trajectory],
-    ring_length: float,
     grid: Grid,
     t,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """`ring_cells` of ring trajectories in platoon order at time t: a scalar
     t gives (n_x,) arrays, an array of n_t times (n_t, n_x) arrays.  Every
     time must lie in the window that all trajectories cover."""
+    if len(trajectories) < 2:
+        raise ValueError("need at least two vehicles")
     times = np.asarray(t, dtype=float)
     flat = times.ravel()
     lo = max(tr.t0 for tr in trajectories)
@@ -401,4 +398,4 @@ def micro_to_eulerian(
     x = np.stack([tr.position_at(flat) for tr in trajectories], axis=1)
     v = np.stack([tr.speed_at(flat) for tr in trajectories], axis=1)
     shape = times.shape + (grid.n_x,)
-    return tuple(field.reshape(shape) for field in ring_cells(x, v, ring_length, grid))
+    return tuple(field.reshape(shape) for field in ring_cells(x, v, grid))

@@ -149,23 +149,23 @@ def origin_grid(lead: Trajectory, warmup: float, end_margin: float,
     return np.arange(t0, t1 + 1e-9, spacing)
 
 
-def _baseline_paths(origins, trajectories, params: ControlParams, speed: Optional[float]):
-    """Constant-speed paths from `origins`; the speed defaults to the
-    congested kinematic-wave slope -L/tau of `params`."""
-    _require(speed, "baseline_speed", optional=True)
-    w = lwr_baseline_speed(params) if speed is None else speed
+def _baseline_paths(origins, trajectories, params: ControlParams):
+    """Constant-speed paths from `origins` at the congested kinematic-wave
+    slope -L/tau of `params`."""
     platoon = Platoon.of(trajectories)
+    w = lwr_baseline_speed(params)
     return [constant_speed_path(float(t), platoon, w) for t in origins]
 
 
-def trace_methods(origins, trajectories: Sequence[Trajectory], params: ControlParams,
-                  baseline_speed: Optional[float] = None) -> Tuple[List[WavePath], List[WavePath]]:
+def trace_methods(origins, trajectories: Sequence[Trajectory],
+                  params: ControlParams) -> Tuple[List[WavePath], List[WavePath]]:
     """Characteristic (proposed) and constant-speed (baseline) paths from the
     same origins on the lead trajectory, over one `Platoon`: each pair's
-    table is built once per method and serves every origin."""
+    table is built once per method and serves every origin.  The baseline
+    moves at the congested kinematic-wave slope -L/tau of `params`."""
     platoon = Platoon.of(trajectories)
     proposed = [trace_characteristic_path(float(t), platoon, params) for t in origins]
-    return proposed, _baseline_paths(origins, platoon, params, baseline_speed)
+    return proposed, _baseline_paths(origins, platoon, params)
 
 
 @dataclass(frozen=True)
@@ -197,11 +197,11 @@ class CaseRun(Comparison):
 
 
 def run_case(case: int, dt: float = DT, duration: float = DURATION,
-             origin_spacing: float = ORIGIN_SPACING, baseline_speed: Optional[float] = None) -> CaseRun:
+             origin_spacing: float = ORIGIN_SPACING) -> CaseRun:
     """Simulate one case and trace proposed + constant-speed path sets.
 
-    The baseline speed defaults to the congested kinematic-wave slope
-    -L/tau of the active parameter set.  Case 4 proposes its phase
+    The baseline moves at the congested kinematic-wave slope -L/tau of the
+    case's parameter set.  Case 4 proposes its phase
     transition composite, with the baseline from its characteristics' origins.
     """
     sc = case_scenario(case, dt=dt, duration=duration)
@@ -212,10 +212,10 @@ def run_case(case: int, dt: float = DT, duration: float = DURATION,
         transition = trace_phase_transition(trajs, p, CASE4_V_E, origin_spacing=origin_spacing)
         origins = [path.origin_t for path in transition.characteristics]
         proposed = transition.paths()
-        baseline = _baseline_paths(origins, trajs, p, baseline_speed)
+        baseline = _baseline_paths(origins, trajs, p)
     else:
         origins = origin_grid(trajs[0], *_ORIGIN_WINDOW[case], origin_spacing)
-        proposed, baseline = trace_methods(origins, trajs, p, baseline_speed)
+        proposed, baseline = trace_methods(origins, trajs, p)
     return CaseRun.pool(proposed, baseline, trajectories=trajs, transition=transition)
 
 
@@ -281,10 +281,10 @@ def solve_ring(case: int, n_vehicles: int = RING_N, duration: float = DURATION,
     if dx is not None:
         _require(dx, "cell size dx", positive=True)
     speeds = ring_initial_speeds(case, n_vehicles)
-    ring_length, positions = ring_setup(n_vehicles, TABLE_PARAMS, speeds)
+    ring_length, positions = ring_setup(TABLE_PARAMS, speeds)
     n_cells = RING_CELLS if dx is None else max(4, int(round(ring_length / dx)))
     grid = Grid(ring_length, n_cells)
-    (rho0,), (v0,) = ring_cells(positions[None], speeds[None], ring_length, grid)
+    (rho0,), (v0,) = ring_cells(positions[None], speeds[None], grid)
     wanted = np.arange(0.0, duration + 1e-9, sample_every)
     if duration - wanted[-1] > 1e-9:  # the end state, unless the last sample is it
         wanted = np.append(wanted, duration)
@@ -300,22 +300,22 @@ def run_ring_validation(case: int, n_vehicles: int = RING_N, duration: float = D
     is a whole number of samples, `DT` otherwise), checked at least every
     `DT`.
 
-    The micro field is mapped at the solver's output times before
-    computing space-time RMSEs.  When `duration` is a whole number of
-    samples, or `sample_every` a multiple of `DT`, each of those times is a
-    sample of the ring, where the simulation is exact, so the micro field
-    does not depend on the step; otherwise the times between the ring's
-    samples are interpolated linearly (2.4e-6 m/s off in v for case 1 at
-    duration 30.25 s and sample_every 0.333 s).
+    The micro field is mapped onto the PDE's grid (`ring_setup` sizes both
+    rings) at its output times before computing space-time RMSEs.  When
+    `duration` is a whole number of samples, or `sample_every` a multiple
+    of `DT`, each of those times is a sample of the ring, where the
+    simulation is exact, so the micro field does not depend on the step;
+    otherwise the times between the ring's samples are interpolated
+    linearly (2.4e-6 m/s off in v for case 1 at duration 30.25 s and
+    sample_every 0.333 s).
     """
     pde_field = solve_ring(case, n_vehicles, duration, sample_every)
     try:
         ring = ring_scenario(case, n_vehicles, duration, sample_every)
     except ValueError:  # not a whole number of samples: `Scenario` says so
         ring = ring_scenario(case, n_vehicles, duration)
-    res = simulate_platoon(ring)
     grid = pde_field.grid
-    rho_m, v_m = micro_to_eulerian(res.trajectories, res.ring_length, grid, pde_field.times)
+    rho_m, v_m = micro_to_eulerian(simulate_platoon(ring).trajectories, grid, pde_field.times)
     micro_field = EulerianField(grid=grid, times=pde_field.times.copy(), rho=rho_m, v=v_m)
     return RingValidation(
         rmse_v=field_rmse(micro_field, pde_field, "v"),
@@ -342,8 +342,7 @@ class EmpiricalRun:
 
 
 def run_empirical(leader: Trajectory, draws: Sequence, n_followers: int = N_FOLLOWERS,
-                  dt: float = 0.05, origin_spacing: float = 2.0,
-                  baseline_speed: Optional[float] = None) -> EmpiricalRun:
+                  dt: float = 0.05, origin_spacing: float = 2.0) -> EmpiricalRun:
     """Pool deviation statistics over calibrated parameter draws.
 
     Each draw (tau, L, k_s, k_v) simulates a fresh platoon behind the
@@ -374,7 +373,7 @@ def run_empirical(leader: Trajectory, draws: Sequence, n_followers: int = N_FOLL
         key = np.array(dataclasses.astuple(p)).tobytes()
         if key not in devs_of:
             sc = Scenario(params=p, n_followers=n_followers, leader=leader, duration=leader.t_end, dt=dt)
-            prop, base = trace_methods(origins, simulate_platoon(sc).trajectories, p, baseline_speed)
+            prop, base = trace_methods(origins, simulate_platoon(sc).trajectories, p)
             devs_of[key] = deviation_set(prop), deviation_set(base)
             del prop, base  # release this draw's paths before the next draw is simulated
         pooled.append(devs_of[key])

@@ -380,7 +380,6 @@ def pooled_empirical(
     n_followers: int = 4,
     dt: float = 0.05,
     origin_spacing: float = 2.0,
-    baseline_speed: Optional[float] = None,
 ) -> EmpiricalRun:
     """`run_empirical` keeping every draw's paths until the last draw is
     traced, then pooling them all at once."""
@@ -395,7 +394,7 @@ def pooled_empirical(
     baseline: List[WavePath] = []
     for p in params:
         sc = Scenario(params=p, n_followers=n_followers, leader=leader, duration=leader.t_end, dt=dt)
-        prop, base = trace_methods(origins, simulate_platoon(sc).trajectories, p, baseline_speed)
+        prop, base = trace_methods(origins, simulate_platoon(sc).trajectories, p)
         proposed += prop
         baseline += base
     c = Comparison.pool(proposed, baseline)

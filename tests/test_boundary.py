@@ -33,8 +33,8 @@ from accwave.microsim import (
     gap_reach,
 )
 from accwave.model import ControlParams, TrafficState, _require
-from accwave.pde import Grid, ring_cells
-from accwave.scenarios import ring_scenario, run_ring_validation, solve_ring, trace_methods
+from accwave.pde import Grid
+from accwave.scenarios import ring_scenario, run_ring_validation, solve_ring
 from accwave.tracker import constant_speed_path, trace_phase_transition
 from accwave.waves import wave_speed_closed_form
 
@@ -225,10 +225,6 @@ def test_an_input_that_used_to_get_through_is_refused_by_name(build, message):
     (lambda: gap_reach(_trajectory(x=_T + 30.0), _trajectory(), math.nan), "level must be finite, got nan"),
     (lambda: trace_phase_transition([_trajectory(x=_T + 30.0), _trajectory()], ControlParams(), math.nan),
      "v_e must be finite, got nan"),
-    (lambda: ring_cells(np.array([[0.0, -20.0]]), np.full((1, 2), 10.0), math.nan, Grid(40.0, 4)),
-     "ring_length must be positive and finite, got nan"),
-    (lambda: trace_methods([0.1], [_trajectory(x=_T + 30.0), _trajectory()], ControlParams(), math.nan),
-     "baseline_speed must be None or finite, got nan"),
     (lambda: wave_speed_closed_form(0, OscillationSpec(10.0), ControlParams()),
      "pair index n (the wave from vehicle n-1 to n) must be positive, got 0"),
     (lambda: constant_speed_path(0.1, [_trajectory(x=_T + 30.0), _trajectory()], math.nan),
@@ -278,3 +274,35 @@ def test_require_names_the_value_and_its_rule(rule, value, message):
 ])
 def test_require_takes_what_its_rule_allows(rule, value):
     _require(value, "w", **rule)
+
+
+# ---------------------------------------------------------------------------
+# README's "Invalid input" examples
+# ---------------------------------------------------------------------------
+
+# each message README shows, and an input that gives it
+README_MESSAGES = {
+    "duration must be positive and finite, got nan": lambda: _scenario(duration=math.nan),
+    "v0 must be finite, got inf": lambda: LeaderProfile(math.inf, (Cruise(None),)),
+    "eps_v must be non-negative, got -1.0": lambda: ControlParams(eps_v=-1.0),
+    "n_followers must be an integer, got 2.5": lambda: _scenario(n_followers=2.5),
+    "initial_gaps must be None or positive and finite, got nan":
+        lambda: _scenario(initial_gaps=math.nan),
+    "a scenario without a leader is a ring; its initial_speeds must list its 40 vehicles, "
+    "got shape ()": lambda: _scenario(leader=None, n_followers=40, initial_gaps=None),
+    "initial_gaps must be one value or one per follower (4), got shape (3,)":
+        lambda: _scenario(n_followers=4, initial_gaps=[17.0, 17.0, 17.0]),
+    "cut-in time 60.0 outside the scenario window":
+        lambda: _scenario(duration=60.0, cut_ins=(CutIn(time=60.0, gap=10.0, ahead_of=1),)),
+}
+
+
+def test_readme_invalid_input_messages_are_the_library_messages():
+    text = (PACKAGE.parent.parent / "README.md").read_text()
+    section = text.split("## Invalid input", 1)[1].split("\n## ", 1)[0]
+    shown = [line for block in re.findall(r"```text\n(.*?)```", section, re.S)
+             for line in block.splitlines()]
+    assert shown == list(README_MESSAGES)
+    for message, build in README_MESSAGES.items():
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()

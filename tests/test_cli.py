@@ -654,6 +654,18 @@ def test_load_draws_names_file_and_row_of_non_finite_draw(tmp_path, row):
         load_draws(str(path))
 
 
+@pytest.mark.parametrize("row", ["1.2,5,0.8,1.4,99", "1_0,5,0.8,1.4", "\u0661,5,0.8,1.4", "1.2,5,0.8"],
+                         ids=["five fields", "underscore", "arabic-indic digit", "three fields"])
+def test_load_draws_refuses_a_row_that_is_not_four_ascii_numbers(tmp_path, row):
+    # float() takes `1_0` as 10 and the Arabic-Indic one as 1, and a fifth
+    # field used to be dropped; a trajectory file refuses each of them too
+    path = tmp_path / "d.csv"
+    path.write_text(f"tau,L,k_s,k_v\n1.0,9.0,0.3,0.5\n{row}\n", encoding="utf-8")
+    message = f"{path}: malformed draw at row 3: {row.split(',')}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_draws(str(path))
+
+
 def test_draw_validation(tmp_path):
     with pytest.raises(ValueError):
         ParamSample(1.0, -9.0, 0.3, 0.5)
@@ -687,8 +699,8 @@ def test_unknown_config_key_rejected():
 
 
 _INT_KEYS = ("n_followers", "ring_vehicles", "fft_modes", "n_draws", "seed")
-_REAL_KEYS = ("dt", "duration", "origin_spacing", "baseline_speed", "tau", "L", "k_s", "k_v",
-              "v_f", "v_e", "sample_every")
+_REAL_KEYS = ("dt", "duration", "origin_spacing", "tau", "L", "k_s", "k_v", "v_f", "v_e",
+              "sample_every")
 
 
 @settings(max_examples=200, deadline=None)
@@ -707,8 +719,8 @@ def test_config_refuses_a_non_finite_real_and_names_the_key(key, val):
 
 
 def test_config_takes_integers_for_reals_and_none_where_optional():
-    cfg = config_from_dict({"duration": 30, "dt": None, "baseline_speed": None, "ring_vehicles": 30})
-    assert (cfg.duration, cfg.dt, cfg.ring_vehicles) == (30, None, 30)
+    cfg = config_from_dict({"duration": 30, "dt": None, "origin_spacing": None, "ring_vehicles": 30})
+    assert (cfg.duration, cfg.dt, cfg.origin_spacing, cfg.ring_vehicles) == (30, None, None, 30)
     with pytest.raises(ValueError, match="duration must be a number, got None"):
         config_from_dict({"duration": None})
 
@@ -724,7 +736,7 @@ def test_config_refuses_a_null_mode_list_or_a_non_boolean_precision(data, messag
         config_from_dict(data)
 
 
-@pytest.mark.parametrize("flag", ["--dt", "--duration", "--origin-spacing", "--baseline-speed"])
+@pytest.mark.parametrize("flag", ["--dt", "--duration", "--origin-spacing"])
 def test_cli_refuses_a_non_finite_flag_value_by_its_key(tmp_path, capsys, flag):
     # flags override the config through ScenarioConfig, which checks them as it checks keys
     assert main(["case", "1", flag, "nan", "--out-dir", str(tmp_path)]) == 2
@@ -830,6 +842,17 @@ def test_config_refuses_the_removed_solver_keys(tmp_path, capsys, command, key, 
     path.write_text(f"{key}: {val}\n")
     assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {path}: unknown config keys: ['{key}']\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_refuses_the_removed_baseline_speed_key(tmp_path, capsys):
+    # the baseline is Newell's kinematic wave at -L/tau of the run's controller
+    with pytest.raises(ValueError, match=r"^unknown config keys: \['baseline_speed'\]$"):
+        config_from_dict({"baseline_speed": -5})
+    path = tmp_path / "c.yaml"
+    path.write_text("baseline_speed: -5\n")
+    assert main(["case", "1", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: unknown config keys: ['baseline_speed']\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -976,6 +999,16 @@ def test_the_ring_commands_take_no_cfl_flag(command, capsys):
     assert "unrecognized arguments: --cfl 0.5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["case", "1"], ["metrics", "--input", "x.csv"]])
+def test_case_and_metrics_take_no_baseline_speed_flag(argv, tmp_path, capsys):
+    # the baseline speed is -L/tau of the run's controller
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--baseline-speed", "-5", "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --baseline-speed -5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _parser_flags():
     """Each subcommand's option flags, apart from the ones every subcommand takes."""
     parser = build_parser()
@@ -1079,8 +1112,8 @@ def test_empirical_counts_draws_from_an_iterator_and_rejects_none():
 @pytest.mark.parametrize("seed, kwargs", [
     (0, {}),
     (3, {"n_followers": 2}),
-    (5, {"baseline_speed": -5.0}),
-    (11, {"n_followers": 2, "baseline_speed": -3.5, "origin_spacing": 1.5}),
+    (5, {}),
+    (11, {"n_followers": 2, "origin_spacing": 1.5}),
 ])
 def test_empirical_pooled_draw_by_draw_equals_the_pool_of_all_paths(seed, kwargs):
     leader, draws = _sweep_inputs(4, seed)

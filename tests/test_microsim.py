@@ -1,6 +1,7 @@
 """Platoon simulation engine: leaders, followers, cut-ins, rings, engagement."""
 
 import dataclasses
+import hashlib
 import math
 import re
 from typing import List
@@ -283,13 +284,38 @@ def test_collision_raises():
 
 def test_ring_setup_total_length_and_descending_positions():
     speeds = np.array([10.0, 9.0, 11.0, 10.0])
-    L_x, x0 = ring_setup(4, P, speeds)
+    L_x, x0 = ring_setup(P, speeds)
     gaps = P.desired_spacing(speeds)
     assert L_x == pytest.approx(float(np.sum(gaps)))
     assert x0[0] == 0.0
     assert all(a > b for a, b in zip(x0, x0[1:]))
-    with pytest.raises(ValueError):
-        ring_setup(1, P, speeds[:1])
+
+
+_RNG_SPEEDS = np.random.default_rng(34)
+
+
+# ring length (as float.hex) and the first 16 hex digits of the sha256 of its
+# float64 bytes followed by the positions' bytes, as the ring setup gave them
+# when it also took the vehicle count
+@pytest.mark.parametrize("speeds, length, digest", [
+    (ring_initial_speeds(1, 40), "0x1.5400000000000p+9", "d76ccc629737418a"),
+    (ring_initial_speeds(2, 7), "0x1.977c83cca2ed7p+6", "2cd0124c254671a5"),
+    (ring_initial_speeds(3, 400), "0x1.a900000000000p+12", "00537381cbbf9788"),
+    (_RNG_SPEEDS.uniform(5, 14, 2), "0x1.f768832798e5dp+4", "5894b1ed96042d3a"),
+    (_RNG_SPEEDS.uniform(5, 14, 33), "0x1.1aca53ab09b61p+9", "5068eb3d78b8ee69"),
+], ids=["case1-40", "case2-7", "case3-400", "random-2", "random-33"])
+def test_ring_setup_counts_the_vehicles_from_the_speeds_bit_for_bit(speeds, length, digest):
+    L_x, x0 = ring_setup(P, speeds)
+    assert (x0.shape, L_x.hex()) == (speeds.shape, length)
+    assert hashlib.sha256(np.float64(L_x).tobytes() + x0.tobytes()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("speeds", [np.array([10.0]), np.full((2, 2), 10.0), np.float64(10.0)],
+                         ids=["one", "2-D", "scalar"])
+def test_ring_setup_refuses_speeds_that_are_not_one_per_vehicle(speeds):
+    with pytest.raises(ValueError, match=r"^ring initial_speeds must be a 1-D array of two or more, "
+                       rf"one per vehicle, got shape {re.escape(str(speeds.shape))}$"):
+        ring_setup(P, speeds)
 
 
 @pytest.mark.parametrize("n", [2, 7, 40, 400])
@@ -301,7 +327,7 @@ def test_ring_setup_positions_match_the_gap_by_gap_loop_bit_for_bit(case, n):
     want[0] = 0.0
     for i in range(1, n):
         want[i] = want[i - 1] - gaps[i]
-    L_x, x0 = ring_setup(n, TABLE_PARAMS, speeds)
+    L_x, x0 = ring_setup(TABLE_PARAMS, speeds)
     assert L_x == float(np.sum(gaps))
     assert x0.tobytes() == want.tobytes()
 
@@ -310,14 +336,14 @@ def test_ring_platoon_conserves_vehicle_count_and_length():
     speeds = 10.0 + 2.0 * np.sin(2 * np.pi * np.arange(12) / 12)
     sc = Scenario(params=P, n_followers=12, leader=None, duration=30.0, dt=0.01, initial_speeds=speeds)
     res = simulate_platoon(sc)
+    ring_length = ring_setup(P, speeds)[0]
     assert len(res.trajectories) == 12
-    assert res.ring_length is not None
     # total occupied length (sum of wrapped gaps) is invariant
     x_end = np.array([tr.x[-1] for tr in res.trajectories])
     lead = np.empty_like(x_end)
     lead[1:] = x_end[:-1]
-    lead[0] = x_end[-1] + res.ring_length
-    assert np.sum(lead - x_end) == pytest.approx(res.ring_length, rel=1e-12)
+    lead[0] = x_end[-1] + ring_length
+    assert np.sum(lead - x_end) == pytest.approx(ring_length, rel=1e-12)
 
 
 def test_uniform_ring_is_steady():
@@ -707,7 +733,7 @@ def _oracle_open(sc: Scenario) -> PlatoonResult:
                 dt=sc.dt,
             )
         )
-    return PlatoonResult(trajectories=trajs, ring_length=None)
+    return PlatoonResult(trajectories=trajs)
 
 
 def _oracle_ring(sc: Scenario) -> PlatoonResult:
@@ -716,7 +742,7 @@ def _oracle_ring(sc: Scenario) -> PlatoonResult:
     n = len(init_v)
     if n < 2:
         raise ValueError("ring needs at least two vehicles")
-    L_x, x0 = ring_setup(n, p, init_v)
+    L_x, x0 = ring_setup(p, init_v)
     n_steps = int(round(sc.duration / sc.dt))
     times = np.arange(n_steps + 1) * sc.dt
 
@@ -750,7 +776,7 @@ def _oracle_ring(sc: Scenario) -> PlatoonResult:
         Trajectory(vehicle_id=i, t=times, x=X[:, i], v=V[:, i], a=A[:, i], dt=sc.dt)
         for i in range(n)
     ]
-    return PlatoonResult(trajectories=trajs, ring_length=L_x)
+    return PlatoonResult(trajectories=trajs)
 
 
 def _assert_same_vehicles(got: List[Trajectory], want: List[Trajectory]) -> None:
@@ -852,7 +878,6 @@ def test_cut_ins_record_the_acc_command_of_each_sample(dt):
 def test_ring_matches_per_run_loop(case):
     sc = ring_scenario(case)
     got, want = simulate_platoon(sc), _oracle_ring(sc)
-    assert got.ring_length == want.ring_length
     _assert_same_vehicles(got.trajectories, want.trajectories)
     assert _max_dv(got.trajectories, want.trajectories) < 1e-2  # the loop's O(dt) error
     # no time loop and no step error: dt and dt/8 agree at the shared samples
@@ -875,9 +900,10 @@ def _ring(p: ControlParams, speeds, duration: float, dt: float) -> Scenario:
                     initial_speeds=speeds)
 
 
-def _ring_gaps(res: PlatoonResult) -> np.ndarray:
+def _ring_gaps(sc: Scenario, res: PlatoonResult) -> np.ndarray:
+    """Wrapped gaps of `res`, the ring of `sc`, which `ring_setup` sizes."""
     x = np.array([tr.x for tr in res.trajectories])
-    return np.vstack((x[-1:] + res.ring_length, x[:-1])) - x
+    return np.vstack((x[-1:] + ring_setup(sc.params, sc.initial_speeds)[0], x[:-1])) - x
 
 
 @pytest.mark.parametrize("dt", [0.5, 0.01])
@@ -887,7 +913,7 @@ def test_ring_records_the_acc_command_of_each_sample(case, dt):
     sc = ring_scenario(case, dt=dt)
     res = simulate_platoon(sc)
     v = np.array([tr.v for tr in res.trajectories])
-    want = acc_acceleration(_ring_gaps(res), v, np.vstack((v[-1:], v[:-1])), sc.params)
+    want = acc_acceleration(_ring_gaps(sc, res), v, np.vstack((v[-1:], v[:-1])), sc.params)
     assert np.array([tr.a for tr in res.trajectories]).tobytes() == want.tobytes()
 
 
@@ -898,8 +924,9 @@ def test_ring_that_leaves_the_engaged_set_only_between_samples_is_refused():
     # sample at dt = 0.5 inside it
     p = dataclasses.replace(P, eps_v=0.05)
     speeds = P.v_f + 0.5 + 3.0 * np.sin(2 * np.pi * np.arange(6) / 6)
-    free = simulate_platoon(_ring(dataclasses.replace(p, eps_v=0.0), speeds, 2.0, 0.5))
-    assert np.all(engaged(_ring_gaps(free), np.array([tr.v for tr in free.trajectories]), p))
+    free = _ring(dataclasses.replace(p, eps_v=0.0), speeds, 2.0, 0.5)
+    res = simulate_platoon(free)
+    assert np.all(engaged(_ring_gaps(free, res), np.array([tr.v for tr in res.trajectories]), p))
     with pytest.raises(ValueError, match="leaves the engaged set") as coarse:
         simulate_platoon(_ring(p, speeds, 2.0, 0.5))
     with pytest.raises(ValueError, match="leaves the engaged set") as fine:
@@ -914,8 +941,8 @@ def test_ring_that_collides_only_between_samples_is_refused():
     # every sample at dt = 1 with a positive gap
     p = ControlParams(tau=0.6, k_s=0.4, k_v=0.5)
     speeds = 8.0 + 6.25 * np.sin(2 * np.pi * np.arange(8) / 8)
-    far = simulate_platoon(_ring(dataclasses.replace(p, L=p.L + 20.0), speeds, 10.0, 1.0))
-    assert np.min(_ring_gaps(far)) > 20.0
+    far = _ring(dataclasses.replace(p, L=p.L + 20.0), speeds, 10.0, 1.0)
+    assert np.min(_ring_gaps(far, simulate_platoon(far))) > 20.0
     with pytest.raises(CollisionError) as coarse:
         simulate_platoon(_ring(p, speeds, 10.0, 1.0))
     with pytest.raises(CollisionError) as fine:

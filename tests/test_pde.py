@@ -294,7 +294,7 @@ def _ring_setup(case):
     from accwave.scenarios import RING_N, TABLE_PARAMS, ring_initial_speeds
 
     v = ring_initial_speeds(case, RING_N)
-    return ring_setup(RING_N, TABLE_PARAMS, v) + (v,)
+    return ring_setup(TABLE_PARAMS, v) + (v,)
 
 
 def _ring_initial_field(case, n_cells):
@@ -302,7 +302,7 @@ def _ring_initial_field(case, n_cells):
 
     L_x, x, v = _ring_setup(case)
     g = Grid(L_x, n_cells)
-    (rho0,), (v0,) = ring_cells(x[None], v[None], L_x, g)
+    (rho0,), (v0,) = ring_cells(x[None], v[None], g)
     return g, rho0, v0, TABLE_PARAMS
 
 
@@ -475,7 +475,7 @@ def _ring_pair():
 def test_micro_to_eulerian_ownership():
     trajs = _ring_pair()
     g = Grid(L_x=100.0, n_x=10)
-    rho, v = micro_to_eulerian(trajs, 100.0, g, 0.0)
+    rho, v = micro_to_eulerian(trajs, g, 0.0)
     # vehicle 1 owns [20, 60) with spacing 40; vehicle 0 owns the wrapped
     # stretch [60, 120) with spacing 60
     centers = g.centers
@@ -489,10 +489,9 @@ def test_micro_to_eulerian_ownership():
 def test_micro_to_eulerian_validation():
     trajs = _ring_pair()
     g = Grid(L_x=100.0, n_x=10)
-    with pytest.raises(ValueError):
-        micro_to_eulerian(trajs[:1], 100.0, g, 0.0)
-    with pytest.raises(ValueError):
-        micro_to_eulerian(trajs, 120.0, g, 0.0)
+    for few in (trajs[:1], []):  # no trajectories used to fail in max() of an empty window
+        with pytest.raises(ValueError, match="^need at least two vehicles$"):
+            micro_to_eulerian(few, g, 0.0)
 
 
 @pytest.mark.parametrize("t", [600.0, -0.5, math.nan, [0.0, 0.5, 1.5]])
@@ -502,11 +501,12 @@ def test_micro_to_eulerian_refuses_a_time_outside_the_trajectories(t):
     trajs = _ring_pair()                 # both sampled at t = 0 and 1
     g = Grid(L_x=100.0, n_x=10)
     with pytest.raises(ValueError, match=r"outside the trajectories' common window \[0.0, 1.0\]"):
-        micro_to_eulerian(trajs, 100.0, g, t)
+        micro_to_eulerian(trajs, g, t)
 
 
-def _micro_to_eulerian_at(trajectories, ring_length, grid, t):
+def _micro_to_eulerian_at(trajectories, grid, t):
     """Reference: the per-snapshot mapping with scalar interpolation."""
+    ring_length = grid.L_x
     x = np.array([float(tr.position_at(t)) for tr in trajectories])
     v = np.array([float(tr.speed_at(t)) for tr in trajectories])
     lead_x = np.empty(len(x))
@@ -523,13 +523,14 @@ def _micro_to_eulerian_at(trajectories, ring_length, grid, t):
 def test_micro_to_eulerian_over_many_times_matches_each_time():
     from accwave.scenarios import ring_scenario
 
-    res = simulate_platoon(ring_scenario(3, n_vehicles=12, duration=6.0))
-    g = Grid(L_x=res.ring_length, n_x=50)
+    sc = ring_scenario(3, n_vehicles=12, duration=6.0)
+    res = simulate_platoon(sc)
+    g = Grid(L_x=ring_setup(sc.params, sc.initial_speeds)[0], n_x=50)
     times = np.array([0.0, 0.37, 1.0, 2.505, 6.0])
-    rho, v = micro_to_eulerian(res.trajectories, res.ring_length, g, times)
+    rho, v = micro_to_eulerian(res.trajectories, g, times)
     assert rho.shape == v.shape == (len(times), g.n_x)
     for k, t_k in enumerate(times):
-        rho_k, v_k = _micro_to_eulerian_at(res.trajectories, res.ring_length, g, float(t_k))
+        rho_k, v_k = _micro_to_eulerian_at(res.trajectories, g, float(t_k))
         assert np.array_equal(rho[k], rho_k)
         assert np.array_equal(v[k], v_k)
 
@@ -539,12 +540,12 @@ def test_ring_cells_of_the_sampled_states_match_micro_to_eulerian():
     g = Grid(L_x=100.0, n_x=10)
     x = np.array([tr.x for tr in trajs]).T        # (n_t, n): one row per sample time
     v = np.array([tr.v for tr in trajs]).T
-    rho_a, v_a = ring_cells(x, v, 100.0, g)
-    rho_b, v_b = micro_to_eulerian(trajs, 100.0, g, trajs[0].t)
+    rho_a, v_a = ring_cells(x, v, g)
+    rho_b, v_b = micro_to_eulerian(trajs, g, trajs[0].t)
     assert np.array_equal(rho_a, rho_b)
     assert np.array_equal(v_a, v_b)
     # no times: empty fields, as solve(output_times=[]) gives
-    for rho_0, v_0 in (ring_cells(x[:0], v[:0], 100.0, g), micro_to_eulerian(trajs, 100.0, g, [])):
+    for rho_0, v_0 in (ring_cells(x[:0], v[:0], g), micro_to_eulerian(trajs, g, [])):
         assert rho_0.shape == v_0.shape == (0, g.n_x)
 
 
@@ -552,11 +553,9 @@ def test_ring_cells_validation():
     g = Grid(L_x=100.0, n_x=10)
     x, v = np.array([[60.0, 20.0]]), np.array([[5.0, 7.0]])
     with pytest.raises(ValueError, match="at least two vehicles"):
-        ring_cells(x[:, :1], v[:, :1], 100.0, g)
-    with pytest.raises(ValueError, match="grid length"):
-        ring_cells(x, v, 120.0, g)
+        ring_cells(x[:, :1], v[:, :1], g)
     with pytest.raises(ValueError, match="non-positive spacing"):
-        ring_cells(np.array([[20.0, 60.0]]), v, 100.0, g)
+        ring_cells(np.array([[20.0, 60.0]]), v, g)
 
 
 @pytest.mark.parametrize("case", [1, 2, 3])
@@ -564,9 +563,10 @@ def test_solve_ring_starts_from_the_simulated_ring_at_t0_bit_for_bit(case):
     from accwave.scenarios import RING_N, ring_scenario, solve_ring
 
     fld = solve_ring(case, RING_N, 1.0, 0.5)
-    assert fld.grid.n_x == 200
-    res = simulate_platoon(ring_scenario(case))
-    rho, v = micro_to_eulerian(res.trajectories, res.ring_length, fld.grid, 0.0)
+    sc = ring_scenario(case)
+    assert (fld.grid.L_x, fld.grid.n_x) == (ring_setup(sc.params, sc.initial_speeds)[0], 200)
+    res = simulate_platoon(sc)
+    rho, v = micro_to_eulerian(res.trajectories, fld.grid, 0.0)
     assert fld.times[0] == 0.0
     assert np.array_equal(fld.rho[0], rho)
     assert np.array_equal(fld.v[0], v)
@@ -591,7 +591,7 @@ def _validate_and_a_fine_ring(case, duration, sample_every=0.5):
 
     r = run_ring_validation(case, duration=duration, sample_every=sample_every)
     res = simulate_platoon(ring_scenario(case, duration=duration, dt=0.001))
-    return r, micro_to_eulerian(res.trajectories, res.ring_length, r.pde.grid, r.pde.times)
+    return r, micro_to_eulerian(res.trajectories, r.pde.grid, r.pde.times)
 
 
 @pytest.mark.parametrize("case, duration", [pytest.param(c, 60.0, id=str(c)) for c in (1, 2, 3)]

@@ -661,7 +661,7 @@ def test_tracer_against_windowed_oracle_on_overlapping_recorded_vehicles(tmp_pat
     trajs = ingest_trajectories(str(path))
     assert np.any(trajs[2].x > trajs[1].x)
     w_base = lwr_baseline_speed(P)
-    proposed, baseline = trace_methods(np.arange(2.0, 34.0, 0.25), trajs, P, w_base)
+    proposed, baseline = trace_methods(np.arange(2.0, 34.0, 0.25), trajs, P)
     # some paths cross vehicle 1 behind vehicle 2, so they enter the pair
     # (1, 2) behind its follower and search from the first knot ahead of it
     entries = [p.crossings[0] for p in proposed + baseline if p.crossings]
@@ -785,7 +785,7 @@ def _overlap_run(tmp_path):
     write_trajectories(path, _overlap_platoon(), full_precision=True)
     trajs = ingest_trajectories(path)
     w_base = lwr_baseline_speed(P)
-    proposed, baseline = trace_methods(np.arange(2.0, 34.0, 0.25), trajs, P, w_base)
+    proposed, baseline = trace_methods(np.arange(2.0, 34.0, 0.25), trajs, P)
     return trajs, P, proposed, baseline, w_base, None
 
 

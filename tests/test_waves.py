@@ -45,6 +45,19 @@ def test_transfer_vectorized_matches_scalar():
         assert te.phase[i] == pytest.approx(one.phase, rel=1e-15)
 
 
+@pytest.mark.parametrize("params", [P, ControlParams(k_s=0.0), ControlParams(tau=0.6, k_s=0.4, k_v=0.5)],
+                         ids=["defaults", "k_s=0", "weak"])
+def test_inverse_gain_is_one_plus_the_micro_macro_term(params):
+    # the micro/macro bridge on the open road: 1/G(iw) = 1 + mu(iw), where
+    # mu(iw) = iw (iw + k_s tau) / (k_s + iw k_v), and e^{-mu} is the
+    # continuum's per-vehicle factor
+    w = np.logspace(-2, 2, 20)
+    iw = 1j * w
+    mu = iw * (iw + params.k_s * params.tau) / (params.k_s + iw * params.k_v)
+    g = transfer_function(w, params).g
+    assert np.all(np.abs(1.0 / g - (1.0 + mu)) <= 1e-12 * np.abs(1.0 + mu))
+
+
 def test_default_gains_are_string_stable():
     res = string_stability_class(P)
     assert res.classification is StabilityClass.STABLE
