@@ -345,7 +345,7 @@ def load_draws(path: str) -> List[ParamSample]:
                     raise ValueError("not four ASCII numbers")
                 out.append(ParamSample(*map(float, row)))
             except ValueError as exc:
-                raise ValueError(f"{path}: malformed draw at row {row_no}: {row}") from exc
+                raise ValueError(f"{path}: malformed draw at row {row_no}: {row}: {exc}") from exc
     if not out:
         raise ValueError(f"{path}: no draws found")
     return out
@@ -422,6 +422,8 @@ def _check_field(f, val) -> None:
     """Refuse a value that config field `f`'s annotation does not take, naming the key."""
     if f.type in ("Optional[int]", "Optional[float]"):
         _require(val, f.name, integer=f.type == "Optional[int]")
+    if f.name == "modes" and val is not None:
+        _coerce_modes(val)
     if f.type == "Optional[str]" and not isinstance(val, str):
         raise ValueError(f"{f.name} must be a string, got {val!r}")
     if f.type == "bool" and not isinstance(val, bool):
@@ -431,12 +433,13 @@ def _check_field(f, val) -> None:
 
 
 def _coerce_modes(raw) -> Tuple[Tuple[float, float, float], ...]:
-    modes = []
-    for m in raw:
-        if len(m) != 3:
-            raise ValueError(f"each mode needs [amplitude, omega, phase], got {m}")
-        modes.append((float(m[0]), float(m[1]), float(m[2])))
-    return tuple(modes)
+    """`raw`, a list of [amplitude, omega, phase] numbers, as modes; a value
+    that is not is refused by the key `modes`."""
+    seq = (list, tuple)
+    if not isinstance(raw, seq) or not all(isinstance(m, seq) and len(m) == 3 for m in raw):
+        raise ValueError(f"modes must be a list of [amplitude, omega, phase], got {raw!r}")
+    _require(raw, "modes")
+    return tuple(map(tuple, np.asarray(raw, dtype=float).tolist()))
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:

@@ -87,10 +87,10 @@ class OscillationSpec:
 
     def __post_init__(self) -> None:
         _require(self.v_e, "v_e")
-        A, omega, phi = np.reshape(self.modes, (-1, 3)).T
+        _require(self.modes, "modes")   # as given: numpy would read a bool among them as 0 or 1
+        A, omega, _ = np.reshape(self.modes, (-1, 3)).T
         _require(A, "mode amplitude", nonnegative=True)
         _require(omega, "mode frequency", positive=True)
-        _require(phi, "mode phase")
 
 
 # Largest difference between a trajectory's sample steps and its dt [s].
@@ -847,12 +847,16 @@ def ring_setup(
     Each vehicle's initial gap to its predecessor is tau*v_i(0) + L; the
     ring length is the sum of all gaps.  Vehicle 0 sits at x = 0 and the
     rest stack behind it; vehicle 0 wraps around to follow the last one.
+    Each speed must be a finite number above -L/tau, so that its gap is
+    positive; a negative speed is taken.
     """
+    _require(initial_speeds, "initial_speeds")
     v = np.asarray(initial_speeds, dtype=float)
     if v.ndim != 1 or v.size < 2:
         raise ValueError(f"ring initial_speeds must be a 1-D array of two or more, one per vehicle, "
                          f"got shape {v.shape}")
     gaps = params.desired_spacing(v)
+    _require(gaps, "each initial gap tau*v + L of initial_speeds", positive=True)
     return float(np.sum(gaps)), np.concatenate(([0.0], -np.cumsum(gaps[1:])))
 
 

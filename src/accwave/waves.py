@@ -91,15 +91,18 @@ class StabilityResult:
 
 
 def string_stability_class(params: ControlParams) -> StabilityResult:
-    """Classify string stability from the supremum of |G| on a grid.
+    """Classify string stability from the exact sup of |G| on [1e-2, 100] rad/s.
 
-    The grid is 10^4 log-spaced frequencies on [1e-2, 100] rad/s.  The
-    lower end matters: |G| -> 1 at DC for every parameter set, so a grid
-    reaching too close to zero would tag every configuration Marginal.
-    Stable means sup |G| < 1 - 1e-6; Marginal |sup - 1| <= 1e-6;
-    Unstable otherwise.
+    |G| falls from 1 at DC when D = k_s (k_s tau^2 + 2 k_v tau - 2) >= 0, and else
+    rises to one peak at w^2 = -k_s^2 D / (k_s^2 + sqrt(k_s^4 - k_v^2 k_s^2 D)): the
+    sup is the first largest |G| at the window's ends and that peak clipped into it.
+    Stable means sup < 1 - 1e-6 (the window leaves out DC, where every |G| is 1);
+    Marginal |sup - 1| <= 1e-6; Unstable otherwise.
     """
-    omegas, tol = np.logspace(-2, 2, 10_000), 1e-6
+    k_s, k_v, tol = params.k_s, params.k_v, 1e-6
+    D = k_s * (k_s * params.tau**2 + 2.0 * k_v * params.tau - 2.0)
+    u = -k_s**2 * D / (k_s**2 + math.sqrt(k_s**4 - (k_v * k_s) ** 2 * D)) if D < 0 else 0.0
+    omegas = np.array([1e-2, min(max(math.sqrt(u), 1e-2), 100.0), 100.0])
     mags = np.abs(_gain(omegas, params))
     k = int(np.argmax(mags))
     sup = float(mags[k])

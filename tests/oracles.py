@@ -27,6 +27,11 @@
   draw's deviations were pooled as soon as it was traced: every draw's
   paths kept until the last draw, then pooled once by `Comparison.pool`.
   `scenarios.run_empirical` must give the same statistics and counts.
+- `grid_stability_class`, the string-stability class as it was before its
+  supremum was computed in closed form: the largest |G| on 10^4
+  log-spaced frequencies.  `waves.string_stability_class` must give its
+  class, a sup at most 1e-7 relative above it, and an argmax within one
+  grid step.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from accwave.tracker import (
     WavePath,
     _PairTable,
 )
+from accwave.waves import StabilityClass, StabilityResult, _gain
 
 
 # ---------------------------------------------------------------------------
@@ -404,3 +410,29 @@ def pooled_empirical(
         n_draws=len(params),
         n_deviations=len(c.proposed_devs),
     )
+
+
+# ---------------------------------------------------------------------------
+# String stability on a frequency grid
+# ---------------------------------------------------------------------------
+
+def grid_stability_class(params: ControlParams) -> StabilityResult:
+    """Classify string stability from the supremum of |G| on a grid.
+
+    The grid is 10^4 log-spaced frequencies on [1e-2, 100] rad/s.  The
+    lower end matters: |G| -> 1 at DC for every parameter set, so a grid
+    reaching too close to zero would tag every configuration Marginal.
+    Stable means sup |G| < 1 - 1e-6; Marginal |sup - 1| <= 1e-6;
+    Unstable otherwise.
+    """
+    omegas, tol = np.logspace(-2, 2, 10_000), 1e-6
+    mags = np.abs(_gain(omegas, params))
+    k = int(np.argmax(mags))
+    sup = float(mags[k])
+    if sup < 1.0 - tol:
+        cls = StabilityClass.STABLE
+    elif abs(sup - 1.0) <= tol:
+        cls = StabilityClass.MARGINAL
+    else:
+        cls = StabilityClass.UNSTABLE
+    return StabilityResult(cls, sup, float(omegas[k]))

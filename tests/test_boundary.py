@@ -5,8 +5,10 @@ names the field or argument.
 Every public dataclass is found the way `test_api.py` finds exported names,
 and each of its numeric fields is built with NaN, +inf and -inf, with 0
 where it must be positive, -1 where it must be non-negative, and 2.5 and
-True where it must be an integer.  A new dataclass is covered without a
-new test: it needs an entry in EXAMPLES, or in RESULT_RECORDS with a reason.
+True where it must be an integer; each field that takes a sequence is also
+built with a list or tuple that holds a bool among its numbers.  A new
+dataclass is covered without a new test: it needs an entry in EXAMPLES, or
+in RESULT_RECORDS with a reason.
 """
 
 import dataclasses
@@ -18,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from accwave.dataio import ParamSample, ScenarioConfig, sample_params
+from accwave.dataio import ParamSample, ScenarioConfig, config_from_dict, load_draws, sample_params
 from accwave.fourier import fourier_decompose, periodic_reconstruct
 from accwave.metrics import summary_stats
 from accwave.microsim import (
@@ -31,6 +33,7 @@ from accwave.microsim import (
     Scenario,
     Trajectory,
     gap_reach,
+    ring_setup,
 )
 from accwave.model import ControlParams, TrafficState, _require
 from accwave.pde import Grid
@@ -63,6 +66,14 @@ def _numeric_fields(cls):
     return [f for f in dataclasses.fields(cls) if _NUMERIC.match(f.type)]
 
 
+# a field takes a sequence when its annotation is an array, a sequence of numbers or modes
+_SEQUENCE = re.compile(r"(Optional\[)?(ArrayLike|np\.ndarray|Union\[float, Sequence|Tuple\[Tuple\[float)\b")
+
+
+def _sequence_fields(cls):
+    return [f for f in dataclasses.fields(cls) if _SEQUENCE.match(f.type)]
+
+
 _T = np.arange(5) * 0.1
 _MODE = ((1.0, 0.5, 0.0),)
 
@@ -82,7 +93,7 @@ EXAMPLES = {
     "Grid": Grid(100.0, 10),
     "ParamSample": ParamSample(1.2, 5.0, 0.8, 1.4),
     "ScenarioConfig": ScenarioConfig(**{f.name: 1 if f.type in _INTEGER else 1.0
-                                        for f in _numeric_fields(ScenarioConfig)}),
+                                        for f in _numeric_fields(ScenarioConfig)}, modes=_MODE),
 }
 
 # fields that also refuse 0, and fields that also refuse -1
@@ -155,6 +166,26 @@ def test_every_public_dataclass_refuses_a_number_it_cannot_take(name, field, val
         dataclasses.replace(example, **{field: _with(getattr(example, field), value)})
 
 
+def _holding_a_bool(current):
+    """`current` as a list, or as modes, with True in place of one number:
+    numpy would read it as 1.0."""
+    if isinstance(current, tuple):                   # modes: the first amplitude
+        return ((True, *current[0][1:]), *current[1:])
+    seq = np.ravel(current).tolist() if np.ndim(current) else [current, current]
+    seq[len(seq) // 2] = True
+    return seq
+
+
+@pytest.mark.parametrize("name, field", [
+    pytest.param(name, f.name, id=f"{name}.{f.name}")
+    for name, cls in sorted(PUBLIC.items()) if name not in RESULT_RECORDS for f in _sequence_fields(cls)])
+def test_every_sequence_field_refuses_a_bool_among_its_numbers(name, field):
+    example = EXAMPLES[name]
+    value = _holding_a_bool(getattr(example, field))
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be a number, got {re.escape(repr(value))}$"):
+        dataclasses.replace(example, **{field: value})
+
+
 @pytest.mark.parametrize("key, value", sorted(ACCEPTED))
 def test_an_allowed_value_is_taken(key, value):
     name, field = key.split(".")
@@ -211,6 +242,10 @@ _SPEEDS = np.sin(0.5 * np.arange(64.0))
      "a ring takes no initial_gaps: its initial_speeds set its gaps"),
     # each writer then failed on the unchecked None with a KeyError
     (lambda: ScenarioConfig(full_precision=None), "full_precision must be true or false, got None"),
+    # numpy read each bool as 1.0
+    (lambda: _scenario(initial_speeds=[True, 10.0]), "initial_speeds must be a number, got [True, 10.0]"),
+    (lambda: OscillationSpec(10.0, ((True, 0.5, 0.0),)), "modes must be a number, got ((True, 0.5, 0.0),)"),
+    (lambda: ScenarioConfig(modes=((1.0, np.True_, 0.0),)), "modes must be a number, got ((1.0, np.True_, 0.0),)"),
 ], ids=lambda x: x if isinstance(x, str) else "")
 def test_an_input_that_used_to_get_through_is_refused_by_name(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -232,6 +267,9 @@ def test_an_input_that_used_to_get_through_is_refused_by_name(build, message):
     (lambda: solve_ring(1, n_vehicles=math.nan), "n_vehicles must be an integer, got nan"),
     (lambda: ring_scenario(2, n_vehicles=2.5), "n_vehicles must be an integer, got 2.5"),
     (lambda: run_ring_validation(3, n_vehicles=True), "n_vehicles must be an integer, got True"),
+    # the bool used to be read as 1.0, the NaN to give a NaN ring length
+    (lambda: ring_setup(ControlParams(), [True, 3.0]), "initial_speeds must be a number, got [True, 3.0]"),
+    (lambda: ring_setup(ControlParams(), [10.0, math.nan]), "initial_speeds must be finite, got nan"),
 ], ids=lambda x: x if isinstance(x, str) else "")
 def test_a_public_function_refuses_a_setting_it_cannot_use_by_name(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -256,6 +294,9 @@ def test_a_public_function_refuses_a_setting_it_cannot_use_by_name(call, message
     ({}, "1.0", "w must be a number, got '1.0'"),
     ({}, True, "w must be a number, got True"),
     ({}, [1.0, math.inf, math.nan], "w must be finite, got inf"),
+    ({}, [True, 3.0], "w must be a number, got [True, 3.0]"),
+    ({}, ((1.0, 2.0), (np.False_, 3.0)), "w must be a number, got ((1.0, 2.0), (np.False_, 3.0))"),
+    ({}, np.array([True, False]), "w must be a number, got array([ True, False])"),
     ({"positive": True}, np.array([[1.0, 2.0], [0.0, -1.0]]), "w must be positive and finite, got 0.0"),
 ])
 def test_require_names_the_value_and_its_rule(rule, value, message):
@@ -271,6 +312,7 @@ def test_require_names_the_value_and_its_rule(rule, value, message):
     ({"positive": True}, [1.0, 2.0]),
     ({}, np.array(7.3)),
     ({"nonnegative": True}, np.arange(4)),
+    ({}, ((1, 2.5), (np.float64(3.0), -4))),
 ])
 def test_require_takes_what_its_rule_allows(rule, value):
     _require(value, "w", **rule)
@@ -288,16 +330,23 @@ README_MESSAGES = {
     "n_followers must be an integer, got 2.5": lambda: _scenario(n_followers=2.5),
     "initial_gaps must be None or positive and finite, got nan":
         lambda: _scenario(initial_gaps=math.nan),
+    "initial_speeds must be a number, got [True, 10.0]": lambda: _scenario(initial_speeds=[True, 10.0]),
     "a scenario without a leader is a ring; its initial_speeds must list its 40 vehicles, "
     "got shape ()": lambda: _scenario(leader=None, n_followers=40, initial_gaps=None),
     "initial_gaps must be one value or one per follower (4), got shape (3,)":
         lambda: _scenario(n_followers=4, initial_gaps=[17.0, 17.0, 17.0]),
     "cut-in time 60.0 outside the scenario window":
         lambda: _scenario(duration=60.0, cut_ins=(CutIn(time=60.0, gap=10.0, ahead_of=1),)),
+    "each initial gap tau*v + L of initial_speeds must be positive and finite, got -19.0":
+        lambda: ring_setup(ControlParams(), [10.0, -20.0]),
+    "modes must be a list of [amplitude, omega, phase], got 5": lambda: config_from_dict({"modes": 5}),
+    "d.csv: malformed draw at row 2: ['-1', '5', '0.8', '1.4']: tau must be positive and finite, got -1.0":
+        lambda: Path("d.csv").write_text("tau,L,k_s,k_v\n-1,5,0.8,1.4\n") and load_draws("d.csv"),
 }
 
 
-def test_readme_invalid_input_messages_are_the_library_messages():
+def test_readme_invalid_input_messages_are_the_library_messages(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)          # where the draws example writes d.csv
     text = (PACKAGE.parent.parent / "README.md").read_text()
     section = text.split("## Invalid input", 1)[1].split("\n## ", 1)[0]
     shown = [line for block in re.findall(r"```text\n(.*?)```", section, re.S)

@@ -661,9 +661,19 @@ def test_load_draws_refuses_a_row_that_is_not_four_ascii_numbers(tmp_path, row):
     # field used to be dropped; a trajectory file refuses each of them too
     path = tmp_path / "d.csv"
     path.write_text(f"tau,L,k_s,k_v\n1.0,9.0,0.3,0.5\n{row}\n", encoding="utf-8")
-    message = f"{path}: malformed draw at row 3: {row.split(',')}"
+    message = f"{path}: malformed draw at row 3: {row.split(',')}: not four ASCII numbers"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_draws(str(path))
+
+
+def test_cli_empirical_gives_the_reason_it_refuses_a_draw(tmp_path, capsys):
+    # the reason used to be only the exception's __cause__
+    path = tmp_path / "d.csv"
+    path.write_text("tau,L,k_s,k_v\n-1,5,0.8,1.4\n")
+    assert main(["empirical", "--draws", str(path), "--leader", str(DATA_DIR / "leader_dip.csv"),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (f"error: {path}: malformed draw at row 2: ['-1', '5', '0.8', '1.4']: "
+                                       "tau must be positive and finite, got -1.0\n")
 
 
 def test_draw_validation(tmp_path):
@@ -778,6 +788,27 @@ def test_yaml_float_ring_vehicle_count_fails_at_load_with_the_key(tmp_path):
 def test_malformed_mode_rejected():
     with pytest.raises(ValueError, match="amplitude, omega, phase"):
         config_from_dict({"modes": [[1.0, 2.0]]})
+
+
+@pytest.mark.parametrize("text, message", [
+    # a bool and a numeric string used to be read as 1.0 and 0.5, and the
+    # scalars to end in a TypeError that named no key
+    ('[[true, "0.5", 0]]', "modes must be a number, got [[True, '0.5', 0]]"),
+    ("[[true, 0.5, 0]]", "modes must be a number, got [[True, 0.5, 0]]"),
+    ("5", "modes must be a list of [amplitude, omega, phase], got 5"),
+    ("[5]", "modes must be a list of [amplitude, omega, phase], got [5]"),
+])
+def test_cli_refuses_modes_that_are_not_lists_of_numbers_by_the_key(tmp_path, capsys, text, message):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(f"modes: {text}\n")
+    assert main(["wave", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_modes_of_integers_load_as_floats():
+    assert config_from_dict({"modes": [[20, 1, 0]]}).modes == ((20.0, 1.0, 0.0),)
+    assert config_from_dict({"modes": []}).modes == ()
 
 
 def test_example_config_loads():

@@ -31,14 +31,16 @@ from accwave.cli import main
 from accwave.dataio import load_config, load_draws, sample_params
 from accwave.microsim import OscillationSpec, Scenario, simulate_platoon
 from accwave.model import ControlParams
+from accwave.waves import StabilityClass, string_stability_class
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
 RECORDED = "recorded.csv"    # written by `_write_recorded` into the temporary directory
+UNSTABLE = "unstable.yaml"   # written by `_write_unstable` into the temporary directory
 
 _EMPIRICAL_INPUTS = ["--draws", str(ROOT / "data" / "calibrated_draws.csv"),
                      "--leader", str(ROOT / "data" / "leader_dip.csv")]
-# run name -> argv, without --out-dir; RECORDED stands for the recorded file's path
+# run name -> argv, without --out-dir; RECORDED and UNSTABLE stand for their files' paths
 RUNS = {
     **{f"case{c}": ["case", str(c)] for c in (1, 2, 3, 4)},
     **{f"validate{c}": ["validate", "--case", str(c)] for c in (1, 2, 3)},
@@ -48,6 +50,7 @@ RUNS = {
     "empirical": ["empirical", "--config", str(ROOT / "bench" / "sweep.yaml"), *_EMPIRICAL_INPUTS],
     "simulate": ["simulate", "--config", str(ROOT / "configs" / "example.yaml")],
     "wave": ["wave", "--config", str(ROOT / "configs" / "example.yaml")],
+    "wave_unstable": ["wave", "--config", UNSTABLE],
     "metrics": ["metrics", "--input", RECORDED, "--warmup", "20", "--origin-spacing", "4",
                 "--end-margin", "15"],
     **{f"fft{v}": ["fft", "--input", RECORDED, "--vehicle", str(v), "--modes", "3"]
@@ -73,6 +76,17 @@ def _write_recorded(path: str) -> None:
                 fh.write(f"{k * dt:.1f},{tr.vehicle_id},{tr.x[k]:.4f},{tr.v[k]:.6f}\n")
 
 
+def _write_unstable(path: str) -> None:
+    """A config with the controller of the first calibrated draw, which is
+    string-unstable."""
+    d = load_draws(_EMPIRICAL_INPUTS[1])[0]
+    Path(path).write_text(f"tau: {d.tau!r}\nL: {d.L!r}\nk_s: {d.k_s!r}\nk_v: {d.k_v!r}\n")
+
+
+# each input file a run reads from the temporary directory, and its writer
+INPUTS = {RECORDED: _write_recorded, UNSTABLE: _write_unstable}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -81,7 +95,7 @@ def _digests(name: str, tmp: str) -> dict:
     """Run `name` into its own directory under `tmp`; the sha256 of its
     stdout and of each file it wrote, by "<run>/<file>"."""
     out = os.path.join(tmp, name)
-    argv = [os.path.join(tmp, RECORDED) if a == RECORDED else a for a in RUNS[name]]
+    argv = [os.path.join(tmp, a) if a in INPUTS else a for a in RUNS[name]]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         assert main(argv + ["--out-dir", out]) == 0, name
@@ -94,7 +108,8 @@ def _digests(name: str, tmp: str) -> dict:
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     tmp = str(tmp_path_factory.mktemp("golden"))
-    _write_recorded(os.path.join(tmp, RECORDED))
+    for file, write in INPUTS.items():
+        write(os.path.join(tmp, file))
     return tmp
 
 
@@ -110,6 +125,11 @@ def test_golden_digests_name_only_these_runs():
     assert {k.split("/")[0] for k in json.loads(GOLDEN.read_text())} == set(RUNS)
 
 
+def test_golden_unstable_wave_run_is_string_unstable(run_dir):
+    cfg = load_config(os.path.join(run_dir, UNSTABLE))
+    assert string_stability_class(cfg.params()).classification is StabilityClass.UNSTABLE
+
+
 def test_golden_empirical_run_repeats_a_draw():
     # `run_empirical` reuses a repeated draw's deviations, so the golden sweep
     # must resample at least one draw twice for its digests to cover that path
@@ -120,7 +140,8 @@ def test_golden_empirical_run_repeats_a_draw():
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        _write_recorded(os.path.join(tmp, RECORDED))
+        for file, write in INPUTS.items():
+            write(os.path.join(tmp, file))
         digests = {k: v for name in RUNS for k, v in _digests(name, tmp).items()}
     GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} digests to {GOLDEN}", file=sys.stderr)

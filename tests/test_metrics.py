@@ -1,11 +1,17 @@
 """Tests for the speed-deviation metric, its summaries, and field RMSE."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from accwave.dataio import ingest_trajectories, load_draws, sample_params
 from accwave.metrics import deviation_set, field_rmse, histogram, summary_stats
 from accwave.pde import EulerianField, Grid
+from accwave.scenarios import run_case, run_empirical
 from accwave.tracker import Crossing, PathKind, WavePath
+
+DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 
 def _path(origin_v, crossing_speeds, kind=PathKind.CHARACTERISTIC):
@@ -153,3 +159,39 @@ def test_field_rmse_validation():
     b = EulerianField(g2, np.array([0.0, 1.0]), np.full((2, 10), 0.05), np.full((2, 10), 10.0))
     with pytest.raises(ValueError):
         field_rmse(a, b, "v")
+
+
+# ---------------------------------------------------------------------------
+# dependence on the time step
+# ---------------------------------------------------------------------------
+
+# Halving dt moves each of the 12 printed statistics (mean, median, q1, q3,
+# max and min of both methods) by at most, as measured:
+#
+#   run                      dt halved      largest change (statistic)   means' change   mean gap
+#   case 1                   0.01 -> 0.005  1.3e-5 (baseline q3)         7.8e-7/7.3e-7   0.478
+#   case 2                   0.01 -> 0.005  5.0e-6 (proposed median)     6.0e-7/4.7e-7   0.385
+#   case 3                   0.01 -> 0.005  1.2e-4 (proposed max)        9.4e-8/6.8e-6   1.072
+#   sweep (40 draws, seed 0) 0.05 -> 0.025  4.8e-5 (proposed max)        2.7e-6/3.9e-6   0.032
+#
+# Case 4 stays out: its phase-transition paths move with dt.
+DT_BOUND = 5e-4
+
+
+def _run(name, dt):
+    """`case <n>`, or the `bench/sweep.yaml` sweep, at time step dt."""
+    if name != "sweep":
+        return run_case(int(name[-1]), dt=dt)
+    draws = sample_params(load_draws(str(DATA_DIR / "calibrated_draws.csv")), 40, seed=0)
+    leader = ingest_trajectories(str(DATA_DIR / "leader_dip.csv"))[0]
+    return run_empirical(leader, draws, dt=dt, origin_spacing=2.0)
+
+
+@pytest.mark.parametrize("name, dt", [("case1", 0.01), ("case2", 0.01), ("case3", 0.01), ("sweep", 0.05)])
+def test_the_printed_statistics_do_not_depend_on_the_time_step(name, dt):
+    coarse, fine = _run(name, dt), _run(name, dt / 2)
+    for r in (coarse, fine):       # the ordering the statistics show is 50 bounds clear
+        assert r.baseline_stats.mean - r.proposed_stats.mean > 50 * DT_BOUND
+    for method in ("proposed_stats", "baseline_stats"):
+        a, b = getattr(coarse, method).as_row(), getattr(fine, method).as_row()
+        assert np.max(np.abs(np.subtract(a, b))) < DT_BOUND, method

@@ -318,6 +318,29 @@ def test_ring_setup_refuses_speeds_that_are_not_one_per_vehicle(speeds):
         ring_setup(P, speeds)
 
 
+_NO_GAP = re.escape("each initial gap tau*v + L of initial_speeds must be positive and finite, got ")
+
+
+def test_ring_refuses_a_speed_without_a_positive_gap_before_it_steps():
+    # [10, -20] used to give a ring of length -2 m, which collided at t = 0
+    with pytest.raises(ValueError, match=rf"^{_NO_GAP}-19\.0$"):
+        ring_setup(P, [10.0, -20.0])
+    with pytest.raises(ValueError, match=rf"^{_NO_GAP}-19\.0$"):
+        simulate_platoon(Scenario(P, 2, None, 1.0, initial_speeds=[10.0, -20.0]))
+    with pytest.raises(ValueError, match=rf"^{_NO_GAP}0\.0$"):
+        ring_setup(P, [10.0, -P.L / P.tau])        # a zero gap
+    # a negative speed with a positive gap stays legal, as in TrafficState
+    assert ring_setup(P, [10.0, -3.0])[0] == pytest.approx(17.0 + 1.4, rel=1e-15)
+
+
+def test_ring_refuses_a_non_finite_speed_by_name():
+    # [10, nan] used to give a ring of length nan
+    with pytest.raises(ValueError, match=r"^initial_speeds must be finite, got nan$"):
+        ring_setup(P, [10.0, math.nan])
+    with pytest.raises(ValueError, match=r"^initial_speeds must be None or finite, got nan$"):
+        Scenario(P, 2, None, 1.0, initial_speeds=[10.0, math.nan])
+
+
 @pytest.mark.parametrize("n", [2, 7, 40, 400])
 @pytest.mark.parametrize("case", [1, 2, 3])
 def test_ring_setup_positions_match_the_gap_by_gap_loop_bit_for_bit(case, n):

@@ -1,12 +1,16 @@
 """Transfer function, string stability, and closed-form wave speed."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from accwave import waves
+from accwave.dataio import load_draws
 from accwave.microsim import OscillationSpec, leader_motion
 from accwave.model import ControlParams
+from accwave.scenarios import CASE4_PARAMS, TABLE_PARAMS
 from accwave.waves import (
     StabilityClass,
     follower_motion_closed_form,
@@ -15,6 +19,7 @@ from accwave.waves import (
     wave_oscillation_period,
     wave_speed_closed_form,
 )
+from oracles import grid_stability_class
 
 P = ControlParams()
 OMEGA_1 = 0.16 * math.pi
@@ -82,6 +87,43 @@ def test_marginal_boundary_classification():
     k_v = (2.0 - k_s * tau**2) / (2.0 * tau)
     res = string_stability_class(ControlParams(tau=tau, L=5.0, k_s=k_s, k_v=k_v))
     assert res.classification is StabilityClass.MARGINAL
+
+
+# the k_s = 0 and k_v = 0 edges, the D = 0 set of the marginal test and the
+# amplifying set above
+BOUNDARY_SETS = [ControlParams(k_s=0.0), ControlParams(k_v=0.0),
+                 ControlParams(tau=1.0, L=5.0, k_s=0.5, k_v=0.75),
+                 ControlParams(tau=1.0, L=5.0, k_s=0.3, k_v=0.5)]
+DRAW_SETS = [ControlParams(tau=d.tau, L=d.L, k_s=d.k_s, k_v=d.k_v)
+             for d in load_draws(str(Path(__file__).resolve().parent.parent / "data" / "calibrated_draws.csv"))]
+GRID_STEP = 10 ** (4 / 9999)   # ratio of neighbours on the oracle's 10^4-point grid
+
+
+def test_exact_stability_matches_the_grid_oracle():
+    # 202 of the 206 sets are Unstable; measured, the exact sup is at most
+    # 5.1e-8 relative above the grid's and the argmax 4.6e-4 relative off it
+    for params in [TABLE_PARAMS, CASE4_PARAMS, *BOUNDARY_SETS, *DRAW_SETS]:
+        got, grid = string_stability_class(params), grid_stability_class(params)
+        assert got.classification is grid.classification, params
+        assert grid.sup_gain <= got.sup_gain <= grid.sup_gain * (1.0 + 1e-7), params
+        assert 1.0 / GRID_STEP <= got.argmax_omega / grid.argmax_omega <= GRID_STEP, params
+    assert string_stability_class(TABLE_PARAMS) == grid_stability_class(TABLE_PARAMS)
+
+
+@pytest.mark.parametrize("params", [TABLE_PARAMS, CASE4_PARAMS, *BOUNDARY_SETS, *DRAW_SETS[:10]],
+                         ids=["table", "case4", "k_s=0", "k_v=0", "D=0", "amplifying",
+                              *(f"draw{i}" for i in range(10))])
+def test_no_frequency_of_a_fine_grid_exceeds_the_exact_sup(params):
+    res = string_stability_class(params)
+    mags = transfer_function(np.logspace(-2, 2, 10**6), params).gain_mag
+    assert mags.max() <= res.sup_gain * (1.0 + 1e-12)
+
+
+def test_stability_evaluates_the_gain_once_on_at_most_three_frequencies(monkeypatch):
+    sizes, gain = [], waves._gain
+    monkeypatch.setattr(waves, "_gain", lambda w, p: sizes.append(np.size(w)) or gain(w, p))
+    string_stability_class(DRAW_SETS[0])
+    assert sizes == [3]
 
 
 def test_follower_motion_reduces_to_leader_at_n0():
