@@ -369,7 +369,8 @@ def sample_params(draws: Sequence[ParamSample], count: int = 200, seed: int = 0)
 class ScenarioConfig:
     """Everything a CLI run needs; YAML-serializable and strict on keys.  A
     field left None (in YAML, an absent key) is not passed on (`given`), so
-    the library call it feeds applies its default, written once there."""
+    the library call it feeds applies its default, written once there.
+    `modes` may be given as lists; it is checked and held as tuples of floats."""
 
     dt: Optional[float] = None
     duration: Optional[float] = None
@@ -398,6 +399,8 @@ class ScenarioConfig:
     full_precision: bool = False
 
     def __post_init__(self) -> None:
+        if self.modes is not None:  # frozen: the checked tuples replace what was given
+            object.__setattr__(self, "modes", _coerce_modes(self.modes))
         for f in fields(self):  # None means unset, except in the bool flag
             if getattr(self, f.name) is not None or f.type == "bool":
                 _check_field(f, getattr(self, f.name))
@@ -422,8 +425,6 @@ def _check_field(f, val) -> None:
     """Refuse a value that config field `f`'s annotation does not take, naming the key."""
     if f.type in ("Optional[int]", "Optional[float]"):
         _require(val, f.name, integer=f.type == "Optional[int]")
-    if f.name == "modes" and val is not None:
-        _coerce_modes(val)
     if f.type == "Optional[str]" and not isinstance(val, str):
         raise ValueError(f"{f.name} must be a string, got {val!r}")
     if f.type == "bool" and not isinstance(val, bool):
@@ -449,8 +450,6 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     for f in fields(ScenarioConfig):
         if f.name in data and data[f.name] is None and f.name not in _NULL_KEYS:
             _check_field(f, None)  # raises, naming the key
-    if data.get("modes") is not None:
-        data = {**data, "modes": _coerce_modes(data["modes"])}
     return ScenarioConfig(**data)
 
 

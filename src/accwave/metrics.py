@@ -44,11 +44,11 @@ class DeviationStats:
 
 @dataclass(frozen=True)
 class Histogram:
-    """Density-normalized bins over signed deviations (integral 1)."""
+    """Density-normalized bins over signed deviations (integral 1); the
+    spacing of `bin_centers` is the bin width."""
 
     bin_centers: np.ndarray
     density: np.ndarray
-    bin_width: float
 
 
 def deviation_set(paths: Sequence[WavePath]) -> np.ndarray:
@@ -82,9 +82,9 @@ def histogram(devs: np.ndarray) -> Histogram:
     """Center-aligned density histogram of the signed deviations, in bins
     0.1 m/s wide.
 
-    Bin centers sit on multiples of the width (a lone zero value lands
-    in a bin centered at 0 with density 1/width); the densities
-    integrate to one.
+    Bin centers sit on multiples of the width, which is their spacing (a
+    lone zero value lands in a bin centered at 0 with density 1/width); the
+    densities integrate to one over bins of that width.
     """
     if len(devs) == 0:
         raise ValueError("cannot bin an empty deviation set")
@@ -94,21 +94,18 @@ def histogram(devs: np.ndarray) -> Histogram:
     edges = (np.arange(lo, hi + 2) - 0.5) * width
     density, _ = np.histogram(devs, bins=edges, density=True)
     centers = np.arange(lo, hi + 1) * width
-    return Histogram(bin_centers=centers, density=density, bin_width=width)
+    return Histogram(bin_centers=centers, density=density)
 
 
-def field_rmse(a: EulerianField, b: EulerianField, component: str = "v") -> float:
-    """Space-time RMSE between two fields on identical grids.
+def field_rmse(a: EulerianField, b: EulerianField) -> Tuple[float, float]:
+    """Space-time RMSEs (rmse_v, rmse_rho) between two fields on identical
+    grids, sampled at the same times.
 
-    The mean runs over every (time, cell) sample of the chosen
-    component ("v" or "rho").
+    Each mean runs over every (time, cell) sample of its component.
     """
-    if component not in ("v", "rho"):
-        raise ValueError("component must be 'v' or 'rho'")
     if a.grid != b.grid:
         raise ValueError("fields live on different grids")
     if a.rho.shape != b.rho.shape or not np.allclose(a.times, b.times, atol=1e-9):
         raise ValueError("fields sampled at different times")
-    fa = a.v if component == "v" else a.rho
-    fb = b.v if component == "v" else b.rho
-    return float(np.sqrt(np.mean((fa - fb) ** 2)))
+    return (float(np.sqrt(np.mean((a.v - b.v) ** 2))),
+            float(np.sqrt(np.mean((a.rho - b.rho) ** 2))))

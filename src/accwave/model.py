@@ -48,16 +48,19 @@ def _require(value, name: str, *, positive: bool = False, nonnegative: bool = Fa
     """The one check of a number that enters the library, or of each element
     of an array or a (nested) sequence: it refuses a non-number (a bool too,
     also among the numbers of a list or tuple, where numpy would read it as
-    0 or 1), NaN, +-inf unless not `finite`, values <= 0 if `positive` or
-    < 0 if `nonnegative`, and a non-integer if `integer`; None passes if
-    `optional`.  An ndarray is typed by its dtype alone.  The ValueError reads
+    0 or 1, and a ragged sequence), NaN, +-inf unless not `finite`, values
+    <= 0 if `positive` or < 0 if `nonnegative`, and a non-integer if
+    `integer`; None passes if `optional`.  An ndarray is typed by its dtype alone.  The ValueError reads
     "<name> must be <rule>, got <value>", with an array's first refused value."""
     if optional and value is None:
         return
     scalar = type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
-    v = value if scalar else np.asarray(value)
-    mixed = isinstance(value, (list, tuple)) and any(
-        isinstance(x, (bool, np.bool_)) for x in np.asarray(value, dtype=object).flat)
+    try:
+        v = value if scalar else np.asarray(value)
+        mixed = isinstance(value, (list, tuple)) and any(
+            isinstance(x, (bool, np.bool_)) for x in np.asarray(value, dtype=object).flat)
+    except ValueError:  # a ragged sequence, which numpy refuses without naming it
+        mixed = True
     if mixed or not (scalar and isinstance(value, numbers.Integral) if integer
                      else scalar or v.dtype.kind in "iuf"):
         raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")

@@ -317,12 +317,7 @@ def run_ring_validation(case: int, n_vehicles: int = RING_N, duration: float = D
     grid = pde_field.grid
     rho_m, v_m = micro_to_eulerian(simulate_platoon(ring).trajectories, grid, pde_field.times)
     micro_field = EulerianField(grid=grid, times=pde_field.times.copy(), rho=rho_m, v=v_m)
-    return RingValidation(
-        rmse_v=field_rmse(micro_field, pde_field, "v"),
-        rmse_rho=field_rmse(micro_field, pde_field, "rho"),
-        micro=micro_field,
-        pde=pde_field,
-    )
+    return RingValidation(*field_rmse(micro_field, pde_field), micro=micro_field, pde=pde_field)
 
 
 # ---------------------------------------------------------------------------

@@ -117,14 +117,10 @@ class WavePath:
 @dataclass(frozen=True)
 class EngagementFront:
     """ACC activation points of successive vehicles and the speeds of the
-    straight segments connecting them."""
+    straight segments connecting them (inf where two engage at once)."""
 
     events: Tuple[EngagementEvent, ...]
     segment_speeds: Tuple[float, ...]
-
-    @property
-    def has_infinite_segment(self) -> bool:
-        return any(math.isinf(c) for c in self.segment_speeds)
 
 
 class DegenerateJumpError(ValueError):
@@ -409,15 +405,15 @@ def shock_speed(left: TrafficState, right: TrafficState) -> float:
     """Rankine-Hugoniot speed of the mass jump: (q_r - q_l)/(rho_r - rho_l)."""
     if left.rho == right.rho:
         raise DegenerateJumpError("equal densities: jump speed undefined")
-    return (right.rho * right.v - left.rho * left.v) / (right.rho - left.rho)
+    return (right.q - left.q) / (right.rho - left.rho)
 
 
 def engagement_front(events: Sequence[EngagementEvent]) -> EngagementFront:
     """Connect successive activation points into a piecewise-linear front.
 
     Segment speed between events i-1 and i is dx/dt of the connecting
-    chord; coincident engagement times give an infinite-speed segment
-    (flagged via has_infinite_segment, not an error).
+    chord; coincident engagement times give a segment speed of inf, not an
+    error.
     """
     if len(events) < 2:
         raise ValueError("an engagement front needs at least two events")

@@ -246,6 +246,11 @@ _SPEEDS = np.sin(0.5 * np.arange(64.0))
     (lambda: _scenario(initial_speeds=[True, 10.0]), "initial_speeds must be a number, got [True, 10.0]"),
     (lambda: OscillationSpec(10.0, ((True, 0.5, 0.0),)), "modes must be a number, got ((True, 0.5, 0.0),)"),
     (lambda: ScenarioConfig(modes=((1.0, np.True_, 0.0),)), "modes must be a number, got ((1.0, np.True_, 0.0),)"),
+    # numpy refused each ragged sequence with an "inhomogeneous shape" that named no field
+    (lambda: _scenario(initial_speeds=[[10.0, 10.0], [10.0]]),
+     "initial_speeds must be a number, got [[10.0, 10.0], [10.0]]"),
+    (lambda: OscillationSpec(10.0, ((1.0, 0.5), (1.0, 0.5, 0.0))),
+     "modes must be a number, got ((1.0, 0.5), (1.0, 0.5, 0.0))"),
 ], ids=lambda x: x if isinstance(x, str) else "")
 def test_an_input_that_used_to_get_through_is_refused_by_name(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -331,6 +336,8 @@ README_MESSAGES = {
     "initial_gaps must be None or positive and finite, got nan":
         lambda: _scenario(initial_gaps=math.nan),
     "initial_speeds must be a number, got [True, 10.0]": lambda: _scenario(initial_speeds=[True, 10.0]),
+    "initial_speeds must be a number, got [[10.0, 10.0], [10.0]]":
+        lambda: _scenario(initial_speeds=[[10.0, 10.0], [10.0]]),
     "a scenario without a leader is a ring; its initial_speeds must list its 40 vehicles, "
     "got shape ()": lambda: _scenario(leader=None, n_followers=40, initial_gaps=None),
     "initial_gaps must be one value or one per follower (4), got shape (3,)":

@@ -559,7 +559,7 @@ def test_write_stats_bytes_match_csv_writer_loop(tmp_path, full_precision):
 def test_write_histogram_bytes_match_csv_writer_loop(tmp_path, full_precision):
     from accwave.metrics import Histogram
 
-    hist = Histogram(bin_centers=_AWKWARD, density=np.abs(_AWKWARD[::-1]), bin_width=0.1)
+    hist = Histogram(bin_centers=_AWKWARD, density=np.abs(_AWKWARD[::-1]))
     rows = [[_oracle_fmt(float(c), full_precision), _oracle_fmt(float(d), full_precision)]
             for c, d in zip(hist.bin_centers, hist.density)]
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
@@ -797,6 +797,8 @@ def test_malformed_mode_rejected():
     ("[[true, 0.5, 0]]", "modes must be a number, got [[True, 0.5, 0]]"),
     ("5", "modes must be a list of [amplitude, omega, phase], got 5"),
     ("[5]", "modes must be a list of [amplitude, omega, phase], got [5]"),
+    # numpy refused a ragged list with an "inhomogeneous shape" that named no key
+    ("[[1, 2, [3]]]", "modes must be a number, got [[1, 2, [3]]]"),
 ])
 def test_cli_refuses_modes_that_are_not_lists_of_numbers_by_the_key(tmp_path, capsys, text, message):
     cfg = tmp_path / "c.yaml"
@@ -809,6 +811,8 @@ def test_cli_refuses_modes_that_are_not_lists_of_numbers_by_the_key(tmp_path, ca
 def test_config_modes_of_integers_load_as_floats():
     assert config_from_dict({"modes": [[20, 1, 0]]}).modes == ((20.0, 1.0, 0.0),)
     assert config_from_dict({"modes": []}).modes == ()
+    # the fields coerce them, so a config built without the loader holds the same tuple
+    assert ScenarioConfig(modes=[[20, 1, 0]]).modes == ((20.0, 1.0, 0.0),)
 
 
 def test_example_config_loads():

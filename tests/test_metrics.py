@@ -1,5 +1,6 @@
 """Tests for the speed-deviation metric, its summaries, and field RMSE."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -116,7 +117,7 @@ def test_histogram_center_aligned_bins():
 def test_histogram_density_integrates_to_one():
     rng = np.random.default_rng(11)
     h = histogram(_devset(rng.normal(0.0, 0.5, 500)))
-    assert float(np.sum(h.density) * h.bin_width) == pytest.approx(1.0, rel=1e-12)
+    assert float(np.sum(h.density) * 0.1) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_histogram_single_zero_value():
@@ -146,19 +147,19 @@ def _field(v_offset=0.0, rho_offset=0.0):
 def test_field_rmse_hand_value():
     a = _field()
     b = _field(v_offset=0.25, rho_offset=0.001)
-    assert field_rmse(a, b, "v") == pytest.approx(0.25, rel=1e-12)
-    assert field_rmse(a, b, "rho") == pytest.approx(0.001, rel=1e-12)
-    assert field_rmse(a, a, "v") == 0.0
+    assert field_rmse(a, b) == pytest.approx((0.25, 0.001), rel=1e-12)
+    assert field_rmse(a, a) == (0.0, 0.0)
 
 
 def test_field_rmse_validation():
     a = _field()
-    with pytest.raises(ValueError):
-        field_rmse(a, a, "x")
     g2 = Grid(L_x=200.0, n_x=10)
     b = EulerianField(g2, np.array([0.0, 1.0]), np.full((2, 10), 0.05), np.full((2, 10), 10.0))
-    with pytest.raises(ValueError):
-        field_rmse(a, b, "v")
+    with pytest.raises(ValueError, match="^fields live on different grids$"):
+        field_rmse(a, b)
+    later = dataclasses.replace(a, times=np.array([0.0, 2.0]))
+    with pytest.raises(ValueError, match="^fields sampled at different times$"):
+        field_rmse(a, later)
 
 
 # ---------------------------------------------------------------------------

@@ -1081,6 +1081,15 @@ def test_two_steps_of_the_maps_make_one(k_s, k_v, h1, h2, c):
     assert np.allclose(two, one, rtol=1e-11, atol=1e-11 * (1.0 + np.abs(one).max()))
 
 
+def test_step_maps_taylor_degree_is_round_off_exact_at_the_scaling_norm():
+    # The argument diag(-0.5, -0.5) sits exactly at _TAYLOR_NORM, so it is
+    # not squared and the Taylor series alone must reach e^-0.5.  At degree
+    # 14 Phi[0, 0] is off by 0.0; at 13 by 6.7e-16 and at 12 by 1.9e-14, so
+    # 2e-16 fails any degree below 14.
+    Phi, _ = _step_maps(np.diag([-0.5, -0.5]), 1.0, 0)
+    assert abs(Phi[0, 0] - math.exp(-0.5)) <= 2e-16
+
+
 def test_step_maps_of_a_complex_ring_mode_match_rk4():
     shift = np.exp(-2j * np.pi * 3 / 40) - 1.0
     A = np.array([[0.0, 1.0], [P.k_s * shift, P.k_v * shift - P.k_s * P.tau]])

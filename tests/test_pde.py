@@ -669,11 +669,15 @@ def _manufactured(L_x):
 
 
 def test_manufactured_solution_error_shrinks_with_refinement():
+    # Each halving of dx from 50 to 800 cells cut the error by 1.90, 2.01,
+    # 2.01 and 2.00: first order.  The band 1.8-2.2 fails a solve that stops
+    # converging (ratio near 1) or changes order (near 4); the five solves
+    # take about 20 ms.
     L_x = 200.0
     t_end = 0.5
     rho_star, v_star, mass_src, mom_src = _manufactured(L_x)
     errs = []
-    for n_x in (50, 100):
+    for n_x in (50, 100, 200, 400, 800):
         g = Grid(L_x=L_x, n_x=n_x)
         x = g.centers
         field = solve(
@@ -684,7 +688,8 @@ def test_manufactured_solution_error_shrinks_with_refinement():
         err_rho = np.max(np.abs(field.rho[-1] - rho_star(x, t_f)))
         err_v = np.max(np.abs(field.v[-1] - v_star(x, t_f)))
         errs.append(err_rho / 0.01 + err_v / 0.5)
-    assert errs[1] < errs[0] / 1.5
+    ratios = [a / b for a, b in zip(errs, errs[1:])]
+    assert all(1.8 < r < 2.2 for r in ratios), (errs, ratios)
 
 
 # ---------------------------------------------------------------------------
