@@ -356,6 +356,7 @@ def sample_params(draws: Sequence[ParamSample], count: int = 200, seed: int = 0)
     if not draws:
         raise ValueError("cannot sample from an empty draw set")
     _require(count, "count", integer=True, positive=True)
+    _require(seed, "seed", integer=True, nonnegative=True)
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(draws), size=count)
     return [draws[int(i)] for i in idx]

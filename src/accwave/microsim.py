@@ -98,6 +98,12 @@ DT_JITTER = 1e-6
 DT = 0.01  # time step of a simulation that names none [s]
 
 
+def _whole_steps(duration: float, dt: float) -> int:
+    """duration/dt when it is a whole number (to 1e-9 relative) of at least one, else 0."""
+    n = round(duration / dt)
+    return n if n >= 1 and abs(duration / dt - n) <= 1e-9 * n else 0
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Uniformly sampled motion of one vehicle: every step of t is dt within
@@ -138,43 +144,11 @@ class Trajectory:
     def t_end(self) -> float:
         return float(self.t[-1])
 
-    def covers(self, t: float) -> bool:
-        return self.t[0] <= t <= self.t[-1]
-
     def position_at(self, t) -> np.ndarray:
         return np.interp(t, self.t, self.x)
 
     def speed_at(self, t) -> np.ndarray:
         return np.interp(t, self.t, self.v)
-
-    def state_at(self, t: float, interval: int = -1) -> Tuple[float, float]:
-        """(position_at(t), speed_at(t)) of a scalar t, bit for bit, as Python floats.
-
-        `interval` is a guess at the sample interval i with t[i] <= t <
-        t[i+1]; a guess that does not hold t (or none) is replaced by a
-        binary search.  Inside an interval the value is np.interp's own
-        formula, (y[i+1] - y[i])/(t[i+1] - t[i])*(t - t[i]) + y[i], and
-        y[i] when t is the sample t[i]; on finite samples it is never NaN
-        (a difference that overflows gives inf, as np.interp does).  At or
-        past the last sample, and before the first, np.interp itself is
-        called.
-        """
-        ts, t, i = self.t, float(t), interval
-        t_i = t_n = math.nan
-        if 0 <= i < len(ts) - 1:
-            t_i, t_n = ts.item(i), ts.item(i + 1)
-        if not t_i <= t < t_n:
-            i = int(ts.searchsorted(t, side="right")) - 1
-            if 0 <= i < len(ts) - 1:
-                t_i, t_n = ts.item(i), ts.item(i + 1)
-        if t_i <= t < t_n:
-            xs, vs = self.x, self.v
-            x_i, v_i = xs.item(i), vs.item(i)
-            if t == t_i:
-                return x_i, v_i
-            h, u = t_n - t_i, t - t_i
-            return (xs.item(i + 1) - x_i) / h * u + x_i, (vs.item(i + 1) - v_i) / h * u + v_i
-        return float(np.interp(t, ts, self.x)), float(np.interp(t, ts, self.v))
 
 
 @dataclass(frozen=True)
@@ -288,8 +262,8 @@ class Scenario:
         _require(self.n_followers, "n_followers", integer=True)
         _require(self.initial_speeds, "initial_speeds", optional=True)
         _require(self.initial_gaps, "initial_gaps", positive=True, optional=True)
-        n_steps, n, ring = round(self.duration / self.dt), self.n_followers, self.leader is None
-        if n_steps < 1 or abs(self.duration / self.dt - n_steps) > 1e-9 * n_steps:
+        n_steps, n, ring = _whole_steps(self.duration, self.dt), self.n_followers, self.leader is None
+        if not n_steps:
             raise ValueError(f"duration {self.duration} is not an integer multiple of dt {self.dt}")
         if n + (not ring) < 2:
             raise ValueError("a platoon needs at least two vehicles")

@@ -35,6 +35,7 @@ from .microsim import (
     OscillationSpec,
     Scenario,
     Trajectory,
+    _whole_steps,
     ring_setup,
     simulate_platoon,
 )
@@ -298,7 +299,7 @@ def run_ring_validation(case: int, n_vehicles: int = RING_N, duration: float = D
     constant CFL number `pde.CFL`, and the ring simulated over the whole
     `duration` with its sample step as dt (`sample_every` when `duration`
     is a whole number of samples, `DT` otherwise), checked at least every
-    `DT`.
+    `DT`; a duration that is a whole number of neither is refused first.
 
     The micro field is mapped onto the PDE's grid (`ring_setup` sizes both
     rings) at its output times before computing space-time RMSEs.  When
@@ -309,11 +310,14 @@ def run_ring_validation(case: int, n_vehicles: int = RING_N, duration: float = D
     linearly (2.4e-6 m/s off in v for case 1 at duration 30.25 s and
     sample_every 0.333 s).
     """
+    _require(duration, "duration", positive=True)
+    _require(sample_every, "sample_every", positive=True)
+    dt = sample_every if _whole_steps(duration, sample_every) else DT
+    if not _whole_steps(duration, dt):
+        raise ValueError(f"duration {duration} is a whole number of neither sample_every "
+                         f"{sample_every} nor the {DT} s step")
+    ring = ring_scenario(case, n_vehicles, duration, dt)   # built, so checked, before the solve
     pde_field = solve_ring(case, n_vehicles, duration, sample_every)
-    try:
-        ring = ring_scenario(case, n_vehicles, duration, sample_every)
-    except ValueError:  # not a whole number of samples: `Scenario` says so
-        ring = ring_scenario(case, n_vehicles, duration)
     grid = pde_field.grid
     rho_m, v_m = micro_to_eulerian(simulate_platoon(ring).trajectories, grid, pde_field.times)
     micro_field = EulerianField(grid=grid, times=pde_field.times.copy(), rho=rho_m, v=v_m)

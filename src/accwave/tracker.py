@@ -29,7 +29,7 @@ twice as long, so a crossing n knots ahead compares O(n) knots in
 O(log n) windows, not the whole rest of the table.  The follower
 intervals of the entry and of the crossing are known from the table, so
 the follower's state there takes a few Python float operations
-(`Trajectory.state_at`), equal bit for bit to np.interp.  With sample
+(`_state_in`), equal bit for bit to np.interp.  With sample
 spacing h this is second order, O(h^2), where the speed is smooth, first
 order over a sample interval in which the switching rule flips, and
 exact to round-off for straight (constant-speed) paths.  No time step is
@@ -203,7 +203,6 @@ class _PairTable(NamedTuple):
     """
 
     t_lo: float
-    t_end: float
     first: int
     t: np.ndarray
     w: np.ndarray
@@ -224,7 +223,24 @@ def _pair_table(lead: Trajectory, fol: Trajectory, rule: SpeedRule) -> _PairTabl
         v_fol = np.append(fol.v[first:stop], fol.speed_at(t_end))
     w = rule(lead.position_at(t), lead.speed_at(t), x_fol, v_fol)
     c = np.concatenate(([0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(t))))
-    return _PairTable(t_lo, t_end, first, t, w, c, c - x_fol)
+    return _PairTable(t_lo, first, t, w, c, c - x_fol)
+
+
+def _state_in(tr: Trajectory, t: float, i: int) -> Tuple[float, float]:
+    """(position_at(t), speed_at(t)) of `tr` at a float t in its sample
+    interval i, t[i] <= t <= t[i+1], bit for bit, as floats:
+    the sample at a sample time, else np.interp's own formula
+    (y[i+1] - y[i])/(t[i+1] - t[i])*(t - t[i]) + y[i], which on finite
+    samples is never NaN (a difference that overflows gives inf, as
+    np.interp does)."""
+    ts, xs, vs = tr.t, tr.x, tr.v
+    if t == ts.item(i + 1):
+        i += 1
+    t_i, x_i, v_i = ts.item(i), xs.item(i), vs.item(i)
+    if t == t_i:
+        return x_i, v_i
+    h, u = ts.item(i + 1) - t_i, t - t_i
+    return (xs.item(i + 1) - x_i) / h * u + x_i, (vs.item(i + 1) - v_i) / h * u + v_i
 
 
 class Platoon(tuple):
@@ -288,15 +304,15 @@ def _pair_crossing(t_c: float, x_c: float, v_c: float, fol: Trajectory, tab: _Pa
     table.  The path is the chord between knots, so path minus follower is
     linear there and its first down-crossing of zero is a closed-form root,
     on the first knot at or below zero that `_first_knot` finds from the
-    entry.  The follower is read in the sample interval the table puts the
-    entry and the crossing in (`Trajectory.state_at`, which searches
-    instead when round-off puts the crossing on the interval's end).
+    entry.  The follower is read by `_state_in` in the sample interval the
+    table puts the entry and the crossing in; round-off can put the
+    crossing on that interval's right end, where the read is the sample.
     """
     t, g = tab.t, tab.g
-    if not tab.t_lo <= t_c < tab.t_end:
+    if not tab.t_lo <= t_c < t.item(-1):
         return None
     j = int(t.searchsorted(t_c, side="right"))   # first knot after t_c
-    x_f, v_f = fol.state_at(t_c, tab.first + j - 1)
+    x_f, v_f = _state_in(fol, t_c, tab.first + j - 1)
     w_c = rule(x_c, v_c, x_f, v_f)
     # path minus follower is g + offset on the knots from j on; compared
     # as g against -offset, which has the same sign in floating point
@@ -318,7 +334,7 @@ def _pair_crossing(t_c: float, x_c: float, v_c: float, fol: Trajectory, tab: _Pa
         xn = np.concatenate(([x_c], tab.c[j:k + 1] + offset))
         if np.any(terminator(tn, xn)[tn < t_x]):
             return None
-    return (t_x,) + fol.state_at(t_x, tab.first + k - 1)
+    return (t_x,) + _state_in(fol, t_x, tab.first + k - 1)
 
 
 def _trace(
@@ -364,9 +380,10 @@ def _trace_from_lead(origin_t: float, trajectories: Sequence[Trajectory], rule: 
                      kind: PathKind, terminator: Optional[Terminator] = None) -> WavePath:
     """`_trace` from the point (origin_t, x_0, v_0) of the lead trajectory."""
     lead = trajectories[0]
-    if not lead.covers(origin_t):
+    if not lead.t0 <= origin_t <= lead.t_end:
         raise ValueError("origin time outside the lead trajectory")
-    origin_x, origin_v = lead.state_at(origin_t)
+    i = max(int(lead.t.searchsorted(origin_t)), 1) - 1   # t[i] < origin_t <= t[i+1], or i = 0
+    origin_x, origin_v = _state_in(lead, float(origin_t), i)
     return _trace(origin_t, origin_x, origin_v, trajectories, 1, rule, kind, terminator)
 
 

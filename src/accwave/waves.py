@@ -46,7 +46,6 @@ class TransferEval:
     omega: ArrayLike
     gain_mag: ArrayLike
     phase: ArrayLike
-    g: Union[complex, np.ndarray]
 
 
 def _gain(omega: ArrayLike, params: ControlParams) -> Union[complex, np.ndarray]:
@@ -73,8 +72,8 @@ def transfer_function(omega: ArrayLike, params: ControlParams) -> TransferEval:
     mag = np.abs(g)
     ph = np.angle(g)
     if scalar:
-        return TransferEval(float(omega_arr[0]), float(mag[0]), float(ph[0]), complex(g[0]))
-    return TransferEval(omega_arr, mag, ph, g)
+        return TransferEval(float(omega_arr[0]), float(mag[0]), float(ph[0]))
+    return TransferEval(omega_arr, mag, ph)
 
 
 class StabilityClass(Enum):

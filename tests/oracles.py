@@ -204,7 +204,7 @@ def appended_pair_table(lead: Trajectory, fol: Trajectory, rule: SpeedRule) -> _
     v_fol = np.append(fol.v[inside], fol.speed_at(t_end))
     w = rule(lead.position_at(t), lead.speed_at(t), x_fol, v_fol)
     c = np.concatenate(([0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(t))))
-    return _PairTable(t_lo, t_end, first, t, w, c, c - x_fol)
+    return _PairTable(t_lo, first, t, w, c, c - x_fol)
 
 
 def table_pair_crossing(t_c: float, x_c: float, v_c: float, fol: Trajectory, tab: _PairTable,
@@ -220,7 +220,7 @@ def table_pair_crossing(t_c: float, x_c: float, v_c: float, fol: Trajectory, tab
     linear there and its first down-crossing of zero is a closed-form root.
     """
     t, g = tab.t, tab.g
-    if not tab.t_lo <= t_c < tab.t_end:
+    if not tab.t_lo <= t_c < t[-1]:
         return None
     x_f = float(fol.position_at(t_c))
     w_c = rule(x_c, v_c, x_f, float(fol.speed_at(t_c)))

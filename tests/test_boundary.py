@@ -262,6 +262,7 @@ def test_an_input_that_used_to_get_through_is_refused_by_name(build, message):
     (lambda: periodic_reconstruct(_SPEEDS, math.nan, OscillationSpec(0.0)),
      "dt must be positive and finite, got nan"),
     (lambda: sample_params(_DRAWS, count=0), "count must be positive, got 0"),
+    (lambda: sample_params(_DRAWS, seed=-1), "seed must be non-negative, got -1"),
     (lambda: gap_reach(_trajectory(x=_T + 30.0), _trajectory(), math.nan), "level must be finite, got nan"),
     (lambda: trace_phase_transition([_trajectory(x=_T + 30.0), _trajectory()], ControlParams(), math.nan),
      "v_e must be finite, got nan"),

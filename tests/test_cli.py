@@ -1304,6 +1304,18 @@ def test_cli_refuses_a_sample_interval_that_is_not_positive(tmp_path, capsys, co
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("duration", ["30.255", "0.001"])
+def test_cli_validate_refuses_a_duration_no_ring_step_fits_before_the_solve(tmp_path, capsys, monkeypatch,
+                                                                           duration):
+    # used to name a dt, which validate does not take, and only after the PDE solve
+    monkeypatch.setattr(scenarios, "solve_ring", lambda *a, **k: pytest.fail("the PDE was solved"))
+    rc = main(["validate", "--case", "2", "--duration", duration, "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: duration {float(duration)} is a whole number of neither "
+                                       "sample_every 0.5 nor the 0.01 s step\n")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("flag, value", [("--warmup", "-5"), ("--warmup", "nan"), ("--end-margin", "-5")])
 def test_cli_metrics_refuses_a_negative_or_nan_window_margin(tmp_path, capsys, flag, value):
     # used to fail with "origin time outside the lead trajectory" or numpy's arange error

@@ -538,7 +538,6 @@ def test_trajectory_interpolation_round_trip():
     tr = Trajectory(vehicle_id=0, t=t, x=3.0 * t, v=np.full_like(t, 3.0),
                     a=np.zeros_like(t), dt=0.1)
     assert tr.position_at(0.55) == pytest.approx(1.65)
-    assert tr.covers(0.9) and not tr.covers(1.5)
     with pytest.raises(ValueError):
         Trajectory(vehicle_id=0, t=t[:1], x=t[:1], v=t[:1], a=t[:1], dt=0.1)
 
@@ -564,95 +563,6 @@ def test_trajectory_takes_only_an_int64_vehicle_id():
     for vid in (2**63, -2**63 - 1, 1.5, 2.0, "3", None):
         with pytest.raises(ValueError, match=f"vehicle_id must be an integer in the int64 range, got {vid!r}"):
             Trajectory(vehicle_id=vid, t=t, x=z, v=z, a=z, dt=0.1)
-
-
-def _bits(*values):
-    """Each value as the hex of its double, so -0.0, 0.0 and NaN compare exactly."""
-    return [float(y).hex() for y in values]
-
-
-def _interp_bits(tr, q):
-    return _bits(np.interp(q, tr.t, tr.x), np.interp(q, tr.t, tr.v))
-
-
-@st.composite
-def _motion_and_time(draw):
-    """A trajectory on a uniform or a jittered grid, and a time on a sample, at
-    either end, past either end, or inside the first, the last or any interval."""
-    n = draw(st.integers(min_value=2, max_value=40))
-    dt = draw(st.floats(min_value=0.01, max_value=2.0))
-    t = draw(st.floats(min_value=-100.0, max_value=100.0)) + dt * np.arange(n)
-    if draw(st.booleans()):
-        jitter = st.floats(min_value=-0.4 * DT_JITTER, max_value=0.4 * DT_JITTER)
-        t = t + np.array(draw(st.lists(jitter, min_size=n, max_size=n)))
-    values = st.lists(st.floats(min_value=-1e4, max_value=1e4), min_size=n, max_size=n)
-    x, v = np.array(draw(values)), np.array(draw(values))
-    tr = Trajectory(vehicle_id=0, t=t, x=x, v=v, a=np.zeros(n), dt=dt)
-    where = draw(st.sampled_from(
-        ["sample", "start", "end", "past end", "before start", "first", "last", "any"]))
-    f = draw(st.floats(min_value=0.0, max_value=1.0))
-    beyond = draw(st.floats(min_value=0.0, max_value=10.0, exclude_min=True))
-    q = {
-        "sample": t[draw(st.integers(min_value=0, max_value=n - 1))],
-        "start": t[0],
-        "end": t[-1],
-        "past end": t[-1] + beyond,
-        "before start": t[0] - beyond,
-        "first": t[0] + f * (t[1] - t[0]),
-        "last": t[-2] + f * (t[-1] - t[-2]),
-        "any": t[0] + f * (t[-1] - t[0]),
-    }[where]
-    return tr, float(q), draw(st.integers(min_value=-2, max_value=n + 1))
-
-
-@settings(max_examples=300, deadline=None)
-@given(_motion_and_time())
-def test_state_at_is_np_interp_bit_for_bit(case):
-    tr, q, guess = case
-    want = _interp_bits(tr, q)
-    for got in (tr.state_at(q), tr.state_at(q, guess), tr.state_at(np.float64(q), guess)):
-        assert all(type(y) is float for y in got)
-        assert _bits(*got) == want
-
-
-def test_state_at_where_the_formula_is_not_np_interp():
-    # a sample time gives the sample itself, also a negative zero, where the
-    # formula would give 2 * 0.0 + -0.0 = +0.0
-    t = 0.5 * np.arange(5)
-    x = np.array([-0.0, 1.0, 3.0, 2.0, 5.0])
-    v = np.array([2.0, 1.0, -0.0, 4.0, 4.0])
-    tr = Trajectory(vehicle_id=0, t=t, x=x, v=v, a=np.zeros_like(t), dt=0.5)
-    for i, q in enumerate(t):
-        assert _bits(*tr.state_at(q)) == _interp_bits(tr, q) == _bits(x[i], v[i])
-    # an infinite sample, between two of which the formula gave inf - inf =
-    # NaN where np.interp gives the infinity, is refused at construction
-    x_inf = np.array([0.0, 1.0, np.inf, np.inf, 2.0])
-    with pytest.raises(ValueError, match="^x must be finite, got inf$"):
-        Trajectory(vehicle_id=0, t=t, x=x_inf, v=v, a=np.zeros_like(t), dt=0.5)
-    # finite samples whose difference overflows give inf, as np.interp does
-    x_big = np.array([0.0, -1.7e308, 1.7e308, -1.7e308, 2.0])
-    tr = Trajectory(vehicle_id=0, t=t, x=x_big, v=v, a=np.zeros_like(t), dt=0.5)
-    for q in (0.7, 1.0, 1.2, 1.5, 1.7):
-        assert _bits(*tr.state_at(q)) == _interp_bits(tr, q)
-    assert tr.state_at(0.7)[0] == math.inf and tr.state_at(1.2)[0] == -math.inf
-
-
-def test_state_at_with_a_wrong_interval_guess_is_still_np_interp():
-    t = 0.07 + 0.1 * np.arange(11)
-    x = np.random.default_rng(1).uniform(-50.0, 50.0, t.size)
-    tr = Trajectory(vehicle_id=0, t=t, x=x, v=x[::-1].copy(), a=np.zeros_like(t), dt=0.1)
-    for q, guess in ((0.55, 2), (0.55, 7), (0.55, -1), (0.55, 10), (0.55, 99),
-                     (t[0] - 1.0, 0), (t[-1], 9), (t[-1] + 1.0, 9)):
-        assert _bits(*tr.state_at(q, guess)) == _interp_bits(tr, q)
-    # a time on the right end of the guessed interval is that interval's next
-    # sample, which the formula on the guess misses by round-off on some
-    # intervals of this motion
-    missed = 0
-    for i in range(t.size - 1):
-        formula = (x[i + 1] - x[i]) / (t[i + 1] - t[i]) * (t[i + 1] - t[i]) + x[i]
-        missed += formula != x[i + 1]
-        assert _bits(*tr.state_at(t[i + 1], i)) == _bits(x[i + 1], x[-i - 2])
-    assert missed
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from accwave import tracker
 from accwave.dataio import ingest_trajectories, write_trajectories
 from accwave.microsim import (
+    DT_JITTER,
     ConstAccel,
     Cruise,
     CutIn,
@@ -36,6 +37,7 @@ from accwave.tracker import (
     WavePath,
     _Characteristic,
     _Constant,
+    _state_in,
     _trace,
     _trace_from_lead,
     constant_speed_path,
@@ -147,10 +149,15 @@ def test_crossing_inside_a_step_at_a_target_sample_is_found():
 
 def test_origin_outside_lead_trajectory_raises():
     trajs = _cruise_platoon(duration=10.0)
-    with pytest.raises(ValueError):
+    lead = trajs[0]
+    with pytest.raises(ValueError, match="origin time outside the lead trajectory"):
         trace_characteristic_path(50.0, trajs, P)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="origin time outside the lead trajectory"):
         constant_speed_path(-1.0, trajs, -4.0)
+    # both ends are inside, and the origin there is the lead's sample
+    for t, i in ((lead.t0, 0), (lead.t_end, -1)):
+        path = constant_speed_path(t, trajs, -4.0)
+        assert (path.origin_x, path.origin_v) == (lead.x[i], lead.v[i])
 
 
 # ---------------------------------------------------------------------------
@@ -801,22 +808,94 @@ def test_tracer_equals_table_oracle_bit_for_bit(case, tmp_path):
         assert path == ref, (path.kind, path.origin_t)
 
 
+def _bits(*values):
+    """Each value as the hex of its double, so -0.0, 0.0 and NaN compare exactly."""
+    return [float(y).hex() for y in values]
+
+
+def _interp_bits(tr, q):
+    return _bits(np.interp(q, tr.t, tr.x), np.interp(q, tr.t, tr.v))
+
+
+@st.composite
+def _motion_and_interval(draw):
+    """A trajectory on a uniform or a jittered grid, one of its sample
+    intervals i, and a time on the interval's left end, on its right end or
+    between them."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    dt = draw(st.floats(min_value=0.01, max_value=2.0))
+    t = draw(st.floats(min_value=-100.0, max_value=100.0)) + dt * np.arange(n)
+    if draw(st.booleans()):
+        jitter = st.floats(min_value=-0.4 * DT_JITTER, max_value=0.4 * DT_JITTER)
+        t = t + np.array(draw(st.lists(jitter, min_size=n, max_size=n)))
+    values = st.lists(st.floats(min_value=-1e4, max_value=1e4), min_size=n, max_size=n)
+    x, v = np.array(draw(values)), np.array(draw(values))
+    tr = Trajectory(vehicle_id=0, t=t, x=x, v=v, a=np.zeros(n), dt=dt)
+    i = draw(st.integers(min_value=0, max_value=n - 2))
+    f = draw(st.floats(min_value=0.0, max_value=1.0))
+    q = draw(st.sampled_from([t[i], t[i + 1], min(t[i] + f * (t[i + 1] - t[i]), t[i + 1])]))
+    return tr, float(q), i
+
+
+@settings(max_examples=300, deadline=None)
+@given(_motion_and_interval())
+def test_the_read_in_a_given_interval_is_np_interp_bit_for_bit(case):
+    tr, q, i = case
+    got = _state_in(tr, q, i)
+    assert all(type(y) is float for y in got)
+    assert _bits(*got) == _interp_bits(tr, q)
+
+
+def test_the_read_in_a_given_interval_where_the_formula_is_not_np_interp():
+    # a sample time gives the sample itself, also a negative zero, where the
+    # formula would give 2 * 0.0 + -0.0 = +0.0
+    t = 0.5 * np.arange(5)
+    x = np.array([-0.0, 1.0, 3.0, 2.0, 5.0])
+    v = np.array([2.0, 1.0, -0.0, 4.0, 4.0])
+    tr = Trajectory(vehicle_id=0, t=t, x=x, v=v, a=np.zeros_like(t), dt=0.5)
+    for k, q in enumerate(t):
+        for i in {max(k - 1, 0), min(k, 3)}:   # as a left end and as a right end
+            assert _bits(*_state_in(tr, q, i)) == _interp_bits(tr, q) == _bits(x[k], v[k])
+    # an infinite sample, between two of which the formula gave inf - inf =
+    # NaN where np.interp gives the infinity, is refused at construction
+    x_inf = np.array([0.0, 1.0, np.inf, np.inf, 2.0])
+    with pytest.raises(ValueError, match="^x must be finite, got inf$"):
+        Trajectory(vehicle_id=0, t=t, x=x_inf, v=v, a=np.zeros_like(t), dt=0.5)
+    # finite samples whose difference overflows give inf, as np.interp does
+    x_big = np.array([0.0, -1.7e308, 1.7e308, -1.7e308, 2.0])
+    tr = Trajectory(vehicle_id=0, t=t, x=x_big, v=v, a=np.zeros_like(t), dt=0.5)
+    for q, i in ((0.7, 1), (1.0, 1), (1.2, 2), (1.5, 2), (1.7, 3)):
+        assert _bits(*_state_in(tr, q, i)) == _interp_bits(tr, q)
+    assert _state_in(tr, 0.7, 1)[0] == math.inf and _state_in(tr, 1.2, 2)[0] == -math.inf
+    # a time on an interval's right end is the next sample, which the
+    # formula on that interval misses by round-off on some intervals here
+    t = 0.07 + 0.1 * np.arange(11)
+    x = np.random.default_rng(1).uniform(-50.0, 50.0, t.size)
+    tr = Trajectory(vehicle_id=0, t=t, x=x, v=x[::-1].copy(), a=np.zeros_like(t), dt=0.1)
+    missed = 0
+    for i in range(t.size - 1):
+        formula = (x[i + 1] - x[i]) / (t[i + 1] - t[i]) * (t[i + 1] - t[i]) + x[i]
+        missed += formula != x[i + 1]
+        assert _bits(*_state_in(tr, t[i + 1], i)) == _bits(x[i + 1], x[-i - 2])
+    assert missed
+
+
 def test_the_tracer_reads_the_follower_in_the_interval_its_table_gives(monkeypatch):
     reads = []
-    state_at = Trajectory.state_at
 
-    def spy(self, t, interval=-1):
-        reads.append((self.t, t, interval))
-        return state_at(self, t, interval)
+    def spy(tr, t, i):
+        reads.append((tr, t, i))
+        return _state_in(tr, t, i)
 
-    monkeypatch.setattr(Trajectory, "state_at", spy)
+    monkeypatch.setattr(tracker, "_state_in", spy)
     # cut-ins start some followers' tables past their first sample
-    _, _, proposed, baseline, *_ = _case_run("four cut-ins")
-    entries = [(ts, t, i) for ts, t, i in reads if i >= 0]
+    trajs, _, proposed, baseline, *_ = _case_run("four cut-ins")
+    entries = [(tr.t, t, i) for tr, t, i in reads if tr is not trajs[0]]
     assert len(reads) - len(entries) == len(proposed) + len(baseline)   # one origin each
-    # each entry and crossing lies in the interval the table names, or on its
-    # right end where round-off puts a crossing on the next sample
-    assert all(ts[i] <= t < ts[i + 1] or t == ts[i + 1] for ts, t, i in entries)
+    # every read lies in the interval it is given; an entry or a crossing
+    # lies on its right end only where round-off puts a crossing on the
+    # next sample
+    assert all(tr.t[i] <= t <= tr.t[i + 1] for tr, t, i in reads)
     assert sum(t == ts[i + 1] for ts, t, i in entries) < len(entries) / 100
 
 
