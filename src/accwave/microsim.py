@@ -835,32 +835,50 @@ def ring_setup(
 
 
 # ---------------------------------------------------------------------------
-# Engagement detection
+# Pair windows and engagement detection
 # ---------------------------------------------------------------------------
+
+def _pair_knots(lead: Trajectory, fol: Trajectory):
+    """(t_lo, first, t, x_fol, v_fol): the pair read on the knots t, the
+    follower's samples in its common window [t_lo, t_end) from sample
+    `first` on, then t_end, with the follower's state there: views of its
+    arrays when t_end is one of its samples, else copies with t_end appended."""
+    t_lo, t_end = max(lead.t0, fol.t0), min(lead.t_end, fol.t_end)
+    first = int(np.searchsorted(fol.t, t_lo))
+    stop = int(np.searchsorted(fol.t, t_end))
+    if first <= stop < len(fol.t) and fol.t.item(stop) == t_end:
+        return t_lo, first, fol.t[first:stop + 1], fol.x[first:stop + 1], fol.v[first:stop + 1]
+    return (t_lo, first, np.append(fol.t[first:stop], t_end),
+            np.append(fol.x[first:stop], fol.position_at(t_end)),
+            np.append(fol.v[first:stop], fol.speed_at(t_end)))
+
 
 def gap_reach(lead: Trajectory, fol: Trajectory, level: float) -> Optional[float]:
     """First time the gap of the pair (lead, fol) comes down to `level`.
 
-    The gap is sampled at the follower's step over the pair's common
-    window.  On the first step whose end sample is at or below `level`,
-    the time is the first root of gap = level of the gap's cubic Hermite on
-    that step (slopes v_lead - v_fol), found as `simulate_platoon` finds
-    its switch (`_enter`).  None when the gap starts at or below `level`
-    or never comes down to it.
+    The gap is read on the pair's knots (`_pair_knots`), with the window
+    start t_lo in front when the follower's first sample in the window
+    comes after it.  At or below `level` on the first knot, the time is
+    t_lo; else it is the first root of gap = level of the gap's cubic
+    Hermite (slopes v_lead - v_fol) on the first step whose end knot is at
+    or below `level`, found as `_enter` finds the simulator's switch.  None
+    when the gap never comes down to `level` or the pair has no common window.
     """
     _require(level, "level")
-    t_lo = max(lead.t0, fol.t0)
-    n = int(math.floor((min(lead.t_end, fol.t_end) - t_lo) / fol.dt)) + 1
-    tt = t_lo + np.arange(n) * fol.dt
-    gap = lead.position_at(tt) - fol.position_at(tt)
-    hit = np.flatnonzero(gap <= level)
-    if hit.size == 0 or hit[0] == 0:
+    t_lo, _, t, x_fol, v_fol = _pair_knots(lead, fol)
+    if t.item(0) > t_lo:
+        t = np.insert(t, 0, t_lo)
+        x_fol, v_fol = fol.position_at(t), fol.speed_at(t)
+    gap = lead.position_at(t) - x_fol
+    k = int(np.argmax(gap <= level))
+    if gap.item(k) > level or t_lo > t.item(-1):
         return None
-    k = int(hit[0])
-    ends = tt[k - 1:k + 1]
+    if k == 0:
+        return t_lo
+    ends = t[k - 1:k + 1]
     h = float(ends[1] - ends[0])
     g0, g1, c2, c3 = (float(c[0]) for c in _hermite(
-        gap[k - 1:k + 1], lead.speed_at(ends) - fol.speed_at(ends), h))
+        gap[k - 1:k + 1], lead.speed_at(ends) - v_fol[k - 1:k + 1], h))
     return float(ends[0]) + _first_root((g0 - level, g1, c2, c3), h)
 
 
@@ -868,11 +886,12 @@ def detect_engagement(
     trajectories: Sequence[Trajectory],
     params: ControlParams,
 ) -> List[EngagementEvent]:
-    """First time each follower's gap reaches s_c (`gap_reach`); a pair that
+    """First time each follower's gap reaches s_c (`gap_reach`), kept when
+    it falls after the start of the pair's common window: a pair that
     never gets there, or starts at or below it, gives no event."""
     events: List[EngagementEvent] = []
     for lead, fol in zip(trajectories, trajectories[1:]):
         t_star = gap_reach(lead, fol, params.s_c)
-        if t_star is not None:
+        if t_star is not None and t_star > max(lead.t0, fol.t0):
             events.append(EngagementEvent(fol.vehicle_id, t_star, float(fol.position_at(t_star))))
     return events

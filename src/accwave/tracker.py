@@ -17,9 +17,9 @@ depends on t only, so every path through that pair integrates the same
 speed: its pair table holds the speed on the follower's own samples
 (one array call) and its cumulative trapezoid, built the first time a
 path reaches the pair and reused by every later path under the same
-speed rule.  When the pair's common window ends on a follower sample (a
-simulated platoon, or recorded vehicles on one clock), the table's knots
-borrow the follower's samples: they are a view of its times, not a copy.
+speed rule.  Its knots are the pair's (`microsim._pair_knots`, on which
+`gap_reach` reads it too): views of the follower's samples when the window
+ends on one (a simulated platoon, or recorded vehicles on one clock).
 A path entering at (t_c, x_c) adds one trapezoid from t_c to
 the next sample and is then the table shifted by a constant; its
 crossing is the first root of path minus follower, linear between
@@ -54,6 +54,7 @@ from .model import ControlParams, TrafficState, _require, engaged
 from .microsim import (
     EngagementEvent,
     Trajectory,
+    _pair_knots,
     detect_engagement,
     gap_reach,
 )
@@ -189,11 +190,9 @@ class _Constant:
 class _PairTable(NamedTuple):
     """A speed rule integrated once over a pair's common window [t_lo, t_end].
 
-    The knots are the follower's samples in [t_lo, t_end), from sample
-    `first` on, and t_end.  When t_end is a follower sample the knots are a
-    view of the follower's times (np.interp returns a sample at its own
-    time, so the follower's states there are its samples); otherwise they
-    are a copy with t_end appended.  `w` is the rule on the knots (the lead
+    `t_lo`, `first` and the knots `t` are the pair's (`microsim._pair_knots`:
+    the follower's samples in the window from sample `first` on, then
+    t_end).  `w` is the rule on the knots (the lead
     interpolated, the follower at its own samples), `c` its cumulative
     trapezoid from the first knot and `g = c - x_fol`.  A path entering at
     (t_c, x_c) is at c + offset on the knots after t_c and minus the
@@ -211,16 +210,7 @@ class _PairTable(NamedTuple):
 
 
 def _pair_table(lead: Trajectory, fol: Trajectory, rule: SpeedRule) -> _PairTable:
-    t_lo, t_end = max(lead.t0, fol.t0), min(lead.t_end, fol.t_end)
-    first = int(np.searchsorted(fol.t, t_lo))
-    stop = int(np.searchsorted(fol.t, t_end))
-    if first <= stop < len(fol.t) and fol.t.item(stop) == t_end:
-        # views: np.interp returns the follower's sample at t_end
-        t, x_fol, v_fol = fol.t[first:stop + 1], fol.x[first:stop + 1], fol.v[first:stop + 1]
-    else:
-        t = np.append(fol.t[first:stop], t_end)
-        x_fol = np.append(fol.x[first:stop], fol.position_at(t_end))
-        v_fol = np.append(fol.v[first:stop], fol.speed_at(t_end))
+    t_lo, first, t, x_fol, v_fol = _pair_knots(lead, fol)
     w = rule(lead.position_at(t), lead.speed_at(t), x_fol, v_fol)
     c = np.concatenate(([0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(t))))
     return _PairTable(t_lo, first, t, w, c, c - x_fol)
@@ -466,7 +456,6 @@ class PhaseTransition:
     """Composite wave description of a free-flow-to-congested transition."""
 
     events: Tuple[EngagementEvent, ...]
-    front: Optional[EngagementFront]
     engagement: Optional[WavePath]
     shock: Optional[WavePath]
     characteristics: Tuple[WavePath, ...]
@@ -481,15 +470,6 @@ class PhaseTransition:
             out.append(self.shock)
         out.extend(self.characteristics)
         return out
-
-
-def _first_spacing_reach(lead: Trajectory, fol: Trajectory, target: float) -> Optional[float]:
-    """`gap_reach`, except that a pair already at or below `target` at the
-    start of its common window reaches it there."""
-    t_lo = max(lead.t0, fol.t0)
-    if lead.position_at(t_lo) - fol.position_at(t_lo) <= target:
-        return t_lo
-    return gap_reach(lead, fol, target)
 
 
 def trace_phase_transition(
@@ -516,10 +496,9 @@ def trace_phase_transition(
     trajectories = Platoon.of(trajectories)
     events = detect_engagement(trajectories, params)
     if not events:
-        return PhaseTransition((), None, None, None, (), None, None)
+        return PhaseTransition((), None, None, (), None, None)
 
-    front = engagement_front(events) if len(events) >= 2 else None
-    eng_path = engagement_path(front, trajectories) if front is not None else None
+    eng_path = engagement_path(engagement_front(events), trajectories) if len(events) >= 2 else None
 
     s_c = params.s_c
     s_e = params.desired_spacing(v_e)
@@ -536,7 +515,7 @@ def trace_phase_transition(
     ) if first_idx + 1 < len(trajectories) else None
 
     # transition completes once every pair's spacing has reached s_e
-    reach = [_first_spacing_reach(lead, fol, s_e) for lead, fol in zip(trajectories, trajectories[1:])]
+    reach = [gap_reach(lead, fol, s_e) for lead, fol in zip(trajectories, trajectories[1:])]
     t_complete = None if None in reach else max(reach)
 
     chars: List[WavePath] = []
@@ -552,5 +531,5 @@ def trace_phase_transition(
             k += 1
 
     return PhaseTransition(
-        tuple(events), front, eng_path, shock_path, tuple(chars), c_sh, t_complete
+        tuple(events), eng_path, shock_path, tuple(chars), c_sh, t_complete
     )

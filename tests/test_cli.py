@@ -20,7 +20,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accwave import dataio, fourier
+from accwave import cli, dataio, fourier
 from accwave.cli import build_parser, main
 from accwave.dataio import (
     ParamSample,
@@ -1216,8 +1216,6 @@ def _effective(fn, *args, **kwargs) -> dict:
     (["--dt", "0.02"], "dt: 0.01\norigin_spacing: 3.0\n", (0.02, 3.0)),
 ])
 def test_cli_empirical_runs_explicit_dt_and_spacing_as_given(tmp_path, monkeypatch, argv, config, expected):
-    from accwave import cli
-
     seen = []
 
     def spy(leader, draws, **kwargs):
@@ -1236,8 +1234,6 @@ def test_cli_empirical_runs_explicit_dt_and_spacing_as_given(tmp_path, monkeypat
 
 
 def test_cli_other_subcommands_default_to_fine_dt_and_spacing(tmp_path, monkeypatch):
-    from accwave import cli
-
     seen = []
 
     def spy(case, **kwargs):
@@ -1325,6 +1321,19 @@ def test_cli_metrics_refuses_a_negative_or_nan_window_margin(tmp_path, capsys, f
     assert rc == 2
     name = flag[2:].replace("-", " ")
     assert f"error: {name} must be non-negative, got {float(value)}" in capsys.readouterr().err
+
+
+def test_cli_reports_an_allocation_failure_as_an_error(tmp_path, capsys, monkeypatch):
+    # `pde --dx 1e-9` used to end in numpy's MemoryError traceback; the
+    # failure is raised here, not allocated: a host that overcommits memory
+    # kills a process that touches too much rather than raise MemoryError
+    def solve_ring(*args, **kwargs):
+        raise MemoryError("Unable to allocate 4.95 TiB for an array")
+
+    monkeypatch.setattr(cli, "solve_ring", solve_ring)
+    assert main(["pde", "--dx", "1e-9", "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 4.95 TiB for an array\n"
+    assert not list(tmp_path.glob("*.csv"))
 
 
 # each used to end in an OSError traceback

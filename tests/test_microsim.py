@@ -24,10 +24,12 @@ from accwave.microsim import (
     Scenario,
     Trajectory,
     detect_engagement,
+    gap_reach,
     leader_motion,
     ring_setup,
     simulate_platoon,
 )
+from accwave import microsim
 from accwave.microsim import _leader_arrays, _leader_initial_speed, _step_maps
 from accwave.model import ControlParams, acc_acceleration, engaged
 from accwave.scenarios import (
@@ -514,6 +516,85 @@ def test_engagement_skips_pairs_already_engaged():
     sc = Scenario(params=P, n_followers=2, leader=spec, duration=5.0)
     res = simulate_platoon(sc)  # equilibrium spacing 17 < s_c: engaged from t=0
     assert detect_engagement(res.trajectories, P) == []
+
+
+def _jittered_pair(x0):
+    """A lead at x0 - 10 t and a follower at rest, both on t = 0, 0.1, ..., 1
+    with the last time 5e-7 early: the window is just short of ten steps."""
+    t = np.arange(11) * 0.1
+    t[-1] -= 5e-7
+    zero = np.zeros_like(t)
+    return (Trajectory(0, t, x0 - 10.0 * t, np.full_like(t, -10.0), zero, 0.1),
+            Trajectory(1, t, zero, zero, zero, 0.1))
+
+
+def test_gap_reach_finds_a_root_in_the_last_step_of_a_window_short_of_whole_steps():
+    # a time grid of whole steps from the window start used to stop at 0.9
+    # and miss the last sample, where the gap is 90.000005
+    assert gap_reach(*_jittered_pair(100.0), 90.5) == pytest.approx(0.95, abs=1e-9)
+    events = detect_engagement(_jittered_pair(P.s_c + 9.5), P)
+    assert [e.vehicle_id for e in events] == [1]
+    assert events[0].t_star == pytest.approx(0.95, abs=1e-9)
+
+
+def test_gap_reach_at_the_window_start_is_no_engagement_event():
+    # the lead starts at t = 0.3, where the gap is exactly s_c
+    lead, fol = _jittered_pair(P.s_c + 3.0)
+    late = Trajectory(0, lead.t[3:], lead.x[3:], lead.v[3:], lead.a[3:], lead.dt)
+    assert gap_reach(late, fol, P.s_c) == late.t0 == 0.30000000000000004
+    assert gap_reach(late, fol, P.s_c - 10.0) is None
+    assert detect_engagement([late, fol], P) == []
+    # no common window, no reach
+    early = Trajectory(0, lead.t[:3], lead.x[:3], lead.v[:3], lead.a[:3], lead.dt)
+    assert gap_reach(early, Trajectory(1, fol.t[5:], fol.x[5:], fol.v[5:], fol.a[5:], fol.dt), 200.0) is None
+
+
+def test_gap_reach_on_vehicles_on_different_clocks_starts_at_the_window_start():
+    # the follower, at rest, is sampled at 0, 0.1, ...; the lead at 0.05,
+    # 0.15, ...: the window starts at 0.05, before the follower's first
+    # sample in it, and a reach in between is a reach after the start
+    fol_t = np.arange(11) * 0.1
+    zero = np.zeros_like(fol_t)
+    fol = Trajectory(1, fol_t, zero, zero, zero, 0.1)
+    lead_t = fol_t + 0.05
+
+    def lead(x):
+        return Trajectory(0, lead_t, x, np.gradient(x, lead_t), np.zeros_like(x), 0.1)
+
+    closing = lead(P.s_c + 0.7 - 10.0 * lead_t)
+    assert gap_reach(closing, fol, P.s_c) == pytest.approx(0.07, abs=1e-9)
+    events = detect_engagement([closing, fol], P)
+    assert [e.vehicle_id for e in events] == [1]
+    assert events[0].t_star == pytest.approx(0.07, abs=1e-9)
+    # below s_c at the window start, above it at the follower's first sample
+    # (0.1) and down again later: the pair starts engaged, so no event
+    back = lead(P.s_c + np.array([-0.5, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0]))
+    assert gap_reach(back, fol, P.s_c) == 0.05
+    assert detect_engagement([back, fol], P) == []
+
+
+@pytest.fixture(scope="module")
+def block_edge_runs():
+    """Case 2 (a cut-in), case 4 (engagements) and ring case 1, at the shipped block sizes."""
+    scenarios = (case_scenario(2), case_scenario(4), ring_scenario(1))
+    return [(sc, simulate_platoon(sc).trajectories) for sc in scenarios]
+
+
+@pytest.mark.parametrize("name, value, atol", [("_CELLS", 37, 0.0), ("_STEPS", 7, 1e-10), ("_BLOCK", 5, 1e-10)])
+def test_block_sizes_change_a_run_only_at_round_off(monkeypatch, block_edge_runs, name, value, atol):
+    # each block edge hands a stretch, a doubling scan or a time block on:
+    # the recorded commands are elementwise, so their blocks change no bit
+    monkeypatch.setattr(microsim, name, value)
+    for sc, want in block_edge_runs:
+        got = simulate_platoon(sc).trajectories
+        assert [tr.vehicle_id for tr in got] == [tr.vehicle_id for tr in want]
+        for g, w in zip(got, want):
+            assert np.array_equal(g.t, w.t)
+            for f in "xva":
+                if atol:
+                    np.testing.assert_allclose(getattr(g, f), getattr(w, f), rtol=0, atol=atol)
+                else:
+                    assert np.array_equal(getattr(g, f), getattr(w, f)), (name, g.vehicle_id, f)
 
 
 def test_recorded_leader_position_is_exact_between_samples():

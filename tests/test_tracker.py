@@ -272,7 +272,7 @@ def test_phase_transition_composite():
     # jump between the engagement state (1/s_c, v_f) and the final
     # equilibrium (1/17, 10) rides the congested branch: -L/tau
     assert pt.shock_speed == pytest.approx(-25.0 / 6.0, rel=1e-12)
-    assert pt.front is not None and len(pt.front.segment_speeds) == 2
+    assert len(engagement_front(pt.events).segment_speeds) == 2
     assert pt.engagement is not None
     assert pt.shock is not None and pt.shock.kind is PathKind.SHOCK
     assert pt.t_complete is not None and pt.t_complete > pt.events[-1].t_star
@@ -298,7 +298,7 @@ def test_phase_transition_without_engagement_is_empty():
     trajs = _cruise_platoon()  # starts congested: nothing to engage
     pt = trace_phase_transition(trajs, P, v_e=10.0)
     assert pt.events == ()
-    assert pt.front is None and pt.engagement is None and pt.shock is None
+    assert pt.engagement is None and pt.shock is None
     assert pt.characteristics == () and pt.t_complete is None
     assert pt.paths() == []
 
